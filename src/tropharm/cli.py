@@ -13,7 +13,7 @@ import numpy as np
 
 from . import degeneration as deg
 from . import forms, graph, morphisms, phase
-from .errors import TropharmError
+from .errors import InputError, MinimumDensityViolationError, NonPositiveLengthError, TropharmError
 from .serialize import dumps_canonical
 
 
@@ -138,11 +138,16 @@ def cmd_periods(args):
 
 def cmd_degenerate(args):
     mg, R = _load_inputs(args)
-    ts = [float(x) for x in args.t.split(",")]
+    try:
+        ts = [float(x) for x in args.t.split(",")]
+    except ValueError as exc:
+        raise InputError(f"bad --t list {args.t!r}; expected comma-separated numbers") from exc
     window = None
     if args.window is not None:
         window = np.array([[-args.window, args.window]] * R.m)
     density = args.density
+    if not (density > 0 and np.isfinite(density)):
+        raise MinimumDensityViolationError(f"density must be positive and finite, got {density}")
     sampling = deg.ExperimentSampling(
         u_step=0.02 / density,
         angular_count=max(1, round(64 * density)),
@@ -172,6 +177,8 @@ def cmd_collar(args):
             lo, hi = float(lo_s), float(hi_s)
         except ValueError as exc:
             raise TropharmError(f"bad sweep range {args.sweep!r}; expected A..B") from exc
+        if not (lo > 0 and hi > 0):
+            raise NonPositiveLengthError(f"sweep range {args.sweep!r} must be positive")
         n = args.points or int(round(abs(np.log10(hi) - np.log10(lo)))) + 1
         values = list(np.geomspace(lo, hi, max(2, n)))
     _emit(args, deg.collar_sweep(values))

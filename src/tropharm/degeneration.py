@@ -25,8 +25,6 @@ t**H(meet), which reproduces the tree's edge lengths in log_t scale.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,18 +294,14 @@ def amoeba_map(sphere: PuncturedSphere, R: ResidueMatrix, z):
 
 @dataclass(frozen=True)
 class PointCloud:
-    points: np.ndarray  # (N, m)
-    tags: tuple[str, ...]
+    points: np.ndarray  # (N, m), read-only
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise InputError("point cloud is empty")
-        if len(self.tags) != pts.shape[0]:
-            raise InputError("one provenance tag per point is required")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "tags", tuple(self.tags))
 
 
 @dataclass(frozen=True)
@@ -327,35 +321,13 @@ class SamplingConfig:
             raise MinimumDensityViolationError("need 0 < r_min < r_max")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TROPHARM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise InputError(f"TROPHARM_THREADS={raw!r} is not an integer") from exc
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
-def _map_maybe_parallel(fn, items):
-    n = _thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
 def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray,
-                   angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                   angles: np.ndarray) -> np.ndarray:
     """log-distances of p_j + r*e^(i*theta) to every finite puncture.
 
     The own column is log r exactly, which keeps tiny radii accurate where
     z - p_j would cancel to zero in floating point.  Samples landing exactly
-    on another puncture are dropped; the boolean mask records survivors of
-    the (radius x angle) grid.
+    on another puncture are dropped.
     """
     radii = np.exp(log_radii)
     offs = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
@@ -368,13 +340,23 @@ def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray,
         d = np.abs(pts[j] - pts[k] + offs)
         keep &= d > 0.0
         logdist[:, k] = np.log(np.where(d > 0.0, d, 1.0))
-    return logdist[keep], keep
+    return logdist[keep]
 
 
-def _chart_images(pts: np.ndarray, res_cols: np.ndarray, j: int,
-                  log_radii: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    logdist, keep = _chart_logdist(pts, j, log_radii, angles)
-    return logdist @ res_cols.T, keep
+def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
+    """log-distances to every finite puncture on a square grid over a disk.
+
+    The disk of radius r0 holds every finite puncture; grid nodes outside it,
+    or within 1e-9 * (1 + r0) of a puncture, are dropped.
+    """
+    center = complex(np.mean(pts))
+    r0 = 2.0 * float(np.max(np.abs(pts - center))) + 1.0
+    axis = np.linspace(-r0, r0, grid_count)
+    gx, gy = np.meshgrid(axis, axis)
+    gz = (center + gx + 1j * gy).ravel()
+    dist = np.abs(gz[:, None] - pts[None, :])
+    keep = (np.abs(gz - center) <= r0) & (dist.min(axis=1) > 1e-9 * (1.0 + r0))
+    return np.log(dist[keep])
 
 
 def sample_amoeba(sphere: PuncturedSphere, R: ResidueMatrix,
@@ -388,28 +370,9 @@ def sample_amoeba(sphere: PuncturedSphere, R: ResidueMatrix,
     res_cols = R.entries[:, idx]
     log_radii = np.linspace(np.log(config.r_min), np.log(config.r_max), config.radial_count)
     angles = np.linspace(0.0, 2.0 * np.pi, config.angular_count, endpoint=False)
-
-    charts = _map_maybe_parallel(
-        lambda j: _chart_images(pts, res_cols, j, log_radii, angles), range(len(idx))
-    )
-    chunks = [img for img, _ in charts]
-    tags: list[str] = []
-    for j, chunk in zip(idx, chunks):
-        tags.extend([f"chart:{j}"] * chunk.shape[0])
-
-    center = complex(np.mean(pts))
-    r0 = 2.0 * float(np.max(np.abs(pts - center))) + 1.0
-    axis = np.linspace(-r0, r0, config.grid_count)
-    gx, gy = np.meshgrid(axis, axis)
-    gz = (center + gx + 1j * gy).ravel()
-    keep = np.abs(gz - center) <= r0
-    dist = np.abs(gz[:, None] - pts[None, :])
-    keep &= dist.min(axis=1) > 1e-12 * (1.0 + r0)
-    gz = gz[keep]
-    if gz.size:
-        chunks.append(np.log(np.abs(gz[:, None] - pts[None, :])) @ res_cols.T)
-        tags.extend(["global"] * gz.size)
-    return PointCloud(np.vstack(chunks), tuple(tags))
+    chunks = [_chart_logdist(pts, j, log_radii, angles) @ res_cols.T for j in range(pts.size)]
+    chunks.append(_grid_logdist(pts, config.grid_count) @ res_cols.T)
+    return PointCloud(np.vstack(chunks))
 
 
 # ----------------------------------------------------------------------
@@ -787,14 +750,12 @@ def _alignment_offset(placement: TreePlacement, R: ResidueMatrix, base_vertex: s
 
 def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicMorphism,
                       window: np.ndarray, sampling: ExperimentSampling):
-    """Raw amoeba samples plus (vertex tag, u) provenance for tripod splitting."""
-    mg = placement.carrier
-    g = mg.graph
-    t = placement.t
-    sphere = placement.sphere()
-    idx, pts = sphere.finite()
+    """Raw amoeba samples and the tripod region of each: an index into the
+    graph's vertices, or -1 for samples of the global grid."""
+    g = placement.carrier.graph
+    idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
-    logt = math.log(t)
+    logt = math.log(placement.t)
 
     wmax = float(np.max(np.abs(window))) + 1.0
     slopes = [np.abs(v) for v in mor.edge_slope.values()]
@@ -808,71 +769,46 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     angles = np.linspace(0.0, 2.0 * np.pi, sampling.angular_count, endpoint=False)
     step = sampling.u_step
 
-    chunks: list[np.ndarray] = []
-    tags: list[np.ndarray] = []
-    u_arrays: list[np.ndarray] = []
-
-    leaf_order = [(j, g.leaves[j]) for j in idx]
-
-    # scale thresholds along each leaf's upward path, for region assignment
-    leaf_paths_up = {}
-    for j, leaf in leaf_order:
-        path = placement.up_path[leaf.vertex]
-        hs = [heights[v] for v in path]
-        bounds = [(hs[i] + hs[i + 1]) / 2.0 for i in range(len(hs) - 1)]
-        leaf_paths_up[j] = (np.array(path, dtype=object), np.array(bounds))
+    # each chart's leaf vertex, its upward path as vertex indices, and the
+    # scale thresholds between consecutive path vertices
+    vertex_index = {v: i for i, v in enumerate(g.vertices)}
+    leaf_vertices = [g.leaves[j].vertex for j in idx]
+    paths, bounds = [], []
+    for v in leaf_vertices:
+        up = placement.up_path[v]
+        hs = [heights[w] for w in up]
+        paths.append(np.array([vertex_index[w] for w in up]))
+        bounds.append(np.array([(a + b) / 2.0 for a, b in zip(hs, hs[1:])]))
 
     def assign_tripods(logdist: np.ndarray) -> np.ndarray:
         """Tripod region of each sample: nearest puncture in log scale, then
         walk that leaf's upward path to the sample's own scale."""
         nearest = np.argmin(logdist, axis=1)
-        u_min = logdist[np.arange(logdist.shape[0]), nearest] / logt
-        out = np.empty(logdist.shape[0], dtype=object)
-        for pos, j in enumerate(idx):
+        u_min = logdist.min(axis=1) / logt
+        out = np.empty(logdist.shape[0], dtype=np.intp)
+        for pos, (path, bnd) in enumerate(zip(paths, bounds)):
             mask = nearest == pos
-            if not mask.any():
-                continue
-            path, bounds = leaf_paths_up[j]
-            out[mask] = path[np.digitize(u_min[mask], bounds)]
+            out[mask] = path[np.digitize(u_min[mask], bnd)]
         return out
 
     # keep radii t**u representable: |u * log t| must stay below exp overflow
     u_cap = 600.0 / logt
+    u_hi = min(h_top + reach, u_cap)
 
-    def build_chart(args):
-        j, leaf = args
-        h_leaf = heights[leaf.vertex]
-        u_lo = max(h_leaf - reach, -u_cap)
-        u_hi = min(h_top + reach, u_cap)
-        ks = np.arange(math.ceil(u_lo / step), math.floor(u_hi / step) + 1)
-        u = ks * step
-        logdist, kept = _chart_logdist(pts, idx.index(j), u * logt, angles)
-        img = logdist @ res_cols.T
-        vert_tags = assign_tripods(logdist)
-        u_rep = np.repeat(u, angles.size)[kept]
-        return img, vert_tags, u_rep
-
-    for img, vert_tags, u_rep in _map_maybe_parallel(build_chart, leaf_order):
-        chunks.append(img)
-        tags.append(vert_tags)
-        u_arrays.append(u_rep)
+    chunks: list[np.ndarray] = []
+    regions: list[np.ndarray] = []
+    for pos, v in enumerate(leaf_vertices):
+        u_lo = max(heights[v] - reach, -u_cap)
+        u = np.arange(math.ceil(u_lo / step), math.floor(u_hi / step) + 1) * step
+        logdist = _chart_logdist(pts, pos, u * logt, angles)
+        chunks.append(logdist @ res_cols.T)
+        regions.append(assign_tripods(logdist))
 
     # coarse global grid over a disk containing all finite punctures
-    center = complex(np.mean(pts))
-    r0 = 2.0 * float(np.max(np.abs(pts - center))) + 1.0
-    axis = np.linspace(-r0, r0, sampling.grid_count)
-    gx, gy = np.meshgrid(axis, axis)
-    gz = (center + gx + 1j * gy).ravel()
-    keep = np.abs(gz - center) <= r0
-    dist = np.abs(gz[:, None] - pts[None, :])
-    keep &= dist.min(axis=1) > 1e-9 * (1.0 + r0)
-    gz = gz[keep]
-    if gz.size:
-        chunks.append(np.log(np.abs(gz[:, None] - pts[None, :])) @ res_cols.T)
-        tags.append(np.array(["global"] * gz.size, dtype=object))
-        u_arrays.append(np.full(gz.size, np.nan))
-
-    return np.vstack(chunks), np.concatenate(tags), np.concatenate(u_arrays)
+    grid = _grid_logdist(pts, sampling.grid_count)
+    chunks.append(grid @ res_cols.T)
+    regions.append(np.full(grid.shape[0], -1))
+    return np.vstack(chunks), np.concatenate(regions)
 
 
 def default_window(scene: Scene) -> np.ndarray:
@@ -918,18 +854,17 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
     entries = []
     for t in ts:
         placement = place_tree(mg, t, infinite_leaf)
-        raw, vert_tags, _ = _experiment_cloud(placement, R, mor, win, sampling)
+        raw, region = _experiment_cloud(placement, R, mor, win, sampling)
         shift = mor.vertex_position[base_vertex] - _alignment_offset(placement, R, base_vertex)
         pts = raw / math.log(t) + shift
-        cloud = PointCloud(pts, tuple(map(str, vert_tags)))
-        d_global = hausdorff(cloud, scene, win)
+        d_global = hausdorff(PointCloud(pts), scene, win)
         per_tripod: dict[str, float | None] = {}
-        for v in mg.graph.vertices:
-            mask = vert_tags == v
+        for i, v in enumerate(mg.graph.vertices):
+            mask = region == i
             if not mask.any():
                 per_tripod[v] = None
                 continue
-            sub = PointCloud(pts[mask], tuple("x" for _ in range(int(mask.sum()))))
+            sub = PointCloud(pts[mask])
             try:
                 per_tripod[v] = hausdorff(sub, _tripod_scene(mor, v, ray_length), win)
             except EmptyAfterClippingError:

@@ -243,20 +243,6 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def scene_segments(scene: Scene) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Finite segments: graph edges plus rays truncated at ray_length."""
-    segs = [
-        (scene.vertices[a], scene.vertices[b]) for _, a, b in scene.edges
-    ]
-    for _, origin, direction in scene.rays:
-        norm = float(np.linalg.norm(direction))
-        if norm <= ZERO_SLOPE_TOL:
-            segs.append((origin, origin))
-        else:
-            segs.append((origin, origin + scene.ray_length * direction / norm))
-    return segs
-
-
 _ISO = np.array([[0.8660254037844386, -0.8660254037844386, 0.0],
                  [0.5, 0.5, -1.0]])
 

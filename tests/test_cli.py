@@ -152,6 +152,24 @@ def test_collar_negative_errors(capsys):
     assert json.loads(err)["code"] == "NonPositiveLength"
 
 
+def test_collar_sweep_through_zero_errors(capsys):
+    code, _, err = run(capsys, "collar", "--sweep", "0..1e-3")
+    assert code == 1
+    assert json.loads(err)["code"] == "NonPositiveLength"
+
+
+def test_degenerate_zero_density_errors(capsys, files):
+    code, _, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--density", "0")
+    assert code == 1
+    assert json.loads(err)["code"] == "MinimumDensityViolation"
+
+
+def test_degenerate_bad_t_list_errors(capsys, files):
+    code, _, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--t", "abc")
+    assert code == 1
+    assert json.loads(err)["code"] == "BadInput"
+
+
 def test_degenerate_with_csv(capsys, files, tmp_path):
     csv = tmp_path / "d.csv"
     code, out, _ = run(capsys, "--quiet", "degenerate", files["tripod"], files["rline"],

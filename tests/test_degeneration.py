@@ -259,18 +259,34 @@ def test_sample_amoeba_denser_covers_better():
     assert coverage(fine) <= coverage(coarse) + 1e-12
 
 
+def test_sample_amoeba_grid_node_on_puncture():
+    # an odd grid puts its centre node on the puncture at 0; it is dropped
+    sphere = PuncturedSphere((-1.0, 0.0, 1.0, None))
+    R = ResidueMatrix([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0]])
+    cloud = sample_amoeba(sphere, R, SamplingConfig(radial_count=16, angular_count=8, grid_count=9))
+    assert np.all(np.isfinite(cloud.points))
+
+
+def test_point_cloud_is_read_only_2d():
+    cloud = PointCloud(np.array([1.0, 2.0]))
+    assert cloud.points.shape == (1, 2)
+    assert not cloud.points.flags.writeable
+    with pytest.raises(InputError):
+        PointCloud(np.zeros((0, 2)))
+
+
 # hausdorff
 
 
 def test_hausdorff_identical_clouds():
     pts = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]])
-    a = PointCloud(pts, ("a", "b", "c"))
+    a = PointCloud(pts)
     assert hausdorff(a, a, [[-3, 3], [-3, 3]]) == 0.0
 
 
 def test_hausdorff_point_vs_segment():
     scene = Scene(2, {"a": np.zeros(2), "b": np.array([1.0, 0.0])}, (("e", "a", "b"),), (), 1.0)
-    cloud = PointCloud(np.zeros((1, 2)), ("x",))
+    cloud = PointCloud(np.zeros((1, 2)))
     assert hausdorff(cloud, scene, [[-2, 2], [-2, 2]]) == pytest.approx(1.0, abs=1e-3)
 
 
@@ -278,7 +294,7 @@ def test_hausdorff_grid_vs_fill():
     h = 0.125
     xs = np.arange(-1.0, 1.0 + h / 2, h)
     grid = np.array([[x, y] for x in xs for y in xs])
-    cloud = PointCloud(grid, tuple("g" * len(grid)))
+    cloud = PointCloud(grid)
     verts = {}
     edges = []
     for i, y in enumerate(xs):
@@ -290,7 +306,7 @@ def test_hausdorff_grid_vs_fill():
 
 
 def test_hausdorff_empty_after_clip():
-    cloud = PointCloud(np.array([[10.0, 10.0]]), ("x",))
+    cloud = PointCloud(np.array([[10.0, 10.0]]))
     scene = Scene(2, {"a": np.zeros(2)}, (), (("p", np.zeros(2), np.array([1.0, 0.0])),), 1.0)
     with pytest.raises(EmptyAfterClippingError):
         hausdorff(cloud, scene, [[-1, 1], [-1, 1]])
@@ -377,7 +393,7 @@ def test_hausdorff_dimension_one():
     mg = dumbbell_graph()
     scene = emit_embedding(build_morphism(mg, ResidueMatrix([[3.0, -3.0]]), "u"), 5.0)
     pts = np.linspace(-1.5, 3.0, 200)[:, None]
-    cloud = PointCloud(pts, tuple("x" for _ in range(200)))
+    cloud = PointCloud(pts)
     assert hausdorff(cloud, scene, [[-1.5, 3.0]]) <= 0.05
 
 
@@ -401,6 +417,10 @@ def test_convergence_deeper_tree():
     ds = [e.global_hausdorff for e in rep.entries]
     assert ds[1] < ds[0]
     assert ds[1] <= 0.07
+    # every vertex owns a tripod region at t=1e6, and each converges
+    per_tripod = rep.entries[1].per_tripod
+    assert set(per_tripod) == {"v0", "v1", "v2"}
+    assert all(d is not None and d <= 0.07 for d in per_tripod.values())
 
 
 def test_convergence_shallow_slopes_no_overflow(tripod):

@@ -1,8 +1,6 @@
-"""File-format loaders and the sampling-parallelism environment knob."""
+"""File-format loaders, the one-leaf graph, and twist solving on a tree."""
 import json
-import os
 
-import numpy as np
 import pytest
 
 from tropharm.errors import InputError, TooFewLeavesError
@@ -14,7 +12,6 @@ from tropharm.forms import (
     ResidueMatrix,
 )
 from tropharm.graph import CubicGraph, Edge, Leaf, MetricGraph, graph_to_dict
-from tropharm.degeneration import PuncturedSphere, SamplingConfig, sample_amoeba
 from tropharm.phase import solve_twists
 from tropharm.morphisms import build_morphism
 
@@ -71,36 +68,3 @@ def test_solve_twists_genus0_with_edges():
     assert sol.rank == 0
     assert sol.dimension == len(mg.graph.edges)  # the full twist torus
 
-
-def test_thread_env_does_not_change_results():
-    sphere = PuncturedSphere((0.0, 1.0, None))
-    R = ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
-    cfg = SamplingConfig(radial_count=64, angular_count=16, grid_count=8)
-    old = os.environ.get("TROPHARM_THREADS")
-    try:
-        os.environ.pop("TROPHARM_THREADS", None)
-        base = sample_amoeba(sphere, R, cfg)
-        for setting in ("2", "0"):
-            os.environ["TROPHARM_THREADS"] = setting
-            again = sample_amoeba(sphere, R, cfg)
-            assert np.array_equal(again.points, base.points)
-            assert again.tags == base.tags
-    finally:
-        if old is None:
-            os.environ.pop("TROPHARM_THREADS", None)
-        else:
-            os.environ["TROPHARM_THREADS"] = old
-
-
-def test_thread_env_rejects_garbage():
-    old = os.environ.get("TROPHARM_THREADS")
-    try:
-        os.environ["TROPHARM_THREADS"] = "many"
-        with pytest.raises(InputError):
-            sample_amoeba(PuncturedSphere((0.0, None)), ResidueMatrix([[1.0, -1.0]]),
-                          SamplingConfig(radial_count=4, angular_count=4, grid_count=2))
-    finally:
-        if old is None:
-            os.environ.pop("TROPHARM_THREADS", None)
-        else:
-            os.environ["TROPHARM_THREADS"] = old
