@@ -47,12 +47,10 @@ from .graph import (
     MetricGraph,
     OrientedEdge,
     cycle_basis,
-    genus,
     graph_from_dict,
     graph_to_dict,
     leaf_paths,
     load_graph,
-    validate,
 )
 from .morphisms import (
     CombinatorialType,

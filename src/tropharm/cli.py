@@ -55,11 +55,10 @@ def cmd_check(args):
 def cmd_solve(args):
     mg, R = _load_inputs(args)
     solved = [forms.solve_exact_form(mg, R.row(k)) for k in range(R.m)]
-    loops = graph.cycle_basis(mg)
     bal = max(forms.balancing_residual(f) for f in solved)
     loop_res = 0.0
     for f in solved:
-        for loop in loops:
+        for loop in mg.loops:
             loop_res = max(loop_res, abs(forms.integrate(f, loop)))
     meta = {"balancing_residual": bal, "loop_residual": loop_res}
     if R.m == 1:
@@ -179,6 +178,8 @@ def cmd_collar(args):
             raise TropharmError(f"bad sweep range {args.sweep!r}; expected A..B") from exc
         if not (lo > 0 and hi > 0):
             raise NonPositiveLengthError(f"sweep range {args.sweep!r} must be positive")
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise InputError(f"sweep range {args.sweep!r} must be finite")
         n = args.points or int(round(abs(np.log10(hi) - np.log10(lo)))) + 1
         values = list(np.geomspace(lo, hi, max(2, n)))
     _emit(args, deg.collar_sweep(values))

@@ -43,7 +43,7 @@ from .errors import (
     ZeroCoordinateError,
 )
 from .forms import ResidueMatrix
-from .graph import MetricGraph
+from .graph import MetricGraph, _spanning_tree
 from .morphisms import HarmonicMorphism, Scene, build_morphism, emit_embedding
 
 FOUR_PI = 4.0 * np.pi
@@ -59,6 +59,8 @@ def collar_width(l):
     arr = np.asarray(l, dtype=float)
     if np.any(arr <= 0.0):
         raise NonPositiveLengthError("collar_width needs a positive length")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("collar_width needs a finite length")
     out = np.arcsinh(1.0 / np.sinh(arr / 2.0))
     return float(out) if np.isscalar(l) or arr.ndim == 0 else out
 
@@ -71,6 +73,8 @@ def collar_modulus(l):
     arr = np.asarray(l, dtype=float)
     if np.any(arr <= 0.0):
         raise NonPositiveLengthError("collar_modulus needs a positive length")
+    if not np.all(np.isfinite(arr)):
+        raise InputError("collar_modulus needs a finite length")
     out = (2.0 / arr) * np.arccos(1.0 / np.cosh(collar_width(arr)))
     return float(out) if np.isscalar(l) or arr.ndim == 0 else out
 
@@ -522,48 +526,25 @@ def place_tree(mg: MetricGraph, t: float, infinite_leaf: str | None = None) -> T
     g = mg.graph
     if g.genus != 0:
         raise NotATreeError(f"graph has genus {g.genus}, not a tree")
-    if not t > np.e:
-        raise InputError("t must exceed e")
+    if not (np.isfinite(t) and t > np.e):
+        raise InputError(f"t must be finite and exceed e, got {t}")
     if infinite_leaf is None:
         infinite_leaf = g.leaf_ids[-1]
     if not g.is_leaf(infinite_leaf):
         raise InputError(f"unknown leaf {infinite_leaf}")
     root = g.leaf(infinite_leaf).vertex
 
-    # metric depth from the root through the (unique) tree paths
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj[e.ends[0]].append((e.ends[1], e.id))
-        adj[e.ends[1]].append((e.ends[0], e.id))
-    for v in adj:
-        adj[v].sort()
+    # metric depth from the root through the (unique) tree paths; the
+    # parent map is in breadth-first order, so parents come first
+    _, parent = _spanning_tree(g, root)
+    order = [root, *parent]
     depth = {root: 0.0}
-    parent_ref: dict[str, str] = {}  # vertex -> edge id toward the root
-    order = [root]
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w, eid in adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + mg.length[eid]
-                parent_ref[w] = eid
-                order.append(w)
-                queue.append(w)
+    up_path: dict[str, tuple[str, ...]] = {root: (root,)}
+    for w, (v, eid) in parent.items():
+        depth[w] = depth[v] + mg.length[eid]
+        up_path[w] = (w,) + up_path[v]
     ecc = max(depth.values())
     height = {v: ecc - d for v, d in depth.items()}
-
-    up_path: dict[str, tuple[str, ...]] = {root: (root,)}
-
-    def climb(v: str) -> tuple[str, ...]:
-        if v in up_path:
-            return up_path[v]
-        e = g.edge(parent_ref[v])
-        par = e.ends[0] if e.ends[1] == v else e.ends[1]
-        up_path[v] = (v,) + climb(par)
-        return up_path[v]
-
-    for v in g.vertices:
-        climb(v)
 
     # branch constants in ribbon order, starting after the incoming reference
     def branch_constants(v: str, incoming: str) -> dict[str, float]:

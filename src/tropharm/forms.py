@@ -26,12 +26,11 @@ from .errors import (
     SingularSystemError,
     TooFewLeavesError,
 )
-from .graph import GraphPath, MetricGraph, OrientedEdge, check_path, cycle_basis, graph_from_dict
+from .graph import GraphPath, MetricGraph, OrientedEdge, check_path, graph_from_dict
 
 # Balancing / residue tolerances: relative to the largest stored value.
 TOL_BALANCE = 1e-9
 TOL_RESIDUE = 1e-9
-RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,24 +50,22 @@ class OneForm:
             raise InputError(f"values on unknown leaf-edges: {sorted(extra)}")
         object.__setattr__(self, "values", vals)
         tol = TOL_BALANCE * max(1.0, max(abs(v) for v in vals.values()) if vals else 1.0)
-        for v, defect in _balancing_defects(self.carrier, vals).items():
-            if abs(defect) > 3 * tol:
-                raise BalancingViolationError(f"balancing fails at vertex {v} by {defect:.3e}")
+        defects = _balancing(self)
+        bad = np.flatnonzero(np.abs(defects) > 3 * tol)
+        if bad.size:
+            v = bad[0]
+            raise BalancingViolationError(f"balancing fails at vertex {g.vertices[v]} by {defects[v]:.3e}")
 
     def value(self, oe: OrientedEdge) -> float:
         stored = self.values[oe.id]
         return stored if oe.forward else -stored
 
 
-def _balancing_defects(mg: MetricGraph, vals: dict[str, float]) -> dict[str, float]:
-    g = mg.graph
-    out: dict[str, float] = {v: 0.0 for v in g.vertices}
-    for e in g.edges:
-        out[e.ends[0]] += vals[e.id]
-        out[e.ends[1]] -= vals[e.id]
-    for l in g.leaves:
-        out[l.vertex] -= vals[l.id]  # outgoing at the vertex = -(inward value)
-    return out
+def _balancing(form: OneForm) -> np.ndarray:
+    """Sum of outgoing values at each vertex; ``OneForm`` stores its values in
+    incidence column order (edge ids, then leaf ids)."""
+    vals = np.fromiter(form.values.values(), dtype=float, count=len(form.values))
+    return form.carrier.incidence @ vals
 
 
 def residues(form: OneForm) -> np.ndarray:
@@ -78,7 +75,7 @@ def residues(form: OneForm) -> np.ndarray:
 
 def balancing_residual(form: OneForm) -> float:
     """Largest |sum of outgoing values| over the vertices."""
-    return max(abs(d) for d in _balancing_defects(form.carrier, form.values).values())
+    return float(np.max(np.abs(_balancing(form))))
 
 
 def integrate(form: OneForm, path: GraphPath) -> float:
@@ -114,13 +111,6 @@ def dual_form(mg: MetricGraph, path: GraphPath) -> OneForm:
     return OneForm(mg, vals)
 
 
-def _injection_vector(mg: MetricGraph, residue_row: np.ndarray) -> dict[str, float]:
-    b = {v: 0.0 for v in mg.graph.vertices}
-    for r, l in zip(residue_row, mg.graph.leaves):
-        b[l.vertex] += float(r)
-    return b
-
-
 def check_residue_row(mg: MetricGraph, residue_row) -> np.ndarray:
     row = np.asarray(residue_row, dtype=float)
     if row.shape != (mg.n_leaves,):
@@ -131,45 +121,40 @@ def check_residue_row(mg: MetricGraph, residue_row) -> np.ndarray:
     return row
 
 
+def potentials_and_currents(mg: MetricGraph, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Electrical flow for each residue row: potentials (m x |V|), currents (m x |E|).
+
+    Current residue_row[j] is injected at the vertex of leaf j and edge e has
+    conductance 1/length(e).  Potentials are grounded at the lexicographically
+    smallest vertex (index 0); currents run along canonical orientations.
+    Each row gets its own solve: a solve with m right-hand sides at once
+    rounds differently in the last bit, which flips integrality verdicts.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    ne = len(mg.lengths)
+    edges, leaves = mg.incidence[:, :ne], mg.incidence[:, ne:]
+    lap = (edges / mg.lengths) @ edges.T
+    # 0.0 - x rather than -x, so that a vertex without injection holds +0.0
+    inject = 0.0 - leaves @ rows.T
+    phi = np.zeros((rows.shape[0], len(mg.graph.vertices)))
+    if phi.shape[1] > 1:
+        try:
+            for k in range(rows.shape[0]):
+                phi[k, 1:] = np.linalg.solve(lap[1:, 1:], inject[1:, k])
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"grounded Laplacian is singular: {exc}") from exc
+    return phi, (phi @ edges) / mg.lengths
+
+
 def solve_exact_form(mg: MetricGraph, residue_row) -> OneForm:
     """The unique balanced form with the given residues and zero loop integrals.
 
-    Electrical formulation: inject current residue_row[j] at the vertex of
-    leaf j, give edge e conductance 1/length(e), solve the grounded weighted
-    Laplacian for potentials, and read currents off potential differences.
+    Its edge values are the currents of ``potentials_and_currents``.
     """
     row = check_residue_row(mg, residue_row)
-    g = mg.graph
-    verts = g.vertices
-    idx = {v: i for i, v in enumerate(verts)}
-    nv = len(verts)
-
-    lap = np.zeros((nv, nv))
-    for e in g.edges:
-        c = 1.0 / mg.length[e.id]
-        i, j = idx[e.ends[0]], idx[e.ends[1]]
-        lap[i, i] += c
-        lap[j, j] += c
-        lap[i, j] -= c
-        lap[j, i] -= c
-
-    b = np.zeros(nv)
-    for r, l in zip(row, g.leaves):
-        b[idx[l.vertex]] += r
-
-    # Potentials grounded at the lexicographically smallest vertex (index 0).
-    phi = np.zeros(nv)
-    if nv > 1:
-        try:
-            phi[1:] = np.linalg.solve(lap[1:, 1:], b[1:])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"grounded Laplacian is singular: {exc}") from exc
-
-    vals: dict[str, float] = {}
-    for e in g.edges:
-        vals[e.id] = (phi[idx[e.ends[0]]] - phi[idx[e.ends[1]]]) / mg.length[e.id]
-    for r, l in zip(row, g.leaves):
-        vals[l.id] = float(r)
+    _, currents = potentials_and_currents(mg, row)
+    vals = dict(zip(mg.graph.edge_ids, currents[0]))
+    vals.update(zip(mg.graph.leaf_ids, row))
     return OneForm(mg, vals)
 
 
@@ -186,47 +171,15 @@ def decompose(form: OneForm) -> FormDecomposition:
     return FormDecomposition(exact, OneForm(form.carrier, holo_vals))
 
 
-def _column_order(mg: MetricGraph) -> list[str]:
-    return list(mg.graph.edge_ids) + list(mg.graph.leaf_ids)
-
-
-def balancing_matrix(mg: MetricGraph) -> np.ndarray:
-    """|V| x (|E|+n) matrix of the balancing conditions on canonical values."""
-    g = mg.graph
-    cols = {ref: k for k, ref in enumerate(_column_order(mg))}
-    mat = np.zeros((len(g.vertices), len(cols)))
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    for e in g.edges:
-        mat[vidx[e.ends[0]], cols[e.id]] += 1.0
-        mat[vidx[e.ends[1]], cols[e.id]] -= 1.0
-    for l in g.leaves:
-        mat[vidx[l.vertex], cols[l.id]] -= 1.0
-    return mat
-
-
-def loop_integral_matrix(mg: MetricGraph, loops=None) -> np.ndarray:
-    """Rows of loop-integral conditions sum_e length(e)*value(e) over basis loops."""
-    if loops is None:
-        loops = cycle_basis(mg)
-    cols = {ref: k for k, ref in enumerate(_column_order(mg))}
-    mat = np.zeros((len(loops), len(cols)))
-    for i, loop in enumerate(loops):
-        for oe in loop.items:
-            mat[i, cols[oe.id]] += mg.length[oe.id] * (1.0 if oe.forward else -1.0)
-    return mat
-
-
 def form_space_dims(mg: MetricGraph) -> tuple[int, int]:
     """(dim of exact forms, dim of holomorphic forms) = (n-1, g), rank-verified."""
     n, g = mg.n_leaves, mg.genus
     if n < 2:
         raise TooFewLeavesError(f"need at least 2 leaves, have {n}")
-    bal = balancing_matrix(mg)
+    bal = mg.incidence
     total = bal.shape[1]
-    loops = loop_integral_matrix(mg)
-    leaf_rows = np.zeros((n, total))
-    for j in range(n):
-        leaf_rows[j, len(mg.graph.edges) + j] = 1.0
+    loops = np.hstack([mg.cycles * mg.lengths, np.zeros((g, n))])
+    leaf_rows = np.hstack([np.zeros((n, total - n)), np.eye(n)])
 
     dim_exact = total - np.linalg.matrix_rank(np.vstack([bal, loops]), tol=None)
     dim_holo = total - np.linalg.matrix_rank(np.vstack([bal, leaf_rows]), tol=None)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     BadRibbonError,
     DisconnectedError,
@@ -194,12 +196,26 @@ class GraphPath:
 
 @dataclass(frozen=True)
 class MetricGraph:
+    """A cubic graph with edge lengths, plus its linear algebra as read-only arrays.
+
+    ``incidence`` is |V| x (|E|+n): edge columns (edge-id order) carry +1 at
+    ends[0] and -1 at ends[1], leaf columns (leaf order) -1 at the leaf's
+    vertex, so ``incidence @ values`` is the balancing of a 1-form stored on
+    canonical orientations.  ``lengths`` is |E|, ``loops`` the fundamental
+    cycle basis and ``cycles`` its genus x |E| signed edge matrix.
+    """
+
     graph: CubicGraph
     length: dict[str, float]
+    incidence: np.ndarray = field(init=False, repr=False, compare=False)
+    lengths: np.ndarray = field(init=False, repr=False, compare=False)
+    loops: tuple[GraphPath, ...] = field(init=False, repr=False, compare=False)
+    cycles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        g = self.graph
         length: dict[str, float] = {}
-        for e in self.graph.edges:
+        for e in g.edges:
             if e.id not in self.length:
                 raise NonPositiveLengthError(f"edge {e.id} has no length")
             val = float(self.length[e.id])
@@ -211,6 +227,24 @@ class MetricGraph:
             raise InputError(f"length entries for unknown edges (leaves carry no length): {sorted(extra)}")
         object.__setattr__(self, "length", length)
 
+        vidx = {v: i for i, v in enumerate(g.vertices)}
+        ne = len(g.edges)
+        incidence = np.zeros((len(g.vertices), ne + g.n_leaves))
+        for k, e in enumerate(g.edges):
+            incidence[vidx[e.ends[0]], k] = 1.0
+            incidence[vidx[e.ends[1]], k] = -1.0
+        for j, l in enumerate(g.leaves):
+            incidence[vidx[l.vertex], ne + j] = -1.0
+        lengths = np.array(list(length.values()))
+        loops = cycle_basis(self)
+        cycles = loop_matrix(g, loops)
+        for arr in (incidence, lengths, cycles):
+            arr.setflags(write=False)
+        object.__setattr__(self, "incidence", incidence)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "cycles", cycles)
+
     @property
     def genus(self) -> int:
         return self.graph.genus
@@ -221,17 +255,6 @@ class MetricGraph:
 
     def total_length(self) -> float:
         return sum(self.length.values())
-
-
-def validate(graph: CubicGraph, length: dict[str, float]) -> MetricGraph:
-    """Attach metric data to a cubic graph, checking every invariant."""
-    return MetricGraph(graph, dict(length))
-
-
-def genus(g: CubicGraph | MetricGraph) -> int:
-    if isinstance(g, MetricGraph):
-        g = g.graph
-    return g.genus
 
 
 def _check_connected(vertices, edges) -> None:
@@ -290,11 +313,13 @@ def check_path(g: CubicGraph, path: GraphPath) -> None:
 # spanning tree, cycle basis, leaf paths (deterministic: sorted edge ids)
 
 
-def _spanning_tree(g: CubicGraph) -> tuple[set[str], dict[str, tuple[str, str]]]:
+def _spanning_tree(g: CubicGraph, root: str | None = None) -> tuple[set[str], dict[str, tuple[str, str]]]:
     """Kruskal on lexicographically sorted edge ids.
 
     Returns the tree edge id set and a parent map: vertex -> (parent vertex,
-    connecting edge id), rooted at the smallest vertex id.
+    connecting edge id), rooted at ``root`` (default: the smallest vertex id).
+    The map is in breadth-first order, neighbours visited by (vertex id,
+    edge id), so every vertex comes after its parent.
     """
     parent_uf = {v: v for v in g.vertices}
 
@@ -319,7 +344,8 @@ def _spanning_tree(g: CubicGraph) -> tuple[set[str], dict[str, tuple[str, str]]]
     for v in adj:
         adj[v].sort()
 
-    root = g.vertices[0]
+    if root is None:
+        root = g.vertices[0]
     parent: dict[str, tuple[str, str]] = {}
     seen = {root}
     queue = [root]
@@ -378,6 +404,17 @@ def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
         check_path(g, loop)
         loops.append(loop)
     return tuple(loops)
+
+
+def loop_matrix(g: CubicGraph, loops) -> np.ndarray:
+    """len(loops) x |E| signed edge matrix: +1 where a loop runs along an
+    edge's canonical orientation, -1 where it runs against it."""
+    eidx = {eid: i for i, eid in enumerate(g.edge_ids)}
+    mat = np.zeros((len(loops), len(g.edges)))
+    for i, loop in enumerate(loops):
+        for oe in loop.items:
+            mat[i, eidx[oe.id]] += 1.0 if oe.forward else -1.0
+    return mat
 
 
 def leaf_paths(mg: MetricGraph, base_leaf: str) -> tuple[GraphPath, ...]:

@@ -1,10 +1,11 @@
 """Harmonic and tropical morphisms into R^m, built by integrating exact forms.
 
 A residue matrix R (m rows) induces m exact forms; stacking their values gives
-a slope vector per oriented leaf-edge, and integrating slopes from a base
-vertex gives positions.  The outgoing slope on leaf j is minus the j-th
-residue column: a positive residue is an electrical source, and the image
-runs off to -infinity in that coordinate along the leaf.
+a slope vector per oriented leaf-edge.  The forms are electrical flows, so
+positions are minus the potentials, shifted to put the base vertex at 0.
+The outgoing slope on leaf j is minus the j-th residue column: a positive
+residue is an electrical source, and the image runs off to -infinity in that
+coordinate along the leaf.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, UnsupportedDimensionForSvgError
-from .forms import ResidueMatrix, solve_exact_form
-from .graph import MetricGraph, OrientedEdge, _spanning_tree, cycle_basis
+from .forms import ResidueMatrix, potentials_and_currents
+from .graph import MetricGraph, OrientedEdge
 
 COMPAT_TOL = 1e-9
 ZERO_SLOPE_TOL = 1e-12
@@ -39,18 +40,21 @@ class HarmonicMorphism:
     def __post_init__(self):
         g = self.carrier.graph
         m = self.ambient_dim
-        for table, keys in ((self.vertex_position, g.vertices),
-                            (self.edge_slope, g.edge_ids),
-                            (self.leaf_slope, g.leaf_ids)):
-            for k in keys:
-                v = np.asarray(table[k], dtype=float).reshape(m)
-                v.setflags(write=False)
-                table[k] = v
-        scale = max(1.0, _max_norm(self.edge_slope), _max_norm(self.leaf_slope))
+        # The dicts are the public view; the stacked arrays (rows in vertex,
+        # edge and leaf order) back them and feed the matrix computations.
+        for name, table, keys in (("_positions", self.vertex_position, g.vertices),
+                                  ("_edge_slopes", self.edge_slope, g.edge_ids),
+                                  ("_leaf_slopes", self.leaf_slope, g.leaf_ids)):
+            rows = np.array([np.asarray(table[k], dtype=float).reshape(m) for k in keys])
+            rows = rows.reshape(len(keys), m)
+            rows.setflags(write=False)
+            table.update(zip(keys, rows))
+            object.__setattr__(self, name, rows)
+        scale = max(1.0, _max_abs(self._edge_slopes), _max_abs(self._leaf_slopes))
         defect = balancing_defect(self)
         if defect > 3 * COMPAT_TOL * scale:
             raise InputError(f"morphism slopes violate balancing by {defect:.3e}")
-        pos_scale = max(1.0, _max_norm(self.vertex_position))
+        pos_scale = max(1.0, _max_abs(self._positions))
         defect = compatibility_defect(self)
         if defect > 3 * COMPAT_TOL * max(pos_scale, scale):
             raise InputError(f"positions and slopes are incompatible by {defect:.3e}")
@@ -64,37 +68,26 @@ class HarmonicMorphism:
         return -s if oe.forward else s
 
 
-def _max_norm(table: dict[str, np.ndarray]) -> float:
-    if not table:
-        return 0.0
-    return max(float(np.max(np.abs(v))) for v in table.values())
+def _max_abs(a: np.ndarray) -> float:
+    return float(np.max(np.abs(a), initial=0.0))
 
 
 def balancing_defect(mor: HarmonicMorphism) -> float:
     """Largest |sum of the 3 outgoing slopes| over all vertices."""
-    g = mor.carrier.graph
-    out = {v: np.zeros(mor.ambient_dim) for v in g.vertices}
-    for e in g.edges:
-        out[e.ends[0]] += mor.edge_slope[e.id]
-        out[e.ends[1]] -= mor.edge_slope[e.id]
-    for l in g.leaves:
-        out[l.vertex] += mor.leaf_slope[l.id]
-    return max(float(np.max(np.abs(v))) for v in out.values())
+    inward = np.vstack([mor._edge_slopes, -mor._leaf_slopes])
+    return _max_abs(mor.carrier.incidence @ inward)
 
 
 def compatibility_defect(mor: HarmonicMorphism) -> float:
     """Largest |position(head) - position(tail) - length*slope| over all edges."""
     mg = mor.carrier
-    worst = 0.0
-    for e in mg.graph.edges:
-        gap = (mor.vertex_position[e.ends[1]] - mor.vertex_position[e.ends[0]]
-               - mg.length[e.id] * mor.edge_slope[e.id])
-        worst = max(worst, float(np.max(np.abs(gap))))
-    return worst
+    edges = mg.incidence[:, :len(mg.lengths)]
+    gap = edges.T @ mor._positions + mg.lengths[:, None] * mor._edge_slopes
+    return _max_abs(gap)
 
 
 def build_morphism(mg: MetricGraph, R: ResidueMatrix, base_vertex: str | None = None) -> HarmonicMorphism:
-    """Solve the m exact forms of R and integrate them from ``base_vertex``."""
+    """Solve the m exact forms of R; positions are minus their potentials."""
     g = mg.graph
     if R.n != g.n_leaves:
         raise InputError(f"residue matrix has {R.n} columns for {g.n_leaves} leaves")
@@ -103,52 +96,26 @@ def build_morphism(mg: MetricGraph, R: ResidueMatrix, base_vertex: str | None = 
     if base_vertex not in g.vertices:
         raise InputError(f"unknown base vertex {base_vertex}")
 
-    forms = [solve_exact_form(mg, R.row(k)) for k in range(R.m)]
-    edge_slope = {
-        e.id: np.array([f.values[e.id] for f in forms]) for e in g.edges
-    }
-    leaf_slope = {
-        l.id: -R.entries[:, j].copy() for j, l in enumerate(g.leaves)
-    }
-
-    # Integrate along a spanning tree; exactness makes the result
-    # path-independent, which the compatibility check re-verifies on
-    # co-tree edges.
-    _, parent = _spanning_tree(g)
-    children: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for child, (par, eid) in parent.items():
-        children[par].append((child, eid))
-    root = g.vertices[0]
-    # positions of every vertex relative to the tree root, then re-base
-    rel = {root: np.zeros(R.m)}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for child, eid in children[v]:
-            e = g.edge(eid)
-            step = mg.length[eid] * edge_slope[eid]
-            rel[child] = rel[v] + (step if e.ends[0] == v else -step)
-            stack.append(child)
-    shift = rel[base_vertex]
-    position = {v: rel[v] - shift for v in g.vertices}
-
-    return HarmonicMorphism(mg, R.m, base_vertex, position, edge_slope, leaf_slope)
+    phi, currents = potentials_and_currents(mg, R.entries)
+    b = g.vertices.index(base_vertex)
+    position = phi[:, b:b + 1] - phi
+    return HarmonicMorphism(
+        mg, R.m, base_vertex,
+        dict(zip(g.vertices, position.T)),
+        dict(zip(g.edge_ids, currents.T)),
+        dict(zip(g.leaf_ids, -R.entries.T)),
+    )
 
 
 def residues_of(mor: HarmonicMorphism) -> ResidueMatrix:
     """Inward leaf slopes as residue columns; inverse of build_morphism."""
-    g = mor.carrier.graph
-    cols = [-mor.leaf_slope[l.id] for l in g.leaves]
-    return ResidueMatrix(np.array(cols).T if cols else np.zeros((mor.ambient_dim, 0)))
+    return ResidueMatrix(-mor._leaf_slopes.T)
 
 
 def is_tropical(mor: HarmonicMorphism, tol: float = 1e-9) -> bool:
     """True iff every edge and leaf slope vector is integral within tol."""
-    for table in (mor.edge_slope, mor.leaf_slope):
-        for v in table.values():
-            if np.max(np.abs(v - np.round(v)), initial=0.0) > tol:
-                return False
-    return True
+    slopes = np.vstack([mor._edge_slopes, mor._leaf_slopes])
+    return _max_abs(slopes - np.round(slopes)) <= tol
 
 
 @dataclass(frozen=True)
@@ -178,6 +145,16 @@ def combinatorial_type(mor: HarmonicMorphism, zero_tol: float = ZERO_SLOPE_TOL) 
     return CombinatorialType(tags)
 
 
+def loop_slope_matrix(mor: HarmonicMorphism) -> np.ndarray:
+    """(basis loop, coordinate) x edge matrix of slopes signed by the loops.
+
+    Row i*m + k holds, at each edge of basis loop i, the k-th slope component
+    of the edge as oriented by the loop, and 0 off the loop.
+    """
+    g, ne = mor.carrier.cycles.shape
+    return (mor.carrier.cycles[:, None, :] * mor._edge_slopes.T).reshape(g * mor.ambient_dim, ne)
+
+
 class RegularityReport(NamedTuple):
     rank: int
     expected: int
@@ -192,17 +169,8 @@ def regularity_rank(mg: MetricGraph, mor: HarmonicMorphism, rank_tol: float = 1e
     admitting a combinatorially equivalent morphism satisfy these linear
     conditions; the morphism is regular when they are independent.
     """
-    g = mg.graph
-    loops = cycle_basis(mg)
-    m = mor.ambient_dim
-    expected = m * g.genus
-    if not loops:
-        return RegularityReport(0, expected, expected == 0)
-    eidx = {eid: i for i, eid in enumerate(g.edge_ids)}
-    mat = np.zeros((len(loops) * m, len(g.edges)))
-    for i, loop in enumerate(loops):
-        for oe in loop.items:
-            mat[i * m:(i + 1) * m, eidx[oe.id]] += mor.slope(oe)
+    expected = mor.ambient_dim * mg.genus
+    mat = loop_slope_matrix(mor)
     if not mat.any():
         return RegularityReport(0, expected, expected == 0)
     svals = np.linalg.svd(mat, compute_uv=False)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import BadBasisError, InputError, NotALoopError, NotTropicalError
 from .forms import OneForm, ResidueMatrix
-from .graph import GraphPath, MetricGraph, check_path, cycle_basis
-from .morphisms import HarmonicMorphism, build_morphism, is_tropical
+from .graph import GraphPath, MetricGraph, check_path, loop_matrix
+from .morphisms import HarmonicMorphism, build_morphism, is_tropical, loop_slope_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -56,16 +56,17 @@ def loop_twist_sum(mg: MetricGraph, twists: TwistAssignment, form: OneForm, loop
     return sum(twists.theta[oe.id] * form.value(oe) for oe in loop.items)
 
 
-def _coordinate_form(mor: HarmonicMorphism, k: int) -> OneForm:
-    g = mor.carrier.graph
-    vals = {e: mor.edge_slope[e][k] for e in g.edge_ids}
-    vals.update({l: -mor.leaf_slope[l][k] for l in g.leaf_ids})
-    return OneForm(mor.carrier, vals)
+def _twist_sums(twists: TwistAssignment, mor: HarmonicMorphism, loops) -> np.ndarray:
+    """(loops, coordinates) array of sum theta(e) * slope(e) around each loop.
 
-
-def _angle_defect(x: float) -> float:
-    """Distance from x to the nearest multiple of 2*pi."""
-    return abs(x - TWO_PI * np.round(x / TWO_PI))
+    Terms are added in each loop's own order: a product in edge order rounds
+    differently and flips verdicts on sums that sit at the tolerance.
+    """
+    sums = np.zeros((len(loops), mor.ambient_dim))
+    for i, loop in enumerate(loops):
+        for oe in loop.items:
+            sums[i] += twists.theta[oe.id] * mor.slope(oe)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,9 @@ def check_integrality(mg: MetricGraph, twists: TwistAssignment, mor: HarmonicMor
     """
     if not is_tropical(mor, tol=max(tol, 1e-12)):
         raise NotTropicalError("morphism has non-integer slopes")
-    loops = cycle_basis(mg)
-    m = mor.ambient_dim
-    sums = np.zeros((len(loops), m))
-    for i, loop in enumerate(loops):
-        for k in range(m):
-            sums[i, k] = sum(twists.theta[oe.id] * mor.slope(oe)[k] for oe in loop.items)
+    sums = _twist_sums(twists, mor, mg.loops)
     residuals = np.abs(sums - TWO_PI * np.round(sums / TWO_PI))
-    return IntegralityCheck(loops, sums, residuals, residuals <= tol)
+    return IntegralityCheck(mg.loops, sums, residuals, residuals <= tol)
 
 
 # ----------------------------------------------------------------------
@@ -167,16 +163,8 @@ def solve_twists(mg: MetricGraph, mor: HarmonicMorphism, tol: float = 1e-9) -> T
     """
     if not is_tropical(mor, tol=tol):
         raise NotTropicalError("morphism has non-integer slopes")
-    g = mg.graph
-    edge_order = g.edge_ids
-    eidx = {e: i for i, e in enumerate(edge_order)}
-    loops = cycle_basis(mg)
-    m = mor.ambient_dim
-    mat = np.zeros((len(loops) * m, len(edge_order)))
-    for i, loop in enumerate(loops):
-        for oe in loop.items:
-            mat[i * m:(i + 1) * m, eidx[oe.id]] += mor.slope(oe)
-    mat = np.round(mat).astype(int)
+    edge_order = mg.graph.edge_ids
+    mat = np.round(loop_slope_matrix(mor)).astype(int)
     rank, kernel = _rational_nullspace(mat)
     return TwistSolution(
         mg, edge_order, mat, rank, len(edge_order) - rank,
@@ -200,9 +188,8 @@ class PeriodBasis:
 def default_period_basis(mg: MetricGraph) -> PeriodBasis:
     """All leaves but the last; co-tree edges; their fundamental cycles."""
     g = mg.graph
-    loops = cycle_basis(mg)
-    a_edges = tuple(loop.items[0].id for loop in loops)
-    return PeriodBasis(g.leaf_ids[:-1] if g.n_leaves else (), a_edges, loops)
+    a_edges = tuple(loop.items[0].id for loop in mg.loops)
+    return PeriodBasis(g.leaf_ids[:-1] if g.n_leaves else (), a_edges, mg.loops)
 
 
 @dataclass(frozen=True)
@@ -230,14 +217,10 @@ def _check_basis(mg: MetricGraph, basis: PeriodBasis) -> None:
     if g.genus:
         # B-loops must be a cycle-space basis and pair non-degenerately with
         # the chosen A-edges (signed incidence determinant nonzero).
-        eidx = {e: i for i, e in enumerate(g.edge_ids)}
-        inc = np.zeros((g.genus, len(g.edges)))
-        for i, loop in enumerate(basis.b_loops):
-            for oe in loop.items:
-                inc[i, eidx[oe.id]] += 1.0 if oe.forward else -1.0
+        inc = loop_matrix(g, basis.b_loops)
         if np.linalg.matrix_rank(inc) != g.genus:
             raise BadBasisError("B-loops are rationally dependent")
-        pairing = inc[:, [eidx[e] for e in basis.a_edges]]
+        pairing = inc[:, [g.edge_ids.index(e) for e in basis.a_edges]]
         if abs(np.linalg.det(pairing)) < 1e-9:
             raise BadBasisError("A-edges pair degenerately with the B-loops")
 
@@ -266,11 +249,8 @@ def limit_period_matrix(mg: MetricGraph, twists: TwistAssignment, R: ResidueMatr
     for eid in basis.a_edges:
         labels.append(f"A:{eid}")
         rows.append(mor.edge_slope[eid].astype(complex))
-    for i, loop in enumerate(basis.b_loops):
+    for i, s in enumerate(_twist_sums(twists, mor, basis.b_loops)):
         labels.append(f"B:{i}")
-        s = np.zeros(mor.ambient_dim)
-        for oe in loop.items:
-            s += twists.theta[oe.id] * mor.slope(oe)
         rows.append((s / TWO_PI).astype(complex))
     entries = np.array(rows) if rows else np.zeros((0, R.m), dtype=complex)
     return LimitPeriodMatrix(tuple(labels), entries)

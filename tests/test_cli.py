@@ -158,6 +158,13 @@ def test_collar_sweep_through_zero_errors(capsys):
     assert json.loads(err)["code"] == "NonPositiveLength"
 
 
+@pytest.mark.parametrize("argv", [["--l", "inf"], ["--l", "nan"], ["--sweep", "1e-3..inf"]])
+def test_collar_non_finite_length_errors(capsys, argv):
+    code, out, err = run(capsys, "collar", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
+
+
 def test_degenerate_zero_density_errors(capsys, files):
     code, _, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--density", "0")
     assert code == 1
@@ -167,6 +174,12 @@ def test_degenerate_zero_density_errors(capsys, files):
 def test_degenerate_bad_t_list_errors(capsys, files):
     code, _, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--t", "abc")
     assert code == 1
+    assert json.loads(err)["code"] == "BadInput"
+
+
+def test_degenerate_infinite_t_errors(capsys, files):
+    code, out, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--t", "inf")
+    assert code == 1 and out == ""
     assert json.loads(err)["code"] == "BadInput"
 
 

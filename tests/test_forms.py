@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropharm.errors import (
     BalancingViolationError,
@@ -16,13 +18,14 @@ from tropharm.forms import (
     form_space_dims,
     integrate,
     is_integer_form,
+    potentials_and_currents,
     residues,
     solve_exact_form,
 )
 from tropharm.graph import GraphPath, OrientedEdge, cycle_basis, leaf_paths
 
 from conftest import theta_graph
-from _generators import random_valid_cubic
+from _generators import random_cubic, random_valid_cubic
 from oracles import energy_min_flow
 
 
@@ -215,3 +218,25 @@ def test_residue_matrix_row_sum():
         ResidueMatrix([[1.0, 2.0]])
     R = ResidueMatrix([[1.0, -1.0], [5.0, -5.0]])
     assert (R.m, R.n) == (2, 2)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 5), leaves=st.integers(2, 6))
+def test_incidence_and_cycle_matrices_obey_kirchhoff(seed, genus, leaves):
+    assume(2 * genus - 2 + leaves >= 1)
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, genus, leaves)
+    assume(mg is not None)
+    ne = len(mg.graph.edges)
+    inc, cycles = mg.incidence, mg.cycles
+    assert np.array_equal(inc[:, :ne].sum(axis=0), np.zeros(ne))
+    assert np.array_equal(inc[:, ne:].sum(axis=0), -np.ones(leaves))
+    assert np.array_equal(inc[:, :ne] @ cycles.T, np.zeros((inc.shape[0], genus)))
+    assert np.linalg.matrix_rank(cycles) == genus == mg.genus
+
+    row = rng.normal(size=leaves)
+    row -= row.mean()
+    _, currents = potentials_and_currents(mg, row)
+    scale = max(1.0, np.abs(row).max()) * max(1.0, mg.lengths.sum())
+    assert np.max(np.abs(inc @ np.concatenate([currents[0], row]))) <= 1e-9 * scale
+    assert np.max(np.abs(cycles @ (mg.lengths * currents[0])), initial=0.0) <= 1e-9 * scale

@@ -16,14 +16,13 @@ from tropharm.graph import (
     Edge,
     GraphPath,
     Leaf,
+    MetricGraph,
     OrientedEdge,
     check_path,
     cycle_basis,
-    genus,
     graph_from_dict,
     graph_to_dict,
     leaf_paths,
-    validate,
 )
 
 from conftest import dumbbell_graph, theta_graph, tripod_graph
@@ -32,7 +31,7 @@ from _generators import random_valid_cubic
 
 def test_tripod_valid():
     mg = tripod_graph()
-    assert genus(mg) == 0
+    assert mg.genus == 0
     assert mg.n_leaves == 3
     assert len(mg.graph.edges) == 0
 
@@ -40,7 +39,7 @@ def test_tripod_valid():
 def test_dumbbell_counts():
     mg = dumbbell_graph()
     g = mg.graph
-    assert genus(mg) == 1
+    assert mg.genus == 1
     assert len(g.edges) == 3 * 1 - 3 + 2
     assert len(g.vertices) == 2 * 1 - 2 + 2
 
@@ -70,16 +69,16 @@ def test_disconnected_rejected():
 def test_theta_graph_satisfies_all_invariants():
     # 2 vertices, 3 parallel edges, no leaves: g = 2, E = 3 = 3g-3, V = 2 = 2g-2
     mg = theta_graph()
-    assert genus(mg) == 2
+    assert mg.genus == 2
     assert mg.n_leaves == 0
 
 
 def test_nonpositive_length():
     g = dumbbell_graph().graph
     with pytest.raises(NonPositiveLengthError):
-        validate(g, {"e1": 1.0, "e2": -2.0})
+        MetricGraph(g, {"e1": 1.0, "e2": -2.0})
     with pytest.raises(NonPositiveLengthError):
-        validate(g, {"e1": 1.0})
+        MetricGraph(g, {"e1": 1.0})
 
 
 def test_bad_ribbon():

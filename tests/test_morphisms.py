@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tropharm.errors import UnsupportedDimensionForSvgError
-from tropharm.forms import ResidueMatrix
-from tropharm.graph import MetricGraph
+from tropharm.forms import ResidueMatrix, solve_exact_form
+from tropharm.graph import MetricGraph, _spanning_tree
 from tropharm.morphisms import (
     build_morphism,
     balancing_defect,
@@ -61,6 +61,43 @@ def test_residues_roundtrip(rng):
             assert mor2.edge_slope[e] == pytest.approx(mor.edge_slope[e], abs=1e-12)
         for v in mg.graph.vertices:
             assert mor2.vertex_position[v] == pytest.approx(mor.vertex_position[v], abs=1e-9)
+
+
+def _random_morphism(rng, m=3):
+    mg = random_valid_cubic(rng)
+    entries = rng.normal(size=(m, mg.n_leaves))
+    R = ResidueMatrix(entries - entries.mean(axis=1, keepdims=True))
+    base = mg.graph.vertices[rng.integers(len(mg.graph.vertices))]
+    return mg, R, build_morphism(mg, R, base)
+
+
+def test_slopes_are_the_exact_forms_bit_for_bit(rng):
+    # each residue row is solved on its own; a solve with all rows at once
+    # rounds differently in the last bit, which moves twist verdicts
+    for _ in range(10):
+        mg, R, mor = _random_morphism(rng)
+        edges = mg.graph.edge_ids
+        for k in range(R.m):
+            form = solve_exact_form(mg, R.row(k))
+            got = np.array([mor.edge_slope[e][k] for e in edges])
+            assert got.tobytes() == np.array([form.values[e] for e in edges]).tobytes()
+
+
+def test_positions_integrate_slopes_along_spanning_tree(rng):
+    # positions are minus the potentials; integrating length * slope along
+    # the spanning tree from the base vertex must give them back
+    for _ in range(10):
+        mg, R, mor = _random_morphism(rng)
+        g = mg.graph
+        _, parent = _spanning_tree(g)
+        rel = {g.vertices[0]: np.zeros(R.m)}
+        for w, (v, eid) in parent.items():  # breadth-first: parents come first
+            step = mg.length[eid] * mor.edge_slope[eid]
+            rel[w] = rel[v] + (step if g.edge(eid).ends[0] == v else -step)
+        want = {v: rel[v] - rel[mor.base_vertex] for v in g.vertices}
+        scale = max(1.0, max(float(np.max(np.abs(p))) for p in want.values()))
+        for v in g.vertices:
+            assert np.max(np.abs(mor.vertex_position[v] - want[v])) <= 1e-12 * scale
 
 
 def test_residues_of_line(tripod):
