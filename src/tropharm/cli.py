@@ -7,6 +7,7 @@ stderr as one-line JSON {"code", "message"} with exit status 1.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -34,6 +35,17 @@ def _load_inputs(args, need_residues=True):
         return mg, None
     R = forms.load_residues(args.residues, mg)
     return mg, R
+
+
+def _load_twists(path: str, mg: graph.MetricGraph) -> phase.TwistAssignment:
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read twist file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise InputError(f"twist file {path} is not valid JSON: {exc}") from exc
+    return phase.twists_from_dict(d, mg)
 
 
 def cmd_check(args):
@@ -103,10 +115,7 @@ def cmd_twists(args):
         return 0
     if not args.twists:
         raise TropharmError("check mode needs --twists FILE")
-    import json as _json
-
-    with open(args.twists) as fh:
-        twists = phase.twists_from_dict(_json.load(fh), mg)
+    twists = _load_twists(args.twists, mg)
     chk = phase.check_integrality(mg, twists, mor, tol=args.tol)
     _emit(args, {
         "loops": [[oe.id if oe.forward else f"-{oe.id}" for oe in loop.items] for loop in chk.loops],
@@ -120,10 +129,7 @@ def cmd_twists(args):
 
 def cmd_periods(args):
     mg, R = _load_inputs(args)
-    import json as _json
-
-    with open(args.twists) as fh:
-        twists = phase.twists_from_dict(_json.load(fh), mg)
+    twists = _load_twists(args.twists, mg)
     basis = None
     if args.a_edges:
         base = phase.default_period_basis(mg)

@@ -269,6 +269,8 @@ def period_matrix_to_dict(P: LimitPeriodMatrix) -> dict:
 
 
 def twists_from_dict(d: dict, mg: MetricGraph) -> TwistAssignment:
+    if not isinstance(d, dict):
+        raise InputError(f"twist document must be a JSON object, got {type(d).__name__}")
     try:
         theta = {str(k): float(v) for k, v in d.items()}
     except (TypeError, ValueError) as exc:

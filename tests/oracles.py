@@ -30,3 +30,19 @@ def energy_min_flow(mg, residue_row):
 
 def loop_edge_signs(loop):
     return {oe.id: (1.0 if oe.forward else -1.0) for oe in loop.items}
+
+
+def points_to_segments_broadcast(pts, segs):
+    """Distance from each point to the nearest segment; segs is (S, 2, d).
+
+    Broadcasts every point against every segment at once, (N, S, d)
+    temporaries included, and takes the norm of each difference.
+    """
+    a, b = segs[:, 0, :], segs[:, 1, :]
+    ab = b - a
+    denom = np.einsum("sd,sd->s", ab, ab)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    t = np.einsum("nsd,sd->ns", pts[:, None, :] - a[None, :, :], ab) / denom
+    t = np.clip(t, 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    return np.linalg.norm(pts[:, None, :] - proj, axis=2).min(axis=1)

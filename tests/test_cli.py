@@ -238,3 +238,16 @@ def test_twists_check_failing_verdict_still_exit_0(capsys, files, tmp_path):
                        "--twists", str(bad))
     assert code == 0
     assert json.loads(out)["all_pass"] is False
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
+def test_bad_twist_file_errors(capsys, files, tmp_path, content):
+    # a missing file, text that is not JSON, and JSON that is not an object
+    path = tmp_path / "tw.json"
+    if content is not None:
+        path.write_text(content)
+    for argv in (("periods", files["dumbbell"], files["r33"], str(path)),
+                 ("twists", files["dumbbell"], files["r33"], "check", "--twists", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "BadInput"

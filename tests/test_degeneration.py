@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from tropharm import degeneration as dg
 from tropharm.degeneration import (
     DegenerationSchedule,
     ExperimentSampling,
@@ -35,9 +38,10 @@ from tropharm.errors import (
     ZeroCoordinateError,
 )
 from tropharm.forms import ResidueMatrix
-from tropharm.morphisms import Scene
+from tropharm.morphisms import Scene, build_morphism, emit_embedding
 
 from conftest import caterpillar_graph, dumbbell_graph, tripod_graph
+from oracles import points_to_segments_broadcast
 
 LINE_R = ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 LINE_SPHERE = PuncturedSphere((0.0, 1.0, None))
@@ -312,6 +316,29 @@ def test_hausdorff_empty_after_clip():
         hausdorff(cloud, scene, [[-1, 1], [-1, 1]])
 
 
+@pytest.mark.parametrize("step", [-1.0, 0.0, float("nan")])
+def test_hausdorff_rejects_bad_scene_step(step):
+    scene = Scene(2, {"a": np.zeros(2), "b": np.array([1.0, 0.0])}, (("e", "a", "b"),), (), 1.0)
+    cloud = PointCloud(np.array([[0.5, 0.5]]))
+    with pytest.raises(InputError):
+        hausdorff(cloud, scene, [[-2, 2], [-2, 2]], scene_step=step)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_points_to_segments_matches_broadcast_formula_bit_for_bit(dim):
+    rng = np.random.default_rng(700 + dim)
+    for _ in range(40):
+        n_segs = int(rng.integers(1, 16))
+        segs = rng.normal(size=(n_segs, 2, dim)) * rng.choice([1e-3, 1.0, 1e3])
+        segs[0, 1] = segs[0, 0]  # zero-length, as from a zero-direction ray
+        pts = rng.normal(size=(int(rng.integers(1, 2000)), dim)) * rng.choice([1e-2, 1.0, 1e2])
+        a, b = segs[-1]
+        pts[:4] = a + np.array([[0.0], [1.0], [0.25], [0.5]]) * (b - a)  # on a segment
+        pts[4:6] = segs[0, 0]
+        got = dg._points_to_segments(pts, segs)
+        assert np.array_equal(got, points_to_segments_broadcast(pts, segs))
+
+
 # placement, realization, convergence
 
 
@@ -421,6 +448,39 @@ def test_convergence_deeper_tree():
     per_tripod = rep.entries[1].per_tripod
     assert set(per_tripod) == {"v0", "v1", "v2"}
     assert all(d is not None and d <= 0.07 for d in per_tripod.values())
+
+
+@pytest.mark.parametrize("window, outside", [
+    ([[-3.0, 3.0], [-3.0, 3.0]], None),
+    ([[-3.0, 0.4], [-3.0, 0.4]], "v1"),  # v1 has samples, but none in the window
+])
+def test_convergence_matches_public_hausdorff_per_tripod(window, outside):
+    # the experiment clips once per t and groups in-window samples by region;
+    # each distance must equal the public hausdorff on the full region cloud
+    mg = caterpillar_graph(1.0)
+    R = ResidueMatrix([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+    t, win = 1e3, np.array(window)
+    entry = convergence_experiment(mg, R, [t], window=win, base_vertex="v0").entries[0]
+
+    mor = build_morphism(mg, R, "v0")
+    placement = place_tree(mg, t)
+    raw, region = dg._experiment_cloud(placement, R, mor, win, ExperimentSampling())
+    shift = mor.vertex_position["v0"] - dg._alignment_offset(placement, R, "v0")
+    pts = raw / math.log(t) + shift
+    ray_length = 8.0 * float(np.linalg.norm(win[:, 1] - win[:, 0])) + 1.0
+    scene = emit_embedding(mor, leaf_ray_length=ray_length)
+    assert entry.samples == pts.shape[0]
+    assert entry.global_hausdorff == hausdorff(PointCloud(pts), scene, win)
+    for i, v in enumerate(mg.graph.vertices):
+        sub = PointCloud(pts[region == i])
+        tripod = dg._tripod_scene(mor, v, ray_length)
+        if v == outside:
+            assert sub.points.shape[0] > 0
+            with pytest.raises(EmptyAfterClippingError, match="point cloud"):
+                hausdorff(sub, tripod, win)
+            assert entry.per_tripod[v] is None
+        else:
+            assert entry.per_tripod[v] == hausdorff(sub, tripod, win)
 
 
 def test_convergence_shallow_slopes_no_overflow(tripod):
