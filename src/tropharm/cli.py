@@ -7,6 +7,7 @@ stderr as one-line JSON {"code", "message"} with exit status 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -198,7 +199,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every call.
+
+    Reuse is safe because ``parse_args`` returns a fresh namespace, no
+    argument has a mutable default, and error and help output look up
+    ``sys.stdout``/``sys.stderr`` when they are written.  Callers must not
+    add arguments to the returned parser.
+    """
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
     common.add_argument("--out", help="write primary output to this file instead of stdout")

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptyAfterClippingError,
@@ -45,6 +45,9 @@ from .errors import (
 from .forms import ResidueMatrix
 from .graph import MetricGraph, _spanning_tree
 from .morphisms import HarmonicMorphism, Scene, build_morphism, emit_embedding
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 FOUR_PI = 4.0 * np.pi
 TWO_PI_SQ = 2.0 * np.pi**2
@@ -491,8 +494,12 @@ def _sample_segments(segs: np.ndarray, step: float) -> np.ndarray:
 
 
 def _kdtree(points: np.ndarray) -> cKDTree:
-    # an unbalanced tree without shrunk node boxes builds about twice as fast
-    # and returns the same nearest-neighbour distances
+    # scipy is imported here, not at module level: only the Hausdorff step
+    # needs it, and importing scipy.spatial takes longer than most CLI calls.
+    # An unbalanced tree without shrunk node boxes builds about twice as fast
+    # and returns the same nearest-neighbour distances.
+    from scipy.spatial import cKDTree
+
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
@@ -810,7 +817,7 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
         """Tripod region of each sample: nearest puncture in log scale, then
         walk that leaf's upward path to the sample's own scale."""
         nearest = np.argmin(logdist, axis=1)
-        u_min = logdist.min(axis=1) / logt
+        u_min = np.take_along_axis(logdist, nearest[:, None], axis=1)[:, 0] / logt
         out = np.empty(logdist.shape[0], dtype=np.intp)
         for pos, (path, bnd) in enumerate(zip(paths, bounds)):
             mask = nearest == pos

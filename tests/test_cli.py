@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tropharm
+from tropharm import cli
 from tropharm.cli import main
 
 TRIPOD = {
@@ -251,3 +256,42 @@ def test_bad_twist_file_errors(capsys, files, tmp_path, content):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["code"] == "BadInput"
+
+
+def test_only_degenerate_imports_scipy(files):
+    # a fresh interpreter: this test process may already hold scipy
+    script = """
+import sys
+from tropharm import cli
+for argv in {calls!r}:
+    assert cli.main(argv) == 0, argv
+assert "scipy" not in sys.modules
+assert cli.main({degenerate!r}) == 0
+assert "scipy" in sys.modules
+"""
+    g, r = files["dumbbell"], files["r33"]
+    calls = [
+        ["check", g], ["solve", g, r], ["embed", g, r], ["regularity", g, r],
+        ["twists", g, r, "solve"], ["periods", g, r, files["twists"]], ["collar", "--l", "0.1"],
+    ]
+    degenerate = ["degenerate", files["tripod"], files["rline"], "--t", "1e3",
+                  "--window", "3", "--density", "0.5"]
+    src = os.path.dirname(os.path.dirname(tropharm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script.format(calls=calls, degenerate=degenerate)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_parser_is_reused_without_leaking_state(capsys, files, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    out_file = tmp_path / "check.json"
+    code, out, _ = run(capsys, "check", files["dumbbell"], "--out", str(out_file), "--quiet")
+    assert code == 0 and out == ""
+    code, out, err = run(capsys, "bogus", files["dumbbell"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadUsage"
+    code, out, err = run(capsys, "check", files["dumbbell"])
+    assert code == 0 and err == ""
+    assert out == out_file.read_text()

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropharm.errors import (
     BadRibbonError,
@@ -26,7 +28,7 @@ from tropharm.graph import (
 )
 
 from conftest import dumbbell_graph, theta_graph, tripod_graph
-from _generators import random_valid_cubic
+from _generators import random_cubic, random_valid_cubic
 
 
 def test_tripod_valid():
@@ -135,6 +137,20 @@ def test_cycle_basis_rank(rng):
             for oe in loop.items:
                 inc[i, eidx[oe.id]] += 1.0 if oe.forward else -1.0
         assert np.linalg.matrix_rank(inc) == mg.genus
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 6), leaves=st.integers(0, 6))
+def test_cycle_basis_loops_are_valid_paths(seed, genus, leaves):
+    # cycle_basis does not validate its loops at run time; this is the check
+    assume(2 * genus - 2 + leaves >= 1)
+    mg = random_cubic(np.random.default_rng(seed), genus, leaves)
+    assume(mg is not None)
+    loops = cycle_basis(mg)
+    assert len(loops) == mg.genus == genus
+    for loop in loops:
+        assert loop.is_loop
+        check_path(mg.graph, loop)
 
 
 def test_leaf_paths_tripod():
