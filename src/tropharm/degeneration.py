@@ -238,12 +238,6 @@ class SphereDifferential:
         dz = 1j * radius * np.exp(1j * theta)
         return complex(np.mean(self.value(z) * dz) * 2.0 * np.pi)
 
-    def residue_from_circle(self, leaf_index: int, radius: float = 1e-3, nodes: int = 4096) -> complex:
-        p = self.sphere.punctures[leaf_index]
-        if p is None:
-            raise InputError("residue at infinity is minus the sum of the finite ones")
-        return self.circular_period(p, radius, nodes) / (2j * np.pi)
-
 
 def ind_genus0(sphere: PuncturedSphere, residue_row) -> SphereDifferential:
     """Differential with the given residues at the sphere's punctures.
@@ -259,10 +253,6 @@ def ind_genus0(sphere: PuncturedSphere, residue_row) -> SphereDifferential:
     if abs(float(row.sum())) > sphere.n * 1e-9 * scale:
         raise ResiduesDontSumToZeroError(f"residues sum to {row.sum():.3e}")
     return SphereDifferential(sphere, tuple(float(r) for r in row))
-
-
-def pair_of_pants_sphere() -> PuncturedSphere:
-    return PuncturedSphere((1.0 + 0.0j, -1.0 + 0.0j, None))
 
 
 def field_zero(lam1: float, lam_minus1: float) -> float:
@@ -329,25 +319,44 @@ class SamplingConfig:
 
 
 def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray,
-                   angles: np.ndarray) -> np.ndarray:
+                   angles: np.ndarray) -> tuple[np.ndarray, int]:
     """log-distances of p_j + r*e^(i*theta) to every finite puncture.
 
-    The own column is log r exactly, which keeps tiny radii accurate where
-    z - p_j would cancel to zero in floating point.  Samples landing exactly
-    on another puncture are dropped.
+    ``angles`` is the uniform grid 2*pi*k/A, k < A.  The own column is log r
+    exactly, which keeps tiny radii accurate where z - p_j would cancel to
+    zero in floating point.  Samples landing exactly on another puncture are
+    dropped, and so is every sample at angle index A - k (0 < k < A/2) whose
+    distances equal, bit for bit, those of its conjugate twin at index k and
+    the same radius.  With real punctures, z and conj(z) are equidistant from
+    each, so most twins are such copies; a dropped row repeats a kept one, so
+    the set of rows is unchanged.
+
+    Returns the kept rows and the number of samples drawn off a puncture,
+    dropped twins included.
     """
     radii = np.exp(log_radii)
-    offs = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-    logdist = np.empty((offs.size, pts.size))
-    keep = np.ones(offs.size, dtype=bool)
-    logdist[:, j] = np.repeat(log_radii, angles.size)
+    offs = radii[:, None] * np.exp(1j * angles)[None, :]
+    a = angles.size
+    h = (a + 1) // 2  # angle indices 1 .. h-1 have twins a-1 .. a-h+1
+    dist = np.empty((pts.size, *offs.shape))
+    keep = np.ones(offs.shape, dtype=bool)
+    twin = np.ones((offs.shape[0], h - 1), dtype=bool)
     for k in range(pts.size):
         if k == j:
             continue
-        d = np.abs(pts[j] - pts[k] + offs)
+        d = dist[k]
+        np.abs(pts[j] - pts[k] + offs, out=d)
         keep &= d > 0.0
-        logdist[:, k] = np.log(np.where(d > 0.0, d, 1.0))
-    return logdist[keep]
+        twin &= d[:, 1:h] == d[:, a - 1:a - h:-1]
+    drawn = int(np.count_nonzero(keep))
+    upper = keep[:, a - 1:a - h:-1]  # a view: dropping twins writes into keep
+    upper &= ~twin
+    logdist = np.empty((np.count_nonzero(keep), pts.size))
+    logdist[:, j] = np.broadcast_to(log_radii[:, None], offs.shape)[keep]
+    for k in range(pts.size):
+        if k != j:
+            logdist[:, k] = np.log(dist[k][keep])
+    return logdist, drawn
 
 
 def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
@@ -368,7 +377,12 @@ def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
 
 def sample_amoeba(sphere: PuncturedSphere, R: ResidueMatrix,
                   config: SamplingConfig | None = None) -> PointCloud:
-    """Deterministic amoeba sample: per-puncture polar charts + a global grid."""
+    """Deterministic amoeba sample: per-puncture polar charts + a global grid.
+
+    A chart sample whose distances to the punctures equal those of its
+    conjugate twin (same radius, mirrored angle) bit for bit is dropped; the
+    cloud is the same set of points, minus exact copies.
+    """
     if config is None:
         config = SamplingConfig()
     if R.n != sphere.n:
@@ -377,7 +391,7 @@ def sample_amoeba(sphere: PuncturedSphere, R: ResidueMatrix,
     res_cols = R.entries[:, idx]
     log_radii = np.linspace(np.log(config.r_min), np.log(config.r_max), config.radial_count)
     angles = np.linspace(0.0, 2.0 * np.pi, config.angular_count, endpoint=False)
-    chunks = [_chart_logdist(pts, j, log_radii, angles) @ res_cols.T for j in range(pts.size)]
+    chunks = [_chart_logdist(pts, j, log_radii, angles)[0] @ res_cols.T for j in range(pts.size)]
     chunks.append(_grid_logdist(pts, config.grid_count) @ res_cols.T)
     return PointCloud(np.vstack(chunks))
 
@@ -698,7 +712,9 @@ class ExperimentSampling:
     grid_count: int = 32
 
     def __post_init__(self):
-        if not self.u_step > 0 or self.angular_count < 1 or self.grid_count < 1:
+        if not (self.u_step > 0 and math.isfinite(self.u_step)):
+            raise MinimumDensityViolationError(f"u_step must be positive and finite, got {self.u_step}")
+        if self.angular_count < 1 or self.grid_count < 1:
             raise MinimumDensityViolationError("sampling density is too low")
 
 
@@ -783,8 +799,12 @@ def _alignment_offset(placement: TreePlacement, R: ResidueMatrix, base_vertex: s
 
 def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicMorphism,
                       window: np.ndarray, sampling: ExperimentSampling):
-    """Raw amoeba samples and the tripod region of each: an index into the
-    graph's vertices, or -1 for samples of the global grid."""
+    """Raw amoeba samples, the tripod region of each and the samples drawn.
+
+    A region is an index into the graph's vertices, or -1 for samples of the
+    global grid.  Chart rows equal to their conjugate twin are dropped (see
+    ``_chart_logdist``); the returned count still includes them: every chart
+    sample drawn off a puncture, plus the grid samples."""
     g = placement.carrier.graph
     idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
@@ -802,27 +822,32 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     angles = np.linspace(0.0, 2.0 * np.pi, sampling.angular_count, endpoint=False)
     step = sampling.u_step
 
-    # each chart's leaf vertex, its upward path as vertex indices, and the
-    # scale thresholds between consecutive path vertices
+    # each chart's upward path as vertex indices, and the increasing scale
+    # thresholds between consecutive path vertices stored one row per path
+    # level, both padded to one depth: a threshold of +inf is never reached,
+    # so a padded path entry is never read
     vertex_index = {v: i for i, v in enumerate(g.vertices)}
+    region_type = np.min_scalar_type(-len(g.vertices))
     leaf_vertices = [g.leaves[j].vertex for j in idx]
-    paths, bounds = [], []
-    for v in leaf_vertices:
+    depth = max(len(placement.up_path[v]) for v in leaf_vertices)
+    paths = np.zeros((len(leaf_vertices), depth), dtype=region_type)
+    bounds = np.full((depth - 1, len(leaf_vertices)), np.inf)
+    for pos, v in enumerate(leaf_vertices):
         up = placement.up_path[v]
         hs = [heights[w] for w in up]
-        paths.append(np.array([vertex_index[w] for w in up]))
-        bounds.append(np.array([(a + b) / 2.0 for a, b in zip(hs, hs[1:])]))
+        paths[pos, :len(up)] = [vertex_index[w] for w in up]
+        bounds[:len(up) - 1, pos] = [(a + b) / 2.0 for a, b in zip(hs, hs[1:])]
 
     def assign_tripods(logdist: np.ndarray) -> np.ndarray:
         """Tripod region of each sample: nearest puncture in log scale, then
-        walk that leaf's upward path to the sample's own scale."""
+        walk that leaf's upward path to the sample's own scale (the level is
+        the number of thresholds at or below it, as np.digitize counts)."""
         nearest = np.argmin(logdist, axis=1)
         u_min = np.take_along_axis(logdist, nearest[:, None], axis=1)[:, 0] / logt
-        out = np.empty(logdist.shape[0], dtype=np.intp)
-        for pos, (path, bnd) in enumerate(zip(paths, bounds)):
-            mask = nearest == pos
-            out[mask] = path[np.digitize(u_min[mask], bnd)]
-        return out
+        level = np.zeros(nearest.size, dtype=np.intp)
+        for bnd in bounds:
+            level += bnd[nearest] <= u_min
+        return paths[nearest, level]
 
     # keep radii t**u representable: |u * log t| must stay below exp overflow
     u_cap = 600.0 / logt
@@ -830,18 +855,20 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
 
     chunks: list[np.ndarray] = []
     regions: list[np.ndarray] = []
+    samples = 0
     for pos, v in enumerate(leaf_vertices):
         u_lo = max(heights[v] - reach, -u_cap)
         u = np.arange(math.ceil(u_lo / step), math.floor(u_hi / step) + 1) * step
-        logdist = _chart_logdist(pts, pos, u * logt, angles)
+        logdist, drawn = _chart_logdist(pts, pos, u * logt, angles)
         chunks.append(logdist @ res_cols.T)
         regions.append(assign_tripods(logdist))
+        samples += drawn
 
     # coarse global grid over a disk containing all finite punctures
     grid = _grid_logdist(pts, sampling.grid_count)
     chunks.append(grid @ res_cols.T)
-    regions.append(np.full(grid.shape[0], -1))
-    return np.vstack(chunks), np.concatenate(regions)
+    regions.append(np.full(grid.shape[0], -1, dtype=region_type))
+    return np.vstack(chunks), np.concatenate(regions), samples + grid.shape[0]
 
 
 def default_window(scene: Scene) -> np.ndarray:
@@ -891,7 +918,7 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
     entries = []
     for t in ts:
         placement = place_tree(mg, t, infinite_leaf)
-        raw, region = _experiment_cloud(placement, R, mor, win, sampling)
+        raw, region, samples = _experiment_cloud(placement, R, mor, win, sampling)
         shift = mor.vertex_position[base_vertex] - _alignment_offset(placement, R, base_vertex)
         pts = PointCloud(raw / math.log(t) + shift).points
         inside = _window_mask(pts, win)
@@ -914,7 +941,7 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
                 per_tripod[v] = None
             else:
                 per_tripod[v] = _scene_hausdorff(sub, tripod_segs[i], win)
-        entries.append(TStepResult(t, d_global, per_tripod, pts.shape[0]))
+        entries.append(TStepResult(t, d_global, per_tripod, samples))
 
     return ConvergenceReport(tuple(entries), float(kappa), win, base_vertex,
                              infinite_leaf if infinite_leaf is not None else mg.graph.leaf_ids[-1])

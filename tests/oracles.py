@@ -46,3 +46,39 @@ def points_to_segments_broadcast(pts, segs):
     t = np.clip(t, 0.0, 1.0)
     proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
     return np.linalg.norm(pts[:, None, :] - proj, axis=2).min(axis=1)
+
+
+def chart_logdist_full(pts, j, log_radii, angles):
+    """log-distances of p_j + r*e^(i*theta) to every finite puncture, one row
+    per sample off a puncture, conjugate twins included.
+
+    The own column is log r; samples landing exactly on another puncture are
+    dropped.
+    """
+    radii = np.exp(log_radii)
+    offs = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    logdist = np.empty((offs.size, pts.size))
+    keep = np.ones(offs.size, dtype=bool)
+    logdist[:, j] = np.repeat(log_radii, angles.size)
+    for k in range(pts.size):
+        if k == j:
+            continue
+        d = np.abs(pts[j] - pts[k] + offs)
+        keep &= d > 0.0
+        logdist[:, k] = np.log(np.where(d > 0.0, d, 1.0))
+    return logdist[keep]
+
+
+def twin_copy_count(pts, j, log_radii, angles):
+    """Samples off a puncture at angle index A - k, 0 < k < A/2, whose
+    distances to every other puncture equal bit for bit those of the sample
+    at index k and the same radius."""
+    offs = np.exp(log_radii)[:, None] * np.exp(1j * angles)[None, :]
+    d = np.abs(pts[j] - np.delete(pts, j)[:, None, None] + offs)
+    off_puncture = np.all(d > 0.0, axis=0)
+    a = angles.size
+    count = 0
+    for k in range(1, (a + 1) // 2):
+        same = np.all(d[:, :, k] == d[:, :, a - k], axis=0)
+        count += int(np.count_nonzero(same & off_puncture[:, a - k]))
+    return count

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ DUMBBELL = {
 }
 R_LINE = {"rows": 2, "leaf_order": ["p1", "p2", "p3"], "entries": [[1, 0, -1], [0, 1, -1]]}
 R_33 = {"rows": 1, "leaf_order": ["p1", "p2"], "entries": [[3, -3]]}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -176,6 +178,13 @@ def test_degenerate_zero_density_errors(capsys, files):
     assert json.loads(err)["code"] == "MinimumDensityViolation"
 
 
+def test_degenerate_density_too_small_for_u_step_errors(capsys, files):
+    # 0.02 / 5e-324 overflows the radial step to inf
+    code, out, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--density", "5e-324")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "MinimumDensityViolation"
+
+
 def test_degenerate_bad_t_list_errors(capsys, files):
     code, _, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--t", "abc")
     assert code == 1
@@ -186,6 +195,21 @@ def test_degenerate_infinite_t_errors(capsys, files):
     code, out, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--t", "inf")
     assert code == 1 and out == ""
     assert json.loads(err)["code"] == "BadInput"
+
+
+@pytest.mark.parametrize("window", [None, "3"])
+@pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex"])
+def test_degenerate_stdout_matches_golden(capsys, fixture, window):
+    # the golden files hold stdout of the version before conjugate-twin
+    # samples were dropped; every later change must reproduce it byte for byte
+    argv = ["degenerate", str(GOLDEN / f"{fixture}.graph.json"),
+            str(GOLDEN / f"{fixture}.residues.json"), "--t", "1e3,1e6"]
+    if window is not None:
+        argv += ["--window", window]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    name = f"{fixture}.stdout" if window is None else f"{fixture}.window{window}.stdout"
+    assert out.encode() == (GOLDEN / name).read_bytes()
 
 
 def test_degenerate_with_csv(capsys, files, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropharm import degeneration as dg
 from tropharm.degeneration import (
@@ -40,8 +42,9 @@ from tropharm.errors import (
 from tropharm.forms import ResidueMatrix
 from tropharm.morphisms import Scene, build_morphism, emit_embedding
 
+from _generators import random_cubic
 from conftest import caterpillar_graph, dumbbell_graph, tripod_graph
-from oracles import points_to_segments_broadcast
+from oracles import chart_logdist_full, points_to_segments_broadcast, twin_copy_count
 
 LINE_R = ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 LINE_SPHERE = PuncturedSphere((0.0, 1.0, None))
@@ -230,8 +233,9 @@ def test_sampling_config_gate():
         SamplingConfig(radial_count=0)
     with pytest.raises(MinimumDensityViolationError):
         SamplingConfig(r_min=1.0, r_max=0.5)
-    with pytest.raises(MinimumDensityViolationError):
-        ExperimentSampling(u_step=0.0)
+    for u_step in (0.0, float("inf"), float("nan")):
+        with pytest.raises(MinimumDensityViolationError):
+            ExperimentSampling(u_step=u_step)
 
 
 def test_sample_amoeba_close_to_dense_oracle():
@@ -454,22 +458,28 @@ def test_convergence_deeper_tree():
     ([[-3.0, 3.0], [-3.0, 3.0]], None),
     ([[-3.0, 0.4], [-3.0, 0.4]], "v1"),  # v1 has samples, but none in the window
 ])
-def test_convergence_matches_public_hausdorff_per_tripod(window, outside):
-    # the experiment clips once per t and groups in-window samples by region;
-    # each distance must equal the public hausdorff on the full region cloud
+def test_convergence_matches_public_hausdorff_per_tripod(window, outside, monkeypatch):
+    # the experiment drops conjugate-twin copies, clips once per t and groups
+    # in-window samples by region; each distance must equal the public
+    # hausdorff on the full, non-deduplicated region cloud
     mg = caterpillar_graph(1.0)
     R = ResidueMatrix([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
     t, win = 1e3, np.array(window)
     entry = convergence_experiment(mg, R, [t], window=win, base_vertex="v0").entries[0]
 
+    def full_chart(*args):
+        rows = chart_logdist_full(*args)
+        return rows, rows.shape[0]
+
+    monkeypatch.setattr(dg, "_chart_logdist", full_chart)
     mor = build_morphism(mg, R, "v0")
     placement = place_tree(mg, t)
-    raw, region = dg._experiment_cloud(placement, R, mor, win, ExperimentSampling())
+    raw, region, samples = dg._experiment_cloud(placement, R, mor, win, ExperimentSampling())
     shift = mor.vertex_position["v0"] - dg._alignment_offset(placement, R, "v0")
     pts = raw / math.log(t) + shift
     ray_length = 8.0 * float(np.linalg.norm(win[:, 1] - win[:, 0])) + 1.0
     scene = emit_embedding(mor, leaf_ray_length=ray_length)
-    assert entry.samples == pts.shape[0]
+    assert entry.samples == samples == pts.shape[0]
     assert entry.global_hausdorff == hausdorff(PointCloud(pts), scene, win)
     for i, v in enumerate(mg.graph.vertices):
         sub = PointCloud(pts[region == i])
@@ -481,6 +491,52 @@ def test_convergence_matches_public_hausdorff_per_tripod(window, outside):
             assert entry.per_tripod[v] is None
         else:
             assert entry.per_tripod[v] == hausdorff(sub, tripod, win)
+
+
+def _same_row_set(kept, full):
+    return np.array_equal(np.unique(kept, axis=0), np.unique(full, axis=0))
+
+
+@pytest.mark.parametrize("angular_count", [1, 2, 7, 64])
+@pytest.mark.parametrize("kind", ["real", "complex", "on_puncture"])
+def test_chart_logdist_drops_only_twin_copies(kind, angular_count):
+    angles = np.linspace(0.0, 2.0 * np.pi, angular_count, endpoint=False)
+    log_radii = np.linspace(np.log(1e-3), np.log(1e4), 37)
+    pts = {"real": np.array([0.0, 1.0, 1e3, -2.5]),
+           "complex": np.array([0.0, 1.0 + 2.0j, -1.5 + 0.5j, 3.0 - 1.0j]),
+           # radius exp(0) = 1 at angle 0 lands exactly on the puncture at 1
+           "on_puncture": np.array([0.0, 1.0, -3.0])}[kind].astype(complex)
+    if kind == "on_puncture":
+        log_radii = np.append(log_radii, 0.0)
+    for j in range(pts.size):
+        kept, drawn = dg._chart_logdist(pts, j, log_radii, angles)
+        full = chart_logdist_full(pts, j, log_radii, angles)
+        assert _same_row_set(kept, full)
+        assert drawn == full.shape[0]
+        copies = twin_copy_count(pts, j, log_radii, angles)
+        assert kept.shape[0] == full.shape[0] - copies
+        if kind == "complex":
+            assert copies == 0
+        elif angular_count >= 7:
+            assert copies > 0
+        if kind == "on_puncture" and j == 0:
+            assert full.shape[0] == log_radii.size * angular_count - 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 6))
+def test_placed_tree_charts_keep_the_full_row_set(seed, leaves):
+    mg = random_cubic(np.random.default_rng(seed), 0, leaves)
+    assume(mg is not None)
+    _, pts = place_tree(mg, 1e3).sphere().finite()
+    log_radii = np.arange(-150, 151) * 0.02 * math.log(1e3)
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    for j in range(pts.size):
+        kept, drawn = dg._chart_logdist(pts, j, log_radii, angles)
+        full = chart_logdist_full(pts, j, log_radii, angles)
+        assert _same_row_set(kept, full)
+        assert drawn == full.shape[0]
+        assert kept.shape[0] == full.shape[0] - twin_copy_count(pts, j, log_radii, angles)
 
 
 def test_convergence_shallow_slopes_no_overflow(tripod):
