@@ -4,7 +4,6 @@ morphisms, twist integrality, and genus-0 amoeba degeneration experiments."""
 from .degeneration import (
     AnnulusReport,
     ConvergenceReport,
-    DegenerationSchedule,
     ExperimentSampling,
     IotaMap,
     PointCloud,
@@ -20,7 +19,6 @@ from .degeneration import (
     field_zero,
     hausdorff,
     ind_genus0,
-    length_schedule,
     place_tree,
     realize_genus0,
     rescale_H,

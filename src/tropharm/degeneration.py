@@ -2,10 +2,10 @@
 
 Three groups of tools live here:
 
-* closed-form hyperbolic collar quantities (width, conformal modulus) and the
-  length schedule l_t(e) = kappa / (l(e) * log t) for degenerating families,
-  together with a desk-scale experiment measuring which kappa makes the
-  rescaled model-annulus integral converge to the tropical edge length;
+* closed-form hyperbolic collar quantities (width, conformal modulus) and a
+  desk-scale experiment measuring which kappa makes the rescaled
+  model-annulus integral, at collar length l_t = kappa / (l * log t),
+  converge to the tropical edge length l;
 
 * explicit genus-0 differentials sum_j r_j dz/(z - p_j) on punctured spheres
   (real residues, purely imaginary periods), their harmonic amoeba map
@@ -111,33 +111,9 @@ def collar_sweep(l_values) -> dict:
 
 
 # ----------------------------------------------------------------------
-# degeneration schedules and the annulus-period experiment
+# the annulus-period experiment
 
 DEFAULT_ANNULUS_T = tuple(10.0**k for k in (8, 16, 32, 64, 128, 256))
-
-
-@dataclass(frozen=True)
-class DegenerationSchedule:
-    target: MetricGraph
-    kappa: float = FOUR_PI
-    t_values: tuple[float, ...] = DEFAULT_ANNULUS_T
-
-    def __post_init__(self):
-        if not self.kappa > 0:
-            raise InputError("kappa must be positive")
-        ts = tuple(float(t) for t in self.t_values)
-        if not ts or any(t <= np.e for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise InputError("t values must be strictly increasing and all exceed e")
-        object.__setattr__(self, "t_values", ts)
-        object.__setattr__(self, "kappa", float(self.kappa))
-
-
-def length_schedule(schedule: DegenerationSchedule, t: float) -> dict[str, float]:
-    """Fenchel-Nielsen lengths l_t(e) = kappa / (l(e) * log t)."""
-    if not t > 1.0:
-        raise InputError("t must exceed 1")
-    logt = math.log(t)
-    return {e: schedule.kappa / (l * logt) for e, l in schedule.target.length.items()}
 
 
 @dataclass(frozen=True)
@@ -314,8 +290,8 @@ class SamplingConfig:
     def __post_init__(self):
         if self.radial_count < 1 or self.angular_count < 1 or self.grid_count < 1:
             raise MinimumDensityViolationError("all sample counts must be at least 1")
-        if not (0 < self.r_min < self.r_max):
-            raise MinimumDensityViolationError("need 0 < r_min < r_max")
+        if not (0 < self.r_min < self.r_max < math.inf):
+            raise MinimumDensityViolationError("need 0 < r_min < r_max < inf")
 
 
 def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray,
@@ -404,8 +380,14 @@ def _as_window(window, dim: int) -> np.ndarray:
     w = np.asarray(window, dtype=float)
     if w.shape == (2,):  # symmetric [lo, hi] in every axis
         w = np.tile(w, (dim, 1))
+    if not np.all(np.isfinite(w)):
+        raise InputError("window bounds must be finite")
     if w.shape != (dim, 2) or np.any(w[:, 0] >= w[:, 1]):
         raise InputError(f"window must be (dim, 2) with lo < hi, got shape {w.shape}")
+    with np.errstate(over="ignore"):
+        diagonal = np.linalg.norm(w[:, 1] - w[:, 0])
+    if not np.isfinite(diagonal):
+        raise InputError("window diagonal overflows")
     return w
 
 
@@ -797,14 +779,51 @@ def _alignment_offset(placement: TreePlacement, R: ResidueMatrix, base_vertex: s
     return off
 
 
+def _rows_near_window(pts: np.ndarray, j: int, log_radii: np.ndarray, res_cols: np.ndarray,
+                      window: np.ndarray, shift: np.ndarray, logt: float) -> np.ndarray:
+    """Mask of the chart rows around p_j whose amoeba image may meet the window.
+
+    On the circle |z - p_j| = r the own log-distance is log r exactly, and
+    log|z - p_k| lies in [log|d_k - r|, log(d_k + r)] with d_k = |p_j - p_k|;
+    the positive and negative parts of the residue columns turn these into a
+    box holding the row's raw image.  A row is dropped only if its circle
+    keeps clear of every other puncture, gap > 1e-6 * (d_k + r), and its box
+    misses the window, taken in raw coordinates (window - shift) * log t, by
+    1e-6 of the term sizes plus 1e-9: far above round-off, so no dropped
+    sample lands on a puncture or inside the window.
+    """
+    others = np.delete(np.arange(pts.size), j)
+    d = np.abs(pts[others] - pts[j])
+    radii = np.exp(log_radii)[:, None]
+    gap = np.abs(d - radii)
+    near = np.ones(log_radii.size, dtype=bool)
+    clear = np.flatnonzero(np.all(gap > 1e-6 * (d + radii), axis=1))
+    lo = np.empty((clear.size, pts.size))
+    hi = np.empty_like(lo)
+    lo[:, j] = hi[:, j] = log_radii[clear]
+    lo[:, others] = np.log(gap[clear])
+    hi[:, others] = np.log(d + radii[clear])
+    pos, neg = np.maximum(res_cols.T, 0.0), np.maximum(-res_cols.T, 0.0)
+    box_lo = lo @ pos - hi @ neg
+    box_hi = hi @ pos - lo @ neg
+    terms = np.maximum(np.abs(lo), np.abs(hi)) @ np.abs(res_cols.T)
+    slack = 1e-6 * (terms + (np.abs(window).max(axis=1) + np.abs(shift)) * logt) + 1e-9
+    raw_win = (window - shift[:, None]) * logt
+    miss = (box_hi + slack < raw_win[:, 0]) | (box_lo - slack > raw_win[:, 1])
+    near[clear] = ~np.any(miss, axis=1)
+    return near
+
+
 def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicMorphism,
-                      window: np.ndarray, sampling: ExperimentSampling):
+                      window: np.ndarray, shift: np.ndarray, sampling: ExperimentSampling):
     """Raw amoeba samples, the tripod region of each and the samples drawn.
 
     A region is an index into the graph's vertices, or -1 for samples of the
-    global grid.  Chart rows equal to their conjugate twin are dropped (see
-    ``_chart_logdist``); the returned count still includes them: every chart
-    sample drawn off a puncture, plus the grid samples."""
+    global grid.  Rescaled points are raw / log t + shift.  Chart rows equal
+    to their conjugate twin are dropped (see ``_chart_logdist``), and so are
+    radius rows that provably miss the window (see ``_rows_near_window``),
+    which are never evaluated; the returned count still includes both: every
+    chart sample drawn off a puncture, plus the grid samples."""
     g = placement.carrier.graph
     idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
@@ -859,10 +878,13 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     for pos, v in enumerate(leaf_vertices):
         u_lo = max(heights[v] - reach, -u_cap)
         u = np.arange(math.ceil(u_lo / step), math.floor(u_hi / step) + 1) * step
-        logdist, drawn = _chart_logdist(pts, pos, u * logt, angles)
+        log_radii = u * logt
+        near = _rows_near_window(pts, pos, log_radii, res_cols, window, shift, logt)
+        logdist, drawn = _chart_logdist(pts, pos, log_radii[near], angles)
         chunks.append(logdist @ res_cols.T)
         regions.append(assign_tripods(logdist))
-        samples += drawn
+        # a dropped row keeps clear of every other puncture: all its samples count
+        samples += drawn + (near.size - np.count_nonzero(near)) * angles.size
 
     # coarse global grid over a disk containing all finite punctures
     grid = _grid_logdist(pts, sampling.grid_count)
@@ -918,9 +940,9 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
     entries = []
     for t in ts:
         placement = place_tree(mg, t, infinite_leaf)
-        raw, region, samples = _experiment_cloud(placement, R, mor, win, sampling)
         shift = mor.vertex_position[base_vertex] - _alignment_offset(placement, R, base_vertex)
-        pts = PointCloud(raw / math.log(t) + shift).points
+        raw, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
+        pts = raw / math.log(t) + shift
         inside = _window_mask(pts, win)
         pts_in = pts[inside]
         if pts_in.size == 0:

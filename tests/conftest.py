@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tropharm.graph import CubicGraph, Edge, Leaf, MetricGraph
+
+# seeded, replayable property tests: the same examples on every run, no
+# example database and no per-example deadline
+settings.register_profile("tropharm", derandomize=True, database=None, deadline=None)
+settings.load_profile("tropharm")
 
 
 def tripod_graph():

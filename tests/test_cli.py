@@ -197,6 +197,15 @@ def test_degenerate_infinite_t_errors(capsys, files):
     assert json.loads(err)["code"] == "BadInput"
 
 
+@pytest.mark.parametrize("window", ["nan", "inf", "1e300"])
+def test_degenerate_non_finite_window_errors(capsys, files, window):
+    # a NaN bound, an infinite bound, and a window whose diagonal overflows
+    code, out, err = run(capsys, "degenerate", files["tripod"], files["rline"],
+                         "--t", "1e3", "--window", window)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
+
+
 @pytest.mark.parametrize("window", [None, "3"])
 @pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex"])
 def test_degenerate_stdout_matches_golden(capsys, fixture, window):

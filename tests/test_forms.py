@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tropharm.errors import (
@@ -220,7 +220,6 @@ def test_residue_matrix_row_sum():
     assert (R.m, R.n) == (2, 2)
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 5), leaves=st.integers(2, 6))
 def test_incidence_and_cycle_matrices_obey_kirchhoff(seed, genus, leaves):
     assume(2 * genus - 2 + leaves >= 1)

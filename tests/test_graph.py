@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tropharm.errors import (
@@ -139,7 +139,6 @@ def test_cycle_basis_rank(rng):
         assert np.linalg.matrix_rank(inc) == mg.genus
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 6), leaves=st.integers(0, 6))
 def test_cycle_basis_loops_are_valid_paths(seed, genus, leaves):
     # cycle_basis does not validate its loops at run time; this is the check
