@@ -40,6 +40,7 @@ from .errors import (
     NonIntegerResiduesError,
     NotATreeError,
     ResiduesDontSumToZeroError,
+    SamplingTooDenseError,
     ZeroCoordinateError,
 )
 from .forms import ResidueMatrix
@@ -295,44 +296,43 @@ class SamplingConfig:
 
 
 def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray,
-                   angles: np.ndarray) -> tuple[np.ndarray, int]:
+                   angular_count: int) -> tuple[np.ndarray, int]:
     """log-distances of p_j + r*e^(i*theta) to every finite puncture.
 
-    ``angles`` is the uniform grid 2*pi*k/A, k < A.  The own column is log r
-    exactly, which keeps tiny radii accurate where z - p_j would cancel to
-    zero in floating point.  Samples landing exactly on another puncture are
-    dropped, and so is every sample at angle index A - k (0 < k < A/2) whose
-    distances equal, bit for bit, those of its conjugate twin at index k and
-    the same radius.  With real punctures, z and conj(z) are equidistant from
-    each, so most twins are such copies; a dropped row repeats a kept one, so
-    the set of rows is unchanged.
+    Of the A = ``angular_count`` angles, indices 0 .. A - h, h = ceil(A/2),
+    are the uniform grid 2*pi*k/A and index A - k is the exact conjugate of
+    index k.  The own column is log r exactly, which keeps tiny radii
+    accurate where z - p_j would cancel to zero in floating point.  Samples
+    landing exactly on another puncture are dropped.  If every puncture has
+    the same imaginary part, z and conj(z) are equidistant from each, bit for
+    bit, so only indices 0 .. A - h are evaluated.
 
-    Returns the kept rows and the number of samples drawn off a puncture,
-    dropped twins included.
-    """
-    radii = np.exp(log_radii)
-    offs = radii[:, None] * np.exp(1j * angles)[None, :]
-    a = angles.size
-    h = (a + 1) // 2  # angle indices 1 .. h-1 have twins a-1 .. a-h+1
+    Returns the kept rows and the number of samples drawn off a puncture
+    over the whole circle, mirror samples included."""
+    a = angular_count
+    h = (a + 1) // 2  # angle indices 1 .. h-1 have mirrors a-1 .. a-h+1
+    units = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, a, endpoint=False)[:a - h + 1])
+    mirrored = bool(np.all(pts.imag == pts[j].imag))
+    if not mirrored:
+        units = np.concatenate([units, units[h - 1:0:-1].conj()])
+    offs = np.exp(log_radii)[:, None] * units[None, :]
     dist = np.empty((pts.size, *offs.shape))
     keep = np.ones(offs.shape, dtype=bool)
-    twin = np.ones((offs.shape[0], h - 1), dtype=bool)
     for k in range(pts.size):
         if k == j:
             continue
         d = dist[k]
         np.abs(pts[j] - pts[k] + offs, out=d)
         keep &= d > 0.0
-        twin &= d[:, 1:h] == d[:, a - 1:a - h:-1]
-    drawn = int(np.count_nonzero(keep))
-    upper = keep[:, a - 1:a - h:-1]  # a view: dropping twins writes into keep
-    upper &= ~twin
+    drawn = np.count_nonzero(keep)
+    if mirrored:
+        drawn += np.count_nonzero(keep[:, 1:h])
     logdist = np.empty((np.count_nonzero(keep), pts.size))
     logdist[:, j] = np.broadcast_to(log_radii[:, None], offs.shape)[keep]
     for k in range(pts.size):
         if k != j:
             logdist[:, k] = np.log(dist[k][keep])
-    return logdist, drawn
+    return logdist, int(drawn)
 
 
 def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
@@ -355,9 +355,9 @@ def sample_amoeba(sphere: PuncturedSphere, R: ResidueMatrix,
                   config: SamplingConfig | None = None) -> PointCloud:
     """Deterministic amoeba sample: per-puncture polar charts + a global grid.
 
-    A chart sample whose distances to the punctures equal those of its
-    conjugate twin (same radius, mirrored angle) bit for bit is dropped; the
-    cloud is the same set of points, minus exact copies.
+    The chart angles are conjugate-symmetric (see ``_chart_logdist``); with
+    all punctures on one horizontal line only the lower half-circle is
+    evaluated, since the upper half would give the same points.
     """
     if config is None:
         config = SamplingConfig()
@@ -366,8 +366,8 @@ def sample_amoeba(sphere: PuncturedSphere, R: ResidueMatrix,
     idx, pts = sphere.finite()
     res_cols = R.entries[:, idx]
     log_radii = np.linspace(np.log(config.r_min), np.log(config.r_max), config.radial_count)
-    angles = np.linspace(0.0, 2.0 * np.pi, config.angular_count, endpoint=False)
-    chunks = [_chart_logdist(pts, j, log_radii, angles)[0] @ res_cols.T for j in range(pts.size)]
+    chunks = [_chart_logdist(pts, j, log_radii, config.angular_count)[0] @ res_cols.T
+              for j in range(pts.size)]
     chunks.append(_grid_logdist(pts, config.grid_count) @ res_cols.T)
     return PointCloud(np.vstack(chunks))
 
@@ -392,41 +392,37 @@ def _as_window(window, dim: int) -> np.ndarray:
 
 
 def _clip_param_line(a: np.ndarray, d: np.ndarray, t_hi: float, window: np.ndarray):
-    """Intersect {a + t*d : 0 <= t <= t_hi} with the window box (slab method)."""
+    """Intersect {a + t*d : 0 <= t <= t_hi} with the window box (slab method).
+
+    A direction below 1e-300 in every component is the point a; a ray whose
+    exit parameter overflows is refused, not cut short."""
+    if np.all(np.abs(d) < 1e-300):
+        return (a, a) if np.all((window[:, 0] <= a) & (a <= window[:, 1])) else None
     t0, t1 = 0.0, t_hi
-    for k in range(len(a)):
-        lo, hi = window[k]
-        if abs(d[k]) < 1e-300:
-            if a[k] < lo or a[k] > hi:
+    for ak, dk, (lo, hi) in zip(a.tolist(), d.tolist(), window.tolist()):
+        if abs(dk) < 1e-300:
+            if ak < lo or ak > hi:
                 return None
             continue
-        ta, tb = (lo - a[k]) / d[k], (hi - a[k]) / d[k]
+        ta, tb = (lo - ak) / dk, (hi - ak) / dk
         if ta > tb:
             ta, tb = tb, ta
         t0, t1 = max(t0, ta), min(t1, tb)
         if t0 > t1:
             return None
-    return a + t0 * d, a + min(t1, 1e18) * d
+    if math.isinf(t1):
+        raise InputError(f"ray direction {d.tolist()} is too short to reach the window edge")
+    return a + t0 * d, a + t1 * d
 
 
 def clip_scene(scene: Scene, window) -> list[tuple[np.ndarray, np.ndarray]]:
     """Scene segments and rays clipped to the window; rays become segments."""
     win = _as_window(window, scene.dim)
-    out = []
-    for _, va, vb in scene.edges:
-        a, b = scene.vertices[va], scene.vertices[vb]
-        seg = _clip_param_line(a, b - a, 1.0, win)
-        if seg is not None:
-            out.append(seg)
-    for _, origin, direction in scene.rays:
-        if np.linalg.norm(direction) <= 1e-300:
-            if np.all((win[:, 0] <= origin) & (origin <= win[:, 1])):
-                out.append((origin, origin))
-            continue
-        seg = _clip_param_line(origin, np.asarray(direction, dtype=float), np.inf, win)
-        if seg is not None:
-            out.append(seg)
-    return out
+    lines = [(scene.vertices[va], scene.vertices[vb] - scene.vertices[va], 1.0)
+             for _, va, vb in scene.edges]
+    lines += [(origin, np.asarray(d, dtype=float), np.inf) for _, origin, d in scene.rays]
+    segs = [_clip_param_line(a, d, t_hi, win) for a, d, t_hi in lines]
+    return [seg for seg in segs if seg is not None]
 
 
 def _window_mask(points: np.ndarray, win: np.ndarray) -> np.ndarray:
@@ -819,11 +815,12 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     """Raw amoeba samples, the tripod region of each and the samples drawn.
 
     A region is an index into the graph's vertices, or -1 for samples of the
-    global grid.  Rescaled points are raw / log t + shift.  Chart rows equal
-    to their conjugate twin are dropped (see ``_chart_logdist``), and so are
-    radius rows that provably miss the window (see ``_rows_near_window``),
-    which are never evaluated; the returned count still includes both: every
-    chart sample drawn off a puncture, plus the grid samples."""
+    global grid.  Rescaled points are raw / log t + shift.  On real
+    punctures each chart is evaluated on the lower half-circle only (see
+    ``_chart_logdist``), and radius rows that provably miss the window (see
+    ``_rows_near_window``) are never evaluated; the returned count still
+    includes both: every chart sample drawn off a puncture over the whole
+    circle, plus the grid samples."""
     g = placement.carrier.graph
     idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
@@ -838,7 +835,6 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
 
     heights = placement.height
     h_top = max(heights.values())
-    angles = np.linspace(0.0, 2.0 * np.pi, sampling.angular_count, endpoint=False)
     step = sampling.u_step
 
     # each chart's upward path as vertex indices, and the increasing scale
@@ -880,11 +876,11 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
         u = np.arange(math.ceil(u_lo / step), math.floor(u_hi / step) + 1) * step
         log_radii = u * logt
         near = _rows_near_window(pts, pos, log_radii, res_cols, window, shift, logt)
-        logdist, drawn = _chart_logdist(pts, pos, log_radii[near], angles)
+        logdist, drawn = _chart_logdist(pts, pos, log_radii[near], sampling.angular_count)
         chunks.append(logdist @ res_cols.T)
         regions.append(assign_tripods(logdist))
         # a dropped row keeps clear of every other puncture: all its samples count
-        samples += drawn + (near.size - np.count_nonzero(near)) * angles.size
+        samples += drawn + (near.size - np.count_nonzero(near)) * sampling.angular_count
 
     # coarse global grid over a disk containing all finite punctures
     grid = _grid_logdist(pts, sampling.grid_count)
@@ -909,10 +905,11 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
                            kappa: float = FOUR_PI) -> ConvergenceReport:
     """Hausdorff distances of rescaled amoeba samples to the tree's image.
 
-    For each t the tree's punctures are placed by nested clusters, the amoeba
-    map is sampled on polar charts (radii t**u on a fixed u grid) plus a
-    coarse global grid, rescaled by 1/log t, aligned at the base vertex, and
-    compared to the emitted scene, globally and per tripod region.
+    For each distinct t, in increasing order, the tree's punctures are
+    placed by nested clusters, the amoeba map is sampled on polar charts
+    (radii t**u on a fixed u grid) plus a coarse global grid, rescaled by
+    1/log t, aligned at the base vertex, and compared to the emitted scene,
+    globally and per tripod region.
 
     ``kappa`` is recorded in the report for provenance; the genus-0 placement
     itself does not involve the collar length schedule.
@@ -924,7 +921,7 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
     if base_vertex is None:
         base_vertex = mg.graph.vertices[0]
     mor = build_morphism(mg, R, base_vertex)
-    ts = sorted(float(t) for t in t_values)
+    ts = sorted({float(t) for t in t_values})
     if not ts:
         raise InputError("need at least one t value")
 
@@ -941,7 +938,10 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
     for t in ts:
         placement = place_tree(mg, t, infinite_leaf)
         shift = mor.vertex_position[base_vertex] - _alignment_offset(placement, R, base_vertex)
-        raw, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
+        try:
+            raw, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
+        except MemoryError as exc:
+            raise SamplingTooDenseError(f"amoeba sampling does not fit in memory: {exc}") from exc
         pts = raw / math.log(t) + shift
         inside = _window_mask(pts, win)
         pts_in = pts[inside]

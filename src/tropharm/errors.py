@@ -98,6 +98,10 @@ class MinimumDensityViolationError(TropharmError):
     code = "MinimumDensityViolation"
 
 
+class SamplingTooDenseError(TropharmError):
+    code = "SamplingTooDense"
+
+
 class EmptyAfterClippingError(TropharmError):
     code = "EmptyAfterClipping"
 

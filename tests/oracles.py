@@ -48,37 +48,30 @@ def points_to_segments_broadcast(pts, segs):
     return np.linalg.norm(pts[:, None, :] - proj, axis=2).min(axis=1)
 
 
-def chart_logdist_full(pts, j, log_radii, angles):
+def chart_logdist_full(pts, j, log_radii, angular_count):
     """log-distances of p_j + r*e^(i*theta) to every finite puncture, one row
-    per sample off a puncture, conjugate twins included.
+    per sample off a puncture over the whole circle, mirror samples included,
+    and the angle index of each row.
 
-    The own column is log r; samples landing exactly on another puncture are
-    dropped.
+    Angle index k <= A - ceil(A/2) is the uniform angle 2*pi*k/A; index
+    A - k above it takes the conjugate of index k's unit vector.  The own
+    column is log r; samples landing exactly on another puncture are dropped.
     """
-    radii = np.exp(log_radii)
-    offs = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    a = angular_count
+    lower = a - (a + 1) // 2
+    theta = np.linspace(0.0, 2.0 * np.pi, a, endpoint=False)
+    units = np.exp(1j * theta)
+    upper = np.arange(lower + 1, a)
+    units[upper] = np.conj(units[a - upper])
+    offs = (np.exp(log_radii)[:, None] * units[None, :]).ravel()
+    index = np.tile(np.arange(a), log_radii.size)
     logdist = np.empty((offs.size, pts.size))
     keep = np.ones(offs.size, dtype=bool)
-    logdist[:, j] = np.repeat(log_radii, angles.size)
+    logdist[:, j] = np.repeat(log_radii, a)
     for k in range(pts.size):
         if k == j:
             continue
         d = np.abs(pts[j] - pts[k] + offs)
         keep &= d > 0.0
         logdist[:, k] = np.log(np.where(d > 0.0, d, 1.0))
-    return logdist[keep]
-
-
-def twin_copy_count(pts, j, log_radii, angles):
-    """Samples off a puncture at angle index A - k, 0 < k < A/2, whose
-    distances to every other puncture equal bit for bit those of the sample
-    at index k and the same radius."""
-    offs = np.exp(log_radii)[:, None] * np.exp(1j * angles)[None, :]
-    d = np.abs(pts[j] - np.delete(pts, j)[:, None, None] + offs)
-    off_puncture = np.all(d > 0.0, axis=0)
-    a = angles.size
-    count = 0
-    for k in range(1, (a + 1) // 2):
-        same = np.all(d[:, :, k] == d[:, :, a - k], axis=0)
-        count += int(np.count_nonzero(same & off_puncture[:, a - k]))
-    return count
+    return logdist[keep], index[keep]

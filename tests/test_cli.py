@@ -185,6 +185,14 @@ def test_degenerate_density_too_small_for_u_step_errors(capsys, files):
     assert json.loads(err)["code"] == "MinimumDensityViolation"
 
 
+def test_degenerate_too_dense_errors(capsys, files):
+    # the first array of this density is far beyond any memory; numpy refuses
+    # it before touching a page
+    code, out, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--density", "1e9")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "SamplingTooDense"
+
+
 def test_degenerate_bad_t_list_errors(capsys, files):
     code, _, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--t", "abc")
     assert code == 1
@@ -231,6 +239,17 @@ def test_degenerate_with_csv(capsys, files, tmp_path):
     assert set(doc["results"]) == {"1000", "10000"}
     lines = csv.read_text().splitlines()
     assert lines[0] == "t,global_hausdorff" and len(lines) == 3
+
+
+def test_degenerate_repeated_t_runs_once(capsys, files, tmp_path):
+    argv = ["--quiet", "degenerate", files["tripod"], files["rline"], "--window", "3",
+            "--density", "0.5"]
+    code, once, _ = run(capsys, *argv, "--t", "1e3")
+    assert code == 0
+    csv = tmp_path / "d.csv"
+    code, twice, _ = run(capsys, *argv, "--t", "1e3,1e3", "--csv", str(csv))
+    assert code == 0 and twice == once
+    assert len(csv.read_text().splitlines()) == 2
 
 
 def test_output_deterministic(capsys, files):

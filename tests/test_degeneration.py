@@ -42,7 +42,7 @@ from tropharm.morphisms import Scene, build_morphism, emit_embedding
 
 from _generators import random_cubic
 from conftest import caterpillar_graph, dumbbell_graph, tripod_graph
-from oracles import chart_logdist_full, points_to_segments_broadcast, twin_copy_count
+from oracles import chart_logdist_full, points_to_segments_broadcast
 
 LINE_R = ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 LINE_SPHERE = PuncturedSphere((0.0, 1.0, None))
@@ -304,6 +304,22 @@ def test_hausdorff_empty_after_clip():
         hausdorff(cloud, scene, [[-1, 1], [-1, 1]])
 
 
+def test_clip_scene_ray_with_every_component_tiny_is_a_point():
+    # each component is below the slab threshold, the norm is not
+    d = np.array([0.9e-300, 0.9e-300])
+    rays = (("p", np.ones(2), d), ("q", np.full(2, 5.0), d))
+    segs = dg.clip_scene(Scene(2, {"a": np.ones(2)}, (), rays, 1.0), [[-2, 2], [-2, 2]])
+    assert len(segs) == 1
+    assert all(np.array_equal(end, np.ones(2)) for end in segs[0])
+
+
+def test_clip_scene_refuses_a_ray_whose_exit_overflows():
+    # the exit parameter 1e10 / 1e-300 is beyond double range
+    ray = ("p", np.zeros(2), np.array([1e-300, 0.0]))
+    with pytest.raises(InputError, match="ray direction"):
+        dg.clip_scene(Scene(2, {"a": np.zeros(2)}, (), (ray,), 1.0), [[-1e10, 1e10], [-1, 1]])
+
+
 @pytest.mark.parametrize("step", [-1.0, 0.0, float("nan")])
 def test_hausdorff_rejects_bad_scene_step(step):
     scene = Scene(2, {"a": np.zeros(2), "b": np.array([1.0, 0.0])}, (("e", "a", "b"),), (), 1.0)
@@ -381,6 +397,15 @@ def test_convergence_report_serialization(tripod):
     assert "1000" in doc["results"]
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "t,global_hausdorff"
+
+
+@pytest.mark.parametrize("w", [1e20, 1e150])
+def test_convergence_distance_scales_with_a_wide_window(tripod, w):
+    # the cloud stays within a few hundred units of the origin while the ray
+    # of slope -(1, 1) runs to the window corner: the distance is sqrt(2) * w
+    coarse = ExperimentSampling(u_step=0.2, angular_count=8, grid_count=8)
+    rep = convergence_experiment(tripod, LINE_R, [1e3], coarse, window=[[-w, w], [-w, w]])
+    assert rep.entries[0].global_hausdorff == pytest.approx(math.sqrt(2.0) * w, rel=1e-12)
 
 
 def test_convergence_rejects_positive_genus(dumbbell):
@@ -493,9 +518,8 @@ def test_sample_on_the_window_edge_survives_row_skipping():
     placement = place_tree(mg, t)
     shift = mor.vertex_position["w"] - dg._alignment_offset(placement, R, "w")
     idx, pts = placement.sphere().finite()
-    angles = np.linspace(0.0, 2.0 * np.pi, sampling.angular_count, endpoint=False)
     for u in np.arange(4, 81) * sampling.u_step:
-        logdist, _ = dg._chart_logdist(pts, 0, np.array([u * logt]), angles)
+        logdist, _ = dg._chart_logdist(pts, 0, np.array([u * logt]), sampling.angular_count)
         row = (logdist @ R.entries[:, idx].T / logt + shift)[:, 0]
         for edge, win in ((row.max(), [[row.max(), 60.0]]), (row.min(), [[-60.0, row.min()]])):
             win = np.array(win)
@@ -513,17 +537,17 @@ def test_sample_on_the_window_edge_survives_row_skipping():
     ([[-3.0, 0.4], [-3.0, 0.4]], "v1"),  # v1 has samples, but none in the window
 ])
 def test_convergence_matches_public_hausdorff_per_tripod(window, outside, monkeypatch):
-    # the experiment skips radius rows that cannot reach the window, drops
-    # conjugate-twin copies, clips once per t and groups in-window samples by
-    # region; each distance must equal the public hausdorff on the full,
-    # non-deduplicated region cloud of every row
+    # the experiment skips radius rows that cannot reach the window,
+    # evaluates real-puncture charts on half the circle, clips once per t and
+    # groups in-window samples by region; each distance must equal the public
+    # hausdorff on the region cloud of every row over the whole circle
     mg = caterpillar_graph(1.0)
     R = ResidueMatrix([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
     t, win = 1e3, np.array(window)
     entry = convergence_experiment(mg, R, [t], window=win, base_vertex="v0").entries[0]
 
     def full_chart(*args):
-        rows = chart_logdist_full(*args)
+        rows, _ = chart_logdist_full(*args)
         return rows, rows.shape[0]
 
     monkeypatch.setattr(dg, "_chart_logdist", full_chart)
@@ -553,10 +577,24 @@ def _same_row_set(kept, full):
     return np.array_equal(np.unique(kept, axis=0), np.unique(full, axis=0))
 
 
+def _check_chart(pts, j, log_radii, angular_count):
+    """_chart_logdist against the whole-circle oracle: the same row set and
+    count, and on punctures of one imaginary part exactly the rows of angle
+    indices 0 .. A - ceil(A/2), in the oracle's order."""
+    kept, drawn = dg._chart_logdist(pts, j, log_radii, angular_count)
+    full, index = chart_logdist_full(pts, j, log_radii, angular_count)
+    assert _same_row_set(kept, full)
+    assert drawn == full.shape[0]
+    if np.all(pts.imag == pts[0].imag):
+        assert np.array_equal(kept, full[index <= angular_count - (angular_count + 1) // 2])
+    else:
+        assert np.array_equal(kept, full)
+    return kept, drawn
+
+
 @pytest.mark.parametrize("angular_count", [1, 2, 7, 64])
 @pytest.mark.parametrize("kind", ["real", "complex", "on_puncture"])
 def test_chart_logdist_drops_only_twin_copies(kind, angular_count):
-    angles = np.linspace(0.0, 2.0 * np.pi, angular_count, endpoint=False)
     log_radii = np.linspace(np.log(1e-3), np.log(1e4), 37)
     pts = {"real": np.array([0.0, 1.0, 1e3, -2.5]),
            "complex": np.array([0.0, 1.0 + 2.0j, -1.5 + 0.5j, 3.0 - 1.0j]),
@@ -565,18 +603,11 @@ def test_chart_logdist_drops_only_twin_copies(kind, angular_count):
     if kind == "on_puncture":
         log_radii = np.append(log_radii, 0.0)
     for j in range(pts.size):
-        kept, drawn = dg._chart_logdist(pts, j, log_radii, angles)
-        full = chart_logdist_full(pts, j, log_radii, angles)
-        assert _same_row_set(kept, full)
-        assert drawn == full.shape[0]
-        copies = twin_copy_count(pts, j, log_radii, angles)
-        assert kept.shape[0] == full.shape[0] - copies
+        kept, drawn = _check_chart(pts, j, log_radii, angular_count)
         if kind == "complex":
-            assert copies == 0
-        elif angular_count >= 7:
-            assert copies > 0
+            assert kept.shape[0] == log_radii.size * angular_count
         if kind == "on_puncture" and j == 0:
-            assert full.shape[0] == log_radii.size * angular_count - 1
+            assert drawn == log_radii.size * angular_count - 1
 
 
 @settings(max_examples=40)
@@ -586,13 +617,27 @@ def test_placed_tree_charts_keep_the_full_row_set(seed, leaves):
     assume(mg is not None)
     _, pts = place_tree(mg, 1e3).sphere().finite()
     log_radii = np.arange(-150, 151) * 0.02 * math.log(1e3)
-    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     for j in range(pts.size):
-        kept, drawn = dg._chart_logdist(pts, j, log_radii, angles)
-        full = chart_logdist_full(pts, j, log_radii, angles)
-        assert _same_row_set(kept, full)
-        assert drawn == full.shape[0]
-        assert kept.shape[0] == full.shape[0] - twin_copy_count(pts, j, log_radii, angles)
+        _check_chart(pts, j, log_radii, 64)
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), angular_count=st.integers(1, 80),
+       imag=st.sampled_from([0.0, -0.0, 1.5, -1e-7]))
+def test_real_puncture_mirror_samples_are_exact_copies(seed, n, angular_count, imag):
+    # every sample above the real line has the same distances, bit for bit,
+    # as its mirror image below it: the premise of evaluating half the circle
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1e3, 1e3, n) * 10.0 ** rng.integers(-6, 4, n) + 1j * imag
+    assume(np.unique(pts).size == n)
+    log_radii = rng.uniform(-12.0, 12.0, 9)
+    a = angular_count
+    for j in range(n):
+        full, _ = chart_logdist_full(pts, j, log_radii, a)
+        assume(full.shape[0] == log_radii.size * a)  # no sample on a puncture
+        rows = full.reshape(log_radii.size, a, n)
+        upper = np.arange(a - (a + 1) // 2 + 1, a)
+        assert np.array_equal(rows[:, upper], rows[:, a - upper])
 
 
 def test_convergence_shallow_slopes_no_overflow(tripod):
