@@ -30,12 +30,9 @@ def _emit(args, payload, text: str | None = None):
         sys.stdout.write(out)
 
 
-def _load_inputs(args, need_residues=True):
+def _load_inputs(args):
     mg = graph.load_graph(args.graph)
-    if not need_residues:
-        return mg, None
-    R = forms.load_residues(args.residues, mg)
-    return mg, R
+    return mg, forms.load_residues(args.residues, mg)
 
 
 def _load_twists(path: str, mg: graph.MetricGraph) -> phase.TwistAssignment:
@@ -159,10 +156,8 @@ def cmd_degenerate(args):
         angular_count=max(1, round(64 * density)),
         grid_count=max(1, round(32 * density)),
     )
-    report = deg.convergence_experiment(
-        mg, R, ts, sampling=sampling, window=window,
-        base_vertex=args.base_vertex, kappa=args.kappa,
-    )
+    report = deg.convergence_experiment(mg, R, ts, sampling=sampling, window=window,
+                                        base_vertex=args.base_vertex)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(report.to_csv())
@@ -175,6 +170,8 @@ def cmd_degenerate(args):
 def cmd_collar(args):
     if args.l is None and args.sweep is None:
         raise TropharmError("collar needs --l VALUE or --sweep A..B")
+    if args.points is not None and args.points < 2:
+        raise InputError(f"--points must be at least 2, got {args.points}")
     if args.l is not None:
         values = [args.l]
     else:
@@ -187,10 +184,18 @@ def cmd_collar(args):
             raise NonPositiveLengthError(f"sweep range {args.sweep!r} must be positive")
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InputError(f"sweep range {args.sweep!r} must be finite")
-        n = args.points or int(round(abs(np.log10(hi) - np.log10(lo)))) + 1
-        values = list(np.geomspace(lo, hi, max(2, n)))
+        n = args.points or max(2, int(round(abs(np.log10(hi) - np.log10(lo)))) + 1)
+        values = list(np.geomspace(lo, hi, n))
     _emit(args, deg.collar_sweep(values))
     return 0
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number, zero or above."""
+    tol = float(text)
+    if not 0.0 <= tol < np.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     add arguments to the returned parser.
     """
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    common.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric tolerance")
     common.add_argument("--out", help="write primary output to this file instead of stdout")
     common.add_argument("--quiet", action="store_true", help="suppress informational messages")
 
@@ -258,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("graph")
     sp.add_argument("residues")
     sp.add_argument("--t", default="1e3,1e4,1e5,1e6", help="comma-separated t values")
-    sp.add_argument("--kappa", type=float, default=deg.FOUR_PI)
     sp.add_argument("--window", type=float, default=None, help="half-width W for the box [-W, W]^m")
     sp.add_argument("--density", type=float, default=1.0, help="sampling density multiplier")
     sp.add_argument("--base-vertex", default=None)

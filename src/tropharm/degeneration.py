@@ -15,15 +15,16 @@ Three groups of tools live here:
   log-t-rescaled amoeba approaches the piecewise-linear image of the tree,
   and measure Hausdorff distances globally and per tripod region.
 
-Puncture placement for a tree uses nested clusters.  Root the tree at the
-vertex carrying the designated infinite leaf and give each vertex v the
-height H(v) = ecc - dist(root, v).  Walking from the root toward leaf j, each
-branch taken at a vertex w contributes c * t**H(w) with branch constants
-c in {0, 1} read off the ribbon order.  Pairwise puncture distances are then
-t**H(meet), which reproduces the tree's edge lengths in log_t scale.
+Puncture placement for a tree uses nested clusters.  The last leaf goes to
+infinity.  Root the tree at the vertex carrying the last leaf and give each
+vertex v the height H(v) = ecc - dist(root, v).  Walking from the root toward
+leaf j, each branch taken at a vertex w contributes c * t**H(w) with branch
+constants c in {0, 1} read off the ribbon order.  Pairwise puncture distances
+are then t**H(meet), which reproduces the tree's edge lengths in log_t scale.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -51,7 +52,6 @@ if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
 FOUR_PI = 4.0 * np.pi
-TWO_PI_SQ = 2.0 * np.pi**2
 
 
 # ----------------------------------------------------------------------
@@ -74,12 +74,9 @@ def collar_modulus(l):
 
     As l -> 0 this behaves like pi/l, so l * m(l) -> pi = 2*arccos(0).
     """
+    w = collar_width(l)  # refuses a non-positive or non-finite length first
     arr = np.asarray(l, dtype=float)
-    if np.any(arr <= 0.0):
-        raise NonPositiveLengthError("collar_modulus needs a positive length")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("collar_modulus needs a finite length")
-    out = (2.0 / arr) * np.arccos(1.0 / np.cosh(collar_width(arr)))
+    out = (2.0 / arr) * np.arccos(1.0 / np.cosh(w))
     return float(out) if np.isscalar(l) or arr.ndim == 0 else out
 
 
@@ -170,10 +167,10 @@ class PuncturedSphere:
         if sum(1 for p in pts if p is None) > 1:
             raise InputError("at most one puncture may sit at infinity")
         finite = [p for p in pts if p is not None]
-        for i in range(len(finite)):
-            for j in range(i + 1, len(finite)):
-                if finite[i] == finite[j]:
-                    raise InputError("punctures must be pairwise distinct")
+        if not all(cmath.isfinite(p) for p in finite):
+            raise InputError("punctures must be finite or None")
+        if len(set(finite)) != len(finite):
+            raise InputError("punctures must be pairwise distinct")
         object.__setattr__(self, "punctures", pts)
 
     @property
@@ -495,28 +492,22 @@ def _kdtree(points: np.ndarray) -> cKDTree:
     return cKDTree(points, balanced_tree=False, compact_nodes=False)
 
 
-def _scene_hausdorff(pts: np.ndarray, segs: np.ndarray, win: np.ndarray,
-                     scene_step: float | None = None) -> float:
+def _scene_hausdorff(pts: np.ndarray, segs: np.ndarray, win: np.ndarray) -> float:
     """Hausdorff distance between in-window points and clipped scene segments."""
     d1 = _points_to_segments(pts, segs).max()
-    if scene_step is None:
-        scene_step = float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0
-    scene_pts = _sample_segments(segs, scene_step)
+    scene_pts = _sample_segments(segs, float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0)
     d2 = _kdtree(pts).query(scene_pts)[0].max()
     return float(max(d1, d2))
 
 
-def hausdorff(cloud: PointCloud, target, window, scene_step: float | None = None) -> float:
+def hausdorff(cloud: PointCloud, target, window) -> float:
     """Symmetric Hausdorff distance after clipping both sides to the window.
 
     ``target`` is a Scene or another PointCloud.  Cloud-to-scene distances are
     exact point-to-segment projections, one pass over the cloud per clipped
-    segment; the scene-to-cloud direction samples the clipped scene at
-    ``scene_step`` spacing (a positive, finite length; default: window
-    diagonal / 2048) and queries a KD-tree on the cloud.
+    segment; the scene-to-cloud direction samples the clipped scene at a
+    spacing of the window diagonal / 2048 and queries a KD-tree on the cloud.
     """
-    if scene_step is not None and not (scene_step > 0 and math.isfinite(scene_step)):
-        raise InputError(f"scene_step must be positive and finite, got {scene_step}")
     dim = cloud.points.shape[1]
     win = _as_window(window, dim)
     pts = cloud.points[_window_mask(cloud.points, win)]
@@ -534,7 +525,7 @@ def hausdorff(cloud: PointCloud, target, window, scene_step: float | None = None
     segs = clip_scene(target, win)
     if not segs:
         raise EmptyAfterClippingError("scene is empty after clipping")
-    return _scene_hausdorff(pts, np.array(segs), win, scene_step)
+    return _scene_hausdorff(pts, np.array(segs), win)
 
 
 # ----------------------------------------------------------------------
@@ -549,7 +540,6 @@ class TreePlacement:
     t: float
     infinite_leaf: str
     punctures: tuple[complex | None, ...]
-    center: dict[str, complex]       # vertex -> cluster center
     height: dict[str, float]         # vertex -> H(v), decreasing away from the root
     up_path: dict[str, tuple[str, ...]]  # vertex -> path of vertices up to the root
 
@@ -565,23 +555,20 @@ class TreePlacement:
         raise RuntimeError("internal: tree paths never meet")
 
 
-def place_tree(mg: MetricGraph, t: float, infinite_leaf: str | None = None) -> TreePlacement:
-    """Nested-cluster puncture placement for a genus-0 metric graph."""
+def place_tree(mg: MetricGraph, t: float) -> TreePlacement:
+    """Nested-cluster puncture placement for a genus-0 metric graph; the last
+    leaf's puncture sits at infinity."""
     g = mg.graph
     if g.genus != 0:
         raise NotATreeError(f"graph has genus {g.genus}, not a tree")
     if not (np.isfinite(t) and t > np.e):
         raise InputError(f"t must be finite and exceed e, got {t}")
-    if infinite_leaf is None:
-        infinite_leaf = g.leaf_ids[-1]
-    if not g.is_leaf(infinite_leaf):
-        raise InputError(f"unknown leaf {infinite_leaf}")
+    infinite_leaf = g.leaf_ids[-1]
     root = g.leaf(infinite_leaf).vertex
 
     # metric depth from the root through the (unique) tree paths; the
     # parent map is in breadth-first order, so parents come first
     _, parent = _spanning_tree(g, root)
-    order = [root, *parent]
     depth = {root: 0.0}
     up_path: dict[str, tuple[str, ...]] = {root: (root,)}
     for w, (v, eid) in parent.items():
@@ -590,35 +577,22 @@ def place_tree(mg: MetricGraph, t: float, infinite_leaf: str | None = None) -> T
     ecc = max(depth.values())
     height = {v: ecc - d for v, d in depth.items()}
 
-    # branch constants in ribbon order, starting after the incoming reference
-    def branch_constants(v: str, incoming: str) -> dict[str, float]:
-        order3 = list(g.ribbon[v])
-        k = order3.index(incoming)
-        rest = [order3[(k + 1) % 3], order3[(k + 2) % 3]]
-        return {ref: float(c) for c, ref in enumerate(rest)}
+    def branch(v: str, ref: str) -> int:
+        """Constant of branch ``ref`` at v: 0 or 1 by its ribbon position
+        after the reference v is entered by."""
+        ribbon = g.ribbon[v]
+        incoming = parent[v][1] if v in parent else infinite_leaf
+        return (ribbon.index(ref) - ribbon.index(incoming) - 1) % 3
 
-    center: dict[str, complex] = {root: 0.0 + 0.0j}
-    constants: dict[tuple[str, str], float] = {}
-    incoming_ref = {root: infinite_leaf}
-    for v in order:
-        consts = branch_constants(v, incoming_ref[v])
-        for ref, c in consts.items():
-            constants[(v, ref)] = c
-            if g.is_edge(ref):
-                e = g.edge(ref)
-                w = e.ends[0] if e.ends[1] == v else e.ends[1]
-                if depth[w] > depth[v]:  # child in the rooted tree
-                    center[w] = center[v] + c * t ** height[v]
-                    incoming_ref[w] = ref
-
-    punctures: list[complex | None] = []
-    for l in g.leaves:
-        if l.id == infinite_leaf:
-            punctures.append(None)
-        else:
-            punctures.append(center[l.vertex] + constants[(l.vertex, l.id)] * t ** height[l.vertex])
-
-    return TreePlacement(mg, float(t), infinite_leaf, tuple(punctures), center, height, dict(up_path))
+    center = {root: 0.0 + 0.0j}
+    for w, (v, eid) in parent.items():
+        center[w] = center[v] + branch(v, eid) * t ** height[v]
+    punctures = tuple(
+        None if l.id == infinite_leaf
+        else center[l.vertex] + branch(l.vertex, l.id) * t ** height[l.vertex]
+        for l in g.leaves
+    )
+    return TreePlacement(mg, float(t), infinite_leaf, punctures, height, up_path)
 
 
 @dataclass(frozen=True)
@@ -640,8 +614,7 @@ class IotaMap:
         return out[0] if scalar else out
 
 
-def realize_genus0(mg: MetricGraph, R: ResidueMatrix, t: float,
-                   infinite_leaf: str | None = None) -> tuple[PuncturedSphere, IotaMap]:
+def realize_genus0(mg: MetricGraph, R: ResidueMatrix, t: float) -> tuple[PuncturedSphere, IotaMap]:
     """Punctured sphere whose rescaled amoeba approaches the tree's image.
 
     Needs an integer residue matrix (so the coordinate-wise exponential of the
@@ -652,8 +625,7 @@ def realize_genus0(mg: MetricGraph, R: ResidueMatrix, t: float,
         raise NotATreeError(f"graph has genus {mg.graph.genus}, not a tree")
     if not R.is_integer():
         raise NonIntegerResiduesError("residue matrix must be integer")
-    placement = place_tree(mg, t, infinite_leaf)
-    sphere = placement.sphere()
+    sphere = place_tree(mg, t).sphere()
     idx, _ = sphere.finite()
     exponents = np.round(R.entries[:, idx]).astype(int)
     return sphere, IotaMap(sphere, exponents)
@@ -707,7 +679,6 @@ class TStepResult:
 @dataclass(frozen=True)
 class ConvergenceReport:
     entries: tuple[TStepResult, ...]
-    kappa: float
     window: np.ndarray
     base_vertex: str
     infinite_leaf: str
@@ -717,7 +688,6 @@ class ConvergenceReport:
 
     def to_dict(self) -> dict:
         return {
-            "kappa": float(self.kappa),
             "window": [[float(a), float(b)] for a, b in self.window],
             "base_vertex": self.base_vertex,
             "infinite_leaf": self.infinite_leaf,
@@ -738,7 +708,7 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _tripod_scene(mor: HarmonicMorphism, v: str, ray_length: float) -> Scene:
+def _tripod_scene(mor: HarmonicMorphism, v: str) -> Scene:
     """Image of the vertex's half-tripod: half edges, full leaf rays."""
     mg = mor.carrier
     g = mg.graph
@@ -755,7 +725,7 @@ def _tripod_scene(mor: HarmonicMorphism, v: str, ray_length: float) -> Scene:
             edges.append((ref, v, mid_id))
         else:
             rays.append((ref, mor.vertex_position[v], mor.leaf_slope[ref]))
-    return Scene(mor.ambient_dim, vertices, tuple(edges), tuple(rays), ray_length)
+    return Scene(mor.ambient_dim, vertices, tuple(edges), tuple(rays))
 
 
 def _alignment_offset(placement: TreePlacement, R: ResidueMatrix, base_vertex: str) -> np.ndarray:
@@ -900,9 +870,7 @@ def default_window(scene: Scene) -> np.ndarray:
 
 def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
                            sampling: ExperimentSampling | None = None,
-                           window=None, base_vertex: str | None = None,
-                           infinite_leaf: str | None = None,
-                           kappa: float = FOUR_PI) -> ConvergenceReport:
+                           window=None, base_vertex: str | None = None) -> ConvergenceReport:
     """Hausdorff distances of rescaled amoeba samples to the tree's image.
 
     For each distinct t, in increasing order, the tree's punctures are
@@ -910,9 +878,6 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
     (radii t**u on a fixed u grid) plus a coarse global grid, rescaled by
     1/log t, aligned at the base vertex, and compared to the emitted scene,
     globally and per tripod region.
-
-    ``kappa`` is recorded in the report for provenance; the genus-0 placement
-    itself does not involve the collar length schedule.
     """
     if mg.graph.genus != 0:
         raise NotATreeError("the experiment runs on trees (genus 0)")
@@ -925,18 +890,17 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
     if not ts:
         raise InputError("need at least one t value")
 
-    probe = emit_embedding(mor, leaf_ray_length=1.0)
-    win = default_window(probe) if window is None else _as_window(window, R.m)
-    ray_length = 8.0 * float(np.linalg.norm(win[:, 1] - win[:, 0])) + 1.0
-    scene = emit_embedding(mor, leaf_ray_length=ray_length)
-    # the scenes do not depend on t: clip each once
+    # clipping cuts every ray at the window edge, so the scene's drawing
+    # length is never read; the scenes do not depend on t: clip each once
+    scene = emit_embedding(mor)
+    win = default_window(scene) if window is None else _as_window(window, R.m)
     vertices = mg.graph.vertices
     scene_segs = np.array(clip_scene(scene, win))
-    tripod_segs = [np.array(clip_scene(_tripod_scene(mor, v, ray_length), win)) for v in vertices]
+    tripod_segs = [np.array(clip_scene(_tripod_scene(mor, v), win)) for v in vertices]
 
     entries = []
     for t in ts:
-        placement = place_tree(mg, t, infinite_leaf)
+        placement = place_tree(mg, t)
         shift = mor.vertex_position[base_vertex] - _alignment_offset(placement, R, base_vertex)
         try:
             raw, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
@@ -951,19 +915,14 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
             raise EmptyAfterClippingError("scene is empty after clipping")
         d_global = _scene_hausdorff(pts_in, scene_segs, win)
 
-        # in-window samples grouped by tripod region, sample order kept
         region_in = region[inside]
-        order = np.argsort(region_in, kind="stable")
-        grouped = pts_in[order]
-        cuts = np.searchsorted(region_in[order], np.arange(len(vertices) + 1))
         per_tripod: dict[str, float | None] = {}
         for i, v in enumerate(vertices):
-            sub = grouped[cuts[i]:cuts[i + 1]]
+            sub = pts_in[region_in == i]
             if sub.size == 0 or tripod_segs[i].size == 0:
                 per_tripod[v] = None
             else:
                 per_tripod[v] = _scene_hausdorff(sub, tripod_segs[i], win)
         entries.append(TStepResult(t, d_global, per_tripod, samples))
 
-    return ConvergenceReport(tuple(entries), float(kappa), win, base_vertex,
-                             infinite_leaf if infinite_leaf is not None else mg.graph.leaf_ids[-1])
+    return ConvergenceReport(tuple(entries), win, base_vertex, mg.graph.leaf_ids[-1])

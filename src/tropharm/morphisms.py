@@ -192,6 +192,8 @@ class Scene:
 
 
 def emit_embedding(mor: HarmonicMorphism, leaf_ray_length: float = 3.0) -> Scene:
+    if not 0.0 < leaf_ray_length < np.inf:
+        raise InputError(f"leaf ray length must be positive and finite, got {leaf_ray_length}")
     g = mor.carrier.graph
     rays = tuple(
         (l.id, mor.vertex_position[l.vertex], mor.leaf_slope[l.id]) for l in g.leaves

@@ -1,6 +1,8 @@
 """Independent oracles the implementation is checked against."""
 import numpy as np
 
+from tropharm.graph import _spanning_tree
+
 
 def energy_min_flow(mg, residue_row):
     """Minimize sum l(e) i(e)^2 over flows with the given leaf injections.
@@ -75,3 +77,48 @@ def chart_logdist_full(pts, j, log_radii, angular_count):
         keep &= d > 0.0
         logdist[:, k] = np.log(np.where(d > 0.0, d, 1.0))
     return logdist[keep], index[keep]
+
+
+def place_tree_reference(mg, t):
+    """Nested-cluster puncture placement kept in per-vertex dicts, the last
+    leaf at infinity: (punctures, height, up_path) as place_tree gives them.
+
+    The constants of the two branches after the incoming reference, in ribbon
+    order, are 0 and 1; a child is a neighbour deeper than its vertex, and
+    its cluster centre is the parent's centre plus c * t**H(parent).
+    """
+    g = mg.graph
+    infinite_leaf = g.leaf_ids[-1]
+    root = g.leaf(infinite_leaf).vertex
+    _, parent = _spanning_tree(g, root)
+    depth = {root: 0.0}
+    up_path = {root: (root,)}
+    for w, (v, eid) in parent.items():
+        depth[w] = depth[v] + mg.length[eid]
+        up_path[w] = (w,) + up_path[v]
+    ecc = max(depth.values())
+    height = {v: ecc - d for v, d in depth.items()}
+
+    def branch_constants(v, incoming):
+        order3 = list(g.ribbon[v])
+        k = order3.index(incoming)
+        return {order3[(k + 1) % 3]: 0.0, order3[(k + 2) % 3]: 1.0}
+
+    center = {root: 0.0 + 0.0j}
+    constants = {}
+    incoming_ref = {root: infinite_leaf}
+    for v in [root, *parent]:
+        for ref, c in branch_constants(v, incoming_ref[v]).items():
+            constants[(v, ref)] = c
+            if g.is_edge(ref):
+                e = g.edge(ref)
+                w = e.ends[0] if e.ends[1] == v else e.ends[1]
+                if depth[w] > depth[v]:
+                    center[w] = center[v] + c * t ** height[v]
+                    incoming_ref[w] = ref
+    punctures = tuple(
+        None if l.id == infinite_leaf
+        else center[l.vertex] + constants[(l.vertex, l.id)] * t ** height[l.vertex]
+        for l in g.leaves
+    )
+    return punctures, height, up_path

@@ -101,6 +101,15 @@ def test_embed_json_and_svg(capsys, files, tmp_path):
     assert out_svg.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("length", ["nan", "inf", "0", "-1"])
+def test_embed_bad_ray_length_errors(capsys, files, length):
+    for fmt in ("--svg", "--json"):
+        code, out, err = run(capsys, "embed", files["tripod"], files["rline"], fmt,
+                             "--ray-length", length)
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "BadInput"
+
+
 def test_embed_svg_dimension_error(capsys, files, tmp_path):
     r4 = tmp_path / "r4.json"
     r4.write_text(json.dumps({"rows": 4, "leaf_order": ["p1", "p2", "p3"],
@@ -134,6 +143,19 @@ def test_periods(capsys, files):
     doc = json.loads(out)
     assert doc["integer"] is True
     assert doc["entries"] == [[[3, 0]], [[2, 0]], [[0, 0]]]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("command", ["regularity", "periods", "twists check", "twists solve"])
+def test_bad_tolerance_errors(capsys, files, command, tol):
+    g, r, tw = files["dumbbell"], files["r33"], files["twists"]
+    argv = {"regularity": ["regularity", g, r], "periods": ["periods", g, r, tw],
+            "twists check": ["twists", g, r, "check", "--twists", tw],
+            "twists solve": ["twists", g, r, "solve"]}[command]
+    for flagged in (["--tol", tol, *argv], [*argv, "--tol", tol]):
+        code, out, err = run(capsys, *flagged)
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "BadUsage"
 
 
 def test_collar_value(capsys):
@@ -170,6 +192,19 @@ def test_collar_non_finite_length_errors(capsys, argv):
     code, out, err = run(capsys, "collar", *argv)
     assert code == 1 and out == ""
     assert json.loads(err)["code"] == "BadInput"
+
+
+@pytest.mark.parametrize("points", ["-3", "0", "1"])
+def test_collar_too_few_points_errors(capsys, points):
+    code, out, err = run(capsys, "collar", "--sweep", "1e-1..1e-8", "--points", points)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
+
+
+def test_collar_two_points(capsys):
+    code, out, _ = run(capsys, "collar", "--sweep", "1e-1..1e-8", "--points", "2")
+    assert code == 0
+    assert [row["l"] for row in json.loads(out)["rows"]] == [0.1, 1e-8]
 
 
 def test_degenerate_zero_density_errors(capsys, files):
@@ -218,7 +253,8 @@ def test_degenerate_non_finite_window_errors(capsys, files, window):
 @pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex"])
 def test_degenerate_stdout_matches_golden(capsys, fixture, window):
     # the golden files hold stdout of the version before conjugate-twin
-    # samples were dropped; every later change must reproduce it byte for byte
+    # samples were dropped, less the "kappa" key the report has lost since;
+    # every later change must reproduce it byte for byte
     argv = ["degenerate", str(GOLDEN / f"{fixture}.graph.json"),
             str(GOLDEN / f"{fixture}.residues.json"), "--t", "1e3,1e6"]
     if window is not None:

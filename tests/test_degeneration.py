@@ -38,11 +38,12 @@ from tropharm.errors import (
     ZeroCoordinateError,
 )
 from tropharm.forms import ResidueMatrix
+from tropharm.graph import CubicGraph, MetricGraph
 from tropharm.morphisms import Scene, build_morphism, emit_embedding
 
 from _generators import random_cubic
 from conftest import caterpillar_graph, dumbbell_graph, tripod_graph
-from oracles import chart_logdist_full, points_to_segments_broadcast
+from oracles import chart_logdist_full, place_tree_reference, points_to_segments_broadcast
 
 LINE_R = ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 LINE_SPHERE = PuncturedSphere((0.0, 1.0, None))
@@ -189,6 +190,20 @@ def test_amoeba_map_at_puncture():
         amoeba_map(LINE_SPHERE, LINE_R, 1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, -math.inf),
+                                 complex(math.nan, 1.0)])
+def test_punctured_sphere_refuses_non_finite_punctures(bad):
+    with pytest.raises(InputError, match="finite"):
+        PuncturedSphere((bad, 1.0, None))
+
+
+def test_punctured_sphere_refuses_repeated_punctures():
+    with pytest.raises(InputError, match="distinct"):
+        PuncturedSphere((1.0, 2.0 + 1.0j, 1.0 + 0.0j, None))
+    with pytest.raises(InputError, match="distinct"):
+        PuncturedSphere((0.0, -0.0, None))
+
+
 def test_amoeba_map_zero_residues():
     img = amoeba_map(LINE_SPHERE, ResidueMatrix(np.zeros((2, 3))), 5.0 + 1j)
     assert np.allclose(img, 0.0)
@@ -320,14 +335,6 @@ def test_clip_scene_refuses_a_ray_whose_exit_overflows():
         dg.clip_scene(Scene(2, {"a": np.zeros(2)}, (), (ray,), 1.0), [[-1e10, 1e10], [-1, 1]])
 
 
-@pytest.mark.parametrize("step", [-1.0, 0.0, float("nan")])
-def test_hausdorff_rejects_bad_scene_step(step):
-    scene = Scene(2, {"a": np.zeros(2), "b": np.array([1.0, 0.0])}, (("e", "a", "b"),), (), 1.0)
-    cloud = PointCloud(np.array([[0.5, 0.5]]))
-    with pytest.raises(InputError):
-        hausdorff(cloud, scene, [[-2, 2], [-2, 2]], scene_step=step)
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 def test_points_to_segments_matches_broadcast_formula_bit_for_bit(dim):
     rng = np.random.default_rng(700 + dim)
@@ -360,6 +367,24 @@ def test_place_caterpillar_matches_expected():
     assert pl.punctures[1] == 1.0
     assert pl.punctures[2] == pytest.approx(100.0**2.5)
     assert pl.punctures[3] is None
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 8))
+def test_place_tree_matches_the_dict_reference_bit_for_bit(seed, leaves):
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, 0, leaves)
+    assume(mg is not None)
+    g = mg.graph
+    ribbon = {v: tuple(rng.permutation(g.incident(v))) for v in g.vertices}
+    mg = MetricGraph(CubicGraph(g.vertices, g.edges, g.leaves, ribbon), mg.length)
+    for t in (1e3, 1e6):
+        pl = place_tree(mg, t)
+        punctures, height, up_path = place_tree_reference(mg, t)
+        # tuples of complex numbers compare by value; compare the bits
+        assert [None if p is None else (p.real.hex(), p.imag.hex()) for p in pl.punctures] == \
+            [None if p is None else (p.real.hex(), p.imag.hex()) for p in punctures]
+        assert pl.height == height and pl.up_path == up_path
 
 
 def test_realize_rejects_nontree_and_noninteger():
@@ -557,13 +582,12 @@ def test_convergence_matches_public_hausdorff_per_tripod(window, outside, monkey
     shift = mor.vertex_position["v0"] - dg._alignment_offset(placement, R, "v0")
     raw, region, samples = dg._experiment_cloud(placement, R, mor, win, shift, ExperimentSampling())
     pts = raw / math.log(t) + shift
-    ray_length = 8.0 * float(np.linalg.norm(win[:, 1] - win[:, 0])) + 1.0
-    scene = emit_embedding(mor, leaf_ray_length=ray_length)
+    scene = emit_embedding(mor)
     assert entry.samples == samples == pts.shape[0]
     assert entry.global_hausdorff == hausdorff(PointCloud(pts), scene, win)
     for i, v in enumerate(mg.graph.vertices):
         sub = PointCloud(pts[region == i])
-        tripod = dg._tripod_scene(mor, v, ray_length)
+        tripod = dg._tripod_scene(mor, v)
         if v == outside:
             assert sub.points.shape[0] > 0
             with pytest.raises(EmptyAfterClippingError, match="point cloud"):
