@@ -6,11 +6,8 @@ from .degeneration import (
     ConvergenceReport,
     ExperimentSampling,
     IotaMap,
-    PointCloud,
     PuncturedSphere,
-    SamplingConfig,
     SphereDifferential,
-    amoeba_map,
     annulus_period_experiment,
     collar_modulus,
     collar_sweep,
@@ -22,7 +19,6 @@ from .degeneration import (
     place_tree,
     realize_genus0,
     rescale_H,
-    sample_amoeba,
 )
 from .errors import TropharmError
 from .forms import (

@@ -168,8 +168,6 @@ def cmd_degenerate(args):
 
 
 def cmd_collar(args):
-    if args.l is None and args.sweep is None:
-        raise TropharmError("collar needs --l VALUE or --sweep A..B")
     if args.points is not None and args.points < 2:
         raise InputError(f"--points must be at least 2, got {args.points}")
     if args.l is not None:
@@ -213,12 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
     ``sys.stdout``/``sys.stderr`` when they are written.  Callers must not
     add arguments to the returned parser.
     """
-    common = _Parser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=1e-9, help="numeric tolerance")
-    common.add_argument("--out", help="write primary output to this file instead of stdout")
-    common.add_argument("--quiet", action="store_true", help="suppress informational messages")
+    def global_flags():  # one copy per parser: only the top parser's has defaults
+        flags = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+        flags.add_argument("--tol", type=_tolerance, help="numeric tolerance (default 1e-9)")
+        flags.add_argument("--out", help="write primary output to this file instead of stdout")
+        flags.add_argument("--quiet", action="store_true", help="suppress informational messages")
+        return flags
 
-    p = _Parser(prog="tropharm", description=__doc__, parents=[common])
+    # a subparser sets a global flag only when it follows the subcommand, so it
+    # keeps one given before the subcommand
+    p = _Parser(prog="tropharm", description=__doc__, parents=[global_flags()])
+    p.set_defaults(tol=1e-9, out=None, quiet=False)
+    common = global_flags()
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("check", parents=[common], help="validate a graph file and report counts and dimensions")
@@ -270,8 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_degenerate)
 
     sp = sub.add_parser("collar", parents=[common], help="collar width/modulus table")
-    sp.add_argument("--l", type=float, default=None)
-    sp.add_argument("--sweep", default=None, help="range A..B, log-spaced")
+    length = sp.add_mutually_exclusive_group(required=True)
+    length.add_argument("--l", type=float)
+    length.add_argument("--sweep", help="range A..B, log-spaced")
     sp.add_argument("--points", type=int, default=None)
     sp.set_defaults(fn=cmd_collar)
 

@@ -8,8 +8,8 @@ Three groups of tools live here:
   converge to the tropical edge length l;
 
 * explicit genus-0 differentials sum_j r_j dz/(z - p_j) on punctured spheres
-  (real residues, purely imaginary periods), their harmonic amoeba map
-  A(z)_k = sum_j r_jk log|z - p_j|, and deterministic amoeba sampling;
+  (real residues, purely imaginary periods), and deterministic sampling of
+  their harmonic amoeba map A(z)_k = sum_j r_jk log|z - p_j| on polar charts;
 
 * the convergence experiment: place punctures for a metric tree so the
   log-t-rescaled amoeba approaches the piecewise-linear image of the tree,
@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,9 +46,6 @@ from .errors import (
 from .forms import ResidueMatrix
 from .graph import MetricGraph, _spanning_tree
 from .morphisms import HarmonicMorphism, Scene, build_morphism, emit_embedding
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 FOUR_PI = 4.0 * np.pi
 
@@ -245,51 +241,7 @@ def field_zero(lam1: float, lam_minus1: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# harmonic amoeba map and sampling
-
-
-def amoeba_map(sphere: PuncturedSphere, R: ResidueMatrix, z):
-    """Coordinate k at z: sum over finite punctures of R[k, j] * log|z - p_j|."""
-    if R.n != sphere.n:
-        raise InputError(f"residue matrix has {R.n} columns for {sphere.n} punctures")
-    idx, pts = sphere.finite()
-    zs = np.asarray(z, dtype=complex)
-    scalar = zs.ndim == 0
-    zs = np.atleast_1d(zs)
-    dist = np.abs(zs[:, None] - pts[None, :])
-    if np.any(dist == 0.0):
-        raise EvaluationAtPunctureError("amoeba map evaluated at a puncture")
-    img = np.log(dist) @ R.entries[:, idx].T
-    return img[0] if scalar else img
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    points: np.ndarray  # (N, m), read-only
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise InputError("point cloud is empty")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Polar charts around each finite puncture plus a global disk grid."""
-
-    r_min: float = 1e-3
-    r_max: float = 1e3
-    radial_count: int = 512
-    angular_count: int = 64
-    grid_count: int = 48
-
-    def __post_init__(self):
-        if self.radial_count < 1 or self.angular_count < 1 or self.grid_count < 1:
-            raise MinimumDensityViolationError("all sample counts must be at least 1")
-        if not (0 < self.r_min < self.r_max < math.inf):
-            raise MinimumDensityViolationError("need 0 < r_min < r_max < inf")
+# amoeba sampling
 
 
 def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray,
@@ -346,27 +298,6 @@ def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
     dist = np.abs(gz[:, None] - pts[None, :])
     keep = (np.abs(gz - center) <= r0) & (dist.min(axis=1) > 1e-9 * (1.0 + r0))
     return np.log(dist[keep])
-
-
-def sample_amoeba(sphere: PuncturedSphere, R: ResidueMatrix,
-                  config: SamplingConfig | None = None) -> PointCloud:
-    """Deterministic amoeba sample: per-puncture polar charts + a global grid.
-
-    The chart angles are conjugate-symmetric (see ``_chart_logdist``); with
-    all punctures on one horizontal line only the lower half-circle is
-    evaluated, since the upper half would give the same points.
-    """
-    if config is None:
-        config = SamplingConfig()
-    if R.n != sphere.n:
-        raise InputError(f"residue matrix has {R.n} columns for {sphere.n} punctures")
-    idx, pts = sphere.finite()
-    res_cols = R.entries[:, idx]
-    log_radii = np.linspace(np.log(config.r_min), np.log(config.r_max), config.radial_count)
-    chunks = [_chart_logdist(pts, j, log_radii, config.angular_count)[0] @ res_cols.T
-              for j in range(pts.size)]
-    chunks.append(_grid_logdist(pts, config.grid_count) @ res_cols.T)
-    return PointCloud(np.vstack(chunks))
 
 
 # ----------------------------------------------------------------------
@@ -431,36 +362,61 @@ def _window_mask(points: np.ndarray, win: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _points_to_segments(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
-    """Exact distance from each point to the nearest segment; segs is (S, 2, d).
+def _clipped_t(cols: np.ndarray, a: np.ndarray, ab: np.ndarray, denom: float,
+               lanes: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Projection parameter t = (p - a).ab / |ab|^2 of every column point on
+    one segment, clipped to [0, 1], written into lanes[0].
 
-    One pass per segment over contiguous coordinate columns: the projection
-    parameter t = (p - a).ab / |ab|^2 clipped to [0, 1], then a running
-    minimum of the squared distance to a + t*ab, and one sqrt at the end.
     The dot product adds the even and the odd coordinates apart before adding
-    the two sums, which is the order of numpy's two-lane einsum contraction;
-    with it the result equals the broadcast formula bit for bit.
-    """
-    cols = np.ascontiguousarray(pts.T)
+    the two sums, which is the order of numpy's two-lane einsum contraction."""
+    for k in range(cols.shape[0]):
+        term = lanes[k] if k < 2 else r
+        np.subtract(cols[k], a[k], out=term)
+        term *= ab[k]
+        if k >= 2:
+            lanes[k % 2] += r
+    t = lanes[0]
+    if cols.shape[0] > 1:
+        t += lanes[1]
+    t /= denom
+    return np.clip(t, 0.0, 1.0, out=t)
+
+
+def _sq_dist(cols: np.ndarray, x) -> np.ndarray:
+    """sum_k (cols[k] - x[k])**2 added in coordinate order; x[k] is a scalar
+    or a column like cols[k].  Every point-to-point distance is this sum
+    followed by sqrt, so two of them for the same pair agree bit for bit."""
+    out = (cols[0] - x[0]) ** 2
+    for k in range(1, cols.shape[0]):
+        out += (cols[k] - x[k]) ** 2
+    return out
+
+
+def _segment_params(segs: np.ndarray):
     a, b = segs[:, 0, :], segs[:, 1, :]
     ab = b - a
     denom = np.einsum("sd,sd->s", ab, ab)
-    denom = np.where(denom == 0.0, 1.0, denom)
+    return a, ab, np.where(denom == 0.0, 1.0, denom)
+
+
+def _points_to_segments(pts: np.ndarray, segs: np.ndarray):
+    """Exact distance from each point to the nearest segment; segs is (S, 2, d).
+
+    One pass per segment over contiguous coordinate columns: the clipped
+    projection parameter (``_clipped_t``), then a running minimum of the
+    squared distance to a + t*ab, and one sqrt at the end; the result equals
+    the broadcast formula bit for bit.  Also returns the index of each point's
+    nearest segment and the clipped t on it.
+    """
+    cols = np.ascontiguousarray(pts.T)
+    a, ab, denom = _segment_params(segs)
     dim, n = cols.shape
-    best = np.full(n, np.inf)
+    best, best_t = np.full(n, np.inf), np.zeros(n)
+    best_seg = np.zeros(n, dtype=np.intp)
     lanes, r, sq = np.empty((2, n)), np.empty(n), np.empty(n)
+    closer = np.empty(n, dtype=bool)
     for s in range(segs.shape[0]):
-        for k in range(dim):
-            term = lanes[k] if k < 2 else r
-            np.subtract(cols[k], a[s, k], out=term)
-            term *= ab[s, k]
-            if k >= 2:
-                lanes[k % 2] += r
-        t = lanes[0]
-        if dim > 1:
-            t += lanes[1]
-        t /= denom[s]
-        np.clip(t, 0.0, 1.0, out=t)
+        t = _clipped_t(cols, a[s], ab[s], denom[s], lanes, r)
         for k in range(dim):
             term = sq if k == 0 else r
             np.multiply(t, ab[s, k], out=term)
@@ -469,60 +425,101 @@ def _points_to_segments(pts: np.ndarray, segs: np.ndarray) -> np.ndarray:
             term *= term
             if k:
                 sq += r
-        np.minimum(best, sq, out=best)
-    return np.sqrt(best)
+        np.less(sq, best, out=closer)
+        np.copyto(best, sq, where=closer)
+        np.copyto(best_t, t, where=closer)
+        np.copyto(best_seg, s, where=closer)
+    return np.sqrt(best), best_seg, best_t
 
 
-def _sample_segments(segs: np.ndarray, step: float) -> np.ndarray:
-    pts = []
+def _sample_segments(segs: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples a + linspace(0, 1, n)*(b - a) of each segment, n >= 2 of them
+    at most ``step`` apart, and the count n of each segment."""
+    pts, counts = [], []
     for a, b in segs:
         n = max(2, int(np.ceil(np.linalg.norm(b - a) / step)) + 1)
         ts = np.linspace(0.0, 1.0, n)
         pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
-    return np.vstack(pts)
-
-
-def _kdtree(points: np.ndarray) -> cKDTree:
-    # scipy is imported here, not at module level: only the Hausdorff step
-    # needs it, and importing scipy.spatial takes longer than most CLI calls.
-    # An unbalanced tree without shrunk node boxes builds about twice as fast
-    # and returns the same nearest-neighbour distances.
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points, balanced_tree=False, compact_nodes=False)
+        counts.append(n)
+    return np.vstack(pts), np.array(counts)
 
 
 def _scene_hausdorff(pts: np.ndarray, segs: np.ndarray, win: np.ndarray) -> float:
-    """Hausdorff distance between in-window points and clipped scene segments."""
-    d1 = _points_to_segments(pts, segs).max()
-    scene_pts = _sample_segments(segs, float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0)
-    d2 = _kdtree(pts).query(scene_pts)[0].max()
-    return float(max(d1, d2))
+    """Hausdorff distance between in-window points and clipped scene segments.
 
-
-def hausdorff(cloud: PointCloud, target, window) -> float:
-    """Symmetric Hausdorff distance after clipping both sides to the window.
-
-    ``target`` is a Scene or another PointCloud.  Cloud-to-scene distances are
-    exact point-to-segment projections, one pass over the cloud per clipped
-    segment; the scene-to-cloud direction samples the clipped scene at a
-    spacing of the window diagonal / 2048 and queries a KD-tree on the cloud.
+    The cloud-to-scene side d1 is exact (``_points_to_segments``).  The scene
+    is sampled at a spacing of the window diagonal / 2048, and a sample
+    matters only where its distance to the cloud exceeds d1.  Each sample s
+    gets an upper bound U(s): the least distance from s to the cloud point
+    binned at the sample nearest s's projection on each segment.  Only the
+    samples with U above the running maximum are scanned against the whole
+    cloud, largest U first, and each scan's nearest point lowers the other
+    bounds.  Every bound is the distance to one real cloud
+    point, computed as the exact scan computes it (``_sq_dist``), so the
+    result is the all-pairs maximum of minima bit for bit.
     """
-    dim = cloud.points.shape[1]
-    win = _as_window(window, dim)
-    pts = cloud.points[_window_mask(cloud.points, win)]
+    # duplicate segments (coincident rays) give the same samples and distances
+    _, first = np.unique(segs.reshape(segs.shape[0], -1), axis=0, return_index=True)
+    segs = segs[np.sort(first)]
+    d1, seg, t = _points_to_segments(pts, segs)
+    scene, counts = _sample_segments(segs, float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0)
+    offset = np.concatenate([[0], np.cumsum(counts)[:-1]])
+
+    # bin each point to the sample nearest its projection; then give every
+    # sample the point of its nearest covered sample on the same segment, or
+    # point 0 on a segment no point projects to
+    n = scene.shape[0]
+    rep = np.full(n, -1, dtype=np.intp)
+    rep[offset[seg] + np.rint(t * (counts[seg] - 1)).astype(np.intp)] = np.arange(pts.shape[0])
+    idx = np.arange(n)
+    covered = rep >= 0
+    before = np.maximum.accumulate(np.where(covered, idx, -1))
+    after = np.minimum.accumulate(np.where(covered, idx, n)[::-1])[::-1]
+    start = np.repeat(offset, counts)
+    gap_before = np.where(before >= start, idx - before, n)
+    gap_after = np.where(after < start + np.repeat(counts, counts), after - idx, n)
+    near = np.where(gap_before <= gap_after, before, after)
+    fill = np.where(np.minimum(gap_before, gap_after) < n, rep[near.clip(0, n - 1)], 0)
+
+    # U(s): min over segments of the distance to the fill at s's projection
+    cols = np.ascontiguousarray(pts.T)
+    scols = np.ascontiguousarray(scene.T)
+    a, ab, denom = _segment_params(segs)
+    lanes, r, bound = np.empty((2, n)), np.empty(n), np.full(n, np.inf)
+    for s in range(segs.shape[0]):
+        ts = _clipped_t(scols, a[s], ab[s], denom[s], lanes, r)
+        at = offset[s] + np.rint(ts * (counts[s] - 1)).astype(np.intp)
+        np.minimum(bound, _sq_dist(cols[:, fill[at]], scols), out=bound)
+    bound = np.sqrt(bound)
+
+    # exact scans, largest bound first, until no bound beats the maximum; the
+    # nearest point of each scanned sample tightens every other bound
+    lmax, i = d1.max(), np.argmax(bound)
+    while bound[i] > lmax:
+        sq = _sq_dist(cols, scene[i])
+        p = np.argmin(sq)
+        lmax = max(lmax, np.sqrt(sq[p]))
+        np.minimum(bound, np.sqrt(_sq_dist(scols, cols[:, p])), out=bound)
+        i = np.argmax(bound)
+    return float(lmax)
+
+
+def hausdorff(points, scene: Scene, window) -> float:
+    """Symmetric Hausdorff distance between an (N, m) point array and a scene,
+    after clipping both to the window.
+
+    Cloud-to-scene distances are exact point-to-segment projections; the
+    scene-to-cloud side is exact on the scene sampled at a spacing of the
+    window diagonal / 2048 (see ``_scene_hausdorff``).
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise InputError(f"points must be an (N, m) array, got shape {pts.shape}")
+    win = _as_window(window, pts.shape[1])
+    pts = pts[_window_mask(pts, win)]
     if pts.size == 0:
         raise EmptyAfterClippingError("point cloud is empty after clipping")
-
-    if isinstance(target, PointCloud):
-        other = target.points[_window_mask(target.points, win)]
-        if other.size == 0:
-            raise EmptyAfterClippingError("target cloud is empty after clipping")
-        d1 = _kdtree(other).query(pts)[0].max()
-        d2 = _kdtree(pts).query(other)[0].max()
-        return float(max(d1, d2))
-
-    segs = clip_scene(target, win)
+    segs = clip_scene(scene, win)
     if not segs:
         raise EmptyAfterClippingError("scene is empty after clipping")
     return _scene_hausdorff(pts, np.array(segs), win)

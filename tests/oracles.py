@@ -1,6 +1,7 @@
 """Independent oracles the implementation is checked against."""
 import numpy as np
 
+from tropharm.errors import EvaluationAtPunctureError
 from tropharm.graph import _spanning_tree
 
 
@@ -48,6 +49,39 @@ def points_to_segments_broadcast(pts, segs):
     t = np.clip(t, 0.0, 1.0)
     proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
     return np.linalg.norm(pts[:, None, :] - proj, axis=2).min(axis=1)
+
+
+def scene_hausdorff_bruteforce(pts, segs, win):
+    """Hausdorff distance between the points and the segments (S, 2, d): the
+    broadcast point-to-segment distance one way; the other way, the scene
+    sampled as the library samples it (n >= 2 evenly spaced points per
+    segment, at most window diagonal / 2048 apart) and every sample's minimum
+    over all points, each squared distance summed in coordinate order."""
+    d1 = points_to_segments_broadcast(pts, segs).max()
+    step = float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0
+    d2 = 0.0
+    for a, b in segs:
+        n = max(2, int(np.ceil(np.linalg.norm(b - a) / step)) + 1)
+        samples = a[None, :] + np.linspace(0.0, 1.0, n)[:, None] * (b - a)[None, :]
+        sq = np.zeros((n, pts.shape[0]))
+        for k in range(pts.shape[1]):
+            sq += (pts[None, :, k] - samples[:, k, None]) ** 2
+        d2 = max(d2, np.sqrt(sq.min(axis=1)).max())
+    return float(max(d1, d2))
+
+
+def amoeba_map(sphere, R, z):
+    """Coordinate k at z: sum over finite punctures of R[k, j] * log|z - p_j|,
+    evaluated directly."""
+    idx, pts = sphere.finite()
+    zs = np.asarray(z, dtype=complex)
+    scalar = zs.ndim == 0
+    zs = np.atleast_1d(zs)
+    dist = np.abs(zs[:, None] - pts[None, :])
+    if np.any(dist == 0.0):
+        raise EvaluationAtPunctureError("amoeba map evaluated at a puncture")
+    img = np.log(dist) @ R.entries[:, idx].T
+    return img[0] if scalar else img
 
 
 def chart_logdist_full(pts, j, log_radii, angular_count):

@@ -265,6 +265,19 @@ def test_degenerate_stdout_matches_golden(capsys, fixture, window):
     assert out.encode() == (GOLDEN / name).read_bytes()
 
 
+def test_degenerate_wide_window_matches_earlier_stdout(capsys):
+    # the scene runs out to 1e20 while the cloud stays near the origin; this
+    # took 20 s while a KD-tree on the cloud served the scene-to-cloud side
+    code, out, err = run(capsys, "degenerate", str(GOLDEN / "tripod.graph.json"),
+                         str(GOLDEN / "tripod.residues.json"), "--t", "1e3", "--window", "1e20")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"base_vertex": "w", "infinite_leaf": "p3", "results": {"1000": {"global_hausdorff": '
+        '1.4142135623730951e+20, "per_tripod": {"w": 1.4142135623730951e+20}, "samples": 1112419}}, '
+        '"window": [[-1e+20, 1e+20], [-1e+20, 1e+20]]}\n'
+    )
+
+
 def test_degenerate_with_csv(capsys, files, tmp_path):
     csv = tmp_path / "d.csv"
     code, out, _ = run(capsys, "--quiet", "degenerate", files["tripod"], files["rline"],
@@ -346,16 +359,14 @@ def test_bad_twist_file_errors(capsys, files, tmp_path, content):
         assert json.loads(err)["code"] == "BadInput"
 
 
-def test_only_degenerate_imports_scipy(files):
+def test_no_subcommand_imports_scipy(files):
     # a fresh interpreter: this test process may already hold scipy
     script = """
 import sys
 from tropharm import cli
-for argv in {calls!r}:
+for argv in {calls!r} + [{degenerate!r}]:
     assert cli.main(argv) == 0, argv
 assert "scipy" not in sys.modules
-assert cli.main({degenerate!r}) == 0
-assert "scipy" in sys.modules
 """
     g, r = files["dumbbell"], files["r33"]
     calls = [
@@ -370,6 +381,25 @@ assert "scipy" in sys.modules
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("flag, value, attr, expected", [
+    ("--tol", "0.5", "tol", 0.5), ("--out", "x.json", "out", "x.json"), ("--quiet", None, "quiet", True),
+])
+@pytest.mark.parametrize("before", [True, False])
+def test_global_flag_before_or_after_subcommand(flag, value, attr, expected, before):
+    given = [flag] if value is None else [flag, value]
+    command = ["regularity", "g.json", "r.json"]
+    args = cli.build_parser().parse_args(given + command if before else command + given)
+    assert getattr(args, attr) == expected
+    plain = cli.build_parser().parse_args(command)
+    assert (plain.tol, plain.out, plain.quiet) == (1e-9, None, False)
+
+
+def test_collar_l_and_sweep_are_exclusive(capsys):
+    code, out, err = run(capsys, "collar", "--l", "0.1", "--sweep", "1e-3..1e-1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadUsage"
 
 
 def test_parser_is_reused_without_leaking_state(capsys, files, tmp_path):

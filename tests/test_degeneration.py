@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from tropharm import degeneration as dg
 from tropharm.degeneration import (
     ExperimentSampling,
-    PointCloud,
     PuncturedSphere,
-    SamplingConfig,
-    amoeba_map,
     annulus_period_experiment,
     collar_modulus,
     collar_sweep,
@@ -23,7 +20,6 @@ from tropharm.degeneration import (
     place_tree,
     realize_genus0,
     rescale_H,
-    sample_amoeba,
 )
 from tropharm.errors import (
     EmptyAfterClippingError,
@@ -43,7 +39,13 @@ from tropharm.morphisms import Scene, build_morphism, emit_embedding
 
 from _generators import random_cubic
 from conftest import caterpillar_graph, dumbbell_graph, tripod_graph
-from oracles import chart_logdist_full, place_tree_reference, points_to_segments_broadcast
+from oracles import (
+    amoeba_map,
+    chart_logdist_full,
+    place_tree_reference,
+    points_to_segments_broadcast,
+    scene_hausdorff_bruteforce,
+)
 
 LINE_R = ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 LINE_SPHERE = PuncturedSphere((0.0, 1.0, None))
@@ -225,83 +227,29 @@ def test_rescale_H_zero_coordinate():
 
 
 def test_sampling_config_gate():
-    with pytest.raises(MinimumDensityViolationError):
-        SamplingConfig(radial_count=0)
-    with pytest.raises(MinimumDensityViolationError):
-        SamplingConfig(r_min=1.0, r_max=0.5)
-    for r_min, r_max in ((1e-3, float("inf")), (float("nan"), 1.0), (1e-3, float("nan"))):
-        with pytest.raises(MinimumDensityViolationError):
-            SamplingConfig(r_min=r_min, r_max=r_max)
     for u_step in (0.0, float("inf"), float("nan")):
         with pytest.raises(MinimumDensityViolationError):
             ExperimentSampling(u_step=u_step)
 
 
-def test_sample_amoeba_close_to_dense_oracle():
-    cloud = sample_amoeba(LINE_SPHERE, LINE_R, SamplingConfig())
-    dense = sample_amoeba(LINE_SPHERE, LINE_R, SamplingConfig(
-        radial_count=3200, angular_count=640, grid_count=144))
-    win = [[-5, 5], [-5, 5]]
-    assert hausdorff(cloud, dense, win) <= 0.05
-
-
-def test_sample_amoeba_denser_covers_better():
-    # nested grids: doubling density cannot worsen coverage of the cloud
-    base = dict(r_min=1e-3, r_max=1e3)
-    oracle = sample_amoeba(LINE_SPHERE, LINE_R, SamplingConfig(
-        radial_count=1601, angular_count=512, grid_count=97, **base))
-    win = np.array([[-5, 5], [-5, 5]])
-
-    def coverage(cloud):
-        from scipy.spatial import cKDTree
-
-        inside = np.all((cloud.points >= win[:, 0]) & (cloud.points <= win[:, 1]), axis=1)
-        oin = np.all((oracle.points >= win[:, 0]) & (oracle.points <= win[:, 1]), axis=1)
-        return cKDTree(cloud.points[inside]).query(oracle.points[oin])[0].max()
-
-    coarse = sample_amoeba(LINE_SPHERE, LINE_R, SamplingConfig(
-        radial_count=101, angular_count=32, grid_count=25, **base))
-    fine = sample_amoeba(LINE_SPHERE, LINE_R, SamplingConfig(
-        radial_count=201, angular_count=64, grid_count=49, **base))
-    assert coverage(fine) <= coverage(coarse) + 1e-12
-
-
-def test_sample_amoeba_grid_node_on_puncture():
+def test_grid_logdist_drops_node_on_puncture():
     # an odd grid puts its centre node on the puncture at 0; it is dropped
-    sphere = PuncturedSphere((-1.0, 0.0, 1.0, None))
-    R = ResidueMatrix([[1.0, 0.0, 0.0, -1.0], [0.0, 1.0, -1.0, 0.0]])
-    cloud = sample_amoeba(sphere, R, SamplingConfig(radial_count=16, angular_count=8, grid_count=9))
-    assert np.all(np.isfinite(cloud.points))
-
-
-def test_point_cloud_is_read_only_2d():
-    cloud = PointCloud(np.array([1.0, 2.0]))
-    assert cloud.points.shape == (1, 2)
-    assert not cloud.points.flags.writeable
-    with pytest.raises(InputError):
-        PointCloud(np.zeros((0, 2)))
+    logdist = dg._grid_logdist(np.array([-1.0, 0.0, 1.0], dtype=complex), 9)
+    assert logdist.shape[0] > 0 and np.all(np.isfinite(logdist))
 
 
 # hausdorff
 
 
-def test_hausdorff_identical_clouds():
-    pts = np.array([[0.0, 0.0], [1.0, 2.0], [-1.0, 0.5]])
-    a = PointCloud(pts)
-    assert hausdorff(a, a, [[-3, 3], [-3, 3]]) == 0.0
-
-
 def test_hausdorff_point_vs_segment():
     scene = Scene(2, {"a": np.zeros(2), "b": np.array([1.0, 0.0])}, (("e", "a", "b"),), (), 1.0)
-    cloud = PointCloud(np.zeros((1, 2)))
-    assert hausdorff(cloud, scene, [[-2, 2], [-2, 2]]) == pytest.approx(1.0, abs=1e-3)
+    assert hausdorff(np.zeros((1, 2)), scene, [[-2, 2], [-2, 2]]) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_hausdorff_grid_vs_fill():
     h = 0.125
     xs = np.arange(-1.0, 1.0 + h / 2, h)
     grid = np.array([[x, y] for x in xs for y in xs])
-    cloud = PointCloud(grid)
     verts = {}
     edges = []
     for i, y in enumerate(xs):
@@ -309,14 +257,13 @@ def test_hausdorff_grid_vs_fill():
         verts[f"r{i}"] = np.array([1.0, y])
         edges.append((f"s{i}", f"l{i}", f"r{i}"))
     scene = Scene(2, verts, tuple(edges), (), 1.0)
-    assert hausdorff(cloud, scene, [[-2, 2], [-2, 2]]) <= h / np.sqrt(2) + 1e-6
+    assert hausdorff(grid, scene, [[-2, 2], [-2, 2]]) <= h / np.sqrt(2) + 1e-6
 
 
 def test_hausdorff_empty_after_clip():
-    cloud = PointCloud(np.array([[10.0, 10.0]]))
     scene = Scene(2, {"a": np.zeros(2)}, (), (("p", np.zeros(2), np.array([1.0, 0.0])),), 1.0)
     with pytest.raises(EmptyAfterClippingError):
-        hausdorff(cloud, scene, [[-1, 1], [-1, 1]])
+        hausdorff(np.array([[10.0, 10.0]]), scene, [[-1, 1], [-1, 1]])
 
 
 def test_clip_scene_ray_with_every_component_tiny_is_a_point():
@@ -346,8 +293,34 @@ def test_points_to_segments_matches_broadcast_formula_bit_for_bit(dim):
         a, b = segs[-1]
         pts[:4] = a + np.array([[0.0], [1.0], [0.25], [0.5]]) * (b - a)  # on a segment
         pts[4:6] = segs[0, 0]
-        got = dg._points_to_segments(pts, segs)
+        got, _, _ = dg._points_to_segments(pts, segs)
         assert np.array_equal(got, points_to_segments_broadcast(pts, segs))
+
+
+@settings(max_examples=120)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), duplicate=st.booleans(),
+       zero_length=st.booleans(), parallel=st.booleans(), one_side=st.booleans(),
+       on_samples=st.booleans())
+def test_scene_hausdorff_matches_bruteforce_bit_for_bit(seed, dim, duplicate, zero_length,
+                                                        parallel, one_side, on_samples):
+    rng = np.random.default_rng(seed)
+    win = np.tile([-3.0, 3.0], (dim, 1))
+    segs = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 7)), 2, dim))
+    if zero_length:
+        segs[0, 1] = segs[0, 0]
+    if duplicate:  # coincident rays repeat a segment row
+        segs = np.concatenate([segs, segs[rng.integers(0, len(segs), 2)]])
+    if parallel:
+        offset = 10.0 ** rng.uniform(-9.0, -2.0) * rng.normal(size=dim)
+        segs = np.concatenate([segs, segs[-1:] + offset])
+    pts = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 150)), dim))
+    if one_side:  # every point within 0.3 of the window's lower x edge
+        pts[:, 0] = -3.0 + 0.05 * (pts[:, 0] + 3.0)
+    if on_samples:
+        step = float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0
+        samples, _ = dg._sample_segments(segs, step)
+        pts = np.concatenate([pts, samples[rng.integers(0, len(samples), 5)]])
+    assert dg._scene_hausdorff(pts, segs, win) == scene_hausdorff_bruteforce(pts, segs, win)
 
 
 # placement, realization, convergence
@@ -458,8 +431,7 @@ def test_hausdorff_dimension_one():
     mg = dumbbell_graph()
     scene = emit_embedding(build_morphism(mg, ResidueMatrix([[3.0, -3.0]]), "u"), 5.0)
     pts = np.linspace(-1.5, 3.0, 200)[:, None]
-    cloud = PointCloud(pts)
-    assert hausdorff(cloud, scene, [[-1.5, 3.0]]) <= 0.05
+    assert hausdorff(pts, scene, [[-1.5, 3.0]]) <= 0.05
 
 
 def test_convergence_deeper_tree():
@@ -584,12 +556,12 @@ def test_convergence_matches_public_hausdorff_per_tripod(window, outside, monkey
     pts = raw / math.log(t) + shift
     scene = emit_embedding(mor)
     assert entry.samples == samples == pts.shape[0]
-    assert entry.global_hausdorff == hausdorff(PointCloud(pts), scene, win)
+    assert entry.global_hausdorff == hausdorff(pts, scene, win)
     for i, v in enumerate(mg.graph.vertices):
-        sub = PointCloud(pts[region == i])
+        sub = pts[region == i]
         tripod = dg._tripod_scene(mor, v)
         if v == outside:
-            assert sub.points.shape[0] > 0
+            assert sub.shape[0] > 0
             with pytest.raises(EmptyAfterClippingError, match="point cloud"):
                 hausdorff(sub, tripod, win)
             assert entry.per_tripod[v] is None
