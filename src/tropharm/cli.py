@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -36,14 +35,7 @@ def _load_inputs(args):
 
 
 def _load_twists(path: str, mg: graph.MetricGraph) -> phase.TwistAssignment:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read twist file {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise InputError(f"twist file {path} is not valid JSON: {exc}") from exc
-    return phase.twists_from_dict(d, mg)
+    return phase.twists_from_dict(graph.read_json(path, "twist"), mg)
 
 
 def cmd_check(args):
@@ -92,7 +84,7 @@ def cmd_embed(args):
 
 def cmd_regularity(args):
     mg, R = _load_inputs(args)
-    mor = morphisms.build_morphism(mg, R, args.base_vertex)
+    mor = morphisms.build_morphism(mg, R)
     rep = morphisms.regularity_rank(mg, mor, rank_tol=args.tol)
     _emit(args, {"rank": rep.rank, "expected": rep.expected, "is_regular": rep.is_regular})
     return 0
@@ -246,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("regularity", parents=[common], help="rank of the loop constraints against m*genus")
     sp.add_argument("graph")
     sp.add_argument("residues")
-    sp.add_argument("--base-vertex", default=None)
     sp.set_defaults(fn=cmd_regularity)
 
     sp = sub.add_parser("twists", parents=[common], help="solve or check the loop twist congruences")

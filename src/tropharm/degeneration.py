@@ -39,7 +39,6 @@ from .errors import (
     NonPositiveResiduesError,
     NonIntegerResiduesError,
     NotATreeError,
-    ResiduesDontSumToZeroError,
     SamplingTooDenseError,
     ZeroCoordinateError,
 )
@@ -219,10 +218,7 @@ def ind_genus0(sphere: PuncturedSphere, residue_row) -> SphereDifferential:
     row = np.asarray(residue_row, dtype=float)
     if row.shape != (sphere.n,):
         raise InputError(f"expected {sphere.n} residues, got shape {row.shape}")
-    scale = max(1.0, float(np.max(np.abs(row))))
-    if abs(float(row.sum())) > sphere.n * 1e-9 * scale:
-        raise ResiduesDontSumToZeroError(f"residues sum to {row.sum():.3e}")
-    return SphereDifferential(sphere, tuple(float(r) for r in row))
+    return SphereDifferential(sphere, tuple(float(r) for r in ResidueMatrix(row).row(0)))
 
 
 def field_zero(lam1: float, lam_minus1: float) -> float:

@@ -12,7 +12,6 @@ for the integral formula ``integral = sum l(e) * w(e)``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .errors import (
     SingularSystemError,
     TooFewLeavesError,
 )
-from .graph import GraphPath, MetricGraph, OrientedEdge, check_path, graph_from_dict
+from .graph import GraphPath, MetricGraph, OrientedEdge, check_path, read_json
 
 # Balancing / residue tolerances: relative to the largest stored value.
 TOL_BALANCE = 1e-9
@@ -111,16 +110,6 @@ def dual_form(mg: MetricGraph, path: GraphPath) -> OneForm:
     return OneForm(mg, vals)
 
 
-def check_residue_row(mg: MetricGraph, residue_row) -> np.ndarray:
-    row = np.asarray(residue_row, dtype=float)
-    if row.shape != (mg.n_leaves,):
-        raise InputError(f"expected {mg.n_leaves} residues, got shape {row.shape}")
-    scale = max(1.0, float(np.max(np.abs(row))) if row.size else 1.0)
-    if abs(float(row.sum())) > max(1, row.size) * TOL_RESIDUE * scale:
-        raise ResiduesDontSumToZeroError(f"residues sum to {row.sum():.3e}")
-    return row
-
-
 def potentials_and_currents(mg: MetricGraph, rows) -> tuple[np.ndarray, np.ndarray]:
     """Electrical flow for each residue row: potentials (m x |V|), currents (m x |E|).
 
@@ -151,7 +140,10 @@ def solve_exact_form(mg: MetricGraph, residue_row) -> OneForm:
 
     Its edge values are the currents of ``potentials_and_currents``.
     """
-    row = check_residue_row(mg, residue_row)
+    row = np.asarray(residue_row, dtype=float)
+    if row.shape != (mg.n_leaves,):
+        raise InputError(f"expected {mg.n_leaves} residues, got shape {row.shape}")
+    row = ResidueMatrix(row).row(0)
     _, currents = potentials_and_currents(mg, row)
     vals = dict(zip(mg.graph.edge_ids, currents[0]))
     vals.update(zip(mg.graph.leaf_ids, row))
@@ -204,10 +196,13 @@ class ResidueMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.entries, dtype=float))
+        arr = np.array(self.entries, dtype=float, ndmin=2)  # a copy: the caller's array stays writeable
+        if not np.isfinite(arr).all():
+            raise InputError("residues must be finite numbers")
         scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-        sums = arr.sum(axis=1)
-        if arr.size and np.max(np.abs(sums)) > arr.shape[1] * TOL_RESIDUE * scale:
+        with np.errstate(over="ignore", invalid="ignore"):  # rows near 1e308 may sum to inf or nan
+            sums = arr.sum(axis=1)
+        if not np.all(np.abs(sums) <= arr.shape[1] * TOL_RESIDUE * scale):
             raise ResiduesDontSumToZeroError(f"row sums {sums} are not zero")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -229,24 +224,6 @@ class ResidueMatrix:
 
 # ----------------------------------------------------------------------
 # file formats
-
-
-def one_form_from_dict(d: dict, mg: MetricGraph | None = None) -> OneForm:
-    if mg is None:
-        gdoc = d.get("graph")
-        if isinstance(gdoc, str):
-            from .graph import load_graph
-
-            mg = load_graph(gdoc)
-        elif isinstance(gdoc, dict):
-            mg = graph_from_dict(gdoc)
-        else:
-            raise InputError("one-form document has no usable 'graph' entry")
-    try:
-        vals = {str(k): float(v) for k, v in d["values"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed one-form document: {exc}") from exc
-    return OneForm(mg, vals)
 
 
 def residues_from_dict(d: dict, mg: MetricGraph | None = None) -> ResidueMatrix:
@@ -276,11 +253,4 @@ def residues_to_dict(r: ResidueMatrix, mg: MetricGraph) -> dict:
 
 
 def load_residues(path: str, mg: MetricGraph | None = None) -> ResidueMatrix:
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read residue file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"residue file {path} is not valid JSON: {exc}") from exc
-    return residues_from_dict(d, mg)
+    return residues_from_dict(read_json(path, "residue"), mg)

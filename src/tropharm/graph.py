@@ -218,9 +218,14 @@ class MetricGraph:
         for e in g.edges:
             if e.id not in self.length:
                 raise NonPositiveLengthError(f"edge {e.id} has no length")
-            val = float(self.length[e.id])
+            try:
+                val = float(self.length[e.id])
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"edge {e.id} has length {self.length[e.id]!r}, not a number") from exc
             if not val > 0.0:
                 raise NonPositiveLengthError(f"edge {e.id} has length {val}")
+            if val == np.inf:
+                raise InputError(f"edge {e.id} has infinite length")
             length[e.id] = val
         extra = set(self.length) - set(length)
         if extra:
@@ -449,9 +454,9 @@ def graph_from_dict(d: dict) -> MetricGraph:
         edges = tuple(Edge(e["id"], (e["ends"][0], e["ends"][1])) for e in d["edges"])
         leaves = tuple(Leaf(l["id"], l["vertex"]) for l in d["leaves"])
         lengths = {e["id"]: e["length"] for e in d["edges"]}
-    except (KeyError, TypeError, IndexError) as exc:
+        ribbon = {v: tuple(order) for v, order in d.get("ribbon", {}).items()}
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
-    ribbon = {v: tuple(order) for v, order in d.get("ribbon", {}).items()}
     g = CubicGraph(vertices, edges, leaves, ribbon)
     return MetricGraph(g, lengths)
 
@@ -469,12 +474,16 @@ def graph_to_dict(mg: MetricGraph) -> dict:
     }
 
 
-def load_graph(path: str) -> MetricGraph:
+def read_json(path: str, what: str):
+    """The JSON document in the file at ``path``; ``what`` names the file in errors."""
     try:
-        with open(path) as fh:
-            d = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read graph file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"graph file {path} is not valid JSON: {exc}") from exc
-    return graph_from_dict(d)
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise InputError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_graph(path: str) -> MetricGraph:
+    return graph_from_dict(read_json(path, "graph"))

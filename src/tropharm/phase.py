@@ -40,7 +40,11 @@ class TwistAssignment:
         extra = set(self.theta) - set(g.edge_ids)
         if extra:
             raise InputError(f"twists on unknown edges {sorted(extra)}")
-        theta = {e: float(np.mod(v, TWO_PI)) for e, v in self.theta.items()}
+        theta = {e: float(v) for e, v in self.theta.items()}
+        nonfinite = sorted(e for e, v in theta.items() if not np.isfinite(v))
+        if nonfinite:
+            raise InputError(f"twist angles on edges {nonfinite} are not finite")
+        theta = {e: float(np.mod(v, TWO_PI)) for e, v in theta.items()}
         object.__setattr__(self, "theta", theta)
 
 

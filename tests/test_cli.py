@@ -89,6 +89,16 @@ def test_solve_bad_row(capsys, files):
     assert json.loads(err)["code"] == "ResiduesDontSumToZero"
 
 
+@pytest.mark.parametrize("entry", ["NaN", "null", "Infinity", '"1e400"'])
+def test_non_finite_residues_error(capsys, files, tmp_path, entry):
+    path = tmp_path / "r.json"
+    path.write_text(f'{{"rows": 1, "leaf_order": ["p1", "p2"], "entries": [[{entry}, 0]]}}')
+    for command in ("solve", "embed", "regularity"):
+        code, out, err = run(capsys, command, files["dumbbell"], str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err)["code"] == "BadInput"
+
+
 def test_embed_json_and_svg(capsys, files, tmp_path):
     code, out, _ = run(capsys, "embed", files["tripod"], files["rline"])
     assert code == 0
@@ -346,17 +356,66 @@ def test_twists_check_failing_verdict_still_exit_0(capsys, files, tmp_path):
     assert json.loads(out)["all_pass"] is False
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]"])
-def test_bad_twist_file_errors(capsys, files, tmp_path, content):
-    # a missing file, text that is not JSON, and JSON that is not an object
-    path = tmp_path / "tw.json"
-    if content is not None:
+# a missing file, text that is not JSON, bytes that are not UTF-8, and JSON
+# that is not an object
+UNREADABLE = [None, "{not json", b"\xff\xfe{}", "[1, 2]"]
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
+
+
+@pytest.mark.parametrize("content", UNREADABLE + ['{"e1": NaN, "e2": 0}', '{"e1": "1e400", "e2": 0}'])
+def test_bad_twist_file_errors(capsys, files, tmp_path, content):
+    path = tmp_path / "tw.json"
+    _write(path, content)
     for argv in (("periods", files["dumbbell"], files["r33"], str(path)),
                  ("twists", files["dumbbell"], files["r33"], "check", "--twists", str(path))):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert json.loads(err)["code"] == "BadInput"
+
+
+@pytest.mark.parametrize("kind", ["graph", "residues"])
+@pytest.mark.parametrize("content", UNREADABLE)
+def test_bad_graph_or_residue_file_errors(capsys, files, tmp_path, kind, content):
+    path = tmp_path / "in.json"
+    _write(path, content)
+    argv = ["solve", files["dumbbell"], files["r33"]]
+    argv[1 if kind == "graph" else 2] = str(path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
+
+
+@pytest.mark.parametrize("field, value, code", [
+    ("length", "abc", "BadInput"),
+    ("length", [1], "BadInput"),
+    ("length", float("inf"), "BadInput"),
+    ("length", float("nan"), "NonPositiveLength"),
+    ("ribbon", [1, 2], "BadInput"),
+    ("ribbon", {"v0": 5}, "BadInput"),
+], ids=["length-abc", "length-list", "length-inf", "length-nan", "ribbon-list", "ribbon-int-order"])
+def test_malformed_graph_document_errors(capsys, tmp_path, field, value, code):
+    doc = json.loads((GOLDEN / "caterpillar.graph.json").read_text())
+    if field == "length":
+        doc["edges"][0]["length"] = value
+    else:
+        doc["ribbon"] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "check", str(path))
+    assert got == 1 and out == ""
+    assert json.loads(err)["code"] == code
+
+
+def test_regularity_has_no_base_vertex_flag(capsys, files):
+    code, out, err = run(capsys, "regularity", files["dumbbell"], files["r33"], "--base-vertex", "u")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadUsage"
 
 
 def test_no_subcommand_imports_scipy(files):

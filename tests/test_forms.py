@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -218,6 +220,22 @@ def test_residue_matrix_row_sum():
         ResidueMatrix([[1.0, 2.0]])
     R = ResidueMatrix([[1.0, -1.0], [5.0, -5.0]])
     assert (R.m, R.n) == (2, 2)
+
+
+def test_residue_matrix_leaves_the_callers_array_writeable():
+    entries = np.array([[1.0, -1.0]])
+    R = ResidueMatrix(entries)
+    assert entries.flags.writeable and not R.entries.flags.writeable
+    entries[0, 0] = 7.0
+    assert R.entries[0, 0] == 1.0
+
+
+def test_residue_matrix_refuses_overflowing_rows_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for row in ([1e308, 1e308, -1e308], [-1e308, -1e308, 1e308]):
+            with pytest.raises(ResiduesDontSumToZeroError):
+                ResidueMatrix([row])
 
 
 @given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 5), leaves=st.integers(2, 6))

@@ -1,17 +1,14 @@
 """File-format loaders, the one-leaf graph, and twist solving on a tree."""
-import json
-
 import pytest
 
 from tropharm.errors import InputError, TooFewLeavesError
 from tropharm.forms import (
     form_space_dims,
-    one_form_from_dict,
     residues_from_dict,
     residues_to_dict,
     ResidueMatrix,
 )
-from tropharm.graph import CubicGraph, Edge, Leaf, MetricGraph, graph_to_dict
+from tropharm.graph import CubicGraph, Edge, Leaf, MetricGraph
 from tropharm.phase import solve_twists
 from tropharm.morphisms import build_morphism
 
@@ -34,23 +31,6 @@ def test_one_leaf_graph_valid_but_too_few_leaves():
     assert mg.genus == 2 and mg.n_leaves == 1
     with pytest.raises(TooFewLeavesError):
         form_space_dims(mg)
-
-
-def test_one_form_file_inline_graph(dumbbell):
-    doc = {
-        "graph": graph_to_dict(dumbbell),
-        "values": {"e1": 2.0, "e2": 1.0, "p1": 3.0, "p2": -3.0},
-    }
-    f = one_form_from_dict(json.loads(json.dumps(doc)))
-    assert f.values["e1"] == 2.0
-    assert f.carrier.graph.leaf_ids == ("p1", "p2")
-
-
-def test_one_form_file_graph_path(dumbbell, tmp_path):
-    gpath = tmp_path / "g.json"
-    gpath.write_text(json.dumps(graph_to_dict(dumbbell)))
-    f = one_form_from_dict({"graph": str(gpath), "values": {"p1": 0.0, "p2": 0.0}})
-    assert all(v == 0.0 for v in f.values.values())
 
 
 def test_residue_file_leaf_order_must_match(dumbbell):
