@@ -25,7 +25,7 @@ from .errors import (
     SingularSystemError,
     TooFewLeavesError,
 )
-from .graph import GraphPath, MetricGraph, OrientedEdge, check_path, read_json
+from .graph import GraphPath, MetricGraph, OrientedEdge, check_path, json_number, read_json
 
 # Balancing / residue tolerances: relative to the largest stored value.
 TOL_BALANCE = 1e-9
@@ -228,11 +228,13 @@ class ResidueMatrix:
 
 def residues_from_dict(d: dict, mg: MetricGraph | None = None) -> ResidueMatrix:
     try:
-        rows = int(d["rows"])
-        entries = np.asarray(d["entries"], dtype=float)
+        rows = d["rows"]
+        entries = np.array([[json_number(x, "residue entry") for x in row] for row in d["entries"]])
         leaf_order = [str(x) for x in d["leaf_order"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed residue-matrix document: {exc}") from exc
+    if isinstance(rows, bool) or not isinstance(rows, int):
+        raise InputError(f"rows must be an integer, got {rows!r}")
     if entries.shape != (rows, len(leaf_order)):
         raise InputError(
             f"entries shape {entries.shape} does not match rows={rows}, {len(leaf_order)} leaves"

@@ -453,7 +453,7 @@ def graph_from_dict(d: dict) -> MetricGraph:
         vertices = tuple(d["vertices"])
         edges = tuple(Edge(e["id"], (e["ends"][0], e["ends"][1])) for e in d["edges"])
         leaves = tuple(Leaf(l["id"], l["vertex"]) for l in d["leaves"])
-        lengths = {e["id"]: e["length"] for e in d["edges"]}
+        lengths = {e["id"]: json_number(e["length"], f"edge {e['id']} length") for e in d["edges"]}
         ribbon = {v: tuple(order) for v, order in d.get("ribbon", {}).items()}
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise InputError(f"malformed graph document: {exc}") from exc
@@ -472,6 +472,17 @@ def graph_to_dict(mg: MetricGraph) -> dict:
         "leaves": [{"id": l.id, "vertex": l.vertex} for l in g.leaves],
         "ribbon": {v: list(g.ribbon[v]) for v in g.vertices},
     }
+
+
+def json_number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number (an int or a float, not a
+    bool) that a float can hold; else InputError.  ``what`` names it in errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InputError(f"{what} is an integer too large for a float") from exc
 
 
 def read_json(path: str, what: str):

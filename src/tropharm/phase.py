@@ -12,14 +12,13 @@ surface is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import BadBasisError, InputError, NotALoopError, NotTropicalError
 from .forms import OneForm, ResidueMatrix
-from .graph import GraphPath, MetricGraph, check_path, loop_matrix
+from .graph import GraphPath, MetricGraph, check_path, json_number, loop_matrix
 from .morphisms import HarmonicMorphism, build_morphism, is_tropical, loop_slope_matrix
 
 TWO_PI = 2.0 * np.pi
@@ -104,22 +103,34 @@ def check_integrality(mg: MetricGraph, twists: TwistAssignment, mor: HarmonicMor
 
 
 def _rational_nullspace(mat: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """Exact rank and integer null-space basis of an integer matrix."""
-    rows = [[Fraction(int(x)) for x in row] for row in mat]
+    """Exact rank and integer null-space basis of an integer matrix.
+
+    Gauss-Jordan without fractions, on Python ints: the pivot of column c is
+    the first non-zero entry at or below row r; every other row i with entry
+    f in that column becomes p * row_i - f * row_r (p the pivot), divided by
+    the gcd of its entries.  Each row stays a non-zero multiple of its reduced
+    row-echelon row, so the reduced-row-echelon entry of pivot row i in free
+    column f is rows[i][f] / rows[i][p_i].  The basis vector of free column f
+    is the one with 1 at f and minus those entries at the pivots, scaled to
+    primitive integers by the lcm of their denominators.
+    """
+    rows = mat.tolist()
     ncols = mat.shape[1]
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        p = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -127,14 +138,14 @@ def _rational_nullspace(mat: np.ndarray) -> tuple[int, list[np.ndarray]]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -rows[i][f]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        basis.append(np.array([int(x * denom) for x in vec], dtype=float))
+        scale = 1
+        for row, p in zip(rows, pivots):  # math.lcm ignores the sign of a negative pivot
+            scale = lcm(scale, row[p] // gcd(row[f], row[p]))
+        vec = [0] * ncols
+        vec[f] = scale
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[f] * scale // row[p]
+        basis.append(np.array(vec, dtype=float))
     return r, basis
 
 
@@ -275,8 +286,5 @@ def period_matrix_to_dict(P: LimitPeriodMatrix) -> dict:
 def twists_from_dict(d: dict, mg: MetricGraph) -> TwistAssignment:
     if not isinstance(d, dict):
         raise InputError(f"twist document must be a JSON object, got {type(d).__name__}")
-    try:
-        theta = {str(k): float(v) for k, v in d.items()}
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed twist document: {exc}") from exc
+    theta = {str(k): json_number(v, f"twist on edge {k}") for k, v in d.items()}
     return TwistAssignment(mg, theta)

@@ -1,38 +1,73 @@
 """Canonical JSON output: sorted keys, floats at 17 significant digits.
 
 Deterministic byte-for-byte for equal inputs; 17 significant digits make the
-float round trip exact.
+float round trip exact, and non-finite floats are written as ``null``.
+Strings are escaped as ``json.dumps`` escapes them (ASCII only).  Each value
+is written by the writer registered for its exact type; numpy scalars other
+than ``np.float64`` and ``np.bool_``, and subclasses of the built-in types,
+go through an ``isinstance`` chain that gives the same text.
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _str
 
 import numpy as np
 
 
-def _num(x: float) -> str:
-    if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
-        return "null"
-    return format(float(x), ".17g")
+def _float(x: float) -> str:
+    return format(x, ".17g") if math.isfinite(x) else "null"
 
 
-def dumps_canonical(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
+def _bool(x) -> str:
+    return "true" if x else "false"
+
+
+def _list(obj) -> str:
+    get = _WRITERS.get
+    return "[" + ", ".join([get(type(v), _fallback)(v) for v in obj]) + "]"
+
+
+def _dict(obj) -> str:
+    get = _WRITERS.get
+    items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+    return "{" + ", ".join([f"{_str(str(k))}: {get(type(v), _fallback)(v)}" for k, v in items]) + "}"
+
+
+def _fallback(obj) -> str:
+    """Subclasses of the written types and numpy scalars without a writer
+    (None and bool cannot be subclassed)."""
+    if isinstance(obj, np.bool_):
+        return _bool(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _num(float(obj))
+        return _float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _str(obj)
     if isinstance(obj, np.ndarray):
         return dumps_canonical(obj.tolist())
     if isinstance(obj, dict):
-        items = [f"{json.dumps(str(k))}: {dumps_canonical(v)}" for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))]
-        return "{" + ", ".join(items) + "}"
+        return _dict(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps_canonical(v) for v in obj) + "]"
+        return _list(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+_WRITERS = {
+    type(None): lambda x: "null",
+    bool: _bool,
+    np.bool_: _bool,
+    int: str,
+    float: _float,
+    np.float64: lambda x: _float(float(x)),
+    str: _str,
+    list: _list,
+    tuple: _list,
+    dict: _dict,
+    np.ndarray: lambda a: dumps_canonical(a.tolist()),
+}
+
+
+def dumps_canonical(obj) -> str:
+    return _WRITERS.get(type(obj), _fallback)(obj)

@@ -1,4 +1,9 @@
 """Independent oracles the implementation is checked against."""
+import json
+import math
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 
 from tropharm.errors import EvaluationAtPunctureError
@@ -156,3 +161,67 @@ def place_tree_reference(mg, t):
         for l in g.leaves
     )
     return punctures, height, up_path
+
+
+def rational_nullspace_fraction(mat):
+    """Exact rank and integer null-space basis of an integer matrix, by
+    Gauss-Jordan on ``Fraction`` rows: each pivot row is divided by its pivot,
+    and each kernel vector (1 at its free column, minus the reduced entries at
+    the pivot columns) is scaled by the lcm of its denominators."""
+    rows = [[Fraction(int(x)) for x in row] for row in mat]
+    ncols = mat.shape[1]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            vec[p] = -rows[i][f]
+        denom = 1
+        for x in vec:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        basis.append(np.array([int(x * denom) for x in vec], dtype=float))
+    return r, basis
+
+
+def dumps_canonical_chain(obj):
+    """Canonical JSON by one ``isinstance`` chain, recursing once per value:
+    sorted keys, floats at 17 significant digits, non-finite floats as null,
+    strings and keys through ``json.dumps``."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return "null" if math.isnan(x) or math.isinf(x) else format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return dumps_canonical_chain(obj.tolist())
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(k))}: {dumps_canonical_chain(v)}"
+                 for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))]
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(dumps_canonical_chain(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -391,6 +391,38 @@ def test_bad_graph_or_residue_file_errors(capsys, files, tmp_path, kind, content
     assert json.loads(err)["code"] == "BadInput"
 
 
+BIG_INT = "1" + "0" * 400  # an integer literal no float can hold
+
+
+@pytest.mark.parametrize("command, kind, text", [
+    ("check", "graph", "true"),
+    ("check", "graph", '"2"'),
+    ("check", "graph", BIG_INT),
+    ("solve", "residues", '{"rows": true, "leaf_order": ["p1", "p2"], "entries": [[1, -1]]}'),
+    ("solve", "residues", '{"rows": 2.5, "leaf_order": ["p1", "p2"], "entries": [[1, -1], [2, -2]]}'),
+    ("solve", "residues", '{"rows": 1, "leaf_order": ["p1", "p2"], "entries": [[true, -1]]}'),
+    ("solve", "residues", '{"rows": 1, "leaf_order": ["p1", "p2"], "entries": [[1, "-1"]]}'),
+    ("solve", "residues", f'{{"rows": 1, "leaf_order": ["p1", "p2"], "entries": [[{BIG_INT}, -1]]}}'),
+    ("twists check", "twists", '{"e1": true, "e2": 0.5}'),
+    ("twists check", "twists", '{"e1": 1, "e2": "0.5"}'),
+    ("twists check", "twists", f'{{"e1": {BIG_INT}, "e2": 0}}'),
+], ids=["length-true", "length-string", "length-big-int", "rows-true", "rows-float",
+        "entry-true", "entry-string", "entry-big-int", "twist-true", "twist-string", "twist-big-int"])
+def test_non_number_input_errors(capsys, files, tmp_path, command, kind, text):
+    path = tmp_path / "in.json"
+    if kind == "graph":  # the text is the first edge's length
+        path.write_text(json.dumps(DUMBBELL).replace('"length": 1.0', f'"length": {text}', 1))
+    else:
+        path.write_text(text)
+    g = str(path) if kind == "graph" else files["dumbbell"]
+    r = str(path) if kind == "residues" else files["r33"]
+    argv = {"check": ["check", g], "solve": ["solve", g, r],
+            "twists check": ["twists", g, r, "check", "--twists", str(path)]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
+
+
 @pytest.mark.parametrize("field, value, code", [
     ("length", "abc", "BadInput"),
     ("length", [1], "BadInput"),
@@ -425,12 +457,15 @@ import sys
 from tropharm import cli
 for argv in {calls!r} + [{degenerate!r}]:
     assert cli.main(argv) == 0, argv
-assert "scipy" not in sys.modules
+for module in ("scipy", "fractions", "decimal"):
+    assert module not in sys.modules, module
 """
     g, r = files["dumbbell"], files["r33"]
     calls = [
-        ["check", g], ["solve", g, r], ["embed", g, r], ["regularity", g, r],
-        ["twists", g, r, "solve"], ["periods", g, r, files["twists"]], ["collar", "--l", "0.1"],
+        ["check", g], ["solve", g, r], ["embed", g, r], ["embed", files["tripod"], files["rline"], "--svg"],
+        ["regularity", g, r], ["twists", g, r, "solve"],
+        ["twists", g, r, "check", "--twists", files["twists"]],
+        ["periods", g, r, files["twists"]], ["collar", "--l", "0.1"],
     ]
     degenerate = ["degenerate", files["tripod"], files["rline"], "--t", "1e3",
                   "--window", "3", "--density", "0.5"]

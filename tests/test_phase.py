@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropharm.errors import BadBasisError, NotALoopError, NotTropicalError
 from tropharm.forms import OneForm, ResidueMatrix
@@ -8,6 +10,7 @@ from tropharm.morphisms import build_morphism
 from tropharm.phase import (
     PeriodBasis,
     TwistAssignment,
+    _rational_nullspace,
     check_integrality,
     default_period_basis,
     is_integer_period_matrix,
@@ -19,6 +22,7 @@ from tropharm.phase import (
 
 from conftest import dumbbell_graph, genus2_graph
 from _generators import random_tropical_morphism
+from oracles import rational_nullspace_fraction
 
 R33 = ResidueMatrix([[3.0, -3.0]])
 
@@ -193,3 +197,38 @@ def test_loop_twist_sum_additive_in_cycle_space(rng):
         direct = float(((coeff @ inc) * theta * vals).sum())
         combined = float(np.dot(coeff, sums))
         assert direct == pytest.approx(combined, abs=1e-10)
+
+
+@st.composite
+def integer_matrices(draw):
+    """1-8 rows by 1-14 columns: entries small or up to +-10^6 of either sign,
+    some rows zero or integer combinations of two earlier rows, some columns
+    zero."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 14))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6), st.just(0))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "combination" and rows:
+            a, b = draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2))
+            ca, cb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([ca * x + cb * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    mat = np.array(rows, dtype=np.int64)
+    zero_cols = draw(st.lists(st.integers(0, ncols - 1), max_size=3))
+    mat[:, zero_cols] = 0
+    return mat
+
+
+@settings(max_examples=300)
+@given(integer_matrices())
+def test_rational_nullspace_matches_fraction_oracle(mat):
+    rank, basis = _rational_nullspace(mat)
+    want_rank, want_basis = rational_nullspace_fraction(mat)
+    assert rank == want_rank
+    assert len(basis) == len(want_basis)
+    assert all(np.array_equal(got, want) for got, want in zip(basis, want_basis))
