@@ -18,13 +18,21 @@ from .errors import InputError, MinimumDensityViolationError, NonPositiveLengthE
 from .serialize import dumps_canonical
 
 
+def _write(args, path: str, text: str):
+    """Write ``text`` to the file at ``path`` and say so unless --quiet."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {path}: {exc}") from exc
+    if not args.quiet:
+        print(f"wrote {path}", file=sys.stderr)
+
+
 def _emit(args, payload, text: str | None = None):
     out = text if text is not None else dumps_canonical(payload) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-        if not args.quiet:
-            print(f"wrote {args.out}", file=sys.stderr)
+        _write(args, args.out, out)
     else:
         sys.stdout.write(out)
 
@@ -151,10 +159,7 @@ def cmd_degenerate(args):
     report = deg.convergence_experiment(mg, R, ts, sampling=sampling, window=window,
                                         base_vertex=args.base_vertex)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.to_csv())
-        if not args.quiet:
-            print(f"wrote {args.csv}", file=sys.stderr)
+        _write(args, args.csv, report.to_csv())
     _emit(args, report.to_dict())
     return 0
 

@@ -446,13 +446,13 @@ def _scene_hausdorff(pts: np.ndarray, segs: np.ndarray, win: np.ndarray) -> floa
     The cloud-to-scene side d1 is exact (``_points_to_segments``).  The scene
     is sampled at a spacing of the window diagonal / 2048, and a sample
     matters only where its distance to the cloud exceeds d1.  Each sample s
-    gets an upper bound U(s): the least distance from s to the cloud point
-    binned at the sample nearest s's projection on each segment.  Only the
-    samples with U above the running maximum are scanned against the whole
-    cloud, largest U first, and each scan's nearest point lowers the other
-    bounds.  Every bound is the distance to one real cloud
-    point, computed as the exact scan computes it (``_sq_dist``), so the
-    result is the all-pairs maximum of minima bit for bit.
+    gets an upper bound U(s): its distance to the cloud point binned at the
+    nearest covered sample of s's own segment.  Only the samples with U above
+    the running maximum are scanned against the whole cloud, largest U first,
+    and each scan's nearest point lowers the other bounds.  Every bound is
+    the distance to one real cloud point, computed as the exact scan computes
+    it (``_sq_dist``), so the result is the all-pairs maximum of minima bit
+    for bit.
     """
     # duplicate segments (coincident rays) give the same samples and distances
     _, first = np.unique(segs.reshape(segs.shape[0], -1), axis=0, return_index=True)
@@ -477,16 +477,9 @@ def _scene_hausdorff(pts: np.ndarray, segs: np.ndarray, win: np.ndarray) -> floa
     near = np.where(gap_before <= gap_after, before, after)
     fill = np.where(np.minimum(gap_before, gap_after) < n, rep[near.clip(0, n - 1)], 0)
 
-    # U(s): min over segments of the distance to the fill at s's projection
     cols = np.ascontiguousarray(pts.T)
     scols = np.ascontiguousarray(scene.T)
-    a, ab, denom = _segment_params(segs)
-    lanes, r, bound = np.empty((2, n)), np.empty(n), np.full(n, np.inf)
-    for s in range(segs.shape[0]):
-        ts = _clipped_t(scols, a[s], ab[s], denom[s], lanes, r)
-        at = offset[s] + np.rint(ts * (counts[s] - 1)).astype(np.intp)
-        np.minimum(bound, _sq_dist(cols[:, fill[at]], scols), out=bound)
-    bound = np.sqrt(bound)
+    bound = np.sqrt(_sq_dist(cols[:, fill], scols))
 
     # exact scans, largest bound first, until no bound beats the maximum; the
     # nearest point of each scanned sample tightens every other bound

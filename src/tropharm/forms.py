@@ -170,7 +170,11 @@ def form_space_dims(mg: MetricGraph) -> tuple[int, int]:
         raise TooFewLeavesError(f"need at least 2 leaves, have {n}")
     bal = mg.incidence
     total = bal.shape[1]
-    loops = np.hstack([mg.cycles * mg.lengths, np.zeros((g, n))])
+    # the loop integrals are cycles * lengths, but for positive lengths the
+    # rank is the same on the bare cycles (cycles @ diag(l) @ cycles.T is
+    # positive definite on the cycle flows), and the length scale stays out
+    # of the rank tolerance
+    loops = np.hstack([mg.cycles, np.zeros((g, n))])
     leaf_rows = np.hstack([np.zeros((n, total - n)), np.eye(n)])
 
     dim_exact = total - np.linalg.matrix_rank(np.vstack([bal, loops]), tol=None)

@@ -88,14 +88,32 @@ class CubicGraph:
             if len(incidence[v]) != 3:
                 raise NotCubicError(f"vertex {v} has valence {len(incidence[v])}, not 3")
 
-        _check_connected(vertices, edges)
+        if not vertices:
+            raise NotCubicError("graph has no vertices")
+        # Kruskal on the sorted edge ids gives the one spanning tree that cycle
+        # bases, leaf paths and tree placement walk; a forest with fewer than
+        # |V| - 1 edges means the graph is disconnected.  With every vertex
+        # trivalent and the graph connected, |E| = 3g - 3 + n and
+        # |V| = 2g - 2 + n follow.
+        root = {v: v for v in vertices}
 
-        # Euler counts: always consistent for a connected 3-valent graph,
-        # re-checked exactly since downstream dimension formulas lean on them.
-        g = len(edges) - len(vertices) + 1
-        n = len(leaves)
-        if len(edges) != 3 * g - 3 + n or len(vertices) != 2 * g - 2 + n or 2 * g - 2 + n <= 0:
-            raise NotCubicError("edge/vertex counts inconsistent with a cubic graph")
+        def find(v):
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        tree_adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
+        tree = set()
+        for e in edges:
+            ru, rv = find(e.ends[0]), find(e.ends[1])
+            if ru != rv:
+                root[ru] = rv
+                tree.add(e.id)
+                tree_adj[e.ends[0]].append((e.ends[1], e.id))
+                tree_adj[e.ends[1]].append((e.ends[0], e.id))
+        if len(tree) != len(vertices) - 1:
+            raise DisconnectedError("graph is not connected")
 
         ribbon: dict[str, tuple[str, str, str]] = {}
         for v in vertices:
@@ -118,6 +136,8 @@ class CubicGraph:
         object.__setattr__(self, "_edge_by_id", {e.id: e for e in edges})
         object.__setattr__(self, "_leaf_by_id", {l.id: l for l in leaves})
         object.__setattr__(self, "_incidence", {v: tuple(incidence[v]) for v in vertices})
+        object.__setattr__(self, "_tree", frozenset(tree))
+        object.__setattr__(self, "_tree_adj", {v: tuple(sorted(adj)) for v, adj in tree_adj.items()})
 
     # lookups
 
@@ -262,25 +282,6 @@ class MetricGraph:
         return sum(self.length.values())
 
 
-def _check_connected(vertices, edges) -> None:
-    if not vertices:
-        raise NotCubicError("graph has no vertices")
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for e in edges:
-        adj[e.ends[0]].add(e.ends[1])
-        adj[e.ends[1]].add(e.ends[0])
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(vertices):
-        raise DisconnectedError("graph is not connected")
-
-
 def check_path(g: CubicGraph, path: GraphPath) -> None:
     """Validate chaining and injectivity; raise NotPathOrLoop / NotALoop."""
     items = path.items
@@ -318,50 +319,26 @@ def check_path(g: CubicGraph, path: GraphPath) -> None:
 # spanning tree, cycle basis, leaf paths (deterministic: sorted edge ids)
 
 
-def _spanning_tree(g: CubicGraph, root: str | None = None) -> tuple[set[str], dict[str, tuple[str, str]]]:
-    """Kruskal on lexicographically sorted edge ids.
+def _spanning_tree(g: CubicGraph, root: str | None = None) -> tuple[frozenset[str], dict[str, tuple[str, str]]]:
+    """The graph's spanning tree (Kruskal on sorted edge ids, built with the graph).
 
     Returns the tree edge id set and a parent map: vertex -> (parent vertex,
     connecting edge id), rooted at ``root`` (default: the smallest vertex id).
     The map is in breadth-first order, neighbours visited by (vertex id,
     edge id), so every vertex comes after its parent.
     """
-    parent_uf = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent_uf[v] != v:
-            parent_uf[v] = parent_uf[parent_uf[v]]
-            v = parent_uf[v]
-        return v
-
-    tree: set[str] = set()
-    for e in g.edges:  # already sorted by id
-        ru, rv = find(e.ends[0]), find(e.ends[1])
-        if ru != rv:
-            parent_uf[ru] = rv
-            tree.add(e.id)
-
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        if e.id in tree:
-            adj[e.ends[0]].append((e.ends[1], e.id))
-            adj[e.ends[1]].append((e.ends[0], e.id))
-    for v in adj:
-        adj[v].sort()
-
     if root is None:
         root = g.vertices[0]
     parent: dict[str, tuple[str, str]] = {}
     seen = {root}
     queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w, eid in adj[v]:
+    for v in queue:
+        for w, eid in g._tree_adj[v]:
             if w not in seen:
                 seen.add(w)
                 parent[w] = (v, eid)
                 queue.append(w)
-    return tree, parent
+    return g._tree, parent
 
 
 def _tree_path(g: CubicGraph, parent: dict[str, tuple[str, str]], u: str, v: str) -> list[OrientedEdge]:
@@ -423,7 +400,11 @@ def loop_matrix(g: CubicGraph, loops) -> np.ndarray:
 
 
 def leaf_paths(mg: MetricGraph, base_leaf: str) -> tuple[GraphPath, ...]:
-    """Paths from ``base_leaf`` to every other leaf, in leaf order."""
+    """Paths from ``base_leaf`` to every other leaf, in leaf order.
+
+    Each path runs through the spanning tree, so it passes ``check_path`` by
+    construction; as for ``cycle_basis``, the tests check this, not every call.
+    """
     g = mg.graph
     if not g.is_leaf(base_leaf):
         raise UnknownLeafError(f"unknown leaf {base_leaf}")
@@ -438,9 +419,7 @@ def leaf_paths(mg: MetricGraph, base_leaf: str) -> tuple[GraphPath, ...]:
             + _tree_path(g, parent, base.vertex, l.vertex)
             + [OrientedEdge(l.id, False)]
         )
-        p = GraphPath(tuple(items), is_loop=False)
-        check_path(g, p)
-        paths.append(p)
+        paths.append(GraphPath(tuple(items), is_loop=False))
     return tuple(paths)
 
 

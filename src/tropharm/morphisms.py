@@ -40,15 +40,23 @@ class HarmonicMorphism:
     def __post_init__(self):
         g = self.carrier.graph
         m = self.ambient_dim
-        # The dicts are the public view; the stacked arrays (rows in vertex,
-        # edge and leaf order) back them and feed the matrix computations.
-        for name, table, keys in (("_positions", self.vertex_position, g.vertices),
-                                  ("_edge_slopes", self.edge_slope, g.edge_ids),
-                                  ("_leaf_slopes", self.leaf_slope, g.leaf_ids)):
+        # The stacked arrays (rows in vertex, edge and leaf order) feed the
+        # matrix computations; the public dicts are new views of their rows,
+        # so the caller's dicts are left as they were.
+        for view, name, keys, what in (("vertex_position", "_positions", g.vertices, "vertices"),
+                                       ("edge_slope", "_edge_slopes", g.edge_ids, "edges"),
+                                       ("leaf_slope", "_leaf_slopes", g.leaf_ids, "leaves")):
+            table = getattr(self, view)
+            missing = set(keys) - set(table)
+            if missing:
+                raise InputError(f"{view} missing for {what} {sorted(missing)}")
+            extra = set(table) - set(keys)
+            if extra:
+                raise InputError(f"{view} given for unknown {what} {sorted(extra)}")
             rows = np.array([np.asarray(table[k], dtype=float).reshape(m) for k in keys])
             rows = rows.reshape(len(keys), m)
             rows.setflags(write=False)
-            table.update(zip(keys, rows))
+            object.__setattr__(self, view, dict(zip(keys, rows)))
             object.__setattr__(self, name, rows)
         scale = max(1.0, _max_abs(self._edge_slopes), _max_abs(self._leaf_slopes))
         defect = balancing_defect(self)

@@ -65,6 +65,25 @@ def test_check_not_cubic(capsys, tmp_path):
     assert json.loads(err)["code"] == "NotCubic"
 
 
+def test_check_empty_graph(capsys, tmp_path):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"vertices": [], "edges": [], "leaves": []}))
+    code, out, err = run(capsys, "check", str(p))
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"code": "NotCubic", "message": "graph has no vertices"}
+
+
+@pytest.mark.parametrize("l1, l2", [(1e-200, 2e-200), (1e200, 2e200), (1.0, 1e300)])
+def test_check_dims_at_extreme_lengths(capsys, tmp_path, l1, l2):
+    doc = json.loads(json.dumps(DUMBBELL))
+    doc["edges"][0]["length"], doc["edges"][1]["length"] = l1, l2
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dims"] == [1, 1]
+
+
 def test_check_negative_length(capsys, tmp_path):
     doc = json.loads(json.dumps(DUMBBELL))
     doc["edges"][0]["length"] = -1.0
@@ -309,6 +328,19 @@ def test_degenerate_repeated_t_runs_once(capsys, files, tmp_path):
     code, twice, _ = run(capsys, *argv, "--t", "1e3,1e3", "--csv", str(csv))
     assert code == 0 and twice == once
     assert len(csv.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("where", ["out-missing-dir", "out-directory", "csv-missing-dir"])
+def test_unwritable_output_file_errors(capsys, files, tmp_path, where):
+    target = str(tmp_path) if where == "out-directory" else str(tmp_path / "missing" / "x")
+    if where.startswith("csv"):
+        argv = ["degenerate", files["tripod"], files["rline"], "--t", "1e3", "--window", "3",
+                "--density", "0.5", "--csv", target]
+    else:
+        argv = ["check", files["tripod"], "--out", target]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
 
 
 def test_output_deterministic(capsys, files):

@@ -31,6 +31,24 @@ from conftest import dumbbell_graph, theta_graph, tripod_graph
 from _generators import random_cubic, random_valid_cubic
 
 
+@given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 3), leaves=st.integers(0, 4))
+def test_disjoint_union_is_disconnected(seed, genus, leaves):
+    # two random cubic graphs side by side: every vertex is trivalent, so
+    # only the spanning forest can tell that the graph is not connected
+    assume(2 * genus - 2 + leaves >= 1)
+    rng = np.random.default_rng(seed)
+    parts = [random_cubic(rng, genus, leaves), random_valid_cubic(rng, 3, 4)]
+    assume(parts[0] is not None)
+    vs, es, ls = [], [], []
+    for tag, mg in zip("ab", parts):
+        g = mg.graph
+        vs += [tag + v for v in g.vertices]
+        es += [Edge(tag + e.id, (tag + e.ends[0], tag + e.ends[1])) for e in g.edges]
+        ls += [Leaf(tag + l.id, tag + l.vertex) for l in g.leaves]
+    with pytest.raises(DisconnectedError, match="graph is not connected"):
+        CubicGraph(tuple(vs), tuple(es), tuple(ls))
+
+
 def test_tripod_valid():
     mg = tripod_graph()
     assert mg.genus == 0
@@ -150,6 +168,13 @@ def test_cycle_basis_loops_are_valid_paths(seed, genus, leaves):
     for loop in loops:
         assert loop.is_loop
         check_path(mg.graph, loop)
+    # nor does leaf_paths validate its paths
+    if mg.n_leaves:
+        paths = leaf_paths(mg, mg.graph.leaf_ids[0])
+        assert len(paths) == mg.n_leaves - 1
+        for path in paths:
+            assert not path.is_loop
+            check_path(mg.graph, path)
 
 
 def test_leaf_paths_tripod():

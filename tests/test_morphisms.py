@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from tropharm.errors import UnsupportedDimensionForSvgError
+from tropharm.errors import InputError, UnsupportedDimensionForSvgError
 from tropharm.forms import ResidueMatrix, solve_exact_form
 from tropharm.graph import MetricGraph, _spanning_tree
 from tropharm.morphisms import (
+    HarmonicMorphism,
     build_morphism,
     balancing_defect,
     combinatorial_type,
@@ -98,6 +99,28 @@ def test_positions_integrate_slopes_along_spanning_tree(rng):
         scale = max(1.0, max(float(np.max(np.abs(p))) for p in want.values()))
         for v in g.vertices:
             assert np.max(np.abs(mor.vertex_position[v] - want[v])) <= 1e-12 * scale
+
+
+def test_morphism_copies_the_callers_dicts_and_refuses_bad_keys(dumbbell):
+    mor = build_morphism(dumbbell, ResidueMatrix([[3.0, -3.0]]))
+    tables = {"vertex_position": {v: list(x) for v, x in mor.vertex_position.items()},
+              "edge_slope": {e: list(x) for e, x in mor.edge_slope.items()},
+              "leaf_slope": {l: list(x) for l, x in mor.leaf_slope.items()}}
+    before = {name: dict(table) for name, table in tables.items()}
+    built = HarmonicMorphism(dumbbell, 1, "u", **tables)
+    for name, table in tables.items():
+        assert table.keys() == before[name].keys()
+        assert all(table[k] is x for k, x in before[name].items())  # not replaced by arrays
+        assert getattr(built, name) is not table
+        assert getattr(built, name).keys() == getattr(mor, name).keys()
+    for name, key in (("vertex_position", "ghost"), ("edge_slope", "p1"), ("leaf_slope", "e1")):
+        ghost = dict(tables, **{name: {**tables[name], key: [0.0]}})
+        with pytest.raises(InputError, match="unknown"):
+            HarmonicMorphism(dumbbell, 1, "u", **ghost)
+        first = next(iter(tables[name]))
+        short = dict(tables, **{name: {k: x for k, x in tables[name].items() if k != first}})
+        with pytest.raises(InputError, match="missing"):
+            HarmonicMorphism(dumbbell, 1, "u", **short)
 
 
 def test_residues_of_line(tripod):
