@@ -4,7 +4,6 @@ morphisms, twist integrality, and genus-0 amoeba degeneration experiments."""
 from .degeneration import (
     AnnulusReport,
     ConvergenceReport,
-    ExperimentSampling,
     IotaMap,
     PuncturedSphere,
     SphereDifferential,
@@ -29,7 +28,6 @@ from .forms import (
     dual_form,
     form_space_dims,
     integrate,
-    is_integer_form,
     residues,
     solve_exact_form,
 )
@@ -42,17 +40,14 @@ from .graph import (
     OrientedEdge,
     cycle_basis,
     graph_from_dict,
-    graph_to_dict,
     leaf_paths,
     load_graph,
 )
 from .morphisms import (
-    CombinatorialType,
     HarmonicMorphism,
     RegularityReport,
     Scene,
     build_morphism,
-    combinatorial_type,
     emit_embedding,
     is_tropical,
     regularity_rank,
@@ -70,7 +65,6 @@ from .phase import (
     default_period_basis,
     is_integer_period_matrix,
     limit_period_matrix,
-    loop_twist_sum,
     solve_twists,
     zero_twists,
 )

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import degeneration as deg
 from . import forms, graph, morphisms, phase
-from .errors import InputError, MinimumDensityViolationError, NonPositiveLengthError, TropharmError
+from .errors import InputError, NonPositiveLengthError, TropharmError
 from .serialize import dumps_canonical
 
 
@@ -112,7 +112,7 @@ def cmd_twists(args):
         })
         return 0
     if not args.twists:
-        raise TropharmError("check mode needs --twists FILE")
+        raise InputError("check mode needs --twists FILE")
     twists = _load_twists(args.twists, mg)
     chk = phase.check_integrality(mg, twists, mor, tol=args.tol)
     _emit(args, {
@@ -148,15 +148,7 @@ def cmd_degenerate(args):
     window = None
     if args.window is not None:
         window = np.array([[-args.window, args.window]] * R.m)
-    density = args.density
-    if not (density > 0 and np.isfinite(density)):
-        raise MinimumDensityViolationError(f"density must be positive and finite, got {density}")
-    sampling = deg.ExperimentSampling(
-        u_step=0.02 / density,
-        angular_count=max(1, round(64 * density)),
-        grid_count=max(1, round(32 * density)),
-    )
-    report = deg.convergence_experiment(mg, R, ts, sampling=sampling, window=window,
+    report = deg.convergence_experiment(mg, R, ts, args.density, window=window,
                                         base_vertex=args.base_vertex)
     if args.csv:
         _write(args, args.csv, report.to_csv())
@@ -174,7 +166,7 @@ def cmd_collar(args):
             lo_s, hi_s = args.sweep.split("..")
             lo, hi = float(lo_s), float(hi_s)
         except ValueError as exc:
-            raise TropharmError(f"bad sweep range {args.sweep!r}; expected A..B") from exc
+            raise InputError(f"bad sweep range {args.sweep!r}; expected A..B") from exc
         if not (lo > 0 and hi > 0):
             raise NonPositiveLengthError(f"sweep range {args.sweep!r} must be positive")
         if not (np.isfinite(lo) and np.isfinite(hi)):

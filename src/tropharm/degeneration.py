@@ -60,7 +60,10 @@ def collar_width(l):
         raise NonPositiveLengthError("collar_width needs a positive length")
     if not np.all(np.isfinite(arr)):
         raise InputError("collar_width needs a finite length")
-    out = np.arcsinh(1.0 / np.sinh(arr / 2.0))
+    with np.errstate(over="ignore"):  # sinh(l/2) = inf at huge l gives the limit w = 0
+        out = np.arcsinh(1.0 / np.sinh(arr / 2.0))
+    if not np.all(np.isfinite(out)):
+        raise InputError("collar_width overflows: the length is too small")
     return float(out) if np.isscalar(l) or arr.ndim == 0 else out
 
 
@@ -71,7 +74,10 @@ def collar_modulus(l):
     """
     w = collar_width(l)  # refuses a non-positive or non-finite length first
     arr = np.asarray(l, dtype=float)
-    out = (2.0 / arr) * np.arccos(1.0 / np.cosh(w))
+    with np.errstate(over="ignore"):
+        out = (2.0 / arr) * np.arccos(1.0 / np.cosh(w))
+    if not np.all(np.isfinite(out)):
+        raise InputError("collar_modulus overflows: the length is too small")
     return float(out) if np.isscalar(l) or arr.ndim == 0 else out
 
 
@@ -195,14 +201,14 @@ class SphereDifferential:
         res = np.array([self.residues[j] for j in idx])
         return (res / (z[..., None] - pts)).sum(axis=-1)
 
-    def circular_period(self, center: complex, radius: float, nodes: int = 4096) -> complex:
-        """Trapezoid quadrature of omega along |z - center| = radius."""
+    def circular_period(self, center: complex, radius: float) -> complex:
+        """Trapezoid quadrature of omega along |z - center| = radius, 4096 nodes."""
         if not radius > 0:
             raise InputError("radius must be positive")
         _, pts = self.sphere.finite()
         if np.any(np.abs(np.abs(pts - center) - radius) < 1e-14 * (1.0 + radius)):
             raise EvaluationAtPunctureError("quadrature circle passes through a puncture")
-        theta = np.linspace(0.0, 2.0 * np.pi, nodes, endpoint=False)
+        theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
         z = center + radius * np.exp(1j * theta)
         dz = 1j * radius * np.exp(1j * theta)
         return complex(np.mean(self.value(z) * dz) * 2.0 * np.pi)
@@ -635,23 +641,18 @@ def rescale_H(t: float, w):
 # convergence experiment
 
 
-@dataclass(frozen=True)
-class ExperimentSampling:
-    """Sampling resolution for the convergence experiment.
-
-    ``u_step`` is the radial grid step in log_t units (radii are t**u on a
-    grid of u values anchored at integer multiples of the step).
-    """
-
-    u_step: float = 0.02
-    angular_count: int = 64
-    grid_count: int = 32
-
-    def __post_init__(self):
-        if not (self.u_step > 0 and math.isfinite(self.u_step)):
-            raise MinimumDensityViolationError(f"u_step must be positive and finite, got {self.u_step}")
-        if self.angular_count < 1 or self.grid_count < 1:
-            raise MinimumDensityViolationError("sampling density is too low")
+def _sampling(density: float) -> tuple[float, int, int]:
+    """(u_step, angular_count, grid_count) of the convergence experiment at a
+    sampling density: the radial step 0.02/density in log_t units (radii are
+    t**u on a grid of u values anchored at integer multiples of the step),
+    64*density angles per chart circle and a global grid of 32*density nodes
+    per side, each count at least 1."""
+    if not (density > 0 and math.isfinite(density)):
+        raise MinimumDensityViolationError(f"density must be positive and finite, got {density}")
+    u_step = 0.02 / density
+    if not math.isfinite(u_step):
+        raise MinimumDensityViolationError(f"u_step must be positive and finite, got {u_step}")
+    return u_step, max(1, round(64 * density)), max(1, round(32 * density))
 
 
 @dataclass(frozen=True)
@@ -767,8 +768,9 @@ def _rows_near_window(pts: np.ndarray, j: int, log_radii: np.ndarray, res_cols: 
 
 
 def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicMorphism,
-                      window: np.ndarray, shift: np.ndarray, sampling: ExperimentSampling):
-    """Raw amoeba samples, the tripod region of each and the samples drawn.
+                      window: np.ndarray, shift: np.ndarray, sampling: tuple[float, int, int]):
+    """Raw amoeba samples, the tripod region of each and the samples drawn,
+    at ``sampling`` = (u_step, angular_count, grid_count) (see ``_sampling``).
 
     A region is an index into the graph's vertices, or -1 for samples of the
     global grid.  Rescaled points are raw / log t + shift.  On real
@@ -791,7 +793,7 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
 
     heights = placement.height
     h_top = max(heights.values())
-    step = sampling.u_step
+    step, angular_count, grid_count = sampling
 
     # each chart's upward path as vertex indices, and the increasing scale
     # thresholds between consecutive path vertices stored one row per path
@@ -832,14 +834,14 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
         u = np.arange(math.ceil(u_lo / step), math.floor(u_hi / step) + 1) * step
         log_radii = u * logt
         near = _rows_near_window(pts, pos, log_radii, res_cols, window, shift, logt)
-        logdist, drawn = _chart_logdist(pts, pos, log_radii[near], sampling.angular_count)
+        logdist, drawn = _chart_logdist(pts, pos, log_radii[near], angular_count)
         chunks.append(logdist @ res_cols.T)
         regions.append(assign_tripods(logdist))
         # a dropped row keeps clear of every other puncture: all its samples count
-        samples += drawn + (near.size - np.count_nonzero(near)) * sampling.angular_count
+        samples += drawn + (near.size - np.count_nonzero(near)) * angular_count
 
     # coarse global grid over a disk containing all finite punctures
-    grid = _grid_logdist(pts, sampling.grid_count)
+    grid = _grid_logdist(pts, grid_count)
     chunks.append(grid @ res_cols.T)
     regions.append(np.full(grid.shape[0], -1, dtype=region_type))
     return np.vstack(chunks), np.concatenate(regions), samples + grid.shape[0]
@@ -854,8 +856,7 @@ def default_window(scene: Scene) -> np.ndarray:
     return np.stack([center - half, center + half], axis=1)
 
 
-def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
-                           sampling: ExperimentSampling | None = None,
+def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density: float = 1.0,
                            window=None, base_vertex: str | None = None) -> ConvergenceReport:
     """Hausdorff distances of rescaled amoeba samples to the tree's image.
 
@@ -863,12 +864,12 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values,
     placed by nested clusters, the amoeba map is sampled on polar charts
     (radii t**u on a fixed u grid) plus a coarse global grid, rescaled by
     1/log t, aligned at the base vertex, and compared to the emitted scene,
-    globally and per tripod region.
+    globally and per tripod region.  ``density`` scales the sampling
+    resolution (see ``_sampling``).
     """
+    sampling = _sampling(density)
     if mg.graph.genus != 0:
         raise NotATreeError("the experiment runs on trees (genus 0)")
-    if sampling is None:
-        sampling = ExperimentSampling()
     if base_vertex is None:
         base_vertex = mg.graph.vertices[0]
     mor = build_morphism(mg, R, base_vertex)

@@ -188,11 +188,6 @@ def form_space_dims(mg: MetricGraph) -> tuple[int, int]:
     return n - 1, g
 
 
-def is_integer_form(form: OneForm, tol: float = 1e-9) -> bool:
-    vals = np.array(list(form.values.values()))
-    return bool(np.all(np.abs(vals - np.round(vals)) <= tol))
-
-
 @dataclass(frozen=True)
 class ResidueMatrix:
     """m x n real matrix of residues, rows summing to zero, columns in leaf order."""
@@ -222,8 +217,8 @@ class ResidueMatrix:
     def row(self, k: int) -> np.ndarray:
         return self.entries[k]
 
-    def is_integer(self, tol: float = 1e-9) -> bool:
-        return bool(np.all(np.abs(self.entries - np.round(self.entries)) <= tol))
+    def is_integer(self) -> bool:
+        return bool(np.all(np.abs(self.entries - np.round(self.entries)) <= 1e-9))
 
 
 # ----------------------------------------------------------------------
@@ -248,14 +243,6 @@ def residues_from_dict(d: dict, mg: MetricGraph | None = None) -> ResidueMatrix:
             f"leaf_order {leaf_order} does not match the graph's leaf order {list(mg.graph.leaf_ids)}"
         )
     return ResidueMatrix(entries)
-
-
-def residues_to_dict(r: ResidueMatrix, mg: MetricGraph) -> dict:
-    return {
-        "rows": r.m,
-        "leaf_order": list(mg.graph.leaf_ids),
-        "entries": [[float(x) for x in row] for row in r.entries],
-    }
 
 
 def load_residues(path: str, mg: MetricGraph | None = None) -> ResidueMatrix:

@@ -440,19 +440,6 @@ def graph_from_dict(d: dict) -> MetricGraph:
     return MetricGraph(g, lengths)
 
 
-def graph_to_dict(mg: MetricGraph) -> dict:
-    g = mg.graph
-    return {
-        "vertices": list(g.vertices),
-        "edges": [
-            {"id": e.id, "ends": [e.ends[0], e.ends[1]], "length": mg.length[e.id]}
-            for e in g.edges
-        ],
-        "leaves": [{"id": l.id, "vertex": l.vertex} for l in g.leaves],
-        "ribbon": {v: list(g.ribbon[v]) for v in g.vertices},
-    }
-
-
 def json_number(value, what: str) -> float:
     """``value`` as a float if it is a JSON number (an int or a float, not a
     bool) that a float can hold; else InputError.  ``what`` names it in errors."""

@@ -126,33 +126,6 @@ def is_tropical(mor: HarmonicMorphism, tol: float = 1e-9) -> bool:
     return _max_abs(slopes - np.round(slopes)) <= tol
 
 
-@dataclass(frozen=True)
-class CombinatorialType:
-    """Direction tag per canonical oriented leaf-edge: unit vector or None (contracted)."""
-
-    tags: dict[str, tuple[float, ...] | None]
-
-    def same_as(self, other: "CombinatorialType", tol: float = 1e-9) -> bool:
-        if set(self.tags) != set(other.tags):
-            return False
-        for k, tag in self.tags.items():
-            o = other.tags[k]
-            if (tag is None) != (o is None):
-                return False
-            if tag is not None and np.max(np.abs(np.array(tag) - np.array(o))) > tol:
-                return False
-        return True
-
-
-def combinatorial_type(mor: HarmonicMorphism, zero_tol: float = ZERO_SLOPE_TOL) -> CombinatorialType:
-    tags: dict[str, tuple[float, ...] | None] = {}
-    for table in (mor.edge_slope, mor.leaf_slope):
-        for k, v in table.items():
-            norm = float(np.linalg.norm(v))
-            tags[k] = None if norm <= zero_tol else tuple(v / norm)
-    return CombinatorialType(tags)
-
-
 def loop_slope_matrix(mor: HarmonicMorphism) -> np.ndarray:
     """(basis loop, coordinate) x edge matrix of slopes signed by the loops.
 
@@ -175,14 +148,17 @@ def regularity_rank(mg: MetricGraph, mor: HarmonicMorphism, rank_tol: float = 1e
     Row (loop, coordinate k): entry at edge e is the signed k-th slope
     component of e as oriented by the loop (0 off the loop).  Lengths
     admitting a combinatorially equivalent morphism satisfy these linear
-    conditions; the morphism is regular when they are independent.
+    conditions; the morphism is regular when they are independent.  A singular
+    value counts when it exceeds ``rank_tol`` times the largest slope of the
+    whole morphism, edges and leaves, so a loop matrix of round-off has rank 0.
     """
     expected = mor.ambient_dim * mg.genus
     mat = loop_slope_matrix(mor)
     if not mat.any():
         return RegularityReport(0, expected, expected == 0)
     svals = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(svals > rank_tol * svals[0]))
+    scale = max(_max_abs(mor._edge_slopes), _max_abs(mor._leaf_slopes))
+    rank = int(np.sum(svals > rank_tol * scale))
     return RegularityReport(rank, expected, rank == expected)
 
 

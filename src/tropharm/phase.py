@@ -16,8 +16,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import BadBasisError, InputError, NotALoopError, NotTropicalError
-from .forms import OneForm, ResidueMatrix
+from .errors import BadBasisError, InputError, NotTropicalError
+from .forms import ResidueMatrix
 from .graph import GraphPath, MetricGraph, check_path, json_number, loop_matrix
 from .morphisms import HarmonicMorphism, build_morphism, is_tropical, loop_slope_matrix
 
@@ -49,14 +49,6 @@ class TwistAssignment:
 
 def zero_twists(mg: MetricGraph) -> TwistAssignment:
     return TwistAssignment(mg, {e: 0.0 for e in mg.graph.edge_ids})
-
-
-def loop_twist_sum(mg: MetricGraph, twists: TwistAssignment, form: OneForm, loop: GraphPath) -> float:
-    """sum over the loop of theta(e) * value(e as oriented by the loop)."""
-    if not loop.is_loop:
-        raise NotALoopError("expected a loop")
-    check_path(mg.graph, loop)
-    return sum(twists.theta[oe.id] * form.value(oe) for oe in loop.items)
 
 
 def _twist_sums(twists: TwistAssignment, mor: HarmonicMorphism, loops) -> np.ndarray:

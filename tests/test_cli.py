@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,29 @@ def test_regularity(capsys, files):
     assert json.loads(out) == {"expected": 1, "is_regular": True, "rank": 1}
 
 
+# perfbench/gen.py tropical_instance(102, 61): genus 2, three leaves; the
+# exact loop slopes are all 0, the float ones round-off below 4e-17
+ROUND_OFF_LOOPS = {
+    "vertices": ["v0", "v1", "v2", "v3", "v4"],
+    "edges": [{"id": "e0", "ends": ["v0", "v1"], "length": 2}, {"id": "e1", "ends": ["v0", "v2"], "length": 2},
+              {"id": "e2", "ends": ["v2", "v3"], "length": 1}, {"id": "e3", "ends": ["v3", "v4"], "length": 3},
+              {"id": "e4", "ends": ["v2", "v1"], "length": 1}, {"id": "e5", "ends": ["v1", "v0"], "length": 3}],
+    "leaves": [{"id": "p0", "vertex": "v3"}, {"id": "p1", "vertex": "v4"}, {"id": "p2", "vertex": "v4"}],
+}
+R_ROUND_OFF_LOOPS = {"rows": 2, "leaf_order": ["p0", "p1", "p2"], "entries": [[0, -2, 2], [2, 0, -2]]}
+
+
+def test_regularity_rank_of_round_off_loop_slopes_is_zero(capsys, tmp_path):
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    g.write_text(json.dumps(ROUND_OFF_LOOPS))
+    r.write_text(json.dumps(R_ROUND_OFF_LOOPS))
+    code, out, _ = run(capsys, "regularity", str(g), str(r))
+    assert code == 0
+    assert json.loads(out) == {"expected": 4, "is_regular": False, "rank": 0}
+    code, out, _ = run(capsys, "twists", str(g), str(r), "solve")
+    assert code == 0 and json.loads(out)["rank"] == 0
+
+
 def test_twists_solve_and_check(capsys, files):
     code, out, _ = run(capsys, "twists", files["dumbbell"], files["r33"], "solve")
     assert code == 0
@@ -223,6 +247,23 @@ def test_collar_non_finite_length_errors(capsys, argv):
     assert json.loads(err)["code"] == "BadInput"
 
 
+@pytest.mark.parametrize("argv", [["--l", "1e-310"], ["--sweep", "1e-1..1e-310"]])
+def test_collar_length_too_small_errors(capsys, argv):
+    # below about 1.1e-308, 1/sinh(l/2) or m ~ pi/l overflows the float range
+    code, out, err = run(capsys, "collar", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
+
+
+def test_collar_huge_length_is_quiet(capsys):
+    # sinh(l/2) overflows to inf, and w = 0 is the right limit
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "collar", "--l", "1e308")
+    assert code == 0 and err == "" and caught == []
+    assert json.loads(out)["rows"][0]["w"] == 0.0
+
+
 @pytest.mark.parametrize("points", ["-3", "0", "1"])
 def test_collar_too_few_points_errors(capsys, points):
     code, out, err = run(capsys, "collar", "--sweep", "1e-1..1e-8", "--points", points)
@@ -234,6 +275,15 @@ def test_collar_two_points(capsys):
     code, out, _ = run(capsys, "collar", "--sweep", "1e-1..1e-8", "--points", "2")
     assert code == 0
     assert [row["l"] for row in json.loads(out)["rows"]] == [0.1, 1e-8]
+
+
+@pytest.mark.parametrize("command", ["twists check", "collar"])
+def test_bad_arguments_are_bad_input(capsys, files, command):
+    argv = {"twists check": ["twists", files["dumbbell"], files["r33"], "check"],  # no --twists
+            "collar": ["collar", "--sweep", "abc"]}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
 
 
 def test_degenerate_zero_density_errors(capsys, files):

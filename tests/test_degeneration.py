@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tropharm import degeneration as dg
 from tropharm.degeneration import (
-    ExperimentSampling,
     PuncturedSphere,
     annulus_period_experiment,
     collar_modulus,
@@ -226,10 +225,16 @@ def test_rescale_H_zero_coordinate():
         rescale_H(10.0, [0.0 + 0.0j])
 
 
-def test_sampling_config_gate():
-    for u_step in (0.0, float("inf"), float("nan")):
+def test_sampling_config_gate(tripod):
+    # 0.02 / 5e-324 overflows the radial step to inf
+    for density in (0.0, -1.0, float("inf"), float("nan"), 5e-324):
         with pytest.raises(MinimumDensityViolationError):
-            ExperimentSampling(u_step=u_step)
+            convergence_experiment(tripod, LINE_R, [1e3], density)
+
+
+def test_density_is_checked_before_genus(dumbbell):
+    with pytest.raises(MinimumDensityViolationError):
+        convergence_experiment(dumbbell, ResidueMatrix([[1.0, -1.0]]), [1e3], 0.0)
 
 
 def test_grid_logdist_drops_node_on_puncture():
@@ -401,8 +406,7 @@ def test_convergence_report_serialization(tripod):
 def test_convergence_distance_scales_with_a_wide_window(tripod, w):
     # the cloud stays within a few hundred units of the origin while the ray
     # of slope -(1, 1) runs to the window corner: the distance is sqrt(2) * w
-    coarse = ExperimentSampling(u_step=0.2, angular_count=8, grid_count=8)
-    rep = convergence_experiment(tripod, LINE_R, [1e3], coarse, window=[[-w, w], [-w, w]])
+    rep = convergence_experiment(tripod, LINE_R, [1e3], 0.125, window=[[-w, w], [-w, w]])
     assert rep.entries[0].global_hausdorff == pytest.approx(math.sqrt(2.0) * w, rel=1e-12)
 
 
@@ -491,7 +495,7 @@ def test_skipped_rows_change_no_in_window_point(seed, leaves, t, half_width):
     rows[:, -1] -= rows.sum(axis=1)
     R = ResidueMatrix(rows)
     window = None if half_width is None else np.array([[-half_width, half_width]] * 2)
-    sampling = ExperimentSampling()
+    sampling = dg._sampling(1.0)
     pts, region, samples = _in_window_cloud(mg, R, t, window, sampling)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg, "_rows_near_window", _every_row)
@@ -509,14 +513,14 @@ def test_sample_on_the_window_edge_survives_row_skipping():
     # safety margin; the raw window's round-off falls on either side of it
     mg = tripod_graph()
     R = ResidueMatrix([[1.0, 1.0, -2.0]])
-    t, sampling = 10.0**4.5, ExperimentSampling(u_step=0.05, angular_count=4)
+    t, sampling = 10.0**4.5, (0.05, 4, 32)
     logt = math.log(t)
     mor = build_morphism(mg, R, "w")
     placement = place_tree(mg, t)
     shift = mor.vertex_position["w"] - dg._alignment_offset(placement, R, "w")
     idx, pts = placement.sphere().finite()
-    for u in np.arange(4, 81) * sampling.u_step:
-        logdist, _ = dg._chart_logdist(pts, 0, np.array([u * logt]), sampling.angular_count)
+    for u in np.arange(4, 81) * 0.05:
+        logdist, _ = dg._chart_logdist(pts, 0, np.array([u * logt]), 4)
         row = (logdist @ R.entries[:, idx].T / logt + shift)[:, 0]
         for edge, win in ((row.max(), [[row.max(), 60.0]]), (row.min(), [[-60.0, row.min()]])):
             win = np.array(win)
@@ -552,7 +556,7 @@ def test_convergence_matches_public_hausdorff_per_tripod(window, outside, monkey
     mor = build_morphism(mg, R, "v0")
     placement = place_tree(mg, t)
     shift = mor.vertex_position["v0"] - dg._alignment_offset(placement, R, "v0")
-    raw, region, samples = dg._experiment_cloud(placement, R, mor, win, shift, ExperimentSampling())
+    raw, region, samples = dg._experiment_cloud(placement, R, mor, win, shift, dg._sampling(1.0))
     pts = raw / math.log(t) + shift
     scene = emit_embedding(mor)
     assert entry.samples == samples == pts.shape[0]

@@ -19,7 +19,6 @@ from tropharm.forms import (
     dual_form,
     form_space_dims,
     integrate,
-    is_integer_form,
     potentials_and_currents,
     residues,
     solve_exact_form,
@@ -207,12 +206,6 @@ def test_form_space_dims(tripod, dumbbell):
 def test_form_space_dims_needs_leaves():
     with pytest.raises(TooFewLeavesError):
         form_space_dims(theta_graph())
-
-
-def test_is_integer_form(dumbbell):
-    assert is_integer_form(solve_exact_form(dumbbell, [3.0, -3.0]), 1e-9)
-    assert not is_integer_form(solve_exact_form(dumbbell, [1.0, -1.0]), 1e-9)
-    assert is_integer_form(OneForm(dumbbell, {}), 1e-9)
 
 
 def test_residue_matrix_row_sum():

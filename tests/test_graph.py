@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -22,8 +20,6 @@ from tropharm.graph import (
     OrientedEdge,
     check_path,
     cycle_basis,
-    graph_from_dict,
-    graph_to_dict,
     leaf_paths,
 )
 
@@ -205,14 +201,6 @@ def test_leaf_paths_never_repeat_edges(rng):
             ids = [oe.id for oe in p.items]
             assert len(set(ids)) == len(ids)
             check_path(mg.graph, p)
-
-
-def test_graph_json_roundtrip():
-    mg = dumbbell_graph()
-    doc = graph_to_dict(mg)
-    mg2 = graph_from_dict(json.loads(json.dumps(doc)))
-    assert mg2.graph == mg.graph
-    assert mg2.length == mg.length
 
 
 def test_loop_validation_rejects_leaves():

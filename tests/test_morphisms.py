@@ -8,7 +8,6 @@ from tropharm.morphisms import (
     HarmonicMorphism,
     build_morphism,
     balancing_defect,
-    combinatorial_type,
     compatibility_defect,
     emit_embedding,
     is_tropical,
@@ -139,30 +138,23 @@ def test_is_tropical(tripod, dumbbell):
     assert not is_tropical(build_morphism(dumbbell, ResidueMatrix([[1.0, -1.0]])))
 
 
-def test_combinatorial_type(tripod):
-    mor = build_morphism(tripod, LINE_R)
-    typ = combinatorial_type(mor)
-    assert typ.tags["p1"] == pytest.approx((-1.0, 0.0))
-    assert typ.tags["p3"] == pytest.approx((1 / np.sqrt(2), 1 / np.sqrt(2)))
-    # positive scaling leaves the type unchanged
-    typ5 = combinatorial_type(build_morphism(tripod, ResidueMatrix(5.0 * LINE_R.entries)))
-    assert typ.same_as(typ5, tol=1e-12)
+def test_combinatorial_type(rng):
+    # positive scaling of the residues scales every slope and so keeps each
+    # slope direction, the combinatorial type of the morphism
+    for _ in range(10):
+        mg = random_valid_cubic(rng)
+        R = rng.normal(size=(2, mg.n_leaves))
+        R -= R.mean(axis=1, keepdims=True)
+        mor = build_morphism(mg, ResidueMatrix(R))
+        mor5 = build_morphism(mg, ResidueMatrix(5.0 * R))
+        for s, s5 in ((mor._edge_slopes, mor5._edge_slopes), (mor._leaf_slopes, mor5._leaf_slopes)):
+            assert s5 == pytest.approx(5.0 * s, rel=1e-9, abs=1e-12)
 
 
 def test_combinatorial_type_zero(dumbbell):
+    # zero residues contract every edge and leaf
     mor = build_morphism(dumbbell, ResidueMatrix(np.zeros((1, 2))))
-    typ = combinatorial_type(mor)
-    assert all(tag is None for tag in typ.tags.values())
-
-
-def test_type_unit_norm(rng):
-    mg = random_valid_cubic(rng)
-    R = rng.normal(size=(3, mg.n_leaves))
-    R -= R.mean(axis=1, keepdims=True)
-    typ = combinatorial_type(build_morphism(mg, ResidueMatrix(R)))
-    for tag in typ.tags.values():
-        if tag is not None:
-            assert np.linalg.norm(tag) == pytest.approx(1.0, abs=1e-12)
+    assert not mor._edge_slopes.any() and not mor._leaf_slopes.any()
 
 
 def test_regularity_genus0(tripod):

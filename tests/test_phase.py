@@ -3,19 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropharm.errors import BadBasisError, NotALoopError, NotTropicalError
-from tropharm.forms import OneForm, ResidueMatrix
-from tropharm.graph import GraphPath, OrientedEdge, cycle_basis
+from tropharm.errors import BadBasisError, NotTropicalError
+from tropharm.forms import ResidueMatrix
+from tropharm.graph import cycle_basis
 from tropharm.morphisms import build_morphism
 from tropharm.phase import (
     PeriodBasis,
     TwistAssignment,
     _rational_nullspace,
+    _twist_sums,
     check_integrality,
     default_period_basis,
     is_integer_period_matrix,
     limit_period_matrix,
-    loop_twist_sum,
     solve_twists,
     zero_twists,
 )
@@ -27,33 +27,24 @@ from oracles import rational_nullspace_fraction
 R33 = ResidueMatrix([[3.0, -3.0]])
 
 
-def spec_loop():
-    return GraphPath((OrientedEdge("e1", True), OrientedEdge("e2", False)), is_loop=True)
-
-
-def form23(dumbbell):
-    return OneForm(dumbbell, {"e1": 2.0, "e2": 1.0, "p1": 3.0, "p2": -3.0})
+def twist_sums(mg, theta):
+    """check_integrality's (loop, coordinate) sums for R = [[3, -3]], where
+    the currents are e1: 2, e2: 1."""
+    return check_integrality(mg, TwistAssignment(mg, theta), build_morphism(mg, R33)).sums
 
 
 def test_loop_twist_sum_zero_twists(dumbbell):
-    f = form23(dumbbell)
-    assert loop_twist_sum(dumbbell, zero_twists(dumbbell), f, spec_loop()) == 0.0
+    assert twist_sums(dumbbell, {"e1": 0.0, "e2": 0.0}).tolist() == [[0.0]]
 
 
 def test_loop_twist_sum_cancellation(dumbbell):
-    tw = TwistAssignment(dumbbell, {"e1": np.pi / 2, "e2": np.pi})
-    assert loop_twist_sum(dumbbell, tw, form23(dumbbell), spec_loop()) == pytest.approx(0.0, abs=1e-15)
+    assert twist_sums(dumbbell, {"e1": np.pi / 2, "e2": np.pi})[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_loop_twist_sum_value(dumbbell):
-    tw = TwistAssignment(dumbbell, {"e1": 1.0, "e2": 0.0})
-    assert loop_twist_sum(dumbbell, tw, form23(dumbbell), spec_loop()) == pytest.approx(2.0)
-
-
-def test_loop_twist_sum_rejects_paths(dumbbell):
-    p = GraphPath((OrientedEdge("p1", True), OrientedEdge("e1", True), OrientedEdge("p2", False)))
-    with pytest.raises(NotALoopError):
-        loop_twist_sum(dumbbell, zero_twists(dumbbell), form23(dumbbell), p)
+    # the basis loop runs e2 forward and e1 backward: 0 * 1 - 1 * 2
+    assert [(oe.id, oe.forward) for oe in dumbbell.loops[0].items] == [("e2", True), ("e1", False)]
+    assert twist_sums(dumbbell, {"e1": 1.0, "e2": 0.0})[0, 0] == pytest.approx(-2.0)
 
 
 def test_check_integrality_cases(dumbbell):
@@ -179,23 +170,20 @@ def test_loop_twist_sum_additive_in_cycle_space(rng):
     # sum over an integer combination of basis loops, evaluated directly on
     # the combined incidence vector, equals the combination of loop sums
     mg, R, mor = random_tropical_morphism(genus2_graph(), rng)
-    from tropharm.forms import solve_exact_form
-
-    f = solve_exact_form(mg, R.row(0))
     tw = TwistAssignment(mg, {e: float(rng.uniform(0, 2 * np.pi)) for e in mg.graph.edge_ids})
     loops = cycle_basis(mg)
-    sums = [loop_twist_sum(mg, tw, f, loop) for loop in loops]
+    sums = _twist_sums(tw, mor, loops)
     eidx = {e: i for i, e in enumerate(mg.graph.edge_ids)}
     inc = np.zeros((len(loops), len(eidx)))
     for i, loop in enumerate(loops):
         for oe in loop.items:
             inc[i, eidx[oe.id]] += 1.0 if oe.forward else -1.0
     theta = np.array([tw.theta[e] for e in mg.graph.edge_ids])
-    vals = np.array([f.values[e] for e in mg.graph.edge_ids])
+    slopes = np.array([mor.edge_slope[e] for e in mg.graph.edge_ids])
     for _ in range(10):
         coeff = rng.integers(-3, 4, size=len(loops)).astype(float)
-        direct = float(((coeff @ inc) * theta * vals).sum())
-        combined = float(np.dot(coeff, sums))
+        direct = ((coeff @ inc) * theta) @ slopes
+        combined = coeff @ sums
         assert direct == pytest.approx(combined, abs=1e-10)
 
 
