@@ -401,23 +401,24 @@ def _segment_params(segs: np.ndarray):
     return a, ab, np.where(denom == 0.0, 1.0, denom)
 
 
-def _points_to_segments(pts: np.ndarray, segs: np.ndarray):
-    """Exact distance from each point to the nearest segment; segs is (S, 2, d).
+def _points_to_segments(cols: np.ndarray, params):
+    """Exact distance from each column point to the nearest segment; cols is
+    (d, N) and params is ``_segment_params`` of the (S, 2, d) segments.
 
-    One pass per segment over contiguous coordinate columns: the clipped
-    projection parameter (``_clipped_t``), then a running minimum of the
-    squared distance to a + t*ab, and one sqrt at the end; the result equals
-    the broadcast formula bit for bit.  Also returns the index of each point's
-    nearest segment and the clipped t on it.
+    One pass per segment over the coordinate columns: the clipped projection
+    parameter (``_clipped_t``), then a running minimum of the squared
+    distance to a + t*ab, and one sqrt at the end; the result equals the
+    broadcast formula bit for bit, and each point's value depends on that
+    point alone.  Also returns the index of each point's nearest segment and
+    the clipped t on it.
     """
-    cols = np.ascontiguousarray(pts.T)
-    a, ab, denom = _segment_params(segs)
+    a, ab, denom = params
     dim, n = cols.shape
     best, best_t = np.full(n, np.inf), np.zeros(n)
     best_seg = np.zeros(n, dtype=np.intp)
     lanes, r, sq = np.empty((2, n)), np.empty(n), np.empty(n)
     closer = np.empty(n, dtype=bool)
-    for s in range(segs.shape[0]):
+    for s in range(a.shape[0]):
         t = _clipped_t(cols, a[s], ab[s], denom[s], lanes, r)
         for k in range(dim):
             term = sq if k == 0 else r
@@ -446,6 +447,56 @@ def _sample_segments(segs: np.ndarray, step: float) -> tuple[np.ndarray, np.ndar
     return np.vstack(pts), np.array(counts)
 
 
+class _ClippedScene:
+    """The part of a Hausdorff distance to clipped segments that does not
+    depend on the cloud: the segments without duplicates (coincident rays
+    give the same samples and distances), their ``_segment_params``, and the
+    scene samples at a spacing of the window diagonal / 2048, as coordinate
+    columns, with the sample range of each segment."""
+
+    def __init__(self, segs: np.ndarray, win: np.ndarray):
+        _, first = np.unique(segs.reshape(segs.shape[0], -1), axis=0, return_index=True)
+        self.segs = segs[np.sort(first)]
+        self.params = _segment_params(self.segs)
+        samples, self.counts = _sample_segments(
+            self.segs, float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0)
+        self.cols = np.ascontiguousarray(samples.T)
+        self.offset = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        self.start = np.repeat(self.offset, self.counts)
+        self.stop = self.start + np.repeat(self.counts, self.counts)
+
+    def hausdorff(self, cols: np.ndarray, seg: np.ndarray, t: np.ndarray, lmax: float) -> float:
+        """max(lmax, largest distance from a scene sample to the cloud), where
+        a cloud point's (seg, t) bins it to a sample and lmax is the exact
+        cloud-to-scene side; see ``_scene_hausdorff``."""
+        # bin each point to the sample nearest (seg, t); then give every
+        # sample the point of its nearest covered sample on the same segment,
+        # or point 0 on a segment no point is binned to
+        n = self.cols.shape[1]
+        rep = np.full(n, -1, dtype=np.intp)
+        rep[self.offset[seg] + np.rint(t * (self.counts[seg] - 1)).astype(np.intp)] = np.arange(cols.shape[1])
+        idx = np.arange(n)
+        covered = rep >= 0
+        before = np.maximum.accumulate(np.where(covered, idx, -1))
+        after = np.minimum.accumulate(np.where(covered, idx, n)[::-1])[::-1]
+        gap_before = np.where(before >= self.start, idx - before, n)
+        gap_after = np.where(after < self.stop, after - idx, n)
+        near = np.where(gap_before <= gap_after, before, after)
+        fill = np.where(np.minimum(gap_before, gap_after) < n, rep[near.clip(0, n - 1)], 0)
+        bound = np.sqrt(_sq_dist(cols.take(fill, axis=1), self.cols))
+
+        # exact scans, largest bound first, until no bound beats the maximum;
+        # the nearest point of each scanned sample tightens every other bound
+        i = np.argmax(bound)
+        while bound[i] > lmax:
+            sq = _sq_dist(cols, self.cols[:, i])
+            p = np.argmin(sq)
+            lmax = max(lmax, np.sqrt(sq[p]))
+            np.minimum(bound, np.sqrt(_sq_dist(self.cols, cols[:, p])), out=bound)
+            i = np.argmax(bound)
+        return float(lmax)
+
+
 def _scene_hausdorff(pts: np.ndarray, segs: np.ndarray, win: np.ndarray) -> float:
     """Hausdorff distance between in-window points and clipped scene segments.
 
@@ -458,45 +509,67 @@ def _scene_hausdorff(pts: np.ndarray, segs: np.ndarray, win: np.ndarray) -> floa
     and each scan's nearest point lowers the other bounds.  Every bound is
     the distance to one real cloud point, computed as the exact scan computes
     it (``_sq_dist``), so the result is the all-pairs maximum of minima bit
-    for bit.
+    for bit, whichever segment and parameter each point is binned by.
+
+    The convergence experiment does the same in parts: it prepares each
+    scene once (``_ClippedScene``), projects each tripod region's points on
+    their own tripod, and bounds the global cloud side from those
+    projections (``_global_cloud_side``).
     """
-    # duplicate segments (coincident rays) give the same samples and distances
-    _, first = np.unique(segs.reshape(segs.shape[0], -1), axis=0, return_index=True)
-    segs = segs[np.sort(first)]
-    d1, seg, t = _points_to_segments(pts, segs)
-    scene, counts = _sample_segments(segs, float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0)
-    offset = np.concatenate([[0], np.cumsum(counts)[:-1]])
-
-    # bin each point to the sample nearest its projection; then give every
-    # sample the point of its nearest covered sample on the same segment, or
-    # point 0 on a segment no point projects to
-    n = scene.shape[0]
-    rep = np.full(n, -1, dtype=np.intp)
-    rep[offset[seg] + np.rint(t * (counts[seg] - 1)).astype(np.intp)] = np.arange(pts.shape[0])
-    idx = np.arange(n)
-    covered = rep >= 0
-    before = np.maximum.accumulate(np.where(covered, idx, -1))
-    after = np.minimum.accumulate(np.where(covered, idx, n)[::-1])[::-1]
-    start = np.repeat(offset, counts)
-    gap_before = np.where(before >= start, idx - before, n)
-    gap_after = np.where(after < start + np.repeat(counts, counts), after - idx, n)
-    near = np.where(gap_before <= gap_after, before, after)
-    fill = np.where(np.minimum(gap_before, gap_after) < n, rep[near.clip(0, n - 1)], 0)
-
+    scene = _ClippedScene(segs, win)
     cols = np.ascontiguousarray(pts.T)
-    scols = np.ascontiguousarray(scene.T)
-    bound = np.sqrt(_sq_dist(cols[:, fill], scols))
+    d1, seg, t = _points_to_segments(cols, scene.params)
+    return scene.hausdorff(cols, seg, t, d1.max())
 
-    # exact scans, largest bound first, until no bound beats the maximum; the
-    # nearest point of each scanned sample tightens every other bound
-    lmax, i = d1.max(), np.argmax(bound)
-    while bound[i] > lmax:
-        sq = _sq_dist(cols, scene[i])
-        p = np.argmin(sq)
-        lmax = max(lmax, np.sqrt(sq[p]))
-        np.minimum(bound, np.sqrt(_sq_dist(scols, cols[:, p])), out=bound)
-        i = np.argmax(bound)
-    return float(lmax)
+
+def _piece_parents(pieces: np.ndarray, params, scale: float):
+    """Link each tripod piece to the global segment whose distance from the
+    piece's farther endpoint is least, its parent.
+
+    The distance to a segment is convex along a line, so every point of a
+    piece lies within that endpoint distance of its parent; plus 1e-9 *
+    ``scale`` for round-off, that is the piece's slack, and a point's tripod
+    distance plus the slack of its nearest piece bounds its global distance
+    from above.  Returns the parent, the slack, and the parent's projection
+    parameter t0 of the piece's first endpoint with the step dt to its second,
+    so that t on the piece maps to t0 + t*dt on the parent."""
+    a, ab, denom = params
+    ends = pieces.reshape(-1, 1, pieces.shape[2])
+    t = np.clip(np.einsum("psd,sd->ps", ends - a, ab) / denom, 0.0, 1.0)
+    gap = np.linalg.norm(ends - (a + t[..., None] * ab), axis=2).reshape(-1, 2, a.shape[0])
+    worst = gap.max(axis=1)
+    parent = worst.argmin(axis=1)
+    k = np.arange(parent.size)
+    t_ends = t.reshape(-1, 2, a.shape[0])[k, :, parent]
+    return parent, worst[k, parent] + 1e-9 * scale, t_ends[:, 0], t_ends[:, 1] - t_ends[:, 0]
+
+
+def _global_cloud_side(cols: np.ndarray, params, bound: np.ndarray, seg: np.ndarray,
+                       t: np.ndarray) -> float:
+    """Largest exact distance from a column point to the segments ``params``,
+    given an upper bound U(p) on each point's distance (+inf where none is
+    known).
+
+    Points are projected exactly (``_points_to_segments``) in two rounds:
+    first the unbounded points and the point with the largest finite bound,
+    whose distance is usually near the maximum, then every point whose bound
+    exceeds the running maximum.  A point never projected is no farther
+    than its bound, which is at most the maximum, so the result equals the
+    maximum over all points bit for bit.  A projected point's bound, ``seg``
+    and ``t`` are overwritten with its exact distance, nearest segment and
+    clipped t.
+    """
+    unbounded = bound == np.inf
+    todo = np.flatnonzero(unbounded)
+    if not unbounded.all():
+        todo = np.append(todo, np.argmax(np.where(unbounded, -np.inf, bound)))
+    lmax = -np.inf
+    while todo.size:
+        d, s, ts = _points_to_segments(cols.take(todo, axis=1), params)
+        bound[todo], seg[todo], t[todo] = d, s, ts
+        lmax = max(lmax, d.max())
+        todo = np.flatnonzero(bound > lmax)
+    return lmax
 
 
 def hausdorff(points, scene: Scene, window) -> float:
@@ -641,6 +714,18 @@ def rescale_H(t: float, w):
 # convergence experiment
 
 
+# the most elements of a complex array whose size in bytes numpy can index
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 16
+
+
+def _check_indexable(count, what: str) -> None:
+    """Refuse, as too dense, a sampling array of ``count`` elements that no
+    numpy array can hold; an indexable one that does not fit in memory ends
+    in a MemoryError instead."""
+    if count > _MAX_ELEMENTS:
+        raise SamplingTooDenseError(f"{what} of {count:.3g} samples cannot be indexed")
+
+
 def _sampling(density: float) -> tuple[float, int, int]:
     """(u_step, angular_count, grid_count) of the convergence experiment at a
     sampling density: the radial step 0.02/density in log_t units (radii are
@@ -652,6 +737,7 @@ def _sampling(density: float) -> tuple[float, int, int]:
     u_step = 0.02 / density
     if not math.isfinite(u_step):
         raise MinimumDensityViolationError(f"u_step must be positive and finite, got {u_step}")
+    _check_indexable(64 * density, "a chart circle")
     return u_step, max(1, round(64 * density)), max(1, round(32 * density))
 
 
@@ -831,7 +917,10 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     samples = 0
     for pos, v in enumerate(leaf_vertices):
         u_lo = max(heights[v] - reach, -u_cap)
-        u = np.arange(math.ceil(u_lo / step), math.floor(u_hi / step) + 1) * step
+        k_lo, k_hi = math.ceil(u_lo / step), math.floor(u_hi / step)
+        # a chart's distance array holds every row's samples to every puncture
+        _check_indexable((k_hi - k_lo + 1) * angular_count * pts.size, "a chart")
+        u = np.arange(k_lo, k_hi + 1) * step
         log_radii = u * logt
         near = _rows_near_window(pts, pos, log_radii, res_cols, window, shift, logt)
         logdist, drawn = _chart_logdist(pts, pos, log_radii[near], angular_count)
@@ -841,6 +930,7 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
         samples += drawn + (near.size - np.count_nonzero(near)) * angular_count
 
     # coarse global grid over a disk containing all finite punctures
+    _check_indexable(grid_count**2 * pts.size, "the global grid")
     grid = _grid_logdist(pts, grid_count)
     chunks.append(grid @ res_cols.T)
     regions.append(np.full(grid.shape[0], -1, dtype=region_type))
@@ -866,6 +956,17 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     1/log t, aligned at the base vertex, and compared to the emitted scene,
     globally and per tripod region.  ``density`` scales the sampling
     resolution (see ``_sampling``).
+
+    The global and tripod scenes are clipped and prepared once per
+    experiment (``_ClippedScene``).  Per t, the in-window points are split
+    by region with one stable sort, so each tripod cloud is a column slice
+    in cloud order.  Each tripod distance projects its region's points on
+    its own pieces; that distance plus the piece's slack bounds the point's
+    global distance (``_piece_parents``), and only grid points, points of a
+    region whose tripod is clipped away and points whose bound beats the
+    running maximum are projected on the global scene
+    (``_global_cloud_side``).  Every distance equals ``hausdorff`` on the
+    same cloud bit for bit.
     """
     sampling = _sampling(density)
     if mg.graph.genus != 0:
@@ -878,12 +979,16 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
         raise InputError("need at least one t value")
 
     # clipping cuts every ray at the window edge, so the scene's drawing
-    # length is never read; the scenes do not depend on t: clip each once
+    # length is never read; the scenes do not depend on t: clip and prepare
+    # each once, and link each tripod piece to its global parent once
     scene = emit_embedding(mor)
     win = default_window(scene) if window is None else _as_window(window, R.m)
     vertices = mg.graph.vertices
-    scene_segs = np.array(clip_scene(scene, win))
-    tripod_segs = [np.array(clip_scene(_tripod_scene(mor, v), win)) for v in vertices]
+    clipped = [np.array(clip_scene(s, win)) for s in [scene, *(_tripod_scene(mor, v) for v in vertices)]]
+    glob, *tripods = [_ClippedScene(segs, win) if segs.size else None for segs in clipped]
+    scale = float(np.abs(win).max())
+    parents = [None if tri is None or glob is None else _piece_parents(tri.segs, glob.params, scale)
+               for tri in tripods]
 
     entries = []
     for t in ts:
@@ -893,23 +998,39 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
             raw, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
         except MemoryError as exc:
             raise SamplingTooDenseError(f"amoeba sampling does not fit in memory: {exc}") from exc
-        pts = raw / math.log(t) + shift
-        inside = _window_mask(pts, win)
-        pts_in = pts[inside]
-        if pts_in.size == 0:
+        # rescale into coordinate columns, keep the in-window points and sort
+        # them by region, stably, so each tripod cloud is one column slice
+        cols = np.empty(raw.shape[::-1])
+        np.divide(raw.T, math.log(t), out=cols)
+        del raw
+        cols += shift[:, None]
+        keep = np.flatnonzero(_window_mask(cols.T, win))
+        keep = keep[np.argsort(region[keep], kind="stable")]
+        cols, region = cols.take(keep, axis=1), region[keep]  # C order, unlike cols[:, keep]
+        if cols.size == 0:
             raise EmptyAfterClippingError("point cloud is empty after clipping")
-        if scene_segs.size == 0:
+        if glob is None:
             raise EmptyAfterClippingError("scene is empty after clipping")
-        d_global = _scene_hausdorff(pts_in, scene_segs, win)
 
-        region_in = region[inside]
+        # each tripod's projections give its distance and, through the
+        # piece parents, a bound and a bin for each point's global distance
+        ends = np.searchsorted(region, np.arange(len(vertices) + 1))
+        n = cols.shape[1]
+        bound, seg, t_on = np.full(n, np.inf), np.zeros(n, dtype=np.intp), np.zeros(n)
         per_tripod: dict[str, float | None] = {}
         for i, v in enumerate(vertices):
-            sub = pts_in[region_in == i]
-            if sub.size == 0 or tripod_segs[i].size == 0:
+            lo, hi = ends[i], ends[i + 1]
+            if lo == hi or tripods[i] is None:
                 per_tripod[v] = None
-            else:
-                per_tripod[v] = _scene_hausdorff(sub, tripod_segs[i], win)
+                continue
+            sub = cols[:, lo:hi]
+            d, s, ts_on = _points_to_segments(sub, tripods[i].params)
+            per_tripod[v] = tripods[i].hausdorff(sub, s, ts_on, d.max())
+            parent, slack, t0, dt = parents[i]
+            bound[lo:hi] = d + slack[s]
+            seg[lo:hi] = parent[s]
+            t_on[lo:hi] = np.clip(t0[s] + ts_on * dt[s], 0.0, 1.0)
+        d_global = glob.hausdorff(cols, seg, t_on, _global_cloud_side(cols, glob.params, bound, seg, t_on))
         entries.append(TStepResult(t, d_global, per_tripod, samples))
 
     return ConvergenceReport(tuple(entries), win, base_vertex, mg.graph.leaf_ids[-1])

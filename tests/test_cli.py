@@ -307,6 +307,17 @@ def test_degenerate_too_dense_errors(capsys, files):
     assert json.loads(err)["code"] == "SamplingTooDense"
 
 
+@pytest.mark.parametrize("t, density", [("3", "8e15"), ("1e3", "1e20"), ("1e3", "1e307")])
+def test_degenerate_unindexable_density_is_too_dense(capsys, files, t, density):
+    # a chart's radius rows beyond any array size, a circle's angles beyond
+    # it, and an angle count that overflows to inf: each used to end in
+    # Internal (numpy's size ValueError, or round(inf)'s OverflowError)
+    code, out, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--t", t,
+                         "--density", density)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "SamplingTooDense"
+
+
 def test_degenerate_bad_t_list_errors(capsys, files):
     code, _, err = run(capsys, "degenerate", files["tripod"], files["rline"], "--t", "abc")
     assert code == 1

@@ -298,7 +298,7 @@ def test_points_to_segments_matches_broadcast_formula_bit_for_bit(dim):
         a, b = segs[-1]
         pts[:4] = a + np.array([[0.0], [1.0], [0.25], [0.5]]) * (b - a)  # on a segment
         pts[4:6] = segs[0, 0]
-        got, _, _ = dg._points_to_segments(pts, segs)
+        got, _, _ = dg._points_to_segments(np.ascontiguousarray(pts.T), dg._segment_params(segs))
         assert np.array_equal(got, points_to_segments_broadcast(pts, segs))
 
 
@@ -533,44 +533,101 @@ def test_sample_on_the_window_edge_survives_row_skipping():
     assert raw.shape[0] < raw_all.shape[0]
 
 
-@pytest.mark.parametrize("window, outside", [
-    ([[-3.0, 3.0], [-3.0, 3.0]], None),
-    ([[-3.0, 0.4], [-3.0, 0.4]], "v1"),  # v1 has samples, but none in the window
-])
-def test_convergence_matches_public_hausdorff_per_tripod(window, outside, monkeypatch):
-    # the experiment skips radius rows that cannot reach the window,
-    # evaluates real-puncture charts on half the circle, clips once per t and
-    # groups in-window samples by region; each distance must equal the public
-    # hausdorff on the region cloud of every row over the whole circle
-    mg = caterpillar_graph(1.0)
-    R = ResidueMatrix([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
-    t, win = 1e3, np.array(window)
-    entry = convergence_experiment(mg, R, [t], window=win, base_vertex="v0").entries[0]
+def _public_distances(mg, R, t, win, base):
+    """The experiment's cloud with every radius row evaluated over the whole
+    circle: its sample count, points and regions, and the public hausdorff of
+    the global scene and of each tripod scene on its region's cloud (None
+    where hausdorff refuses an empty clip)."""
 
     def full_chart(*args):
         rows, _ = chart_logdist_full(*args)
         return rows, rows.shape[0]
 
-    monkeypatch.setattr(dg, "_chart_logdist", full_chart)
-    monkeypatch.setattr(dg, "_rows_near_window", _every_row)
-    mor = build_morphism(mg, R, "v0")
+    def public(pts, scene):
+        try:
+            return hausdorff(pts, scene, win)
+        except EmptyAfterClippingError:
+            return None
+
+    mor = build_morphism(mg, R, base)
     placement = place_tree(mg, t)
-    shift = mor.vertex_position["v0"] - dg._alignment_offset(placement, R, "v0")
-    raw, region, samples = dg._experiment_cloud(placement, R, mor, win, shift, dg._sampling(1.0))
+    shift = mor.vertex_position[base] - dg._alignment_offset(placement, R, base)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dg, "_chart_logdist", full_chart)
+        mp.setattr(dg, "_rows_near_window", _every_row)
+        raw, region, samples = dg._experiment_cloud(placement, R, mor, win, shift, dg._sampling(1.0))
     pts = raw / math.log(t) + shift
-    scene = emit_embedding(mor)
+    per_tripod = {v: public(pts[region == i], dg._tripod_scene(mor, v))
+                  for i, v in enumerate(mg.graph.vertices)}
+    return samples, pts, region, public(pts, emit_embedding(mor)), per_tripod
+
+
+@pytest.mark.parametrize("window, clipped, empty", [
+    pytest.param([[-3.0, 3.0], [-3.0, 3.0]], None, None, id="window0-None"),
+    # v1 has samples, but none in the window
+    pytest.param([[-3.0, 0.4], [-3.0, 0.4]], "v1", "point cloud", id="window1-v1"),
+    # v0's tripod lies left of x = 0.5, 14 samples of its region do not: they
+    # and the 740 in-window grid samples have no tripod bound
+    pytest.param([[0.501, 3.0], [-3.0, 3.0]], "v0", "scene", id="window2-v0"),
+])
+def test_convergence_matches_public_hausdorff_per_tripod(window, clipped, empty):
+    # the experiment skips radius rows that cannot reach the window,
+    # evaluates real-puncture charts on half the circle, clips once, groups
+    # in-window samples by region and bounds the global cloud side by the
+    # tripod distances; each distance must equal the public hausdorff on the
+    # region cloud of every row over the whole circle
+    mg = caterpillar_graph(1.0)
+    R = ResidueMatrix([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+    t, win = 1e3, np.array(window)
+    entry = convergence_experiment(mg, R, [t], window=win, base_vertex="v0").entries[0]
+    samples, pts, region, d_global, per_tripod = _public_distances(mg, R, t, win, "v0")
     assert entry.samples == samples == pts.shape[0]
-    assert entry.global_hausdorff == hausdorff(pts, scene, win)
-    for i, v in enumerate(mg.graph.vertices):
-        sub = pts[region == i]
-        tripod = dg._tripod_scene(mor, v)
-        if v == outside:
-            assert sub.shape[0] > 0
-            with pytest.raises(EmptyAfterClippingError, match="point cloud"):
-                hausdorff(sub, tripod, win)
-            assert entry.per_tripod[v] is None
-        else:
-            assert entry.per_tripod[v] == hausdorff(sub, tripod, win)
+    assert entry.global_hausdorff == d_global
+    assert entry.per_tripod == per_tripod
+    if clipped is not None:
+        i = mg.graph.vertices.index(clipped)
+        assert np.any(region == i) and per_tripod[clipped] is None
+        with pytest.raises(EmptyAfterClippingError, match=empty):
+            hausdorff(pts[region == i], dg._tripod_scene(build_morphism(mg, R, "v0"), clipped), win)
+    if empty == "scene":
+        assert np.any(dg._window_mask(pts[region == i], win))
+        assert np.any(dg._window_mask(pts[region == -1], win))
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 8),
+       t=st.sampled_from([1e3, 1e6]), half_width=st.sampled_from([None, 3.0]))
+def test_convergence_matches_public_hausdorff_on_random_trees(seed, leaves, t, half_width):
+    # the global cloud side is bounded through the tripod projections and
+    # refined only where a bound beats the maximum: every bound must hold at
+    # every point, and every distance must equal the public hausdorff bit
+    # for bit
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, 0, leaves)
+    assume(mg is not None)
+    finite = [p for p in place_tree(mg, t).punctures if p is not None]
+    assume(len(set(finite)) == len(finite))  # deep trees can merge punctures
+    rows = rng.integers(-2, 3, size=(2, leaves)).astype(float)
+    rows[:, -1] -= rows.sum(axis=1)
+    R = ResidueMatrix(rows)
+    base = mg.graph.vertices[0]
+    window = None if half_width is None else [[-half_width, half_width]] * 2
+    bounds = []
+    global_cloud_side = dg._global_cloud_side
+
+    def spy(cols, params, bound, seg, t_on):
+        exact, _, _ = dg._points_to_segments(cols, params)
+        bounds.append((bound.copy(), exact))
+        return global_cloud_side(cols, params, bound, seg, t_on)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dg, "_global_cloud_side", spy)
+        report = convergence_experiment(mg, R, [t], window=window, base_vertex=base)
+    entry = report.entries[0]
+    _, _, _, d_global, per_tripod = _public_distances(mg, R, t, report.window, base)
+    assert all(np.all(bound >= exact) for bound, exact in bounds)
+    assert entry.global_hausdorff == d_global
+    assert entry.per_tripod == per_tripod
 
 
 def _same_row_set(kept, full):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tropharm.errors import BadBasisError, NotTropicalError
 from tropharm.forms import ResidueMatrix
 from tropharm.graph import cycle_basis
-from tropharm.morphisms import build_morphism
+from tropharm.morphisms import build_morphism, regularity_rank
 from tropharm.phase import (
     PeriodBasis,
     TwistAssignment,
@@ -21,7 +21,7 @@ from tropharm.phase import (
 )
 
 from conftest import dumbbell_graph, genus2_graph
-from _generators import random_tropical_morphism
+from _generators import random_tropical_morphism, random_valid_cubic
 from oracles import rational_nullspace_fraction
 
 R33 = ResidueMatrix([[3.0, -3.0]])
@@ -98,6 +98,22 @@ def test_solve_twists_genus0(tripod):
     mor = build_morphism(tripod, ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]))
     sol = solve_twists(tripod, mor)
     assert sol.dimension == 0 == sol.rank  # no edges, no constraints
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([1, 2]))
+def test_regularity_rank_equals_twist_rank(seed, m):
+    # both ranks are of the one loop-slope matrix, by SVD and by exact
+    # elimination; the twist torus has dimension |E| - rank, and the morphism
+    # is regular exactly when that is |E| - m*g
+    rng = np.random.default_rng(seed)
+    mg, _, mor = random_tropical_morphism(random_valid_cubic(rng), rng, m=m)
+    rep = regularity_rank(mg, mor)
+    sol = solve_twists(mg, mor)
+    n_edges = len(mg.graph.edge_ids)
+    assert rep.rank == sol.rank
+    assert sol.dimension == n_edges - sol.rank
+    assert rep.is_regular == (sol.dimension == n_edges - m * mg.genus)
 
 
 def test_solve_twists_samples_pass(rng):
