@@ -246,43 +246,60 @@ def field_zero(lam1: float, lam_minus1: float) -> float:
 # amoeba sampling
 
 
-def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray,
-                   angular_count: int) -> tuple[np.ndarray, int]:
-    """log-distances of p_j + r*e^(i*theta) to every finite puncture.
+def _chart_units(pts: np.ndarray, angular_count: int) -> np.ndarray:
+    """Unit vectors of the angles evaluated on every chart around a puncture.
 
     Of the A = ``angular_count`` angles, indices 0 .. A - h, h = ceil(A/2),
     are the uniform grid 2*pi*k/A and index A - k is the exact conjugate of
-    index k.  The own column is log r exactly, which keeps tiny radii
-    accurate where z - p_j would cancel to zero in floating point.  Samples
-    landing exactly on another puncture are dropped.  If every puncture has
-    the same imaginary part, z and conj(z) are equidistant from each, bit for
-    bit, so only indices 0 .. A - h are evaluated.
-
-    Returns the kept rows and the number of samples drawn off a puncture
-    over the whole circle, mirror samples included."""
+    index k.  If every puncture has the same imaginary part, z and conj(z)
+    are equidistant from each, bit for bit, so only indices 0 .. A - h are
+    evaluated; otherwise all A are, in index order."""
     a = angular_count
     h = (a + 1) // 2  # angle indices 1 .. h-1 have mirrors a-1 .. a-h+1
     units = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, a, endpoint=False)[:a - h + 1])
-    mirrored = bool(np.all(pts.imag == pts[j].imag))
-    if not mirrored:
-        units = np.concatenate([units, units[h - 1:0:-1].conj()])
-    offs = np.exp(log_radii)[:, None] * units[None, :]
-    dist = np.empty((pts.size, *offs.shape))
-    keep = np.ones(offs.shape, dtype=bool)
-    for k in range(pts.size):
-        if k == j:
-            continue
-        d = dist[k]
-        np.abs(pts[j] - pts[k] + offs, out=d)
-        keep &= d > 0.0
-    drawn = np.count_nonzero(keep)
-    if mirrored:
-        drawn += np.count_nonzero(keep[:, 1:h])
-    logdist = np.empty((np.count_nonzero(keep), pts.size))
-    logdist[:, j] = np.broadcast_to(log_radii[:, None], offs.shape)[keep]
+    if np.all(pts.imag == pts[0].imag):
+        return units
+    return np.concatenate([units, units[h - 1:0:-1].conj()])
+
+
+def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray, angular_count: int, *,
+                   buffers: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, int]:
+    """log-distances of p_j + r*e^(i*theta) to every finite puncture, one row
+    per radius and evaluated angle (``_chart_units``), radius by radius.
+
+    Column k is |z - p_k|, written in place and then logged in place.  The
+    own column is log r exactly, which keeps tiny radii accurate where
+    z - p_j would cancel to zero in floating point.  Only if some distance
+    is exactly 0, a sample landing on another puncture, are the rows
+    compacted to drop those samples.  ``buffers``, an (N, n) float array and
+    a (2, N) complex array with N at least the chart's row count, are the
+    working storage, and the rows returned are the first ones of the float
+    array unless rows were dropped; without them the chart allocates its
+    own.
+
+    Returns the kept rows and the number of samples drawn off a puncture
+    over the whole circle, mirror samples included."""
+    units = _chart_units(pts, angular_count)
+    shape = (log_radii.size, units.size)
+    size = shape[0] * shape[1]
+    buf, zbuf = buffers or (np.empty((size, pts.size)), np.empty((2, size), dtype=complex))
+    logdist, offs, z = buf[:size], zbuf[0, :size], zbuf[1, :size]
+    np.multiply(np.exp(log_radii)[:, None], units, out=offs.reshape(shape))
     for k in range(pts.size):
         if k != j:
-            logdist[:, k] = np.log(dist[k][keep])
+            np.add(offs, pts[j] - pts[k], out=z)
+            np.abs(z, out=logdist[:, k])
+    logdist[:, j] = 1.0  # logs to 0 until log r is written over it
+    twins = angular_count - units.size  # angle indices 1 .. twins have mirror copies
+    if logdist.all():  # no sample on a puncture
+        drawn = size + shape[0] * twins
+        np.log(logdist, out=logdist)
+        logdist.reshape(*shape, pts.size)[:, :, j] = log_radii[:, None]
+        return logdist, drawn
+    keep = np.all(logdist > 0.0, axis=1)
+    drawn = np.count_nonzero(keep) + np.count_nonzero(keep.reshape(shape)[:, 1:1 + twins])
+    logdist = np.log(logdist[keep])
+    logdist[:, j] = np.repeat(log_radii, units.size)[keep]
     return logdist, int(drawn)
 
 
@@ -315,10 +332,18 @@ def _as_window(window, dim: int) -> np.ndarray:
     if w.shape != (dim, 2) or np.any(w[:, 0] >= w[:, 1]):
         raise InputError(f"window must be (dim, 2) with lo < hi, got shape {w.shape}")
     with np.errstate(over="ignore"):
-        diagonal = np.linalg.norm(w[:, 1] - w[:, 0])
-    if not np.isfinite(diagonal):
+        step = _scene_step(w)
+    if not math.isfinite(step):
         raise InputError("window diagonal overflows")
+    if not step >= np.finfo(float).tiny:
+        raise InputError(f"window is too small: its scene sample spacing {step:.3g} "
+                         "(diagonal / 2048) is not a positive normal float")
     return w
+
+
+def _scene_step(win: np.ndarray) -> float:
+    """Spacing of the scene samples in a window: its diagonal / 2048."""
+    return float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0
 
 
 def _clip_param_line(a: np.ndarray, d: np.ndarray, t_hi: float, window: np.ndarray):
@@ -388,9 +413,13 @@ def _sq_dist(cols: np.ndarray, x) -> np.ndarray:
     """sum_k (cols[k] - x[k])**2 added in coordinate order; x[k] is a scalar
     or a column like cols[k].  Every point-to-point distance is this sum
     followed by sqrt, so two of them for the same pair agree bit for bit."""
-    out = (cols[0] - x[0]) ** 2
+    out = cols[0] - x[0]
+    out *= out
+    term = np.empty_like(out)
     for k in range(1, cols.shape[0]):
-        out += (cols[k] - x[k]) ** 2
+        np.subtract(cols[k], x[k], out=term)
+        term *= term
+        out += term
     return out
 
 
@@ -401,11 +430,16 @@ def _segment_params(segs: np.ndarray):
     return a, ab, np.where(denom == 0.0, 1.0, denom)
 
 
+# points per pass of _points_to_segments, so that its scratch arrays stay small
+_BLOCK = 8192
+
+
 def _points_to_segments(cols: np.ndarray, params):
     """Exact distance from each column point to the nearest segment; cols is
     (d, N) and params is ``_segment_params`` of the (S, 2, d) segments.
 
-    One pass per segment over the coordinate columns: the clipped projection
+    The points go in blocks of ``_BLOCK``, and each block takes one pass per
+    segment over its coordinate columns: the clipped projection
     parameter (``_clipped_t``), then a running minimum of the squared
     distance to a + t*ab, and one sqrt at the end; the result equals the
     broadcast formula bit for bit, and each point's value depends on that
@@ -416,23 +450,29 @@ def _points_to_segments(cols: np.ndarray, params):
     dim, n = cols.shape
     best, best_t = np.full(n, np.inf), np.zeros(n)
     best_seg = np.zeros(n, dtype=np.intp)
-    lanes, r, sq = np.empty((2, n)), np.empty(n), np.empty(n)
-    closer = np.empty(n, dtype=bool)
-    for s in range(a.shape[0]):
-        t = _clipped_t(cols, a[s], ab[s], denom[s], lanes, r)
-        for k in range(dim):
-            term = sq if k == 0 else r
-            np.multiply(t, ab[s, k], out=term)
-            term += a[s, k]
-            np.subtract(cols[k], term, out=term)
-            term *= term
-            if k:
-                sq += r
-        np.less(sq, best, out=closer)
-        np.copyto(best, sq, where=closer)
-        np.copyto(best_t, t, where=closer)
-        np.copyto(best_seg, s, where=closer)
-    return np.sqrt(best), best_seg, best_t
+    width = min(n, _BLOCK)
+    lanes, r, sq = np.empty((2, width)), np.empty(width), np.empty(width)
+    closer = np.empty(width, dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        c = cols[:, lo:lo + _BLOCK]
+        w = c.shape[1]
+        b_sq, b_r, b_closer = sq[:w], r[:w], closer[:w]
+        b_best, b_t, b_seg = best[lo:lo + w], best_t[lo:lo + w], best_seg[lo:lo + w]
+        for s in range(a.shape[0]):
+            t = _clipped_t(c, a[s], ab[s], denom[s], lanes[:, :w], b_r)
+            for k in range(dim):
+                term = b_sq if k == 0 else b_r
+                np.multiply(t, ab[s, k], out=term)
+                term += a[s, k]
+                np.subtract(c[k], term, out=term)
+                term *= term
+                if k:
+                    b_sq += b_r
+            np.less(b_sq, b_best, out=b_closer)
+            np.copyto(b_best, b_sq, where=b_closer)
+            np.copyto(b_t, t, where=b_closer)
+            np.copyto(b_seg, s, where=b_closer)
+    return np.sqrt(best, out=best), best_seg, best_t
 
 
 def _sample_segments(segs: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
@@ -458,23 +498,28 @@ class _ClippedScene:
         _, first = np.unique(segs.reshape(segs.shape[0], -1), axis=0, return_index=True)
         self.segs = segs[np.sort(first)]
         self.params = _segment_params(self.segs)
-        samples, self.counts = _sample_segments(
-            self.segs, float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0)
+        samples, self.counts = _sample_segments(self.segs, _scene_step(win))
         self.cols = np.ascontiguousarray(samples.T)
         self.offset = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        self.last = (self.counts - 1).astype(float)  # each segment's last sample index
         self.start = np.repeat(self.offset, self.counts)
         self.stop = self.start + np.repeat(self.counts, self.counts)
 
-    def hausdorff(self, cols: np.ndarray, seg: np.ndarray, t: np.ndarray, lmax: float) -> float:
-        """max(lmax, largest distance from a scene sample to the cloud), where
-        a cloud point's (seg, t) bins it to a sample and lmax is the exact
-        cloud-to-scene side; see ``_scene_hausdorff``."""
-        # bin each point to the sample nearest (seg, t); then give every
-        # sample the point of its nearest covered sample on the same segment,
-        # or point 0 on a segment no point is binned to
+    def bounds(self, cols: np.ndarray, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Upper bound on each scene sample's distance to the cloud: bin each
+        point to the sample nearest its (seg, t), then give every sample the
+        point of its nearest covered sample on the same segment, or point 0
+        on a segment no point is binned to."""
+        at = np.take(self.last, seg)
+        at *= t
+        np.rint(at, out=at)
+        bins = np.take(self.offset, seg)
+        np.add(bins, at, out=bins, casting="unsafe")  # exact: both are integers below 2**53
+        del at
         n = self.cols.shape[1]
         rep = np.full(n, -1, dtype=np.intp)
-        rep[self.offset[seg] + np.rint(t * (self.counts[seg] - 1)).astype(np.intp)] = np.arange(cols.shape[1])
+        rep[bins] = np.arange(cols.shape[1])
+        del bins
         idx = np.arange(n)
         covered = rep >= 0
         before = np.maximum.accumulate(np.where(covered, idx, -1))
@@ -483,12 +528,17 @@ class _ClippedScene:
         gap_after = np.where(after < self.stop, after - idx, n)
         near = np.where(gap_before <= gap_after, before, after)
         fill = np.where(np.minimum(gap_before, gap_after) < n, rep[near.clip(0, n - 1)], 0)
-        bound = np.sqrt(_sq_dist(cols.take(fill, axis=1), self.cols))
+        return np.sqrt(_sq_dist(cols.take(fill, axis=1), self.cols))
 
-        # exact scans, largest bound first, until no bound beats the maximum;
-        # the nearest point of each scanned sample tightens every other bound
+    def scan(self, cols: np.ndarray, bound: np.ndarray, lmax: float, above: float = -math.inf) -> float:
+        """max(lmax, the largest distance from a scanned scene sample to the
+        cloud): exact scans, largest ``bound`` first, while the largest bound
+        beats both lmax and ``above``.  The nearest point of each scanned
+        sample tightens every other bound, in place, so a later call goes on
+        from there; with ``above`` at -inf the result is max(lmax, the
+        scene-to-cloud distance)."""
         i = np.argmax(bound)
-        while bound[i] > lmax:
+        while bound[i] > max(lmax, above):
             sq = _sq_dist(cols, self.cols[:, i])
             p = np.argmin(sq)
             lmax = max(lmax, np.sqrt(sq[p]))
@@ -513,13 +563,13 @@ def _scene_hausdorff(pts: np.ndarray, segs: np.ndarray, win: np.ndarray) -> floa
 
     The convergence experiment does the same in parts: it prepares each
     scene once (``_ClippedScene``), projects each tripod region's points on
-    their own tripod, and bounds the global cloud side from those
-    projections (``_global_cloud_side``).
+    their own tripod, and bounds the global distance from those
+    projections (``_global_hausdorff``).
     """
     scene = _ClippedScene(segs, win)
     cols = np.ascontiguousarray(pts.T)
     d1, seg, t = _points_to_segments(cols, scene.params)
-    return scene.hausdorff(cols, seg, t, d1.max())
+    return scene.scan(cols, scene.bounds(cols, seg, t), d1.max())
 
 
 def _piece_parents(pieces: np.ndarray, params, scale: float):
@@ -544,32 +594,46 @@ def _piece_parents(pieces: np.ndarray, params, scale: float):
     return parent, worst[k, parent] + 1e-9 * scale, t_ends[:, 0], t_ends[:, 1] - t_ends[:, 0]
 
 
-def _global_cloud_side(cols: np.ndarray, params, bound: np.ndarray, seg: np.ndarray,
-                       t: np.ndarray) -> float:
-    """Largest exact distance from a column point to the segments ``params``,
-    given an upper bound U(p) on each point's distance (+inf where none is
-    known).
+def _global_hausdorff(cols: np.ndarray, scene: _ClippedScene, bound: np.ndarray, seg: np.ndarray,
+                      t: np.ndarray) -> float:
+    """Hausdorff distance between the column points and a prepared scene,
+    given an upper bound U(p) on each point's distance to the scene (+inf
+    where none is known) and a bin (seg, t) for each bounded point.
 
-    Points are projected exactly (``_points_to_segments``) in two rounds:
-    first the unbounded points and the point with the largest finite bound,
-    whose distance is usually near the maximum, then every point whose bound
-    exceeds the running maximum.  A point never projected is no farther
-    than its bound, which is at most the maximum, so the result equals the
-    maximum over all points bit for bit.  A projected point's bound, ``seg``
-    and ``t`` are overwritten with its exact distance, nearest segment and
-    clipped t.
+    Points are projected exactly (``_points_to_segments``), and a projected
+    point's bound, ``seg`` and ``t`` are overwritten with its exact
+    distance, nearest segment and clipped t.  The first round projects the
+    unbounded points and the point with the largest finite bound, whose
+    distance is usually near the maximum.  Then the scene side is bounded
+    (``_ClippedScene.bounds``), and the scene samples whose bounds beat
+    every point's bound are scanned exactly first: their distances are part
+    of the result too, and raise the maximum that a point's bound must beat
+    to be projected.  Every point whose bound still exceeds the running
+    maximum is projected, round by round, and the scene scans finish from
+    there.  A point never projected is no farther than its bound, which is
+    at most the result, so the result equals the all-pairs Hausdorff
+    distance bit for bit.  On an amoeba that fits the scene to round-off,
+    the tripod slack is above every exact point distance, and the scene
+    samples scanned first are what spare projecting the whole cloud.
     """
+    def project(todo: np.ndarray) -> float:
+        d, s, ts = _points_to_segments(cols.take(todo, axis=1), scene.params)
+        bound[todo], seg[todo], t[todo] = d, s, ts
+        return d.max()
+
     unbounded = bound == np.inf
     todo = np.flatnonzero(unbounded)
     if not unbounded.all():
         todo = np.append(todo, np.argmax(np.where(unbounded, -np.inf, bound)))
-    lmax = -np.inf
+    del unbounded
+    lmax = project(todo)
+    scene_bound = scene.bounds(cols, seg, t)
+    lmax = scene.scan(cols, scene_bound, lmax, above=bound.max())
+    todo = np.flatnonzero(bound > lmax)
     while todo.size:
-        d, s, ts = _points_to_segments(cols.take(todo, axis=1), params)
-        bound[todo], seg[todo], t[todo] = d, s, ts
-        lmax = max(lmax, d.max())
+        lmax = max(lmax, project(todo))
         todo = np.flatnonzero(bound > lmax)
-    return lmax
+    return scene.scan(cols, scene_bound, lmax)
 
 
 def hausdorff(points, scene: Scene, window) -> float:
@@ -861,10 +925,20 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     A region is an index into the graph's vertices, or -1 for samples of the
     global grid.  Rescaled points are raw / log t + shift.  On real
     punctures each chart is evaluated on the lower half-circle only (see
-    ``_chart_logdist``), and radius rows that provably miss the window (see
+    ``_chart_units``), and radius rows that provably miss the window (see
     ``_rows_near_window``) are never evaluated; the returned count still
     includes both: every chart sample drawn off a puncture over the whole
-    circle, plus the grid samples."""
+    circle, plus the grid samples.
+
+    Every chart's near rows are found first, so the (N, m) image and the
+    region array are allocated once.  The charts are then evaluated one at a
+    time into one pair of chart buffers, sized for the largest chart and
+    reused by every chart (``_chart_logdist``), and each chart has exactly
+    one matmul, over all its kept rows, written straight into its slice of
+    the image; the grid follows.  What lives at once is the image, the
+    region array and one chart's buffers and tripod regions.  The arrays
+    returned are views of the first rows of the allocated ones: room for the
+    grid is reserved at its node count, and rows on a puncture are dropped."""
     g = placement.carrier.graph
     idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
@@ -912,8 +986,9 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     u_cap = 600.0 / logt
     u_hi = min(h_top + reach, u_cap)
 
-    chunks: list[np.ndarray] = []
-    regions: list[np.ndarray] = []
+    # every chart's radius rows near the window first, so that the image and
+    # region arrays are allocated once, for every chart and the grid
+    charts = []
     samples = 0
     for pos, v in enumerate(leaf_vertices):
         u_lo = max(heights[v] - reach, -u_cap)
@@ -923,18 +998,34 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
         u = np.arange(k_lo, k_hi + 1) * step
         log_radii = u * logt
         near = _rows_near_window(pts, pos, log_radii, res_cols, window, shift, logt)
-        logdist, drawn = _chart_logdist(pts, pos, log_radii[near], angular_count)
-        chunks.append(logdist @ res_cols.T)
-        regions.append(assign_tripods(logdist))
+        charts.append(log_radii[near])
         # a dropped row keeps clear of every other puncture: all its samples count
-        samples += drawn + (near.size - np.count_nonzero(near)) * angular_count
+        samples += (near.size - np.count_nonzero(near)) * angular_count
+    _check_indexable(grid_count**2 * pts.size, "the global grid")
+    width = _chart_units(pts, angular_count).size
+    sizes = [log_radii.size * width for log_radii in charts]
+    raw = np.empty((sum(sizes) + grid_count**2, R.m))
+    region = np.empty(raw.shape[0], dtype=region_type)
+
+    # one matmul per chart over all its rows, written into the chart's slice:
+    # a product of fewer rows can differ from the same rows of the whole one
+    # in the last bit
+    buffers = np.empty((max(sizes), pts.size)), np.empty((2, max(sizes)), dtype=complex)
+    end = 0
+    for pos, log_radii in enumerate(charts):
+        logdist, drawn = _chart_logdist(pts, pos, log_radii, angular_count, buffers=buffers)
+        rows = slice(end, end + logdist.shape[0])
+        np.matmul(logdist, res_cols.T, out=raw[rows])
+        region[rows] = assign_tripods(logdist)
+        end, samples = rows.stop, samples + drawn
+    del buffers, logdist
 
     # coarse global grid over a disk containing all finite punctures
-    _check_indexable(grid_count**2 * pts.size, "the global grid")
     grid = _grid_logdist(pts, grid_count)
-    chunks.append(grid @ res_cols.T)
-    regions.append(np.full(grid.shape[0], -1, dtype=region_type))
-    return np.vstack(chunks), np.concatenate(regions), samples + grid.shape[0]
+    rows = slice(end, end + grid.shape[0])
+    np.matmul(grid, res_cols.T, out=raw[rows])
+    region[rows] = -1
+    return raw[:rows.stop], region[:rows.stop], samples + grid.shape[0]
 
 
 def default_window(scene: Scene) -> np.ndarray:
@@ -958,14 +1049,20 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     resolution (see ``_sampling``).
 
     The global and tripod scenes are clipped and prepared once per
-    experiment (``_ClippedScene``).  Per t, the in-window points are split
+    experiment (``_ClippedScene``).  Each t runs in a helper whose arrays
+    are all freed before the next t samples.  Its cloud is one (N, m) image
+    and one region array, allocated once and written chart by chart
+    (``_experiment_cloud``); the chart buffers are reused from chart to
+    chart, and each chart has exactly one matmul.  The image is rescaled
+    one coordinate at a time to find the in-window points, which are split
     by region with one stable sort, so each tripod cloud is a column slice
-    in cloud order.  Each tripod distance projects its region's points on
-    its own pieces; that distance plus the piece's slack bounds the point's
-    global distance (``_piece_parents``), and only grid points, points of a
-    region whose tripod is clipped away and points whose bound beats the
-    running maximum are projected on the global scene
-    (``_global_cloud_side``).  Every distance equals ``hausdorff`` on the
+    in cloud order; the image is freed once they are copied out, and each
+    tripod's projections once they are used.  Each tripod distance projects
+    its region's points on its own pieces; that distance plus the piece's
+    slack bounds the point's global distance (``_piece_parents``), and only
+    grid points, points of a region whose tripod is clipped away and points
+    whose bound beats the running maximum are projected on the global scene
+    (``_global_hausdorff``).  Every distance equals ``hausdorff`` on the
     same cloud bit for bit.
     """
     sampling = _sampling(density)
@@ -990,23 +1087,36 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     parents = [None if tri is None or glob is None else _piece_parents(tri.segs, glob.params, scale)
                for tri in tripods]
 
-    entries = []
-    for t in ts:
+    def step(t: float) -> TStepResult:
+        """The experiment at one t; nothing it allocates outlives it."""
         placement = place_tree(mg, t)
         shift = mor.vertex_position[base_vertex] - _alignment_offset(placement, R, base_vertex)
         try:
             raw, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
         except MemoryError as exc:
             raise SamplingTooDenseError(f"amoeba sampling does not fit in memory: {exc}") from exc
-        # rescale into coordinate columns, keep the in-window points and sort
-        # them by region, stably, so each tripod cloud is one column slice
-        cols = np.empty(raw.shape[::-1])
-        np.divide(raw.T, math.log(t), out=cols)
-        del raw
-        cols += shift[:, None]
-        keep = np.flatnonzero(_window_mask(cols.T, win))
+        # rescale one coordinate at a time into a contiguous column to find
+        # the in-window points, as _window_mask compares them; keep those,
+        # sorted by region, stably, so each tripod cloud is one slice of the
+        # C-ordered coordinate columns, and rescale them again as they are
+        # copied out (the same operations give the same bits)
+        logt = math.log(t)
+        x = np.empty(raw.shape[0])
+        inside = np.ones(raw.shape[0], dtype=bool)
+        for k, (lo, hi) in enumerate(win):
+            np.divide(raw[:, k], logt, out=x)
+            x += shift[k]
+            inside &= x >= lo
+            inside &= x <= hi
+        keep = np.flatnonzero(inside)
+        del x, inside
         keep = keep[np.argsort(region[keep], kind="stable")]
-        cols, region = cols.take(keep, axis=1), region[keep]  # C order, unlike cols[:, keep]
+        region = region[keep]
+        cols = np.empty((R.m, keep.size))
+        for k, col in enumerate(cols):
+            np.divide(raw[keep, k], logt, out=col)
+            col += shift[k]
+        del raw, keep
         if cols.size == 0:
             raise EmptyAfterClippingError("point cloud is empty after clipping")
         if glob is None:
@@ -1015,6 +1125,7 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
         # each tripod's projections give its distance and, through the
         # piece parents, a bound and a bin for each point's global distance
         ends = np.searchsorted(region, np.arange(len(vertices) + 1))
+        del region
         n = cols.shape[1]
         bound, seg, t_on = np.full(n, np.inf), np.zeros(n, dtype=np.intp), np.zeros(n)
         per_tripod: dict[str, float | None] = {}
@@ -1023,14 +1134,22 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
             if lo == hi or tripods[i] is None:
                 per_tripod[v] = None
                 continue
+            # each of d, s and ts_on is dropped once used, before the scans
             sub = cols[:, lo:hi]
             d, s, ts_on = _points_to_segments(sub, tripods[i].params)
-            per_tripod[v] = tripods[i].hausdorff(sub, s, ts_on, d.max())
+            lmax = d.max()
             parent, slack, t0, dt = parents[i]
-            bound[lo:hi] = d + slack[s]
+            d += slack[s]
+            bound[lo:hi] = d
+            del d
             seg[lo:hi] = parent[s]
-            t_on[lo:hi] = np.clip(t0[s] + ts_on * dt[s], 0.0, 1.0)
-        d_global = glob.hausdorff(cols, seg, t_on, _global_cloud_side(cols, glob.params, bound, seg, t_on))
-        entries.append(TStepResult(t, d_global, per_tripod, samples))
+            scene_bound = tripods[i].bounds(sub, s, ts_on)
+            ts_on *= dt[s]
+            ts_on += t0[s]
+            np.clip(ts_on, 0.0, 1.0, out=t_on[lo:hi])
+            del s, ts_on
+            per_tripod[v] = tripods[i].scan(sub, scene_bound, lmax)
+        return TStepResult(t, _global_hausdorff(cols, glob, bound, seg, t_on), per_tripod, samples)
 
+    entries = [step(t) for t in ts]
     return ConvergenceReport(tuple(entries), win, base_vertex, mg.graph.leaf_ids[-1])

@@ -6,6 +6,7 @@ from math import gcd
 
 import numpy as np
 
+from tropharm.degeneration import _grid_logdist, _rows_near_window
 from tropharm.errors import EvaluationAtPunctureError
 from tropharm.graph import _spanning_tree
 
@@ -89,6 +90,18 @@ def amoeba_map(sphere, R, z):
     return img[0] if scalar else img
 
 
+def circle_units(angular_count):
+    """Unit vectors of all A angles of a chart circle: index k <= A - ceil(A/2)
+    is the uniform angle 2*pi*k/A, and index A - k above it the conjugate of
+    index k's unit vector."""
+    a = angular_count
+    lower = a - (a + 1) // 2
+    units = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, a, endpoint=False))
+    upper = np.arange(lower + 1, a)
+    units[upper] = np.conj(units[a - upper])
+    return units
+
+
 def chart_logdist_full(pts, j, log_radii, angular_count):
     """log-distances of p_j + r*e^(i*theta) to every finite puncture, one row
     per sample off a puncture over the whole circle, mirror samples included,
@@ -99,11 +112,7 @@ def chart_logdist_full(pts, j, log_radii, angular_count):
     column is log r; samples landing exactly on another puncture are dropped.
     """
     a = angular_count
-    lower = a - (a + 1) // 2
-    theta = np.linspace(0.0, 2.0 * np.pi, a, endpoint=False)
-    units = np.exp(1j * theta)
-    upper = np.arange(lower + 1, a)
-    units[upper] = np.conj(units[a - upper])
+    units = circle_units(a)
     offs = (np.exp(log_radii)[:, None] * units[None, :]).ravel()
     index = np.tile(np.arange(a), log_radii.size)
     logdist = np.empty((offs.size, pts.size))
@@ -116,6 +125,102 @@ def chart_logdist_full(pts, j, log_radii, angular_count):
         keep &= d > 0.0
         logdist[:, k] = np.log(np.where(d > 0.0, d, 1.0))
     return logdist[keep], index[keep]
+
+
+def chart_logdist_masked(pts, j, log_radii, angular_count):
+    """log-distances of p_j + r*e^(i*theta) to every finite puncture, each
+    column k of one (rows, angles) distance block per puncture, gathered
+    through a keep mask of the samples off every puncture.  On punctures of
+    one imaginary part only angle indices 0 .. A - ceil(A/2) are evaluated;
+    the count returned includes their mirror samples."""
+    a = angular_count
+    h = (a + 1) // 2
+    units = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, a, endpoint=False)[:a - h + 1])
+    mirrored = bool(np.all(pts.imag == pts[j].imag))
+    if not mirrored:
+        units = np.concatenate([units, units[h - 1:0:-1].conj()])
+    offs = np.exp(log_radii)[:, None] * units[None, :]
+    dist = np.empty((pts.size, *offs.shape))
+    keep = np.ones(offs.shape, dtype=bool)
+    for k in range(pts.size):
+        if k == j:
+            continue
+        d = dist[k]
+        np.abs(pts[j] - pts[k] + offs, out=d)
+        keep &= d > 0.0
+    drawn = np.count_nonzero(keep)
+    if mirrored:
+        drawn += np.count_nonzero(keep[:, 1:h])
+    logdist = np.empty((np.count_nonzero(keep), pts.size))
+    logdist[:, j] = np.broadcast_to(log_radii[:, None], offs.shape)[keep]
+    for k in range(pts.size):
+        if k != j:
+            logdist[:, k] = np.log(dist[k][keep])
+    return logdist, int(drawn)
+
+
+def experiment_cloud_stacked(placement, R, mor, window, shift, sampling):
+    """The convergence experiment's raw cloud, regions and sample count, each
+    chart evaluated into arrays of its own (``chart_logdist_masked``) and
+    multiplied by the residue columns, and the charts and the global grid
+    stacked at the end.  Chart radii, rows skipped as missing the window and
+    tripod regions follow the library's rules."""
+    g = placement.carrier.graph
+    idx, pts = placement.sphere().finite()
+    res_cols = R.entries[:, idx]
+    logt = math.log(placement.t)
+
+    wmax = float(np.max(np.abs(window))) + 1.0
+    slopes = [np.abs(v) for v in mor.edge_slope.values()]
+    slopes += [np.abs(v) for v in mor.leaf_slope.values()]
+    nonzero = [float(s.max()) for s in slopes if s.max() > 1e-12]
+    floor = max(min(nonzero) if nonzero else 1.0, 0.05)
+    reach = min(wmax / floor, 200.0)
+
+    heights = placement.height
+    h_top = max(heights.values())
+    step, angular_count, grid_count = sampling
+
+    vertex_index = {v: i for i, v in enumerate(g.vertices)}
+    region_type = np.min_scalar_type(-len(g.vertices))
+    leaf_vertices = [g.leaves[j].vertex for j in idx]
+    depth = max(len(placement.up_path[v]) for v in leaf_vertices)
+    paths = np.zeros((len(leaf_vertices), depth), dtype=region_type)
+    bounds = np.full((depth - 1, len(leaf_vertices)), np.inf)
+    for pos, v in enumerate(leaf_vertices):
+        up = placement.up_path[v]
+        hs = [heights[w] for w in up]
+        paths[pos, :len(up)] = [vertex_index[w] for w in up]
+        bounds[:len(up) - 1, pos] = [(a + b) / 2.0 for a, b in zip(hs, hs[1:])]
+
+    def assign_tripods(logdist):
+        nearest = np.argmin(logdist, axis=1)
+        u_min = np.take_along_axis(logdist, nearest[:, None], axis=1)[:, 0] / logt
+        level = np.zeros(nearest.size, dtype=np.intp)
+        for bnd in bounds:
+            level += bnd[nearest] <= u_min
+        return paths[nearest, level]
+
+    u_cap = 600.0 / logt
+    u_hi = min(h_top + reach, u_cap)
+
+    chunks, regions = [], []
+    samples = 0
+    for pos, v in enumerate(leaf_vertices):
+        u_lo = max(heights[v] - reach, -u_cap)
+        k_lo, k_hi = math.ceil(u_lo / step), math.floor(u_hi / step)
+        u = np.arange(k_lo, k_hi + 1) * step
+        log_radii = u * logt
+        near = _rows_near_window(pts, pos, log_radii, res_cols, window, shift, logt)
+        logdist, drawn = chart_logdist_masked(pts, pos, log_radii[near], angular_count)
+        chunks.append(logdist @ res_cols.T)
+        regions.append(assign_tripods(logdist))
+        samples += drawn + (near.size - np.count_nonzero(near)) * angular_count
+
+    grid = _grid_logdist(pts, grid_count)
+    chunks.append(grid @ res_cols.T)
+    regions.append(np.full(grid.shape[0], -1, dtype=region_type))
+    return np.vstack(chunks), np.concatenate(regions), samples + grid.shape[0]
 
 
 def place_tree_reference(mg, t):

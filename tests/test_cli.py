@@ -330,9 +330,10 @@ def test_degenerate_infinite_t_errors(capsys, files):
     assert json.loads(err)["code"] == "BadInput"
 
 
-@pytest.mark.parametrize("window", ["nan", "inf", "1e300"])
+@pytest.mark.parametrize("window", ["nan", "inf", "1e300", "1e-170"])
 def test_degenerate_non_finite_window_errors(capsys, files, window):
-    # a NaN bound, an infinite bound, and a window whose diagonal overflows
+    # a NaN bound, an infinite bound, a window whose diagonal overflows and
+    # one whose scene sample spacing (diagonal / 2048) underflows to 0
     code, out, err = run(capsys, "degenerate", files["tripod"], files["rline"],
                          "--t", "1e3", "--window", window)
     assert code == 1 and out == ""

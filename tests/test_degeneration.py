@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +34,8 @@ from tropharm.errors import (
     ResiduesDontSumToZeroError,
     ZeroCoordinateError,
 )
-from tropharm.forms import ResidueMatrix
-from tropharm.graph import CubicGraph, MetricGraph
+from tropharm.forms import ResidueMatrix, load_residues
+from tropharm.graph import CubicGraph, MetricGraph, load_graph
 from tropharm.morphisms import Scene, build_morphism, emit_embedding
 
 from _generators import random_cubic
@@ -41,11 +43,14 @@ from conftest import caterpillar_graph, dumbbell_graph, tripod_graph
 from oracles import (
     amoeba_map,
     chart_logdist_full,
+    circle_units,
+    experiment_cloud_stacked,
     place_tree_reference,
     points_to_segments_broadcast,
     scene_hausdorff_bruteforce,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 LINE_R = ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 LINE_SPHERE = PuncturedSphere((0.0, 1.0, None))
 
@@ -271,6 +276,14 @@ def test_hausdorff_empty_after_clip():
         hausdorff(np.array([[10.0, 10.0]]), scene, [[-1, 1], [-1, 1]])
 
 
+def test_hausdorff_refuses_a_window_whose_sample_spacing_underflows():
+    # the diagonal 2.8e-170 squares to 0, so the scene's sample spacing
+    # (diagonal / 2048) would be 0
+    scene = Scene(2, {"a": np.zeros(2)}, (), (("p", np.zeros(2), np.array([1.0, 0.0])),), 1.0)
+    with pytest.raises(InputError, match="too small"):
+        hausdorff(np.zeros((1, 2)), scene, [[-1e-170, 1e-170], [-1e-170, 1e-170]])
+
+
 def test_clip_scene_ray_with_every_component_tiny_is_a_point():
     # each component is below the slab threshold, the norm is not
     d = np.array([0.9e-300, 0.9e-300])
@@ -468,32 +481,95 @@ def _every_row(pts, j, log_radii, *args):
     return np.ones(log_radii.size, dtype=bool)
 
 
-def _in_window_cloud(mg, R, t, window, sampling):
-    """In-window rescaled points, their regions and the sample count, with
-    the rows that cannot reach the window skipped as the experiment does."""
+def _cloud_args(mg, R, t, window, sampling):
+    """The arguments (placement, R, mor, window, shift, sampling) of
+    ``_experiment_cloud`` at t, based at the first vertex; window None is
+    the default window."""
     base = mg.graph.vertices[0]
     mor = build_morphism(mg, R, base)
     win = dg.default_window(emit_embedding(mor, 1.0)) if window is None else window
     placement = place_tree(mg, t)
     shift = mor.vertex_position[base] - dg._alignment_offset(placement, R, base)
-    raw, region, samples = dg._experiment_cloud(placement, R, mor, win, shift, sampling)
+    return placement, R, mor, win, shift, sampling
+
+
+def _in_window_cloud(mg, R, t, window, sampling):
+    """In-window rescaled points, their regions and the sample count, with
+    the rows that cannot reach the window skipped as the experiment does."""
+    _, _, _, win, shift, _ = args = _cloud_args(mg, R, t, window, sampling)
+    raw, region, samples = dg._experiment_cloud(*args)
     pts = raw / math.log(t) + shift
     inside = dg._window_mask(pts, win)
     return pts[inside], region[inside], samples
+
+
+def _random_tree_residues(seed, leaves, t):
+    """A random tree with ``leaves`` leaves and a random integer residue
+    matrix with two rows, or None where the draw is no tree or two of its
+    punctures at t merge in floating point."""
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, 0, leaves)
+    if mg is None:
+        return None
+    finite = [p for p in place_tree(mg, t).punctures if p is not None]
+    if len(set(finite)) != len(finite):
+        return None
+    rows = rng.integers(-2, 3, size=(2, leaves)).astype(float)
+    rows[:, -1] -= rows.sum(axis=1)
+    return mg, ResidueMatrix(rows)
+
+
+def _assert_same_cloud(args):
+    """``_experiment_cloud`` against the oracle that evaluates each chart
+    into arrays of its own and stacks them: the same image, regions and
+    count, bit for bit."""
+    raw, region, samples = dg._experiment_cloud(*args)
+    raw_ref, region_ref, samples_ref = experiment_cloud_stacked(*args)
+    assert raw.shape == raw_ref.shape and raw.tobytes() == raw_ref.tobytes()
+    assert region.dtype == region_ref.dtype and np.array_equal(region, region_ref)
+    assert samples == samples_ref
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 8),
+       t=st.sampled_from([1e3, 1e6]), half_width=st.sampled_from([None, 3.0]))
+def test_experiment_cloud_matches_stacked_charts_bit_for_bit(seed, leaves, t, half_width):
+    # the cloud is allocated once and written chart by chart, through reused
+    # chart buffers, with one matmul per chart
+    drawn = _random_tree_residues(seed, leaves, t)
+    assume(drawn is not None)
+    window = None if half_width is None else np.array([[-half_width, half_width]] * 2)
+    _assert_same_cloud(_cloud_args(*drawn, t, window, dg._sampling(1.0)))
+
+
+@pytest.mark.parametrize("t", [1e3, 1e6])
+def test_experiment_cloud_matches_stacked_charts_with_samples_on_a_puncture(t):
+    # on the golden tripod the circle of radius 1 around puncture 0 passes
+    # through puncture 1 at angle 0: that chart's rows are compacted
+    mg = load_graph(str(GOLDEN / "tripod.graph.json"))
+    R = load_residues(str(GOLDEN / "tripod.residues.json"), mg)
+    dropped = []
+    chart_logdist = dg._chart_logdist
+
+    def spy(pts, j, log_radii, angular_count, **kwargs):
+        rows, drawn = chart_logdist(pts, j, log_radii, angular_count, **kwargs)
+        dropped.append(log_radii.size * dg._chart_units(pts, angular_count).size - rows.shape[0])
+        return rows, drawn
+
+    args = _cloud_args(mg, R, t, None, dg._sampling(1.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dg, "_chart_logdist", spy)
+        _assert_same_cloud(args)
+    assert dropped == [1, 0]
 
 
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 8),
        t=st.sampled_from([1e3, 1e6]), half_width=st.sampled_from([None, 3.0]))
 def test_skipped_rows_change_no_in_window_point(seed, leaves, t, half_width):
-    rng = np.random.default_rng(seed)
-    mg = random_cubic(rng, 0, leaves)
-    assume(mg is not None)
-    finite = [p for p in place_tree(mg, t).punctures if p is not None]
-    assume(len(set(finite)) == len(finite))  # deep trees can merge punctures
-    rows = rng.integers(-2, 3, size=(2, leaves)).astype(float)
-    rows[:, -1] -= rows.sum(axis=1)
-    R = ResidueMatrix(rows)
+    drawn = _random_tree_residues(seed, leaves, t)
+    assume(drawn is not None)
+    mg, R = drawn
     window = None if half_width is None else np.array([[-half_width, half_width]] * 2)
     sampling = dg._sampling(1.0)
     pts, region, samples = _in_window_cloud(mg, R, t, window, sampling)
@@ -539,10 +615,6 @@ def _public_distances(mg, R, t, win, base):
     the global scene and of each tripod scene on its region's cloud (None
     where hausdorff refuses an empty clip)."""
 
-    def full_chart(*args):
-        rows, _ = chart_logdist_full(*args)
-        return rows, rows.shape[0]
-
     def public(pts, scene):
         try:
             return hausdorff(pts, scene, win)
@@ -553,7 +625,7 @@ def _public_distances(mg, R, t, win, base):
     placement = place_tree(mg, t)
     shift = mor.vertex_position[base] - dg._alignment_offset(placement, R, base)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dg, "_chart_logdist", full_chart)
+        mp.setattr(dg, "_chart_units", lambda pts, angular_count: circle_units(angular_count))
         mp.setattr(dg, "_rows_near_window", _every_row)
         raw, region, samples = dg._experiment_cloud(placement, R, mor, win, shift, dg._sampling(1.0))
     pts = raw / math.log(t) + shift
@@ -602,32 +674,72 @@ def test_convergence_matches_public_hausdorff_on_random_trees(seed, leaves, t, h
     # refined only where a bound beats the maximum: every bound must hold at
     # every point, and every distance must equal the public hausdorff bit
     # for bit
-    rng = np.random.default_rng(seed)
-    mg = random_cubic(rng, 0, leaves)
-    assume(mg is not None)
-    finite = [p for p in place_tree(mg, t).punctures if p is not None]
-    assume(len(set(finite)) == len(finite))  # deep trees can merge punctures
-    rows = rng.integers(-2, 3, size=(2, leaves)).astype(float)
-    rows[:, -1] -= rows.sum(axis=1)
-    R = ResidueMatrix(rows)
+    drawn = _random_tree_residues(seed, leaves, t)
+    assume(drawn is not None)
+    mg, R = drawn
     base = mg.graph.vertices[0]
     window = None if half_width is None else [[-half_width, half_width]] * 2
     bounds = []
-    global_cloud_side = dg._global_cloud_side
+    global_hausdorff = dg._global_hausdorff
 
-    def spy(cols, params, bound, seg, t_on):
-        exact, _, _ = dg._points_to_segments(cols, params)
+    def spy(cols, scene, bound, seg, t_on):
+        exact, _, _ = dg._points_to_segments(cols, scene.params)
         bounds.append((bound.copy(), exact))
-        return global_cloud_side(cols, params, bound, seg, t_on)
+        return global_hausdorff(cols, scene, bound, seg, t_on)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dg, "_global_cloud_side", spy)
+        mp.setattr(dg, "_global_hausdorff", spy)
         report = convergence_experiment(mg, R, [t], window=window, base_vertex=base)
     entry = report.entries[0]
     _, _, _, d_global, per_tripod = _public_distances(mg, R, t, report.window, base)
     assert all(np.all(bound >= exact) for bound, exact in bounds)
     assert entry.global_hausdorff == d_global
     assert entry.per_tripod == per_tripod
+
+
+@pytest.mark.parametrize("t", [1e3, 1e6])
+def test_line_amoeba_projects_few_points_on_the_global_scene(t):
+    # residue rows that are negatives of each other put the amoeba on the
+    # line y = -x, which the scene fits to round-off: each tripod bound's
+    # slack is above every exact distance, so only the scene samples scanned
+    # before the global projections keep every in-window point from being
+    # projected on the global scene
+    mg = caterpillar_graph(1.0)
+    R = ResidueMatrix([[0.0, 1.0, 1.0, -2.0], [0.0, -1.0, -1.0, 2.0]])
+    win = np.array([[-3.0, 3.0], [-3.0, 3.0]])
+    calls, clouds = [], []
+    points_to_segments, global_hausdorff = dg._points_to_segments, dg._global_hausdorff
+
+    def spy_points(cols, params):
+        calls.append((params, cols.shape[1]))
+        return points_to_segments(cols, params)
+
+    def spy_global(cols, scene, *args):
+        clouds.append((scene.params, cols.shape[1]))
+        return global_hausdorff(cols, scene, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dg, "_points_to_segments", spy_points)
+        mp.setattr(dg, "_global_hausdorff", spy_global)
+        entry = convergence_experiment(mg, R, [t], window=win, base_vertex="v0").entries[0]
+    [(params, n)] = clouds
+    projected = sum(k for p, k in calls if p is params)
+    assert projected < 0.05 * n
+    assert entry.global_hausdorff == _public_distances(mg, R, t, win, "v0")[3]
+
+
+def test_convergence_peak_memory_stays_within_budget():
+    # per t the working set is the in-window cloud plus one chart's buffers,
+    # and nothing outlives its t; the budget is 25 % above the traced peak
+    # of 2.03 MB measured on this tree
+    mg, R = _random_tree_residues(3, 8, 1e6)
+    tracemalloc.start()
+    try:
+        convergence_experiment(mg, R, [1e3, 1e6], window=[[-3.0, 3.0], [-3.0, 3.0]])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 2.03e6
 
 
 def _same_row_set(kept, full):
