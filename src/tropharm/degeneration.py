@@ -13,7 +13,8 @@ Three groups of tools live here:
 
 * the convergence experiment: place punctures for a metric tree so the
   log-t-rescaled amoeba approaches the piecewise-linear image of the tree,
-  and measure Hausdorff distances globally and per tripod region.
+  and measure Hausdorff distances globally and per tripod region (the
+  distance engine is ``tropharm.distance``).
 
 Puncture placement for a tree uses nested clusters.  The last leaf goes to
 infinity.  Root the tree at the vertex carrying the last leaf and give each
@@ -30,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import distance
+from .distance import clip_scene, hausdorff  # hausdorff stays importable from here
 from .errors import (
     EmptyAfterClippingError,
     EvaluationAtPunctureError,
@@ -85,8 +88,9 @@ def collar_sweep(l_values) -> dict:
     """Table of (l, w, m, l*m) plus the observed limit of l*m(l).
 
     The product l*m(l) approaches pi = 2*arccos(0); the asymptotic constant 2
-    sometimes quoted for m(l) ~ 2/l does not match the closed form, and the
-    report flags that explicitly.
+    sometimes quoted for m(l) ~ 2/l does not match the closed form.  The
+    report flags the deviation when l*m at the smallest l lies nearer pi
+    than 2, and never on an empty sweep.
     """
     ls = np.asarray(sorted(l_values, reverse=True), dtype=float)
     rows = []
@@ -95,12 +99,13 @@ def collar_sweep(l_values) -> dict:
         m = collar_modulus(l)
         rows.append({"l": float(l), "w": float(w), "m": float(m), "l_times_m": float(l * m)})
     observed = rows[-1]["l_times_m"] if rows else float("nan")
+    analytic = float(2.0 * np.arccos(0.0))
     return {
         "rows": rows,
         "observed_limit_of_l_times_m": observed,
-        "analytic_limit": float(2.0 * np.arccos(0.0)),
+        "analytic_limit": analytic,
         "quoted_asymptotic_constant": 2.0,
-        "deviates_from_quoted_constant": True,
+        "deviates_from_quoted_constant": bool(rows) and abs(observed - analytic) < abs(observed - 2.0),
         "note": (
             "l*m(l) tends to pi = 2*arccos(0); the frequently quoted "
             "asymptotic m(l) ~ 2/l would give 2 and is not what the closed "
@@ -317,344 +322,6 @@ def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
     dist = np.abs(gz[:, None] - pts[None, :])
     keep = (np.abs(gz - center) <= r0) & (dist.min(axis=1) > 1e-9 * (1.0 + r0))
     return np.log(dist[keep])
-
-
-# ----------------------------------------------------------------------
-# window clipping and Hausdorff distance
-
-
-def _as_window(window, dim: int) -> np.ndarray:
-    w = np.asarray(window, dtype=float)
-    if w.shape == (2,):  # symmetric [lo, hi] in every axis
-        w = np.tile(w, (dim, 1))
-    if not np.all(np.isfinite(w)):
-        raise InputError("window bounds must be finite")
-    if w.shape != (dim, 2) or np.any(w[:, 0] >= w[:, 1]):
-        raise InputError(f"window must be (dim, 2) with lo < hi, got shape {w.shape}")
-    with np.errstate(over="ignore"):
-        step = _scene_step(w)
-    if not math.isfinite(step):
-        raise InputError("window diagonal overflows")
-    if not step >= np.finfo(float).tiny:
-        raise InputError(f"window is too small: its scene sample spacing {step:.3g} "
-                         "(diagonal / 2048) is not a positive normal float")
-    return w
-
-
-def _scene_step(win: np.ndarray) -> float:
-    """Spacing of the scene samples in a window: its diagonal / 2048."""
-    return float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0
-
-
-def _clip_param_line(a: np.ndarray, d: np.ndarray, t_hi: float, window: np.ndarray):
-    """Intersect {a + t*d : 0 <= t <= t_hi} with the window box (slab method).
-
-    A direction below 1e-300 in every component is the point a; a ray whose
-    exit parameter overflows is refused, not cut short."""
-    if np.all(np.abs(d) < 1e-300):
-        return (a, a) if np.all((window[:, 0] <= a) & (a <= window[:, 1])) else None
-    t0, t1 = 0.0, t_hi
-    for ak, dk, (lo, hi) in zip(a.tolist(), d.tolist(), window.tolist()):
-        if abs(dk) < 1e-300:
-            if ak < lo or ak > hi:
-                return None
-            continue
-        ta, tb = (lo - ak) / dk, (hi - ak) / dk
-        if ta > tb:
-            ta, tb = tb, ta
-        t0, t1 = max(t0, ta), min(t1, tb)
-        if t0 > t1:
-            return None
-    if math.isinf(t1):
-        raise InputError(f"ray direction {d.tolist()} is too short to reach the window edge")
-    return a + t0 * d, a + t1 * d
-
-
-def clip_scene(scene: Scene, window) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Scene segments and rays clipped to the window; rays become segments."""
-    win = _as_window(window, scene.dim)
-    lines = [(scene.vertices[va], scene.vertices[vb] - scene.vertices[va], 1.0)
-             for _, va, vb in scene.edges]
-    lines += [(origin, np.asarray(d, dtype=float), np.inf) for _, origin, d in scene.rays]
-    segs = [_clip_param_line(a, d, t_hi, win) for a, d, t_hi in lines]
-    return [seg for seg in segs if seg is not None]
-
-
-def _window_mask(points: np.ndarray, win: np.ndarray) -> np.ndarray:
-    """Rows of ``points`` inside the window box, compared one column at a time."""
-    inside = (points[:, 0] >= win[0, 0]) & (points[:, 0] <= win[0, 1])
-    for k in range(1, points.shape[1]):
-        inside &= points[:, k] >= win[k, 0]
-        inside &= points[:, k] <= win[k, 1]
-    return inside
-
-
-def _clipped_t(cols: np.ndarray, a: np.ndarray, ab: np.ndarray, denom: float,
-               lanes: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Projection parameter t = (p - a).ab / |ab|^2 of every column point on
-    one segment, clipped to [0, 1], written into lanes[0].
-
-    The dot product adds the even and the odd coordinates apart before adding
-    the two sums, which is the order of numpy's two-lane einsum contraction."""
-    for k in range(cols.shape[0]):
-        term = lanes[k] if k < 2 else r
-        np.subtract(cols[k], a[k], out=term)
-        term *= ab[k]
-        if k >= 2:
-            lanes[k % 2] += r
-    t = lanes[0]
-    if cols.shape[0] > 1:
-        t += lanes[1]
-    t /= denom
-    return np.clip(t, 0.0, 1.0, out=t)
-
-
-def _sq_dist(cols: np.ndarray, x) -> np.ndarray:
-    """sum_k (cols[k] - x[k])**2 added in coordinate order; x[k] is a scalar
-    or a column like cols[k].  Every point-to-point distance is this sum
-    followed by sqrt, so two of them for the same pair agree bit for bit."""
-    out = cols[0] - x[0]
-    out *= out
-    term = np.empty_like(out)
-    for k in range(1, cols.shape[0]):
-        np.subtract(cols[k], x[k], out=term)
-        term *= term
-        out += term
-    return out
-
-
-def _segment_params(segs: np.ndarray):
-    a, b = segs[:, 0, :], segs[:, 1, :]
-    ab = b - a
-    denom = np.einsum("sd,sd->s", ab, ab)
-    return a, ab, np.where(denom == 0.0, 1.0, denom)
-
-
-# points per pass of _points_to_segments, so that its scratch arrays stay small
-_BLOCK = 8192
-
-
-def _points_to_segments(cols: np.ndarray, params):
-    """Exact distance from each column point to the nearest segment; cols is
-    (d, N) and params is ``_segment_params`` of the (S, 2, d) segments.
-
-    The points go in blocks of ``_BLOCK``, and each block takes one pass per
-    segment over its coordinate columns: the clipped projection
-    parameter (``_clipped_t``), then a running minimum of the squared
-    distance to a + t*ab, and one sqrt at the end; the result equals the
-    broadcast formula bit for bit, and each point's value depends on that
-    point alone.  Also returns the index of each point's nearest segment and
-    the clipped t on it.
-    """
-    a, ab, denom = params
-    dim, n = cols.shape
-    best, best_t = np.full(n, np.inf), np.zeros(n)
-    best_seg = np.zeros(n, dtype=np.intp)
-    width = min(n, _BLOCK)
-    lanes, r, sq = np.empty((2, width)), np.empty(width), np.empty(width)
-    closer = np.empty(width, dtype=bool)
-    for lo in range(0, n, _BLOCK):
-        c = cols[:, lo:lo + _BLOCK]
-        w = c.shape[1]
-        b_sq, b_r, b_closer = sq[:w], r[:w], closer[:w]
-        b_best, b_t, b_seg = best[lo:lo + w], best_t[lo:lo + w], best_seg[lo:lo + w]
-        for s in range(a.shape[0]):
-            t = _clipped_t(c, a[s], ab[s], denom[s], lanes[:, :w], b_r)
-            for k in range(dim):
-                term = b_sq if k == 0 else b_r
-                np.multiply(t, ab[s, k], out=term)
-                term += a[s, k]
-                np.subtract(c[k], term, out=term)
-                term *= term
-                if k:
-                    b_sq += b_r
-            np.less(b_sq, b_best, out=b_closer)
-            np.copyto(b_best, b_sq, where=b_closer)
-            np.copyto(b_t, t, where=b_closer)
-            np.copyto(b_seg, s, where=b_closer)
-    return np.sqrt(best, out=best), best_seg, best_t
-
-
-def _sample_segments(segs: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Samples a + linspace(0, 1, n)*(b - a) of each segment, n >= 2 of them
-    at most ``step`` apart, and the count n of each segment."""
-    pts, counts = [], []
-    for a, b in segs:
-        n = max(2, int(np.ceil(np.linalg.norm(b - a) / step)) + 1)
-        ts = np.linspace(0.0, 1.0, n)
-        pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
-        counts.append(n)
-    return np.vstack(pts), np.array(counts)
-
-
-class _ClippedScene:
-    """The part of a Hausdorff distance to clipped segments that does not
-    depend on the cloud: the segments without duplicates (coincident rays
-    give the same samples and distances), their ``_segment_params``, and the
-    scene samples at a spacing of the window diagonal / 2048, as coordinate
-    columns, with the sample range of each segment."""
-
-    def __init__(self, segs: np.ndarray, win: np.ndarray):
-        _, first = np.unique(segs.reshape(segs.shape[0], -1), axis=0, return_index=True)
-        self.segs = segs[np.sort(first)]
-        self.params = _segment_params(self.segs)
-        samples, self.counts = _sample_segments(self.segs, _scene_step(win))
-        self.cols = np.ascontiguousarray(samples.T)
-        self.offset = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
-        self.last = (self.counts - 1).astype(float)  # each segment's last sample index
-        self.start = np.repeat(self.offset, self.counts)
-        self.stop = self.start + np.repeat(self.counts, self.counts)
-
-    def bounds(self, cols: np.ndarray, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Upper bound on each scene sample's distance to the cloud: bin each
-        point to the sample nearest its (seg, t), then give every sample the
-        point of its nearest covered sample on the same segment, or point 0
-        on a segment no point is binned to."""
-        at = np.take(self.last, seg)
-        at *= t
-        np.rint(at, out=at)
-        bins = np.take(self.offset, seg)
-        np.add(bins, at, out=bins, casting="unsafe")  # exact: both are integers below 2**53
-        del at
-        n = self.cols.shape[1]
-        rep = np.full(n, -1, dtype=np.intp)
-        rep[bins] = np.arange(cols.shape[1])
-        del bins
-        idx = np.arange(n)
-        covered = rep >= 0
-        before = np.maximum.accumulate(np.where(covered, idx, -1))
-        after = np.minimum.accumulate(np.where(covered, idx, n)[::-1])[::-1]
-        gap_before = np.where(before >= self.start, idx - before, n)
-        gap_after = np.where(after < self.stop, after - idx, n)
-        near = np.where(gap_before <= gap_after, before, after)
-        fill = np.where(np.minimum(gap_before, gap_after) < n, rep[near.clip(0, n - 1)], 0)
-        return np.sqrt(_sq_dist(cols.take(fill, axis=1), self.cols))
-
-    def scan(self, cols: np.ndarray, bound: np.ndarray, lmax: float, above: float = -math.inf) -> float:
-        """max(lmax, the largest distance from a scanned scene sample to the
-        cloud): exact scans, largest ``bound`` first, while the largest bound
-        beats both lmax and ``above``.  The nearest point of each scanned
-        sample tightens every other bound, in place, so a later call goes on
-        from there; with ``above`` at -inf the result is max(lmax, the
-        scene-to-cloud distance)."""
-        i = np.argmax(bound)
-        while bound[i] > max(lmax, above):
-            sq = _sq_dist(cols, self.cols[:, i])
-            p = np.argmin(sq)
-            lmax = max(lmax, np.sqrt(sq[p]))
-            np.minimum(bound, np.sqrt(_sq_dist(self.cols, cols[:, p])), out=bound)
-            i = np.argmax(bound)
-        return float(lmax)
-
-
-def _scene_hausdorff(pts: np.ndarray, segs: np.ndarray, win: np.ndarray) -> float:
-    """Hausdorff distance between in-window points and clipped scene segments.
-
-    The cloud-to-scene side d1 is exact (``_points_to_segments``).  The scene
-    is sampled at a spacing of the window diagonal / 2048, and a sample
-    matters only where its distance to the cloud exceeds d1.  Each sample s
-    gets an upper bound U(s): its distance to the cloud point binned at the
-    nearest covered sample of s's own segment.  Only the samples with U above
-    the running maximum are scanned against the whole cloud, largest U first,
-    and each scan's nearest point lowers the other bounds.  Every bound is
-    the distance to one real cloud point, computed as the exact scan computes
-    it (``_sq_dist``), so the result is the all-pairs maximum of minima bit
-    for bit, whichever segment and parameter each point is binned by.
-
-    The convergence experiment does the same in parts: it prepares each
-    scene once (``_ClippedScene``), projects each tripod region's points on
-    their own tripod, and bounds the global distance from those
-    projections (``_global_hausdorff``).
-    """
-    scene = _ClippedScene(segs, win)
-    cols = np.ascontiguousarray(pts.T)
-    d1, seg, t = _points_to_segments(cols, scene.params)
-    return scene.scan(cols, scene.bounds(cols, seg, t), d1.max())
-
-
-def _piece_parents(pieces: np.ndarray, params, scale: float):
-    """Link each tripod piece to the global segment whose distance from the
-    piece's farther endpoint is least, its parent.
-
-    The distance to a segment is convex along a line, so every point of a
-    piece lies within that endpoint distance of its parent; plus 1e-9 *
-    ``scale`` for round-off, that is the piece's slack, and a point's tripod
-    distance plus the slack of its nearest piece bounds its global distance
-    from above.  Returns the parent, the slack, and the parent's projection
-    parameter t0 of the piece's first endpoint with the step dt to its second,
-    so that t on the piece maps to t0 + t*dt on the parent."""
-    a, ab, denom = params
-    ends = pieces.reshape(-1, 1, pieces.shape[2])
-    t = np.clip(np.einsum("psd,sd->ps", ends - a, ab) / denom, 0.0, 1.0)
-    gap = np.linalg.norm(ends - (a + t[..., None] * ab), axis=2).reshape(-1, 2, a.shape[0])
-    worst = gap.max(axis=1)
-    parent = worst.argmin(axis=1)
-    k = np.arange(parent.size)
-    t_ends = t.reshape(-1, 2, a.shape[0])[k, :, parent]
-    return parent, worst[k, parent] + 1e-9 * scale, t_ends[:, 0], t_ends[:, 1] - t_ends[:, 0]
-
-
-def _global_hausdorff(cols: np.ndarray, scene: _ClippedScene, bound: np.ndarray, seg: np.ndarray,
-                      t: np.ndarray) -> float:
-    """Hausdorff distance between the column points and a prepared scene,
-    given an upper bound U(p) on each point's distance to the scene (+inf
-    where none is known) and a bin (seg, t) for each bounded point.
-
-    Points are projected exactly (``_points_to_segments``), and a projected
-    point's bound, ``seg`` and ``t`` are overwritten with its exact
-    distance, nearest segment and clipped t.  The first round projects the
-    unbounded points and the point with the largest finite bound, whose
-    distance is usually near the maximum.  Then the scene side is bounded
-    (``_ClippedScene.bounds``), and the scene samples whose bounds beat
-    every point's bound are scanned exactly first: their distances are part
-    of the result too, and raise the maximum that a point's bound must beat
-    to be projected.  Every point whose bound still exceeds the running
-    maximum is projected, round by round, and the scene scans finish from
-    there.  A point never projected is no farther than its bound, which is
-    at most the result, so the result equals the all-pairs Hausdorff
-    distance bit for bit.  On an amoeba that fits the scene to round-off,
-    the tripod slack is above every exact point distance, and the scene
-    samples scanned first are what spare projecting the whole cloud.
-    """
-    def project(todo: np.ndarray) -> float:
-        d, s, ts = _points_to_segments(cols.take(todo, axis=1), scene.params)
-        bound[todo], seg[todo], t[todo] = d, s, ts
-        return d.max()
-
-    unbounded = bound == np.inf
-    todo = np.flatnonzero(unbounded)
-    if not unbounded.all():
-        todo = np.append(todo, np.argmax(np.where(unbounded, -np.inf, bound)))
-    del unbounded
-    lmax = project(todo)
-    scene_bound = scene.bounds(cols, seg, t)
-    lmax = scene.scan(cols, scene_bound, lmax, above=bound.max())
-    todo = np.flatnonzero(bound > lmax)
-    while todo.size:
-        lmax = max(lmax, project(todo))
-        todo = np.flatnonzero(bound > lmax)
-    return scene.scan(cols, scene_bound, lmax)
-
-
-def hausdorff(points, scene: Scene, window) -> float:
-    """Symmetric Hausdorff distance between an (N, m) point array and a scene,
-    after clipping both to the window.
-
-    Cloud-to-scene distances are exact point-to-segment projections; the
-    scene-to-cloud side is exact on the scene sampled at a spacing of the
-    window diagonal / 2048 (see ``_scene_hausdorff``).
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise InputError(f"points must be an (N, m) array, got shape {pts.shape}")
-    win = _as_window(window, pts.shape[1])
-    pts = pts[_window_mask(pts, win)]
-    if pts.size == 0:
-        raise EmptyAfterClippingError("point cloud is empty after clipping")
-    segs = clip_scene(scene, win)
-    if not segs:
-        raise EmptyAfterClippingError("scene is empty after clipping")
-    return _scene_hausdorff(pts, np.array(segs), win)
 
 
 # ----------------------------------------------------------------------
@@ -1000,7 +667,7 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
         near = _rows_near_window(pts, pos, log_radii, res_cols, window, shift, logt)
         charts.append(log_radii[near])
         # a dropped row keeps clear of every other puncture: all its samples count
-        samples += (near.size - np.count_nonzero(near)) * angular_count
+        samples += int(near.size - np.count_nonzero(near)) * angular_count
     _check_indexable(grid_count**2 * pts.size, "the global grid")
     width = _chart_units(pts, angular_count).size
     sizes = [log_radii.size * width for log_radii in charts]
@@ -1049,21 +716,23 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     resolution (see ``_sampling``).
 
     The global and tripod scenes are clipped and prepared once per
-    experiment (``_ClippedScene``).  Each t runs in a helper whose arrays
-    are all freed before the next t samples.  Its cloud is one (N, m) image
-    and one region array, allocated once and written chart by chart
+    experiment (``distance._ClippedScene``).  Each t runs in a helper whose
+    arrays are all freed before the next t samples.  Its cloud is one (N, m)
+    image and one region array, allocated once and written chart by chart
     (``_experiment_cloud``); the chart buffers are reused from chart to
     chart, and each chart has exactly one matmul.  The image is rescaled
-    one coordinate at a time to find the in-window points, which are split
-    by region with one stable sort, so each tripod cloud is a column slice
-    in cloud order; the image is freed once they are copied out, and each
-    tripod's projections once they are used.  Each tripod distance projects
-    its region's points on its own pieces; that distance plus the piece's
-    slack bounds the point's global distance (``_piece_parents``), and only
-    grid points, points of a region whose tripod is clipped away and points
-    whose bound beats the running maximum are projected on the global scene
-    (``_global_hausdorff``).  Every distance equals ``hausdorff`` on the
-    same cloud bit for bit.
+    one coordinate at a time to find the in-window points
+    (``distance._in_window``), which are split by region with one stable
+    sort, so each tripod cloud is a column slice in cloud order; the image
+    is freed once they are copied out.  Every distance is one call of the
+    Hausdorff routine (``distance._global_hausdorff``).  Each tripod
+    distance projects its region's points on its own pieces and leaves
+    their exact distances in the slice of the global bounds; that distance
+    plus the piece's slack bounds the point's global distance
+    (``distance._to_parents``), and only grid points, points of a region
+    whose tripod is clipped away and points whose bound beats the running
+    maximum are projected on the global scene.  Every distance equals
+    ``hausdorff`` on the same cloud bit for bit.
     """
     sampling = _sampling(density)
     if mg.graph.genus != 0:
@@ -1079,12 +748,12 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     # length is never read; the scenes do not depend on t: clip and prepare
     # each once, and link each tripod piece to its global parent once
     scene = emit_embedding(mor)
-    win = default_window(scene) if window is None else _as_window(window, R.m)
+    win = default_window(scene) if window is None else distance._as_window(window, R.m)
     vertices = mg.graph.vertices
     clipped = [np.array(clip_scene(s, win)) for s in [scene, *(_tripod_scene(mor, v) for v in vertices)]]
-    glob, *tripods = [_ClippedScene(segs, win) if segs.size else None for segs in clipped]
+    glob, *tripods = [distance._ClippedScene(segs, win) if segs.size else None for segs in clipped]
     scale = float(np.abs(win).max())
-    parents = [None if tri is None or glob is None else _piece_parents(tri.segs, glob.params, scale)
+    parents = [None if tri is None or glob is None else distance._piece_parents(tri.segs, glob.params, scale)
                for tri in tripods]
 
     def step(t: float) -> TStepResult:
@@ -1095,21 +764,12 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
             raw, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
         except MemoryError as exc:
             raise SamplingTooDenseError(f"amoeba sampling does not fit in memory: {exc}") from exc
-        # rescale one coordinate at a time into a contiguous column to find
-        # the in-window points, as _window_mask compares them; keep those,
-        # sorted by region, stably, so each tripod cloud is one slice of the
-        # C-ordered coordinate columns, and rescale them again as they are
-        # copied out (the same operations give the same bits)
+        # keep the in-window points sorted by region, stably, so each tripod
+        # cloud is one slice of the C-ordered coordinate columns, and rescale
+        # them again as they are copied out (the same operations give the
+        # same bits)
         logt = math.log(t)
-        x = np.empty(raw.shape[0])
-        inside = np.ones(raw.shape[0], dtype=bool)
-        for k, (lo, hi) in enumerate(win):
-            np.divide(raw[:, k], logt, out=x)
-            x += shift[k]
-            inside &= x >= lo
-            inside &= x <= hi
-        keep = np.flatnonzero(inside)
-        del x, inside
+        keep = np.flatnonzero(distance._in_window(raw, win, logt, shift))
         keep = keep[np.argsort(region[keep], kind="stable")]
         region = region[keep]
         cols = np.empty((R.m, keep.size))
@@ -1122,34 +782,22 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
         if glob is None:
             raise EmptyAfterClippingError("scene is empty after clipping")
 
-        # each tripod's projections give its distance and, through the
-        # piece parents, a bound and a bin for each point's global distance
+        # each tripod distance leaves its points' exact distances, pieces and
+        # t in its slice, which become a bound and a bin for the global one
         ends = np.searchsorted(region, np.arange(len(vertices) + 1))
         del region
         n = cols.shape[1]
         bound, seg, t_on = np.full(n, np.inf), np.zeros(n, dtype=np.intp), np.zeros(n)
         per_tripod: dict[str, float | None] = {}
         for i, v in enumerate(vertices):
-            lo, hi = ends[i], ends[i + 1]
-            if lo == hi or tripods[i] is None:
+            part = slice(ends[i], ends[i + 1])
+            if part.start == part.stop or tripods[i] is None:
                 per_tripod[v] = None
                 continue
-            # each of d, s and ts_on is dropped once used, before the scans
-            sub = cols[:, lo:hi]
-            d, s, ts_on = _points_to_segments(sub, tripods[i].params)
-            lmax = d.max()
-            parent, slack, t0, dt = parents[i]
-            d += slack[s]
-            bound[lo:hi] = d
-            del d
-            seg[lo:hi] = parent[s]
-            scene_bound = tripods[i].bounds(sub, s, ts_on)
-            ts_on *= dt[s]
-            ts_on += t0[s]
-            np.clip(ts_on, 0.0, 1.0, out=t_on[lo:hi])
-            del s, ts_on
-            per_tripod[v] = tripods[i].scan(sub, scene_bound, lmax)
-        return TStepResult(t, _global_hausdorff(cols, glob, bound, seg, t_on), per_tripod, samples)
+            per_tripod[v] = distance._global_hausdorff(cols[:, part], tripods[i], bound[part], seg[part],
+                                                       t_on[part])
+            distance._to_parents(parents[i], bound[part], seg[part], t_on[part])
+        return TStepResult(t, distance._global_hausdorff(cols, glob, bound, seg, t_on), per_tripod, samples)
 
     entries = [step(t) for t in ts]
     return ConvergenceReport(tuple(entries), win, base_vertex, mg.graph.leaf_ids[-1])

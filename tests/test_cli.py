@@ -219,6 +219,15 @@ def test_collar_value(capsys):
     assert row["m"] == pytest.approx(30.416342942336896)
 
 
+def test_collar_flags_no_deviation_at_l_one(capsys):
+    # l*m(1) = 2.18 is nearer the quoted constant 2 than pi
+    code, out, _ = run(capsys, "collar", "--l", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["observed_limit_of_l_times_m"] == pytest.approx(2.1808304953223345)
+    assert doc["deviates_from_quoted_constant"] is False
+
+
 def test_collar_sweep_increasing(capsys):
     code, out, _ = run(capsys, "collar", "--sweep", "1e-1..1e-6")
     assert code == 0

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tropharm
 from tropharm import degeneration as dg
+from tropharm import distance as dist
 from tropharm.degeneration import (
     PuncturedSphere,
     annulus_period_experiment,
@@ -102,6 +105,10 @@ def test_collar_sweep_report_flags_deviation():
     assert rep["quoted_asymptotic_constant"] == 2.0
     assert rep["analytic_limit"] == pytest.approx(np.pi)
     assert abs(rep["observed_limit_of_l_times_m"] - np.pi) <= 1e-6
+
+
+def test_collar_sweep_flags_no_deviation_on_an_empty_sweep():
+    assert collar_sweep([])["deviates_from_quoted_constant"] is False
 
 
 def test_annulus_experiment_kappa_star():
@@ -311,16 +318,16 @@ def test_points_to_segments_matches_broadcast_formula_bit_for_bit(dim):
         a, b = segs[-1]
         pts[:4] = a + np.array([[0.0], [1.0], [0.25], [0.5]]) * (b - a)  # on a segment
         pts[4:6] = segs[0, 0]
-        got, _, _ = dg._points_to_segments(np.ascontiguousarray(pts.T), dg._segment_params(segs))
+        got, _, _ = dist._points_to_segments(np.ascontiguousarray(pts.T), dist._segment_params(segs))
         assert np.array_equal(got, points_to_segments_broadcast(pts, segs))
 
 
 @settings(max_examples=120)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), duplicate=st.booleans(),
        zero_length=st.booleans(), parallel=st.booleans(), one_side=st.booleans(),
-       on_samples=st.booleans())
+       on_samples=st.booleans(), bounded=st.booleans())
 def test_scene_hausdorff_matches_bruteforce_bit_for_bit(seed, dim, duplicate, zero_length,
-                                                        parallel, one_side, on_samples):
+                                                        parallel, one_side, on_samples, bounded):
     rng = np.random.default_rng(seed)
     win = np.tile([-3.0, 3.0], (dim, 1))
     segs = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 7)), 2, dim))
@@ -336,9 +343,18 @@ def test_scene_hausdorff_matches_bruteforce_bit_for_bit(seed, dim, duplicate, ze
         pts[:, 0] = -3.0 + 0.05 * (pts[:, 0] + 3.0)
     if on_samples:
         step = float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0
-        samples, _ = dg._sample_segments(segs, step)
+        samples, _ = dist._sample_segments(segs, step)
         pts = np.concatenate([pts, samples[rng.integers(0, len(samples), 5)]])
-    assert dg._scene_hausdorff(pts, segs, win) == scene_hausdorff_bruteforce(pts, segs, win)
+    # the routine with no point bounded, as the public hausdorff and each
+    # tripod distance call it, or with upper bounds on some points and any
+    # bins, as the global distance of the experiment calls it
+    scene, cols, n = dist._ClippedScene(segs, win), np.ascontiguousarray(pts.T), pts.shape[0]
+    bound, seg, t = np.full(n, np.inf), np.zeros(n, dtype=np.intp), np.zeros(n)
+    if bounded:
+        some = rng.random(n) < 0.8
+        bound[some] = points_to_segments_broadcast(pts, segs)[some] + rng.uniform(0.0, 0.5, n)[some]
+        seg[:], t[:] = rng.integers(0, len(scene.segs), n), rng.uniform(0.0, 1.0, n)
+    assert dist._global_hausdorff(cols, scene, bound, seg, t) == scene_hausdorff_bruteforce(pts, segs, win)
 
 
 # placement, realization, convergence
@@ -411,8 +427,16 @@ def test_convergence_report_serialization(tripod):
     rep = convergence_experiment(tripod, LINE_R, [1e3], window=[[-3, 3], [-3, 3]])
     doc = rep.to_dict()
     assert "1000" in doc["results"]
+    assert type(doc["results"]["1000"]["samples"]) is int
+    assert json.loads(json.dumps(doc)) == doc
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "t,global_hausdorff"
+
+
+def test_hausdorff_engine_moved_without_changing_the_public_names():
+    assert callable(tropharm.hausdorff) and tropharm.hausdorff is dist.hausdorff
+    for name in ("hausdorff", "clip_scene", "place_tree", "convergence_experiment"):
+        assert callable(getattr(dg, name))
 
 
 @pytest.mark.parametrize("w", [1e20, 1e150])
@@ -498,9 +522,8 @@ def _in_window_cloud(mg, R, t, window, sampling):
     the rows that cannot reach the window skipped as the experiment does."""
     _, _, _, win, shift, _ = args = _cloud_args(mg, R, t, window, sampling)
     raw, region, samples = dg._experiment_cloud(*args)
-    pts = raw / math.log(t) + shift
-    inside = dg._window_mask(pts, win)
-    return pts[inside], region[inside], samples
+    inside = dist._in_window(raw, win, math.log(t), shift)
+    return (raw / math.log(t) + shift)[inside], region[inside], samples
 
 
 def _random_tree_residues(seed, leaves, t):
@@ -602,7 +625,7 @@ def test_sample_on_the_window_edge_survives_row_skipping():
             win = np.array(win)
             raw, _, _ = dg._experiment_cloud(placement, R, mor, win, shift, sampling)
             cloud = raw / logt + shift
-            assert np.any(cloud[dg._window_mask(cloud, win)][:, 0] == edge)
+            assert np.any(cloud[dist._in_window(raw, win, logt, shift)][:, 0] == edge)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg, "_rows_near_window", _every_row)
         raw_all, _, _ = dg._experiment_cloud(placement, R, mor, win, shift, sampling)
@@ -662,8 +685,8 @@ def test_convergence_matches_public_hausdorff_per_tripod(window, clipped, empty)
         with pytest.raises(EmptyAfterClippingError, match=empty):
             hausdorff(pts[region == i], dg._tripod_scene(build_morphism(mg, R, "v0"), clipped), win)
     if empty == "scene":
-        assert np.any(dg._window_mask(pts[region == i], win))
-        assert np.any(dg._window_mask(pts[region == -1], win))
+        assert np.any(dist._in_window(pts[region == i], win, 1.0, np.zeros(2)))
+        assert np.any(dist._in_window(pts[region == -1], win, 1.0, np.zeros(2)))
 
 
 @settings(max_examples=30)
@@ -680,15 +703,15 @@ def test_convergence_matches_public_hausdorff_on_random_trees(seed, leaves, t, h
     base = mg.graph.vertices[0]
     window = None if half_width is None else [[-half_width, half_width]] * 2
     bounds = []
-    global_hausdorff = dg._global_hausdorff
+    global_hausdorff = dist._global_hausdorff
 
     def spy(cols, scene, bound, seg, t_on):
-        exact, _, _ = dg._points_to_segments(cols, scene.params)
+        exact, _, _ = dist._points_to_segments(cols, scene.params)
         bounds.append((bound.copy(), exact))
         return global_hausdorff(cols, scene, bound, seg, t_on)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dg, "_global_hausdorff", spy)
+        mp.setattr(dist, "_global_hausdorff", spy)
         report = convergence_experiment(mg, R, [t], window=window, base_vertex=base)
     entry = report.entries[0]
     _, _, _, d_global, per_tripod = _public_distances(mg, R, t, report.window, base)
@@ -703,26 +726,28 @@ def test_line_amoeba_projects_few_points_on_the_global_scene(t):
     # line y = -x, which the scene fits to round-off: each tripod bound's
     # slack is above every exact distance, so only the scene samples scanned
     # before the global projections keep every in-window point from being
-    # projected on the global scene
+    # projected on the global scene; the tripod distances go through the
+    # same routine, so the global call is picked by its scene's segments
     mg = caterpillar_graph(1.0)
     R = ResidueMatrix([[0.0, 1.0, 1.0, -2.0], [0.0, -1.0, -1.0, 2.0]])
     win = np.array([[-3.0, 3.0], [-3.0, 3.0]])
+    glob = dist._ClippedScene(np.array(dg.clip_scene(emit_embedding(build_morphism(mg, R, "v0")), win)), win)
     calls, clouds = [], []
-    points_to_segments, global_hausdorff = dg._points_to_segments, dg._global_hausdorff
+    points_to_segments, global_hausdorff = dist._points_to_segments, dist._global_hausdorff
 
     def spy_points(cols, params):
         calls.append((params, cols.shape[1]))
         return points_to_segments(cols, params)
 
     def spy_global(cols, scene, *args):
-        clouds.append((scene.params, cols.shape[1]))
+        clouds.append((scene, cols.shape[1]))
         return global_hausdorff(cols, scene, *args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dg, "_points_to_segments", spy_points)
-        mp.setattr(dg, "_global_hausdorff", spy_global)
+        mp.setattr(dist, "_points_to_segments", spy_points)
+        mp.setattr(dist, "_global_hausdorff", spy_global)
         entry = convergence_experiment(mg, R, [t], window=win, base_vertex="v0").entries[0]
-    [(params, n)] = clouds
+    [(params, n)] = [(scene.params, k) for scene, k in clouds if np.array_equal(scene.segs, glob.segs)]
     projected = sum(k for p, k in calls if p is params)
     assert projected < 0.05 * n
     assert entry.global_hausdorff == _public_distances(mg, R, t, win, "v0")[3]
