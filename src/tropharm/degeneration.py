@@ -43,6 +43,7 @@ from .errors import (
     NonIntegerResiduesError,
     NotATreeError,
     SamplingTooDenseError,
+    TropharmError,
     ZeroCoordinateError,
 )
 from .forms import ResidueMatrix
@@ -90,14 +91,19 @@ def collar_sweep(l_values) -> dict:
     The product l*m(l) approaches pi = 2*arccos(0); the asymptotic constant 2
     sometimes quoted for m(l) ~ 2/l does not match the closed form.  The
     report flags the deviation when l*m at the smallest l lies nearer pi
-    than 2, and never on an empty sweep.
+    than 2, and never on an empty sweep.  Of lengths that cannot be
+    evaluated, the largest decides the error, its width's before its
+    modulus's.
     """
     ls = np.asarray(sorted(l_values, reverse=True), dtype=float)
-    rows = []
-    for l in ls:
-        w = collar_width(l)
-        m = collar_modulus(l)
-        rows.append({"l": float(l), "w": float(w), "m": float(m), "l_times_m": float(l * m)})
+    try:
+        ws, ms = collar_width(ls), collar_modulus(ls)
+    except TropharmError:
+        for l in ls:  # raise the error of the first length that fails
+            collar_modulus(l)
+        raise
+    rows = [{"l": l, "w": w, "m": m, "l_times_m": lm}
+            for l, w, m, lm in zip(ls.tolist(), ws.tolist(), ms.tolist(), (ls * ms).tolist())]
     observed = rows[-1]["l_times_m"] if rows else float("nan")
     analytic = float(2.0 * np.arccos(0.0))
     return {
@@ -715,12 +721,14 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     globally and per tripod region.  ``density`` scales the sampling
     resolution (see ``_sampling``).
 
-    The global and tripod scenes are clipped and prepared once per
-    experiment (``distance._ClippedScene``).  Each t runs in a helper whose
-    arrays are all freed before the next t samples.  Its cloud is one (N, m)
-    image and one region array, allocated once and written chart by chart
-    (``_experiment_cloud``); the chart buffers are reused from chart to
-    chart, and each chart has exactly one matmul.  The image is rescaled
+    Every t is placed, and its punctures checked, before anything is clipped
+    or sampled, so a t that cannot be placed raises its error before any t
+    is sampled.  The global and tripod scenes are clipped and prepared once
+    per experiment (``distance._ClippedScene``).  Each t runs in a helper
+    whose arrays are all freed before the next t samples.  Its cloud is one
+    (N, m) image and one region array, allocated once and written chart by
+    chart (``_experiment_cloud``); the chart buffers are reused from chart
+    to chart, and each chart has exactly one matmul.  The image is rescaled
     one coordinate at a time to find the in-window points
     (``distance._in_window``), which are split by region with one stable
     sort, so each tripod cloud is a column slice in cloud order; the image
@@ -744,11 +752,20 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     if not ts:
         raise InputError("need at least one t value")
 
+    scene = emit_embedding(mor)
+    win = default_window(scene) if window is None else distance._as_window(window, R.m)
+    # place every t, checking its punctures as it is placed, before anything
+    # is clipped or sampled, so a t that cannot be placed costs no work; the
+    # heights, and so the alignment shift, do not depend on t
+    placements = []
+    for t in ts:
+        placements.append(place_tree(mg, t))
+        placements[-1].sphere()
+    shift = mor.vertex_position[base_vertex] - _alignment_offset(placements[0], R, base_vertex)
+
     # clipping cuts every ray at the window edge, so the scene's drawing
     # length is never read; the scenes do not depend on t: clip and prepare
     # each once, and link each tripod piece to its global parent once
-    scene = emit_embedding(mor)
-    win = default_window(scene) if window is None else distance._as_window(window, R.m)
     vertices = mg.graph.vertices
     clipped = [np.array(clip_scene(s, win)) for s in [scene, *(_tripod_scene(mor, v) for v in vertices)]]
     glob, *tripods = [distance._ClippedScene(segs, win) if segs.size else None for segs in clipped]
@@ -756,10 +773,9 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     parents = [None if tri is None or glob is None else distance._piece_parents(tri.segs, glob.params, scale)
                for tri in tripods]
 
-    def step(t: float) -> TStepResult:
-        """The experiment at one t; nothing it allocates outlives it."""
-        placement = place_tree(mg, t)
-        shift = mor.vertex_position[base_vertex] - _alignment_offset(placement, R, base_vertex)
+    def step(placement: TreePlacement) -> TStepResult:
+        """The experiment at one placed t; nothing it allocates outlives it."""
+        t = placement.t
         try:
             raw, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
         except MemoryError as exc:
@@ -799,5 +815,5 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
             distance._to_parents(parents[i], bound[part], seg[part], t_on[part])
         return TStepResult(t, distance._global_hausdorff(cols, glob, bound, seg, t_on), per_tripod, samples)
 
-    entries = [step(t) for t in ts]
+    entries = [step(placement) for placement in placements]
     return ConvergenceReport(tuple(entries), win, base_vertex, mg.graph.leaf_ids[-1])

@@ -73,6 +73,33 @@ def triangle_graph():
     return MetricGraph(g, {"ab": 1.0, "bc": 1.0, "ca": 1.0})
 
 
+# a random 7-leaf tree (the benchmark's gen.tree_instance(101, 3)) whose
+# nested-cluster punctures are distinct at t = 1e3 and coincide in float64
+# at t = 1e6
+MERGING_TREE = {
+    "vertices": ["v0", "v1", "v2", "v3", "v4"],
+    "edges": [
+        {"id": "e0", "ends": ["v0", "v1"], "length": 0.7811604946055309},
+        {"id": "e1", "ends": ["v0", "v2"], "length": 0.767492098809297},
+        {"id": "e2", "ends": ["v1", "v3"], "length": 1.8388643530221989},
+        {"id": "e3", "ends": ["v2", "v4"], "length": 1.1060262746179894},
+    ],
+    "leaves": [
+        {"id": "p0", "vertex": "v0"},
+        {"id": "p1", "vertex": "v1"},
+        {"id": "p2", "vertex": "v2"},
+        {"id": "p3", "vertex": "v3"},
+        {"id": "p4", "vertex": "v3"},
+        {"id": "p5", "vertex": "v4"},
+        {"id": "p6", "vertex": "v4"},
+    ],
+}
+MERGING_TREE_RESIDUES = {
+    "rows": 2, "leaf_order": ["p0", "p1", "p2", "p3", "p4", "p5", "p6"],
+    "entries": [[-1, 1, 1, 1, 0, -1, -1], [0, 1, -1, 1, -1, -1, 1]],
+}
+
+
 @pytest.fixture
 def tripod():
     return tripod_graph()

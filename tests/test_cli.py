@@ -12,6 +12,8 @@ import tropharm
 from tropharm import cli
 from tropharm.cli import main
 
+from conftest import MERGING_TREE, MERGING_TREE_RESIDUES
+
 TRIPOD = {
     "vertices": ["w"],
     "edges": [],
@@ -286,6 +288,24 @@ def test_collar_two_points(capsys):
     assert [row["l"] for row in json.loads(out)["rows"]] == [0.1, 1e-8]
 
 
+def test_collar_sweep_matches_golden(capsys):
+    code, out, err = run(capsys, "collar", "--sweep", "1e-1..1e-8")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "collar.sweep.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("argv, message", [
+    # lengths in about (1.1e-308, 1.8e-308) overflow the modulus but not
+    # the width; the largest failing length decides
+    (["--sweep", "1e-300..1e-309", "--points", "40"], "collar_modulus overflows: the length is too small"),
+    (["--sweep", "1e-1..1e-310"], "collar_width overflows: the length is too small"),
+])
+def test_collar_sweep_reports_the_largest_failing_length(capsys, argv, message):
+    code, out, err = run(capsys, "collar", *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"code": "BadInput", "message": message}
+
+
 @pytest.mark.parametrize("command", ["twists check", "collar"])
 def test_bad_arguments_are_bad_input(capsys, files, command):
     argv = {"twists check": ["twists", files["dumbbell"], files["r33"], "check"],  # no --twists
@@ -347,6 +367,20 @@ def test_degenerate_non_finite_window_errors(capsys, files, window):
                          "--t", "1e3", "--window", window)
     assert code == 1 and out == ""
     assert json.loads(err)["code"] == "BadInput"
+
+
+@pytest.mark.parametrize("argv", [["--t", "3,1e6", "--density", "8e15"], ["--t", "1e6,inf"]])
+def test_degenerate_refuses_an_unplaceable_t_before_sampling_any(capsys, tmp_path, argv):
+    # every t is placed before any is sampled: t = 1e6 cannot be placed on
+    # this tree, so its error comes before t = 3's too-dense sampling, and,
+    # each t checked as it is placed, before t = inf's placement error
+    paths = []
+    for name, doc in (("graph", MERGING_TREE), ("residues", MERGING_TREE_RESIDUES)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    code, out, err = run(capsys, "degenerate", *map(str, paths), *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"code": "BadInput", "message": "punctures must be pairwise distinct"}
 
 
 @pytest.mark.parametrize("window", [None, "3"])

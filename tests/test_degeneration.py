@@ -37,12 +37,12 @@ from tropharm.errors import (
     ResiduesDontSumToZeroError,
     ZeroCoordinateError,
 )
-from tropharm.forms import ResidueMatrix, load_residues
-from tropharm.graph import CubicGraph, MetricGraph, load_graph
+from tropharm.forms import ResidueMatrix, load_residues, residues_from_dict
+from tropharm.graph import CubicGraph, MetricGraph, graph_from_dict, load_graph
 from tropharm.morphisms import Scene, build_morphism, emit_embedding
 
 from _generators import random_cubic
-from conftest import caterpillar_graph, dumbbell_graph, tripod_graph
+from conftest import MERGING_TREE, MERGING_TREE_RESIDUES, caterpillar_graph, dumbbell_graph, tripod_graph
 from oracles import (
     amoeba_map,
     chart_logdist_full,
@@ -450,6 +450,45 @@ def test_convergence_distance_scales_with_a_wide_window(tripod, w):
 def test_convergence_rejects_positive_genus(dumbbell):
     with pytest.raises(NotATreeError):
         convergence_experiment(dumbbell, ResidueMatrix([[1.0, -1.0]]), [1e3])
+
+
+def _merging_tree():
+    mg = graph_from_dict(MERGING_TREE)
+    return mg, residues_from_dict(MERGING_TREE_RESIDUES, mg)
+
+
+def test_convergence_refuses_an_unplaceable_t_before_clipping_or_sampling(monkeypatch):
+    # the punctures coincide at t = 1e6: the experiment must refuse before it
+    # clips, prepares or samples anything, for t = 1e3 too
+    mg, R = _merging_tree()
+    called = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(dg, "_experiment_cloud"), (dist, "_ClippedScene"), (dg, "clip_scene")]:
+        spy(module, name)
+    with pytest.raises(InputError, match="punctures must be pairwise distinct"):
+        convergence_experiment(mg, R, [1e3, 1e6], window=[[-3, 3], [-3, 3]])
+    assert called == []
+    # the spies see the calls of a placeable experiment
+    convergence_experiment(mg, R, [1e3], window=[[-3, 3], [-3, 3]])
+    assert set(called) == {"_experiment_cloud", "_ClippedScene", "clip_scene"}
+
+
+def test_convergence_places_each_distinct_t_once(monkeypatch):
+    mg, R = _merging_tree()
+    placed = []
+    real = dg.place_tree
+    monkeypatch.setattr(dg, "place_tree", lambda mg, t: placed.append(t) or real(mg, t))
+    rep = convergence_experiment(mg, R, [1e4, 1e3, 1e4, 1e3], window=[[-3, 3], [-3, 3]])
+    assert [e.t for e in rep.entries] == [1e3, 1e4]
+    assert placed == [1e3, 1e4]
 
 
 def test_amoeba_of_Ht_image_is_rescaled_amoeba():
