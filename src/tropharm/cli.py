@@ -14,7 +14,7 @@ import numpy as np
 
 from . import degeneration as deg
 from . import forms, graph, morphisms, phase
-from .errors import InputError, NonPositiveLengthError, TropharmError
+from .errors import InputError, NonPositiveLengthError, SamplingTooDenseError, TropharmError
 from .serialize import dumps_canonical
 
 
@@ -172,7 +172,10 @@ def cmd_collar(args):
         if not (np.isfinite(lo) and np.isfinite(hi)):
             raise InputError(f"sweep range {args.sweep!r} must be finite")
         n = args.points or max(2, int(round(abs(np.log10(hi) - np.log10(lo)))) + 1)
-        values = list(np.geomspace(lo, hi, n))
+        try:
+            values = list(np.geomspace(lo, hi, n))
+        except MemoryError as exc:
+            raise SamplingTooDenseError(f"a sweep of {n} points does not fit in memory: {exc}") from exc
     _emit(args, deg.collar_sweep(values))
     return 0
 

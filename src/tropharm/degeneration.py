@@ -34,7 +34,6 @@ import numpy as np
 from . import distance
 from .distance import clip_scene, hausdorff  # hausdorff stays importable from here
 from .errors import (
-    EmptyAfterClippingError,
     EvaluationAtPunctureError,
     InputError,
     MinimumDensityViolationError,
@@ -732,15 +731,13 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     one coordinate at a time to find the in-window points
     (``distance._in_window``), which are split by region with one stable
     sort, so each tripod cloud is a column slice in cloud order; the image
-    is freed once they are copied out.  Every distance is one call of the
-    Hausdorff routine (``distance._global_hausdorff``).  Each tripod
-    distance projects its region's points on its own pieces and leaves
-    their exact distances in the slice of the global bounds; that distance
-    plus the piece's slack bounds the point's global distance
-    (``distance._to_parents``), and only grid points, points of a region
-    whose tripod is clipped away and points whose bound beats the running
-    maximum are projected on the global scene.  Every distance equals
-    ``hausdorff`` on the same cloud bit for bit.
+    is freed once they are copied out.  One call,
+    ``distance._experiment_distances``, then computes every distance of the
+    t, the global cloud side bounded through the tripod distances and the
+    per-tripod tables built once per experiment (``distance._tripod_table``),
+    each point carrying a bound and a bin, the index of a scene sample near
+    its projection.  Every distance equals ``hausdorff`` on the same cloud
+    bit for bit.
     """
     sampling = _sampling(density)
     if mg.graph.genus != 0:
@@ -770,8 +767,8 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     clipped = [np.array(clip_scene(s, win)) for s in [scene, *(_tripod_scene(mor, v) for v in vertices)]]
     glob, *tripods = [distance._ClippedScene(segs, win) if segs.size else None for segs in clipped]
     scale = float(np.abs(win).max())
-    parents = [None if tri is None or glob is None else distance._piece_parents(tri.segs, glob.params, scale)
-               for tri in tripods]
+    tables = [None if tri is None or glob is None else distance._tripod_table(tri, glob, scale)
+              for tri in tripods]
 
     def step(placement: TreePlacement) -> TStepResult:
         """The experiment at one placed t; nothing it allocates outlives it."""
@@ -793,27 +790,10 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
             np.divide(raw[keep, k], logt, out=col)
             col += shift[k]
         del raw, keep
-        if cols.size == 0:
-            raise EmptyAfterClippingError("point cloud is empty after clipping")
-        if glob is None:
-            raise EmptyAfterClippingError("scene is empty after clipping")
-
-        # each tripod distance leaves its points' exact distances, pieces and
-        # t in its slice, which become a bound and a bin for the global one
         ends = np.searchsorted(region, np.arange(len(vertices) + 1))
         del region
-        n = cols.shape[1]
-        bound, seg, t_on = np.full(n, np.inf), np.zeros(n, dtype=np.intp), np.zeros(n)
-        per_tripod: dict[str, float | None] = {}
-        for i, v in enumerate(vertices):
-            part = slice(ends[i], ends[i + 1])
-            if part.start == part.stop or tripods[i] is None:
-                per_tripod[v] = None
-                continue
-            per_tripod[v] = distance._global_hausdorff(cols[:, part], tripods[i], bound[part], seg[part],
-                                                       t_on[part])
-            distance._to_parents(parents[i], bound[part], seg[part], t_on[part])
-        return TStepResult(t, distance._global_hausdorff(cols, glob, bound, seg, t_on), per_tripod, samples)
+        d_global, per_tripod = distance._experiment_distances(cols, ends, glob, tripods, tables)
+        return TStepResult(t, d_global, dict(zip(vertices, per_tripod)), samples)
 
     entries = [step(placement) for placement in placements]
     return ConvergenceReport(tuple(entries), win, base_vertex, mg.graph.leaf_ids[-1])

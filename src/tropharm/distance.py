@@ -2,7 +2,8 @@
 both clipped to a window box: exact point-to-segment projections on the
 cloud side, the scene sampled at a spacing of the window diagonal / 2048 on
 the other.  One routine, ``_global_hausdorff``, computes the public
-``hausdorff`` and every distance of the convergence experiment.
+``hausdorff`` and every distance of the convergence experiment
+(``_experiment_distances``).
 """
 from __future__ import annotations
 
@@ -201,21 +202,22 @@ class _ClippedScene:
         self.start = np.repeat(self.offset, self.counts)
         self.stop = self.start + np.repeat(self.counts, self.counts)
 
-    def bounds(self, cols: np.ndarray, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Upper bound on each scene sample's distance to the cloud: bin each
-        point to the sample nearest its (seg, t), then give every sample the
-        point of its nearest covered sample on the same segment, or point 0
-        on a segment no point is binned to."""
+    def bin(self, seg: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Indices of the scene samples nearest t on the segments seg."""
         at = np.take(self.last, seg)
         at *= t
         np.rint(at, out=at)
         bins = np.take(self.offset, seg)
         np.add(bins, at, out=bins, casting="unsafe")  # exact: both are integers below 2**53
-        del at
+        return bins
+
+    def bounds(self, cols: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """Upper bound on each scene sample's distance to the cloud: every
+        sample gets the point binned to its nearest covered sample on the
+        same segment, or point 0 on a segment no point is binned to."""
         n = self.cols.shape[1]
         rep = np.full(n, -1, dtype=np.intp)
         rep[bins] = np.arange(cols.shape[1])
-        del bins
         idx = np.arange(n)
         covered = rep >= 0
         before = np.maximum.accumulate(np.where(covered, idx, -1))
@@ -243,71 +245,61 @@ class _ClippedScene:
         return float(lmax)
 
 
-def _piece_parents(pieces: np.ndarray, params, scale: float):
-    """Link each tripod piece to the global segment whose distance from the
-    piece's farther endpoint is least, its parent.
+def _tripod_table(tripod: _ClippedScene, glob: _ClippedScene, scale: float):
+    """For each sample of a tripod scene, the slack of its piece and the
+    global bin of the same place on the piece's parent, the global segment
+    whose distance from the piece's farther endpoint is least.
 
     The distance to a segment is convex along a line, so every point of a
     piece lies within that endpoint distance of its parent; plus 1e-9 *
     ``scale`` for round-off, that is the piece's slack, and a point's tripod
-    distance plus the slack of its nearest piece bounds its global distance
-    from above.  Returns the parent, the slack, and the parent's projection
-    parameter t0 of the piece's first endpoint with the step dt to its second,
-    so that t on the piece maps to t0 + t*dt on the parent."""
-    a, ab, denom = params
-    ends = pieces.reshape(-1, 1, pieces.shape[2])
+    distance plus its piece's slack bounds its global distance from above.
+    t on the piece is t0 + t*(t1 - t0), clipped to [0, 1], on the parent,
+    where t0 and t1 project the piece's endpoints on it."""
+    a, ab, denom = glob.params
+    ends = tripod.segs.reshape(-1, 1, a.shape[1])
     t = np.clip(np.einsum("psd,sd->ps", ends - a, ab) / denom, 0.0, 1.0)
     gap = np.linalg.norm(ends - (a + t[..., None] * ab), axis=2).reshape(-1, 2, a.shape[0])
     worst = gap.max(axis=1)
     parent = worst.argmin(axis=1)
     k = np.arange(parent.size)
-    t_ends = t.reshape(-1, 2, a.shape[0])[k, :, parent]
-    return parent, worst[k, parent] + 1e-9 * scale, t_ends[:, 0], t_ends[:, 1] - t_ends[:, 0]
+    t0, t1 = t.reshape(-1, 2, a.shape[0])[k, :, parent].T
+    piece = np.repeat(k, tripod.counts)
+    t_on = t0[piece] + (t1 - t0)[piece] * (np.arange(piece.size) - tripod.start) / tripod.last[piece]
+    return (worst[k, parent] + 1e-9 * scale)[piece], glob.bin(parent[piece], np.clip(t_on, 0.0, 1.0))
 
 
-def _to_parents(parents, bound: np.ndarray, seg: np.ndarray, t: np.ndarray) -> None:
-    """Turn, in place, each point's exact tripod distance, nearest piece and
-    t on it into its global bound (the distance plus the piece's slack), the
-    piece's parent and t0 + t*dt on the parent, clipped to [0, 1], where
-    ``parents`` is ``_piece_parents`` of the tripod's pieces."""
-    parent, slack, t0, dt = parents
-    bound += slack[seg]
-    t *= dt[seg]
-    t += t0[seg]
-    np.clip(t, 0.0, 1.0, out=t)
-    seg[:] = parent[seg]
-
-
-def _global_hausdorff(cols: np.ndarray, scene: _ClippedScene, bound: np.ndarray, seg: np.ndarray,
-                      t: np.ndarray) -> float:
+def _global_hausdorff(cols: np.ndarray, scene: _ClippedScene, bound: np.ndarray,
+                      bins: np.ndarray) -> float:
     """Hausdorff distance between the column points and a prepared scene,
     given an upper bound U(p) on each point's distance to the scene (+inf
-    where none is known) and a bin (seg, t) for each bounded point.
+    where none is known) and a bin for each bounded point, the index of a
+    scene sample near it: any bins give the result, near ones sooner.
 
     Points are projected exactly (``_points_to_segments``), and a projected
-    point's bound, ``seg`` and ``t`` are overwritten with its exact
-    distance, nearest segment and clipped t.  The first round projects the
-    unbounded points and the point with the largest finite bound, whose
-    distance is usually near the maximum; when no point is bounded it
-    projects ``cols`` itself, without a copy.  Then the scene side is
-    bounded (``_ClippedScene.bounds``), and the scene samples whose bounds
-    beat every point's bound are scanned exactly first: their distances are
-    part of the result too, and raise the maximum that a point's bound must
-    beat to be projected.  Every point whose bound still exceeds the running
+    point's bound and bin are overwritten with its exact distance and the
+    sample nearest its projection.  The first round projects the unbounded
+    points and the point with the largest finite bound, whose distance is
+    usually near the maximum; when no point is bounded it projects ``cols``
+    itself, without a copy.  Then the scene side is bounded
+    (``_ClippedScene.bounds``), and the scene samples whose bounds beat
+    every point's bound are scanned exactly first: their distances are part
+    of the result too, and raise the maximum that a point's bound must beat
+    to be projected.  Every point whose bound still exceeds the running
     maximum is projected, round by round, and the scene scans finish from
     there.  A point never projected is no farther than its bound, which is
-    at most the result, so the result equals the all-pairs Hausdorff
-    distance bit for bit.  With every bound at +inf, as in ``hausdorff``
-    and each tripod distance, this is one projection, the scene bounds and
-    one full scan.  On an amoeba that fits the scene to round-off, the
-    tripod slack (``_to_parents``) is above every exact point distance, and
-    the scene samples scanned first are what spare projecting the whole
-    cloud.
+    at most the result, and each scene bound is an exact point-to-sample
+    distance, so the result equals the all-pairs Hausdorff distance bit for
+    bit.  With every bound at +inf, as in ``hausdorff`` and each tripod
+    distance, this is one projection, the scene bounds and one full scan.
+    On an amoeba that fits the scene to round-off, the tripod slack
+    (``_tripod_table``) is above every exact point distance, and the scene
+    samples scanned first are what spare projecting the whole cloud.
     """
     def project(todo: np.ndarray | None) -> float:
         d, s, ts = _points_to_segments(cols if todo is None else cols.take(todo, axis=1), scene.params)
         key = slice(None) if todo is None else todo
-        bound[key], seg[key], t[key] = d, s, ts
+        bound[key], bins[key] = d, scene.bin(s, ts)
         return d.max()
 
     unbounded = bound == np.inf
@@ -316,13 +308,40 @@ def _global_hausdorff(cols: np.ndarray, scene: _ClippedScene, bound: np.ndarray,
         todo = np.append(np.flatnonzero(unbounded), np.argmax(np.where(unbounded, -np.inf, bound)))
     del unbounded
     lmax = project(todo)
-    scene_bound = scene.bounds(cols, seg, t)
+    scene_bound = scene.bounds(cols, bins)
     lmax = scene.scan(cols, scene_bound, lmax, above=bound.max())
     todo = np.flatnonzero(bound > lmax)
     while todo.size:
         lmax = max(lmax, project(todo))
         todo = np.flatnonzero(bound > lmax)
     return scene.scan(cols, scene_bound, lmax)
+
+
+def _experiment_distances(cols: np.ndarray, ends: np.ndarray, glob: _ClippedScene | None,
+                          tripods: list, tables: list) -> tuple[float, list]:
+    """The global distance of the convergence experiment's in-window cloud,
+    whose region i is columns ends[i]:ends[i + 1], and each tripod distance
+    (None for an empty region or a tripod clipped away).  A tripod distance
+    leaves its points' exact distances and tripod bins in its slice of the
+    global bounds and bins, which its ``_tripod_table`` turns into global
+    bounds and bins, so only grid points, points of a region whose tripod is
+    clipped away and points whose bound beats the running maximum are
+    projected on the global scene."""
+    if cols.size == 0:
+        raise EmptyAfterClippingError("point cloud is empty after clipping")
+    if glob is None:
+        raise EmptyAfterClippingError("scene is empty after clipping")
+    n = cols.shape[1]
+    bound, bins = np.full(n, np.inf), np.zeros(n, dtype=np.intp)
+    per_tripod = [None] * len(tripods)
+    for i, (tripod, table) in enumerate(zip(tripods, tables)):
+        part = slice(ends[i], ends[i + 1])
+        if part.start < part.stop and tripod is not None:
+            per_tripod[i] = _global_hausdorff(cols[:, part], tripod, bound[part], bins[part])
+            slack, parent_bin = table
+            bound[part] += slack[bins[part]]
+            bins[part] = parent_bin[bins[part]]
+    return _global_hausdorff(cols, glob, bound, bins), per_tripod
 
 
 def hausdorff(points, scene: Scene, window) -> float:
@@ -347,4 +366,4 @@ def hausdorff(points, scene: Scene, window) -> float:
     cols = np.ascontiguousarray(pts.T)
     n = cols.shape[1]
     return _global_hausdorff(cols, _ClippedScene(np.array(segs), win), np.full(n, np.inf),
-                             np.zeros(n, dtype=np.intp), np.zeros(n))
+                             np.zeros(n, dtype=np.intp))

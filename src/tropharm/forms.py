@@ -118,6 +118,7 @@ def potentials_and_currents(mg: MetricGraph, rows) -> tuple[np.ndarray, np.ndarr
     smallest vertex (index 0); currents run along canonical orientations.
     Each row gets its own solve: a solve with m right-hand sides at once
     rounds differently in the last bit, which flips integrality verdicts.
+    A flow that overflows to a non-finite potential or current is refused.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     ne = len(mg.lengths)
@@ -132,7 +133,10 @@ def potentials_and_currents(mg: MetricGraph, rows) -> tuple[np.ndarray, np.ndarr
                 phi[k, 1:] = np.linalg.solve(lap[1:, 1:], inject[1:, k])
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"grounded Laplacian is singular: {exc}") from exc
-    return phi, (phi @ edges) / mg.lengths
+    currents = (phi @ edges) / mg.lengths
+    if not (np.isfinite(phi).all() and np.isfinite(currents).all()):
+        raise InputError("the residues' electrical flow overflows: a potential or current is not finite")
+    return phi, currents
 
 
 def solve_exact_form(mg: MetricGraph, residue_row) -> OneForm:

@@ -60,11 +60,11 @@ class HarmonicMorphism:
             object.__setattr__(self, name, rows)
         scale = max(1.0, _max_abs(self._edge_slopes), _max_abs(self._leaf_slopes))
         defect = balancing_defect(self)
-        if defect > 3 * COMPAT_TOL * scale:
+        if not defect <= 3 * COMPAT_TOL * scale:  # a NaN defect fails too
             raise InputError(f"morphism slopes violate balancing by {defect:.3e}")
         pos_scale = max(1.0, _max_abs(self._positions))
         defect = compatibility_defect(self)
-        if defect > 3 * COMPAT_TOL * max(pos_scale, scale):
+        if not defect <= 3 * COMPAT_TOL * max(pos_scale, scale):
             raise InputError(f"positions and slopes are incompatible by {defect:.3e}")
 
     def slope(self, oe: OrientedEdge) -> np.ndarray:
@@ -209,12 +209,17 @@ def _to_plane(p: np.ndarray, dim: int) -> np.ndarray:
     return _ISO @ p
 
 
+@np.errstate(over="ignore", invalid="ignore")  # fmt refuses what overflows
 def scene_to_svg(scene: Scene) -> str:
-    """Deterministic SVG: edges solid, rays dashed, vertices labelled."""
+    """Deterministic SVG: edges solid, rays dashed, vertices labelled.
+
+    A drawing whose coordinates or extent overflow is refused."""
     if scene.dim not in (1, 2, 3):
         raise UnsupportedDimensionForSvgError(f"cannot render dimension {scene.dim} as SVG")
 
     def fmt(x: float) -> str:
+        if not np.isfinite(x):
+            raise InputError(f"the drawing overflows: a coordinate or its extent is {x}")
         return format(x, ".6f")
 
     segs = []

@@ -142,6 +142,36 @@ def test_embed_bad_ray_length_errors(capsys, files, length):
         assert json.loads(err)["code"] == "BadInput"
 
 
+@pytest.fixture
+def overflowing_flow(tmp_path):
+    # the caterpillar golden with edge c of length 10: a residue of 1e308
+    # drives a potential of 1e309, which overflows
+    doc = json.loads((GOLDEN / "caterpillar.graph.json").read_text())
+    doc["edges"][0]["length"] = 10.0
+    residues = json.loads((GOLDEN / "caterpillar.residues.json").read_text())
+    residues["entries"] = [[1e308, 0, -1e308, 0], [0, 1, 0, -1]]
+    paths = tmp_path / "graph.json", tmp_path / "residues.json"
+    for path, content in zip(paths, (doc, residues)):
+        path.write_text(json.dumps(content))
+    return [str(path) for path in paths]
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["embed"], ["degenerate", "--t", "1e3"]], ids=lambda a: a[0])
+def test_overflowing_electrical_flow_errors(capsys, overflowing_flow, argv):
+    code, out, err = run(capsys, argv[0], *overflowing_flow, *argv[1:])
+    assert code == 1 and out == ""
+    message = "the residues' electrical flow overflows: a potential or current is not finite"
+    assert json.loads(err) == {"code": "BadInput", "message": message}
+
+
+def test_embed_svg_extent_overflow_errors(capsys):
+    # the rays end 1e308 from the origin, so the drawing's extent overflows
+    code, out, err = run(capsys, "embed", str(GOLDEN / "tripod.graph.json"),
+                         str(GOLDEN / "tripod.residues.json"), "--svg", "--ray-length", "1e308")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput" and "the drawing overflows" in err
+
+
 def test_embed_svg_dimension_error(capsys, files, tmp_path):
     r4 = tmp_path / "r4.json"
     r4.write_text(json.dumps({"rows": 4, "leaf_order": ["p1", "p2", "p3"],
@@ -280,6 +310,13 @@ def test_collar_too_few_points_errors(capsys, points):
     code, out, err = run(capsys, "collar", "--sweep", "1e-1..1e-8", "--points", points)
     assert code == 1 and out == ""
     assert json.loads(err)["code"] == "BadInput"
+
+
+def test_collar_sweep_too_many_points_errors(capsys):
+    # numpy refuses the 7.28 TiB sweep array before allocating anything
+    code, out, err = run(capsys, "collar", "--sweep", "1e-1..1e-8", "--points", "1000000000000")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "SamplingTooDense"
 
 
 def test_collar_two_points(capsys):

@@ -349,12 +349,12 @@ def test_scene_hausdorff_matches_bruteforce_bit_for_bit(seed, dim, duplicate, ze
     # tripod distance call it, or with upper bounds on some points and any
     # bins, as the global distance of the experiment calls it
     scene, cols, n = dist._ClippedScene(segs, win), np.ascontiguousarray(pts.T), pts.shape[0]
-    bound, seg, t = np.full(n, np.inf), np.zeros(n, dtype=np.intp), np.zeros(n)
+    bound, bins = np.full(n, np.inf), np.zeros(n, dtype=np.intp)
     if bounded:
         some = rng.random(n) < 0.8
         bound[some] = points_to_segments_broadcast(pts, segs)[some] + rng.uniform(0.0, 0.5, n)[some]
-        seg[:], t[:] = rng.integers(0, len(scene.segs), n), rng.uniform(0.0, 1.0, n)
-    assert dist._global_hausdorff(cols, scene, bound, seg, t) == scene_hausdorff_bruteforce(pts, segs, win)
+        bins[:] = rng.integers(0, scene.cols.shape[1], n)
+    assert dist._global_hausdorff(cols, scene, bound, bins) == scene_hausdorff_bruteforce(pts, segs, win)
 
 
 # placement, realization, convergence
@@ -744,10 +744,10 @@ def test_convergence_matches_public_hausdorff_on_random_trees(seed, leaves, t, h
     bounds = []
     global_hausdorff = dist._global_hausdorff
 
-    def spy(cols, scene, bound, seg, t_on):
+    def spy(cols, scene, bound, bins):
         exact, _, _ = dist._points_to_segments(cols, scene.params)
         bounds.append((bound.copy(), exact))
-        return global_hausdorff(cols, scene, bound, seg, t_on)
+        return global_hausdorff(cols, scene, bound, bins)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dist, "_global_hausdorff", spy)
@@ -757,6 +757,30 @@ def test_convergence_matches_public_hausdorff_on_random_trees(seed, leaves, t, h
     assert all(np.all(bound >= exact) for bound, exact in bounds)
     assert entry.global_hausdorff == d_global
     assert entry.per_tripod == per_tripod
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tripod_tables_bound_every_tripod_sample_by_its_slack(dim):
+    # every sample of a piece is binned into the sample range of one global
+    # segment, a nearest parent of the piece by its farther endpoint, and the
+    # piece's slack is at least the distance of each of its samples to that
+    # segment, so a tripod distance plus the slack bounds the global one;
+    # random pieces off the global segments give slacks far above round-off
+    rng = np.random.default_rng(40 + dim)
+    win = np.tile([-3.0, 3.0], (dim, 1))
+    for _ in range(30):
+        glob = dist._ClippedScene(rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 8)), 2, dim)), win)
+        tri = dist._ClippedScene(rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 4)), 2, dim)), win)
+        slack, parent_bin = dist._tripod_table(tri, glob, 3.0)
+        assert slack.shape == parent_bin.shape == (tri.cols.shape[1],)
+        assert np.all((parent_bin >= 0) & (parent_bin < glob.cols.shape[1]))
+        parent = np.searchsorted(glob.offset, parent_bin, side="right") - 1
+        for piece, lo, n in zip(tri.segs, tri.offset, tri.counts):
+            [p] = np.unique(parent[lo:lo + n])
+            [s] = np.unique(slack[lo:lo + n])
+            worst = [points_to_segments_broadcast(piece, g[None]).max() for g in glob.segs]
+            assert worst[p] <= min(worst) + 1e-12
+            assert np.all(points_to_segments_broadcast(tri.cols[:, lo:lo + n].T, glob.segs[p][None]) <= s)
 
 
 @pytest.mark.parametrize("t", [1e3, 1e6])

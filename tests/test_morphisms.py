@@ -122,6 +122,17 @@ def test_morphism_copies_the_callers_dicts_and_refuses_bad_keys(dumbbell):
             HarmonicMorphism(dumbbell, 1, "u", **short)
 
 
+@pytest.mark.parametrize("name", ["vertex_position", "edge_slope"])
+def test_morphism_refuses_a_nan_defect(dumbbell, name):
+    # a NaN position or slope makes a defect NaN, which must fail its check
+    mor = build_morphism(dumbbell, ResidueMatrix([[3.0, -3.0]]))
+    tables = {key: dict(getattr(mor, key)) for key in ("vertex_position", "edge_slope", "leaf_slope")}
+    first = next(iter(tables[name]))
+    tables[name][first] = [np.nan]
+    with pytest.raises(InputError, match="incompatible" if name == "vertex_position" else "balancing"):
+        HarmonicMorphism(dumbbell, 1, "u", **tables)
+
+
 def test_residues_of_line(tripod):
     mor = build_morphism(tripod, LINE_R)
     assert np.allclose(residues_of(mor).entries, LINE_R.entries, atol=1e-12)
