@@ -56,6 +56,13 @@ FOUR_PI = 4.0 * np.pi
 # collar geometry
 
 
+def _require_finite(**args) -> None:
+    """InputError naming the first argument that is, or holds, a non-finite number."""
+    for name, value in args.items():
+        if not np.all(np.isfinite(value)):
+            raise InputError(f"{name} must be finite, got {value!r}")
+
+
 def collar_width(l):
     """Half-collar width arcsinh(1/sinh(l/2)) around a geodesic of length l."""
     arr = np.asarray(l, dtype=float)
@@ -145,9 +152,11 @@ def annulus_period_experiment(l_trop: float, kappa: float = FOUR_PI,
     constant that would make the limit equal l_trop, namely
     kappa * limit / l_trop -> 2*pi^2.
     """
+    _require_finite(l_trop=l_trop, kappa=kappa)
     if not (l_trop > 0 and kappa > 0):
         raise InputError("l_trop and kappa must be positive")
     ts = tuple(float(t) for t in (t_values if t_values is not None else DEFAULT_ANNULUS_T))
+    _require_finite(t_values=ts)
     if len(ts) < 2 or any(t <= np.e for t in ts):
         raise InputError("need at least two t values, all exceeding e")
     logt = np.log(np.asarray(ts))
@@ -243,6 +252,7 @@ def field_zero(lam1: float, lam_minus1: float) -> float:
     Solving the linear equation gives (lam_minus1 - lam1)/(lam1 + lam_minus1),
     which always lies in (-1, 1); the residual is re-checked numerically.
     """
+    _require_finite(lam1=lam1, lam_minus1=lam_minus1)
     if not (lam1 > 0 and lam_minus1 > 0):
         raise NonPositiveResiduesError("both residues must be positive")
     zeta = (lam_minus1 - lam1) / (lam1 + lam_minus1)

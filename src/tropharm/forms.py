@@ -25,7 +25,8 @@ from .errors import (
     SingularSystemError,
     TooFewLeavesError,
 )
-from .graph import GraphPath, MetricGraph, OrientedEdge, check_path, json_number, read_json
+from .graph import (GraphPath, MetricGraph, OrientedEdge, _spanning_tree, check_path, json_number,
+                    leaf_paths, loop_matrix, read_json)
 
 # Balancing / residue tolerances: relative to the largest stored value.
 TOL_BALANCE = 1e-9
@@ -47,6 +48,8 @@ class OneForm:
         extra = set(self.values) - set(vals)
         if extra:
             raise InputError(f"values on unknown leaf-edges: {sorted(extra)}")
+        if not np.isfinite(list(vals.values())).all():
+            raise InputError("1-form values must be finite numbers")
         object.__setattr__(self, "values", vals)
         tol = TOL_BALANCE * max(1.0, max(abs(v) for v in vals.values()) if vals else 1.0)
         defects = _balancing(self)
@@ -168,27 +171,26 @@ def decompose(form: OneForm) -> FormDecomposition:
 
 
 def form_space_dims(mg: MetricGraph) -> tuple[int, int]:
-    """(dim of exact forms, dim of holomorphic forms) = (n-1, g), rank-verified."""
+    """(dim of exact forms, dim of holomorphic forms) = (n-1, g), certified exactly.
+
+    Basis rows: the g fundamental loops and the n-1 paths from the first leaf,
+    over the incidence columns (integer products, exact in float64).  Each row is
+    balanced, the loops are I on their co-tree edges and 0 on the leaves, and the
+    paths are -I on the other leaves, so the g + n - 1 = |E| + n - |V| rows are a
+    basis of the balanced forms.  Zero residues leave the span of the loops (g);
+    there the loop integrals are cycles @ diag(l) @ cycles.T, positive definite,
+    so the exact forms (zero loop integrals) have dimension n - 1.
+    """
     n, g = mg.n_leaves, mg.genus
     if n < 2:
         raise TooFewLeavesError(f"need at least 2 leaves, have {n}")
-    bal = mg.incidence
-    total = bal.shape[1]
-    # the loop integrals are cycles * lengths, but for positive lengths the
-    # rank is the same on the bare cycles (cycles @ diag(l) @ cycles.T is
-    # positive definite on the cycle flows), and the length scale stays out
-    # of the rank tolerance
-    loops = np.hstack([mg.cycles, np.zeros((g, n))])
-    leaf_rows = np.hstack([np.zeros((n, total - n)), np.eye(n)])
-
-    dim_exact = total - np.linalg.matrix_rank(np.vstack([bal, loops]), tol=None)
-    dim_holo = total - np.linalg.matrix_rank(np.vstack([bal, leaf_rows]), tol=None)
-    dim_all = total - np.linalg.matrix_rank(bal, tol=None)
-    if (dim_exact, dim_holo) != (n - 1, g) or dim_all != g + n - 1:
-        raise RuntimeError(
-            f"internal: rank verification failed, got dims ({dim_exact}, {dim_holo}, {dim_all}) "
-            f"for (n-1, g, g+n-1) = ({n - 1}, {g}, {g + n - 1})"
-        )
+    tree, _ = _spanning_tree(mg.graph)
+    cotree = [k for k, eid in enumerate(mg.graph.edge_ids) if eid not in tree]
+    basis = loop_matrix(mg.graph, mg.loops + leaf_paths(mg, mg.graph.leaves[0].id))
+    if (np.any(mg.incidence @ basis.T) or np.any(basis[:g, -n:])
+            or not np.array_equal(basis[:g, cotree], np.eye(g))
+            or not np.array_equal(basis[g:, 1 - n:], -np.eye(n - 1))):
+        raise RuntimeError("internal: the loops and leaf paths fail their basis certificate")
     return n - 1, g
 
 

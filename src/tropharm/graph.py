@@ -262,7 +262,7 @@ class MetricGraph:
             incidence[vidx[l.vertex], ne + j] = -1.0
         lengths = np.array(list(length.values()))
         loops = cycle_basis(self)
-        cycles = loop_matrix(g, loops)
+        cycles = loop_matrix(g, loops)[:, :ne]
         for arr in (incidence, lengths, cycles):
             arr.setflags(write=False)
         object.__setattr__(self, "incidence", incidence)
@@ -388,14 +388,14 @@ def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
     return tuple(loops)
 
 
-def loop_matrix(g: CubicGraph, loops) -> np.ndarray:
-    """len(loops) x |E| signed edge matrix: +1 where a loop runs along an
-    edge's canonical orientation, -1 where it runs against it."""
-    eidx = {eid: i for i, eid in enumerate(g.edge_ids)}
-    mat = np.zeros((len(loops), len(g.edges)))
-    for i, loop in enumerate(loops):
-        for oe in loop.items:
-            mat[i, eidx[oe.id]] += 1.0 if oe.forward else -1.0
+def loop_matrix(g: CubicGraph, paths) -> np.ndarray:
+    """len(paths) x (|E|+n) signed matrix over the incidence columns: +1 where a
+    loop or path runs along a leaf-edge's canonical orientation, -1 against it."""
+    col = {ref: i for i, ref in enumerate(g.edge_ids + g.leaf_ids)}
+    mat = np.zeros((len(paths), len(col)))
+    for i, path in enumerate(paths):
+        for oe in path.items:
+            mat[i, col[oe.id]] += 1.0 if oe.forward else -1.0
     return mat
 
 

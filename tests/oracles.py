@@ -37,6 +37,25 @@ def energy_min_flow(mg, residue_row):
     return {e: sol[eidx[e]] for e in edges}
 
 
+def form_space_dims_svd(mg):
+    """(dim exact, dim holomorphic, dim balanced) from three dense float ranks.
+
+    Balanced forms are the kernel of the incidence; exact ones also have zero
+    loop integrals (the rank is that of the bare cycles, since
+    cycles @ diag(l) @ cycles.T is positive definite), holomorphic ones zero
+    residues.
+    """
+    bal = mg.incidence
+    total, g, n = bal.shape[1], mg.genus, mg.n_leaves
+    loops = np.hstack([mg.cycles, np.zeros((g, n))])
+    leaf_rows = np.hstack([np.zeros((n, total - n)), np.eye(n)])
+    return (
+        total - np.linalg.matrix_rank(np.vstack([bal, loops])),
+        total - np.linalg.matrix_rank(np.vstack([bal, leaf_rows])),
+        total - np.linalg.matrix_rank(bal),
+    )
+
+
 def loop_edge_signs(loop):
     return {oe.id: (1.0 if oe.forward else -1.0) for oe in loop.items}
 

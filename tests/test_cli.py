@@ -11,8 +11,9 @@ import pytest
 import tropharm
 from tropharm import cli
 from tropharm.cli import main
+from tropharm.graph import load_graph
 
-from conftest import MERGING_TREE, MERGING_TREE_RESIDUES
+from conftest import MERGING_TREE, MERGING_TREE_RESIDUES, genus2_graph
 
 TRIPOD = {
     "vertices": ["w"],
@@ -418,6 +419,18 @@ def test_degenerate_refuses_an_unplaceable_t_before_sampling_any(capsys, tmp_pat
     code, out, err = run(capsys, "degenerate", *map(str, paths), *argv)
     assert code == 1 and out == ""
     assert json.loads(err) == {"code": "BadInput", "message": "punctures must be pairwise distinct"}
+
+
+@pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex", "genus2"])
+def test_check_stdout_matches_golden(capsys, fixture):
+    # the goldens hold the stdout of the rank-verified version; genus2 is the
+    # conftest graph, so the check also runs over loop rows
+    path = GOLDEN / f"{fixture}.graph.json"
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{fixture}.check.stdout").read_bytes()
+    if fixture == "genus2":
+        assert load_graph(str(path)) == genus2_graph()
 
 
 @pytest.mark.parametrize("window", [None, "3"])

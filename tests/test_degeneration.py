@@ -190,6 +190,20 @@ def test_field_zero_rejects_nonpositive():
         field_zero(-1.0, 2.0)
 
 
+@pytest.mark.parametrize("name, call", [pytest.param(name, call, id=name) for name, call in (
+    ("lam1", lambda: field_zero(np.inf, 1.0)),
+    ("lam_minus1", lambda: field_zero(1.0, np.nan)),
+    ("l_trop", lambda: annulus_period_experiment(np.inf)),
+    ("kappa", lambda: annulus_period_experiment(1.0, kappa=np.inf)),
+    ("t_values", lambda: annulus_period_experiment(1.0, t_values=[1e8, np.inf])),
+)])
+def test_collar_and_pants_helpers_refuse_non_finite_arguments(name, call):
+    # an infinite residue used to end in an untyped internal error, and an
+    # infinite l_trop or t in a NonPositiveLength about the collar width
+    with pytest.raises(InputError, match=f"^{name} must be finite"):
+        call()
+
+
 # amoeba map and sampling
 
 

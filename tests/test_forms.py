@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from tropharm import forms
 from tropharm.errors import (
     BalancingViolationError,
     InfiniteIntegralError,
+    InputError,
     NotPathOrLoopError,
     ResiduesDontSumToZeroError,
     TooFewLeavesError,
@@ -27,7 +30,7 @@ from tropharm.graph import GraphPath, OrientedEdge, cycle_basis, leaf_paths
 
 from conftest import theta_graph
 from _generators import random_cubic, random_valid_cubic
-from oracles import energy_min_flow
+from oracles import energy_min_flow, form_space_dims_svd
 
 
 def dumbbell_loop_e1_fwd():
@@ -48,6 +51,13 @@ def test_residues_readoff(tripod):
 def test_unbalanced_rejected(tripod):
     with pytest.raises(BalancingViolationError):
         OneForm(tripod, {"p1": 1.0})
+
+
+@pytest.mark.parametrize("values", [{"p1": np.nan, "p2": 1.0, "p3": -1.0}, {"p1": np.inf, "p2": -np.inf}])
+def test_non_finite_values_rejected(tripod, values):
+    # the balancing of such a form is nan, which no tolerance refuses
+    with pytest.raises(InputError, match="finite"):
+        OneForm(tripod, values)
 
 
 def test_residue_sum_property(rng):
@@ -206,6 +216,50 @@ def test_form_space_dims(tripod, dumbbell):
 def test_form_space_dims_needs_leaves():
     with pytest.raises(TooFewLeavesError):
         form_space_dims(theta_graph())
+
+
+@given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 8), leaves=st.integers(2, 10))
+def test_form_space_dims_agrees_with_three_ranks(seed, genus, leaves):
+    assume(2 * genus - 2 + leaves >= 1)
+    mg = random_cubic(np.random.default_rng(seed), genus, leaves)
+    assume(mg is not None)
+    exact, holo, balanced = form_space_dims_svd(mg)
+    assert form_space_dims(mg) == (exact, holo) == (leaves - 1, genus)
+    assert balanced == genus + leaves - 1
+
+
+@pytest.mark.parametrize("flip", ["leaf path edge", "leaf path leaf", "loop"])
+def test_form_space_dims_refuses_a_wrong_sign(monkeypatch, flip):
+    # one reversed item breaks balancing (or the -I pivot on the leaves), so
+    # the certificate is not vacuous
+    mg = random_cubic(np.random.default_rng(3), 2, 4)
+
+    def reverse(path, k):
+        items = list(path.items)
+        items[k] = items[k].reverse()
+        return GraphPath(tuple(items), path.is_loop)
+
+    if flip == "loop":
+        object.__setattr__(mg, "loops", (reverse(mg.loops[0], 1),) + mg.loops[1:])  # a local graph
+    else:
+        k = 1 if flip == "leaf path edge" else -1
+        real = forms.leaf_paths
+        monkeypatch.setattr(forms, "leaf_paths", lambda mg, base: (reverse(real(mg, base)[0], k),)
+                            + real(mg, base)[1:])
+    with pytest.raises(RuntimeError, match="basis certificate"):
+        form_space_dims(mg)
+
+
+def test_form_space_dims_at_two_thousand_edges():
+    # g = 600, n = 400: |E| = 2197; three dense SVDs took about 8 s here
+    mg = None
+    rng = np.random.default_rng(11)
+    while mg is None:
+        mg = random_cubic(rng, 600, 400)
+    assert len(mg.graph.edges) == 2197
+    start = time.perf_counter()
+    assert form_space_dims(mg) == (399, 600)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_residue_matrix_row_sum():
