@@ -250,14 +250,17 @@ def field_zero(lam1: float, lam_minus1: float) -> float:
     """Unique zero of lam1/(z-1) + lam_minus1/(z+1) for positive residues.
 
     Solving the linear equation gives (lam_minus1 - lam1)/(lam1 + lam_minus1),
-    which always lies in (-1, 1); the residual is re-checked numerically.
+    which lies in (-1, 1) but rounds onto a puncture when one residue exceeds
+    the other about 1e16-fold; the residual is re-checked numerically.
     """
     _require_finite(lam1=lam1, lam_minus1=lam_minus1)
     if not (lam1 > 0 and lam_minus1 > 0):
         raise NonPositiveResiduesError("both residues must be positive")
     zeta = (lam_minus1 - lam1) / (lam1 + lam_minus1)
+    if not -1.0 < zeta < 1.0:
+        raise InputError(f"the field zero of residues {lam1!r}, {lam_minus1!r} rounds onto the puncture {zeta}")
     residual = abs(lam1 / (zeta - 1.0) + lam_minus1 / (zeta + 1.0))
-    if residual > 1e-10 * (lam1 + lam_minus1) or not (-1.0 < zeta < 1.0):
+    if residual > 1e-10 * (lam1 + lam_minus1):
         raise RuntimeError(f"internal: field zero residual {residual:.3e} at {zeta}")
     return float(zeta)
 

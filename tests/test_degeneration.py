@@ -204,6 +204,13 @@ def test_collar_and_pants_helpers_refuse_non_finite_arguments(name, call):
         call()
 
 
+def test_field_zero_refuses_a_zero_that_rounds_onto_a_puncture():
+    # one residue 1e16 times the other: the zero rounds to -1, where the
+    # residual check used to divide by zero
+    with pytest.raises(InputError, match="rounds onto the puncture"):
+        field_zero(1e16, 1.0)
+
+
 # amoeba map and sampling
 
 

@@ -251,7 +251,7 @@ def test_form_space_dims_refuses_a_wrong_sign(monkeypatch, flip):
 
 
 def test_form_space_dims_at_two_thousand_edges():
-    # g = 600, n = 400: |E| = 2197; three dense SVDs took about 8 s here
+    # g = 600, n = 400: |E| = 2197; three dense SVDs took 7-9 s on two vCPUs
     mg = None
     rng = np.random.default_rng(11)
     while mg is None:
