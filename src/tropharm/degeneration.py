@@ -251,16 +251,20 @@ def field_zero(lam1: float, lam_minus1: float) -> float:
 
     Solving the linear equation gives (lam_minus1 - lam1)/(lam1 + lam_minus1),
     which lies in (-1, 1) but rounds onto a puncture when one residue exceeds
-    the other about 1e16-fold; the residual is re-checked numerically.
+    the other about 1e16-fold; the residual is re-checked numerically.  Both
+    residues are first scaled by the power of two of the larger one, which
+    is exact, so the sum cannot overflow and every other bit is unchanged.
     """
     _require_finite(lam1=lam1, lam_minus1=lam_minus1)
     if not (lam1 > 0 and lam_minus1 > 0):
         raise NonPositiveResiduesError("both residues must be positive")
-    zeta = (lam_minus1 - lam1) / (lam1 + lam_minus1)
+    scale = -math.frexp(max(lam1, lam_minus1))[1]
+    a, b = math.ldexp(lam1, scale), math.ldexp(lam_minus1, scale)
+    zeta = (b - a) / (a + b)
     if not -1.0 < zeta < 1.0:
         raise InputError(f"the field zero of residues {lam1!r}, {lam_minus1!r} rounds onto the puncture {zeta}")
-    residual = abs(lam1 / (zeta - 1.0) + lam_minus1 / (zeta + 1.0))
-    if residual > 1e-10 * (lam1 + lam_minus1):
+    residual = abs(a / (zeta - 1.0) + b / (zeta + 1.0))
+    if residual > 1e-10 * (a + b):
         raise RuntimeError(f"internal: field zero residual {residual:.3e} at {zeta}")
     return float(zeta)
 
@@ -286,48 +290,56 @@ def _chart_units(pts: np.ndarray, angular_count: int) -> np.ndarray:
 
 
 def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray, angular_count: int, *,
+                   units: np.ndarray | None = None,
                    buffers: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, int]:
-    """log-distances of p_j + r*e^(i*theta) to every finite puncture, one row
-    per radius and evaluated angle (``_chart_units``), radius by radius.
+    """log-distances of p_j + r*e^(i*theta) to every finite puncture, one
+    column per radius and evaluated angle (``_chart_units``), radius by
+    radius: an (n, N) block, one row per puncture.
 
-    Column k is |z - p_k|, written in place and then logged in place.  The
-    own column is log r exactly, which keeps tiny radii accurate where
-    z - p_j would cancel to zero in floating point.  Only if some distance
-    is exactly 0, a sample landing on another puncture, are the rows
-    compacted to drop those samples.  ``buffers``, an (N, n) float array and
-    a (2, N) complex array with N at least the chart's row count, are the
-    working storage, and the rows returned are the first ones of the float
-    array unless rows were dropped; without them the chart allocates its
-    own.
+    Row k is |z - p_k|, written in place and then logged in place, each a
+    contiguous pass.  The own row is log r exactly, which keeps tiny radii
+    accurate where z - p_j would cancel to zero in floating point.  Only if
+    some distance is exactly 0, a sample landing on another puncture, are
+    the columns compacted to drop those samples.  ``buffers``, a float array
+    of at least n * N elements and a (2, N) complex array with N at least
+    the chart's column count, are the working storage, and the block
+    returned is the start of the float array, laid out (n, N), unless
+    samples were dropped; without them the chart allocates its own.
+    ``units``, if given, is ``_chart_units(pts, angular_count)``, which
+    every chart of a sphere shares.
 
-    Returns the kept rows and the number of samples drawn off a puncture
+    Returns the kept columns and the number of samples drawn off a puncture
     over the whole circle, mirror samples included."""
-    units = _chart_units(pts, angular_count)
+    if units is None:
+        units = _chart_units(pts, angular_count)
     shape = (log_radii.size, units.size)
     size = shape[0] * shape[1]
-    buf, zbuf = buffers or (np.empty((size, pts.size)), np.empty((2, size), dtype=complex))
-    logdist, offs, z = buf[:size], zbuf[0, :size], zbuf[1, :size]
+    buf, zbuf = buffers or (np.empty(pts.size * size), np.empty((2, size), dtype=complex))
+    logdist, offs, z = buf[:pts.size * size].reshape(pts.size, size), zbuf[0, :size], zbuf[1, :size]
     np.multiply(np.exp(log_radii)[:, None], units, out=offs.reshape(shape))
     for k in range(pts.size):
         if k != j:
             np.add(offs, pts[j] - pts[k], out=z)
-            np.abs(z, out=logdist[:, k])
-    logdist[:, j] = 1.0  # logs to 0 until log r is written over it
+            np.abs(z, out=logdist[k])
+    logdist[j] = 1.0  # passes the check until log r is written over it
     twins = angular_count - units.size  # angle indices 1 .. twins have mirror copies
     if logdist.all():  # no sample on a puncture
         drawn = size + shape[0] * twins
-        np.log(logdist, out=logdist)
-        logdist.reshape(*shape, pts.size)[:, :, j] = log_radii[:, None]
+        for rows in (logdist[:j], logdist[j + 1:]):
+            np.log(rows, out=rows)
+        logdist[j].reshape(shape)[:] = log_radii[:, None]
         return logdist, drawn
-    keep = np.all(logdist > 0.0, axis=1)
+    keep = np.all(logdist > 0.0, axis=0)
     drawn = np.count_nonzero(keep) + np.count_nonzero(keep.reshape(shape)[:, 1:1 + twins])
-    logdist = np.log(logdist[keep])
-    logdist[:, j] = np.repeat(log_radii, units.size)[keep]
+    logdist = logdist[:, keep]
+    np.log(logdist, out=logdist)
+    logdist[j] = np.repeat(log_radii, units.size)[keep]
     return logdist, int(drawn)
 
 
 def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
-    """log-distances to every finite puncture on a square grid over a disk.
+    """log-distances to every finite puncture on a square grid over a disk,
+    an (n, N) block as ``_chart_logdist`` gives, one row per puncture.
 
     The disk of radius r0 holds every finite puncture; grid nodes outside it,
     or within 1e-9 * (1 + r0) of a puncture, are dropped.
@@ -337,9 +349,9 @@ def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
     axis = np.linspace(-r0, r0, grid_count)
     gx, gy = np.meshgrid(axis, axis)
     gz = (center + gx + 1j * gy).ravel()
-    dist = np.abs(gz[:, None] - pts[None, :])
-    keep = (np.abs(gz - center) <= r0) & (dist.min(axis=1) > 1e-9 * (1.0 + r0))
-    return np.log(dist[keep])
+    dist = np.abs(gz[None, :] - pts[:, None])
+    keep = (np.abs(gz - center) <= r0) & (dist.min(axis=0) > 1e-9 * (1.0 + r0))
+    return np.log(dist[:, keep])
 
 
 # ----------------------------------------------------------------------
@@ -567,9 +579,11 @@ def _alignment_offset(placement: TreePlacement, R: ResidueMatrix, base_vertex: s
     return off
 
 
-def _rows_near_window(pts: np.ndarray, j: int, log_radii: np.ndarray, res_cols: np.ndarray,
+def _rows_near_window(pts: np.ndarray, rows: np.ndarray, log_radii: np.ndarray, res_cols: np.ndarray,
                       window: np.ndarray, shift: np.ndarray, logt: float) -> np.ndarray:
-    """Mask of the chart rows around p_j whose amoeba image may meet the window.
+    """Mask of the radius rows whose amoeba image may meet the window, for
+    every chart of a t in one pass: the first rows[0] log radii are the
+    chart around p_0, the next rows[1] the chart around p_1, and so on.
 
     On the circle |z - p_j| = r the own log-distance is log r exactly, and
     log|z - p_k| lies in [log|d_k - r|, log(d_k + r)] with d_k = |p_j - p_k|;
@@ -578,34 +592,35 @@ def _rows_near_window(pts: np.ndarray, j: int, log_radii: np.ndarray, res_cols: 
     keeps clear of every other puncture, gap > 1e-6 * (d_k + r), and its box
     misses the window, taken in raw coordinates (window - shift) * log t, by
     1e-6 of the term sizes plus 1e-9: far above round-off, so no dropped
-    sample lands on a puncture or inside the window.
+    sample lands on a puncture or inside the window.  Each bound is one
+    array over every radius row, with one row per puncture.
     """
-    others = np.delete(np.arange(pts.size), j)
-    d = np.abs(pts[others] - pts[j])
-    radii = np.exp(log_radii)[:, None]
-    gap = np.abs(d - radii)
-    near = np.ones(log_radii.size, dtype=bool)
-    clear = np.flatnonzero(np.all(gap > 1e-6 * (d + radii), axis=1))
-    lo = np.empty((clear.size, pts.size))
-    hi = np.empty_like(lo)
-    lo[:, j] = hi[:, j] = log_radii[clear]
-    lo[:, others] = np.log(gap[clear])
-    hi[:, others] = np.log(d + radii[clear])
-    pos, neg = np.maximum(res_cols.T, 0.0), np.maximum(-res_cols.T, 0.0)
-    box_lo = lo @ pos - hi @ neg
-    box_hi = hi @ pos - lo @ neg
-    terms = np.maximum(np.abs(lo), np.abs(hi)) @ np.abs(res_cols.T)
-    slack = 1e-6 * (terms + (np.abs(window).max(axis=1) + np.abs(shift)) * logt) + 1e-9
+    ends = np.cumsum(rows)
+    d = np.repeat(np.abs(pts[:, None] - pts[None, :]), rows, axis=1)  # d[k, i] = |p_k - p_j|
+    radii = np.exp(log_radii)
+    gap = d - radii
+    np.abs(gap, out=gap)
+    hi = np.add(d, radii, out=d)  # d is not read again
+    clear = np.all(gap > 1e-6 * hi, axis=0)  # the own gap r always passes
+    gap[:, ~clear] = 1.0  # logs safely; a row not clear is kept whatever its box
+    lo, hi = np.log(gap, out=gap), np.log(hi, out=hi)
+    for j, (a, b) in enumerate(zip(ends - rows, ends)):
+        lo[j, a:b] = hi[j, a:b] = log_radii[a:b]
+    pos, neg = np.maximum(res_cols, 0.0), np.maximum(-res_cols, 0.0)
+    box_lo = pos @ lo - neg @ hi
+    box_hi = pos @ hi - neg @ lo
+    terms = np.abs(res_cols) @ np.maximum(np.abs(lo, out=lo), np.abs(hi, out=hi), out=lo)
+    slack = 1e-6 * (terms + ((np.abs(window).max(axis=1) + np.abs(shift)) * logt)[:, None]) + 1e-9
     raw_win = (window - shift[:, None]) * logt
-    miss = (box_hi + slack < raw_win[:, 0]) | (box_lo - slack > raw_win[:, 1])
-    near[clear] = ~np.any(miss, axis=1)
-    return near
+    miss = (box_hi + slack < raw_win[:, :1]) | (box_lo - slack > raw_win[:, 1:])
+    return ~(clear & np.any(miss, axis=0))
 
 
 def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicMorphism,
                       window: np.ndarray, shift: np.ndarray, sampling: tuple[float, int, int]):
-    """Raw amoeba samples, the tripod region of each and the samples drawn,
-    at ``sampling`` = (u_step, angular_count, grid_count) (see ``_sampling``).
+    """Raw amoeba samples as (m, N) coordinate rows, the tripod region of
+    each and the samples drawn, at ``sampling`` = (u_step, angular_count,
+    grid_count) (see ``_sampling``).
 
     A region is an index into the graph's vertices, or -1 for samples of the
     global grid.  Rescaled points are raw / log t + shift.  On real
@@ -615,15 +630,23 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     includes both: every chart sample drawn off a puncture over the whole
     circle, plus the grid samples.
 
-    Every chart's near rows are found first, so the (N, m) image and the
-    region array are allocated once.  The charts are then evaluated one at a
-    time into one pair of chart buffers, sized for the largest chart and
-    reused by every chart (``_chart_logdist``), and each chart has exactly
-    one matmul, over all its kept rows, written straight into its slice of
-    the image; the grid follows.  What lives at once is the image, the
-    region array and one chart's buffers and tripod regions.  The arrays
-    returned are views of the first rows of the allocated ones: room for the
-    grid is reserved at its node count, and rows on a puncture are dropped."""
+    The near rows of every chart are found first, in one pass, so the
+    coordinate rows and the region array are allocated once.  The charts
+    are then evaluated one at a time, each as an (n, N) block in one pair of
+    chart buffers, sized for the largest chart and reused by every chart
+    (``_chart_logdist``).  Each chart has exactly one residue product, over
+    all its kept samples, written straight into its columns of the
+    coordinate rows (with one residue row over an (N, n) copy of the block:
+    the (1, n) @ (n, N) product runs another BLAS kernel and changes last
+    bits).  A sample's tripod region is read off its nearest puncture:
+    radius rows whose circle stays inside half the gap to the nearest other
+    puncture, by a margin of 1e-6 in log r, get one region per row from the
+    own log radius; the other samples keep a running minimum over the
+    block's rows, the first index winning ties.  The grid follows.  What
+    lives at once is the coordinate rows, the region array and one chart's
+    buffers and tripod scratch.  The arrays returned are views of the first
+    columns of the allocated ones: room for the grid is reserved at its node
+    count, and samples on a puncture are dropped."""
     g = placement.carrier.graph
     idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
@@ -656,61 +679,89 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
         paths[pos, :len(up)] = [vertex_index[w] for w in up]
         bounds[:len(up) - 1, pos] = [(a + b) / 2.0 for a, b in zip(hs, hs[1:])]
 
-    def assign_tripods(logdist: np.ndarray) -> np.ndarray:
+    # below this log radius no other puncture can be as near a chart's
+    # sample as its own: the circle keeps inside half the gap to the nearest
+    # other puncture, with a margin far above the round-off of the distances
+    others = np.abs(pts[None, :] - pts[:, None]) + np.diag(np.full(pts.size, np.inf))
+    inner_log_radius = np.log(others.min(axis=1) / 2.0) - 1e-6
+
+    def assign_tripods(pos: int, log_radii: np.ndarray, logdist: np.ndarray, out: np.ndarray) -> None:
         """Tripod region of each sample: nearest puncture in log scale, then
         walk that leaf's upward path to the sample's own scale (the level is
         the number of thresholds at or below it, as np.digitize counts)."""
-        nearest = np.argmin(logdist, axis=1)
-        u_min = np.take_along_axis(logdist, nearest[:, None], axis=1)[:, 0] / logt
-        level = np.zeros(nearest.size, dtype=np.intp)
+        inner = np.searchsorted(log_radii, inner_log_radius[pos])
+        level = np.count_nonzero(bounds[:, pos, None] <= log_radii[:inner] / logt, axis=0)
+        inner *= width
+        out[:inner] = np.repeat(paths[pos, level], width)
+        rest = logdist[:, inner:]
+        u_min = rest[0].copy()
+        nearest = np.zeros(u_min.size, dtype=np.intp)
+        for k in range(1, pts.size):
+            # k exceeds every index so far, so the max sets it where rest[k] is smaller
+            np.maximum(nearest, np.less(rest[k], u_min) * k, out=nearest)
+            np.minimum(u_min, rest[k], out=u_min)
+        u_min /= logt
+        at = nearest * depth  # the flat index of (nearest, level) in paths
         for bnd in bounds:
-            level += bnd[nearest] <= u_min
-        return paths[nearest, level]
+            at += np.take(bnd, nearest) <= u_min
+        out[inner:] = np.take(paths, at)
+
+    def write_image(logdist: np.ndarray, part: slice) -> None:
+        """The raw image of an (n, N) log-distance block, one residue product
+        written into the coordinate columns ``part``; with one residue row,
+        (N, n) @ (n, 1) over a copy of the block, as for the stacked image."""
+        if R.m == 1:
+            np.matmul(np.ascontiguousarray(logdist.T), res_cols.T, out=cols[:, part].T)
+        else:
+            np.matmul(res_cols, logdist, out=cols[:, part])
 
     # keep radii t**u representable: |u * log t| must stay below exp overflow
     u_cap = 600.0 / logt
     u_hi = min(h_top + reach, u_cap)
 
-    # every chart's radius rows near the window first, so that the image and
-    # region arrays are allocated once, for every chart and the grid
-    charts = []
-    samples = 0
-    for pos, v in enumerate(leaf_vertices):
+    # every chart's radius rows near the window first, in one pass, so that
+    # the coordinate rows and region array are allocated once, for every
+    # chart and the grid
+    ks = []
+    for v in leaf_vertices:
         u_lo = max(heights[v] - reach, -u_cap)
         k_lo, k_hi = math.ceil(u_lo / step), math.floor(u_hi / step)
         # a chart's distance array holds every row's samples to every puncture
         _check_indexable((k_hi - k_lo + 1) * angular_count * pts.size, "a chart")
-        u = np.arange(k_lo, k_hi + 1) * step
-        log_radii = u * logt
-        near = _rows_near_window(pts, pos, log_radii, res_cols, window, shift, logt)
-        charts.append(log_radii[near])
-        # a dropped row keeps clear of every other puncture: all its samples count
-        samples += int(near.size - np.count_nonzero(near)) * angular_count
+        ks.append(np.arange(k_lo, k_hi + 1))
+    rows = [k.size for k in ks]
+    log_radii = np.concatenate(ks) * step * logt
+    near = _rows_near_window(pts, rows, log_radii, res_cols, window, shift, logt)
+    # a dropped row keeps clear of every other puncture: all its samples count
+    samples = int(near.size - np.count_nonzero(near)) * angular_count
+    cuts = np.cumsum(rows)[:-1]
+    charts = [r[keep] for r, keep in zip(np.split(log_radii, cuts), np.split(near, cuts))]
     _check_indexable(grid_count**2 * pts.size, "the global grid")
-    width = _chart_units(pts, angular_count).size
-    sizes = [log_radii.size * width for log_radii in charts]
-    raw = np.empty((sum(sizes) + grid_count**2, R.m))
-    region = np.empty(raw.shape[0], dtype=region_type)
+    units = _chart_units(pts, angular_count)
+    width = units.size
+    sizes = [chart.size * width for chart in charts]
+    cols = np.empty((R.m, sum(sizes) + grid_count**2))
+    region = np.empty(cols.shape[1], dtype=region_type)
 
-    # one matmul per chart over all its rows, written into the chart's slice:
-    # a product of fewer rows can differ from the same rows of the whole one
-    # in the last bit
-    buffers = np.empty((max(sizes), pts.size)), np.empty((2, max(sizes)), dtype=complex)
+    # one product per chart over all its samples, written into the chart's
+    # columns: a product of fewer samples can differ from the same samples of
+    # the whole one in the last bit
+    buffers = np.empty(pts.size * max(sizes)), np.empty((2, max(sizes)), dtype=complex)
     end = 0
-    for pos, log_radii in enumerate(charts):
-        logdist, drawn = _chart_logdist(pts, pos, log_radii, angular_count, buffers=buffers)
-        rows = slice(end, end + logdist.shape[0])
-        np.matmul(logdist, res_cols.T, out=raw[rows])
-        region[rows] = assign_tripods(logdist)
-        end, samples = rows.stop, samples + drawn
+    for pos, chart in enumerate(charts):
+        logdist, drawn = _chart_logdist(pts, pos, chart, angular_count, units=units, buffers=buffers)
+        part = slice(end, end + logdist.shape[1])
+        write_image(logdist, part)
+        assign_tripods(pos, chart, logdist, region[part])
+        end, samples = part.stop, samples + drawn
     del buffers, logdist
 
     # coarse global grid over a disk containing all finite punctures
     grid = _grid_logdist(pts, grid_count)
-    rows = slice(end, end + grid.shape[0])
-    np.matmul(grid, res_cols.T, out=raw[rows])
-    region[rows] = -1
-    return raw[:rows.stop], region[:rows.stop], samples + grid.shape[0]
+    part = slice(end, end + grid.shape[1])
+    write_image(grid, part)
+    region[part] = -1
+    return cols[:, :part.stop], region[:part.stop], samples + grid.shape[1]
 
 
 def default_window(scene: Scene) -> np.ndarray:
@@ -736,15 +787,18 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     Every t is placed, and its punctures checked, before anything is clipped
     or sampled, so a t that cannot be placed raises its error before any t
     is sampled.  The global and tripod scenes are clipped and prepared once
-    per experiment (``distance._ClippedScene``).  Each t runs in a helper
-    whose arrays are all freed before the next t samples.  Its cloud is one
-    (N, m) image and one region array, allocated once and written chart by
-    chart (``_experiment_cloud``); the chart buffers are reused from chart
-    to chart, and each chart has exactly one matmul.  The image is rescaled
-    one coordinate at a time to find the in-window points
-    (``distance._in_window``), which are split by region with one stable
-    sort, so each tripod cloud is a column slice in cloud order; the image
-    is freed once they are copied out.  One call,
+    per experiment (``distance._ClippedScene``), each sampled in one pass.
+    Each t runs in a helper whose arrays are all freed before the next t
+    samples.  Its cloud is m coordinate rows and one region array, allocated
+    once and written chart by chart (``_experiment_cloud``): the near rows
+    of every chart are found in one pass, and each chart is one (n, N)
+    block of reused buffers with exactly one residue product, written into
+    its columns.  While the cloud is sampled, what lives is the coordinate
+    rows, the region array and one chart's buffers and tripod scratch.  The
+    rows are rescaled in place and tested against the window one coordinate
+    at a time (``distance._in_window``); the in-window columns are copied
+    out sorted by region with one stable sort, so each tripod cloud is a
+    column slice in cloud order, and the full rows are freed.  One call,
     ``distance._experiment_distances``, then computes every distance of the
     t, the global cloud side bounded through the tripod distances and the
     per-tripod tables built once per experiment (``distance._tripod_table``),
@@ -787,22 +841,23 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
         """The experiment at one placed t; nothing it allocates outlives it."""
         t = placement.t
         try:
-            raw, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
+            cols, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
         except MemoryError as exc:
             raise SamplingTooDenseError(f"amoeba sampling does not fit in memory: {exc}") from exc
-        # keep the in-window points sorted by region, stably, so each tripod
-        # cloud is one slice of the C-ordered coordinate columns, and rescale
-        # them again as they are copied out (the same operations give the
-        # same bits)
-        logt = math.log(t)
-        keep = np.flatnonzero(distance._in_window(raw, win, logt, shift))
+        # rescale the coordinate rows in place, then copy out the in-window
+        # points sorted by region, stably, so each tripod cloud is one slice
+        # of the columns; row by row, because the rows are views of wider
+        # ones that a take along columns would first copy whole
+        np.divide(cols, math.log(t), out=cols)
+        cols += shift[:, None]
+        keep = np.flatnonzero(distance._in_window(cols, win))
         keep = keep[np.argsort(region[keep], kind="stable")]
         region = region[keep]
-        cols = np.empty((R.m, keep.size))
-        for k, col in enumerate(cols):
-            np.divide(raw[keep, k], logt, out=col)
-            col += shift[k]
-        del raw, keep
+        picked = np.empty((R.m, keep.size))
+        for k in range(R.m):
+            picked[k] = cols[k, keep]
+        cols = picked
+        del keep, picked
         ends = np.searchsorted(region, np.arange(len(vertices) + 1))
         del region
         d_global, per_tripod = distance._experiment_distances(cols, ends, glob, tripods, tables)

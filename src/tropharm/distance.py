@@ -72,17 +72,13 @@ def clip_scene(scene: Scene, window) -> list[tuple[np.ndarray, np.ndarray]]:
     return [seg for seg in segs if seg is not None]
 
 
-def _in_window(raw: np.ndarray, win: np.ndarray, logt: float, shift: np.ndarray) -> np.ndarray:
-    """Rows of the (N, m) ``raw`` whose point raw / logt + shift lies inside
-    the window box, rescaled into one column and compared one coordinate at
-    a time."""
-    x = np.empty(raw.shape[0])
-    inside = np.ones(raw.shape[0], dtype=bool)
-    for k, (lo, hi) in enumerate(win):
-        np.divide(raw[:, k], logt, out=x)
-        x += shift[k]
-        inside &= x >= lo
-        inside &= x <= hi
+def _in_window(cols: np.ndarray, win: np.ndarray) -> np.ndarray:
+    """Mask of the points of the (m, N) coordinate rows ``cols`` inside the
+    window box, compared one coordinate at a time."""
+    inside = np.ones(cols.shape[1], dtype=bool)
+    for row, (lo, hi) in zip(cols, win):
+        inside &= row >= lo
+        inside &= row <= hi
     return inside
 
 
@@ -174,30 +170,42 @@ def _points_to_segments(cols: np.ndarray, params):
 
 def _sample_segments(segs: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Samples a + linspace(0, 1, n)*(b - a) of each segment, n >= 2 of them
-    at most ``step`` apart, and the count n of each segment."""
-    pts, counts = [], []
-    for a, b in segs:
-        n = max(2, int(np.ceil(np.linalg.norm(b - a) / step)) + 1)
-        ts = np.linspace(0.0, 1.0, n)
-        pts.append(a[None, :] + ts[:, None] * (b - a)[None, :])
-        counts.append(n)
-    return np.vstack(pts), np.array(counts)
+    at most ``step`` apart, as (d, total) coordinate columns, and the count n
+    of each segment, all segments in one pass.
+
+    Each length is the square root of one (1, d) @ (d, 1) product per
+    segment, the dot kernel that np.linalg.norm of one segment runs, so the
+    counts match it bit for bit (a row-wise sum of squares differs in the
+    last bit); sample i of n is a + s*(b - a) with s = i * (1/(n - 1)) and
+    s = 1 at the last, the bits of np.linspace(0, 1, n)."""
+    a, ab = segs[:, 0, :], segs[:, 1, :] - segs[:, 0, :]
+    length = np.sqrt(np.matmul(ab[:, None, :], ab[:, :, None])[:, 0, 0])
+    counts = np.maximum(2, np.ceil(length / step).astype(np.intp) + 1)
+    last = np.cumsum(counts) - 1
+    s = np.arange(last[-1] + 1) - np.repeat(last - (counts - 1), counts)
+    s = s * np.repeat(1.0 / (counts - 1), counts)
+    s[last] = 1.0
+    cols = np.repeat(ab.T, counts, axis=1)
+    cols *= s
+    cols += np.repeat(a.T, counts, axis=1)
+    return cols, counts
 
 
 class _ClippedScene:
     """The part of a Hausdorff distance to clipped segments that does not
     depend on the cloud: the segments without duplicates (coincident rays
-    give the same samples and distances), their ``_segment_params``, and the
-    scene samples at a spacing of the window diagonal / 2048, as coordinate
-    columns, with the sample range of each segment."""
+    give the same samples and distances; the first of equal rows is kept),
+    their ``_segment_params``, and the scene samples at a spacing of the
+    window diagonal / 2048, as coordinate columns, with the sample range of
+    each segment."""
 
     def __init__(self, segs: np.ndarray, win: np.ndarray):
-        _, first = np.unique(segs.reshape(segs.shape[0], -1), axis=0, return_index=True)
-        self.segs = segs[np.sort(first)]
+        rows = segs.reshape(segs.shape[0], -1)
+        equal = np.all(rows[:, None, :] == rows[None, :, :], axis=2)
+        self.segs = segs[~np.tril(equal, -1).any(axis=1)]
         self.params = _segment_params(self.segs)
-        samples, self.counts = _sample_segments(self.segs, _scene_step(win))
-        self.cols = np.ascontiguousarray(samples.T)
-        self.offset = np.concatenate([[0], np.cumsum(self.counts)[:-1]])
+        self.cols, self.counts = _sample_segments(self.segs, _scene_step(win))
+        self.offset = np.cumsum(self.counts) - self.counts
         self.last = (self.counts - 1).astype(float)  # each segment's last sample index
         self.start = np.repeat(self.offset, self.counts)
         self.stop = self.start + np.repeat(self.counts, self.counts)
@@ -357,7 +365,7 @@ def hausdorff(points, scene: Scene, window) -> float:
     if pts.ndim != 2:
         raise InputError(f"points must be an (N, m) array, got shape {pts.shape}")
     win = _as_window(window, pts.shape[1])
-    pts = pts[_in_window(pts, win, 1.0, np.zeros(pts.shape[1]))]
+    pts = pts[_in_window(pts.T, win)]
     if pts.size == 0:
         raise EmptyAfterClippingError("point cloud is empty after clipping")
     segs = clip_scene(scene, win)

@@ -6,7 +6,6 @@ from math import gcd
 
 import numpy as np
 
-from tropharm.degeneration import _grid_logdist, _rows_near_window
 from tropharm.errors import EvaluationAtPunctureError
 from tropharm.graph import _spanning_tree
 
@@ -95,6 +94,22 @@ def scene_hausdorff_bruteforce(pts, segs, win):
     return float(max(d1, d2))
 
 
+def scene_samples_linspace(segs, step):
+    """Samples of the segments (S, 2, d) as the scene is sampled, one segment
+    at a time: exact duplicate rows dropped as np.unique(axis=0) drops them
+    (the first kept, in order), then n >= 2 samples a + linspace(0, 1, n) *
+    (b - a) per segment, at most ``step`` apart by np.linalg.norm.  Returns
+    the kept segments, the (N, d) samples and the count of each segment."""
+    _, first = np.unique(segs.reshape(segs.shape[0], -1), axis=0, return_index=True)
+    kept = segs[np.sort(first)]
+    samples, counts = [], []
+    for a, b in kept:
+        n = max(2, int(np.ceil(np.linalg.norm(b - a) / step)) + 1)
+        samples.append(a[None, :] + np.linspace(0.0, 1.0, n)[:, None] * (b - a)[None, :])
+        counts.append(n)
+    return kept, np.vstack(samples), np.array(counts)
+
+
 def amoeba_map(sphere, R, z):
     """Coordinate k at z: sum over finite punctures of R[k, j] * log|z - p_j|,
     evaluated directly."""
@@ -178,12 +193,63 @@ def chart_logdist_masked(pts, j, log_radii, angular_count):
     return logdist, int(drawn)
 
 
+def rows_near_window_chart(pts: np.ndarray, j: int, log_radii: np.ndarray, res_cols: np.ndarray,
+                           window: np.ndarray, shift: np.ndarray, logt: float) -> np.ndarray:
+    """Mask of the chart rows around p_j whose amoeba image may meet the window.
+
+    On the circle |z - p_j| = r the own log-distance is log r exactly, and
+    log|z - p_k| lies in [log|d_k - r|, log(d_k + r)] with d_k = |p_j - p_k|;
+    the positive and negative parts of the residue columns turn these into a
+    box holding the row's raw image.  A row is dropped only if its circle
+    keeps clear of every other puncture, gap > 1e-6 * (d_k + r), and its box
+    misses the window, taken in raw coordinates (window - shift) * log t, by
+    1e-6 of the term sizes plus 1e-9: far above round-off, so no dropped
+    sample lands on a puncture or inside the window.
+    """
+    others = np.delete(np.arange(pts.size), j)
+    d = np.abs(pts[others] - pts[j])
+    radii = np.exp(log_radii)[:, None]
+    gap = np.abs(d - radii)
+    near = np.ones(log_radii.size, dtype=bool)
+    clear = np.flatnonzero(np.all(gap > 1e-6 * (d + radii), axis=1))
+    lo = np.empty((clear.size, pts.size))
+    hi = np.empty_like(lo)
+    lo[:, j] = hi[:, j] = log_radii[clear]
+    lo[:, others] = np.log(gap[clear])
+    hi[:, others] = np.log(d + radii[clear])
+    pos, neg = np.maximum(res_cols.T, 0.0), np.maximum(-res_cols.T, 0.0)
+    box_lo = lo @ pos - hi @ neg
+    box_hi = hi @ pos - lo @ neg
+    terms = np.maximum(np.abs(lo), np.abs(hi)) @ np.abs(res_cols.T)
+    slack = 1e-6 * (terms + (np.abs(window).max(axis=1) + np.abs(shift)) * logt) + 1e-9
+    raw_win = (window - shift[:, None]) * logt
+    miss = (box_hi + slack < raw_win[:, 0]) | (box_lo - slack > raw_win[:, 1])
+    near[clear] = ~np.any(miss, axis=1)
+    return near
+
+
+def grid_logdist_rows(pts, grid_count):
+    """log-distances to every finite puncture on a square grid over a disk,
+    one row per grid node: the disk of radius r0 = 2 max|p - centre| + 1
+    about the punctures' mean holds them all, and nodes outside it or within
+    1e-9 * (1 + r0) of a puncture are dropped."""
+    center = complex(np.mean(pts))
+    r0 = 2.0 * float(np.max(np.abs(pts - center))) + 1.0
+    axis = np.linspace(-r0, r0, grid_count)
+    gx, gy = np.meshgrid(axis, axis)
+    gz = (center + gx + 1j * gy).ravel()
+    dist = np.abs(gz[:, None] - pts[None, :])
+    keep = (np.abs(gz - center) <= r0) & (dist.min(axis=1) > 1e-9 * (1.0 + r0))
+    return np.log(dist[keep])
+
+
 def experiment_cloud_stacked(placement, R, mor, window, shift, sampling):
     """The convergence experiment's raw cloud, regions and sample count, each
     chart evaluated into arrays of its own (``chart_logdist_masked``) and
     multiplied by the residue columns, and the charts and the global grid
-    stacked at the end.  Chart radii, rows skipped as missing the window and
-    tripod regions follow the library's rules."""
+    stacked at the end.  Chart radii, rows skipped as missing the window
+    (``rows_near_window_chart``, one chart at a time) and tripod regions
+    follow the library's rules."""
     g = placement.carrier.graph
     idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
@@ -230,13 +296,13 @@ def experiment_cloud_stacked(placement, R, mor, window, shift, sampling):
         k_lo, k_hi = math.ceil(u_lo / step), math.floor(u_hi / step)
         u = np.arange(k_lo, k_hi + 1) * step
         log_radii = u * logt
-        near = _rows_near_window(pts, pos, log_radii, res_cols, window, shift, logt)
+        near = rows_near_window_chart(pts, pos, log_radii, res_cols, window, shift, logt)
         logdist, drawn = chart_logdist_masked(pts, pos, log_radii[near], angular_count)
         chunks.append(logdist @ res_cols.T)
         regions.append(assign_tripods(logdist))
         samples += drawn + (near.size - np.count_nonzero(near)) * angular_count
 
-    grid = _grid_logdist(pts, grid_count)
+    grid = grid_logdist_rows(pts, grid_count)
     chunks.append(grid @ res_cols.T)
     regions.append(np.full(grid.shape[0], -1, dtype=region_type))
     return np.vstack(chunks), np.concatenate(regions), samples + grid.shape[0]

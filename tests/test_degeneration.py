@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -50,7 +51,9 @@ from oracles import (
     experiment_cloud_stacked,
     place_tree_reference,
     points_to_segments_broadcast,
+    rows_near_window_chart,
     scene_hausdorff_bruteforce,
+    scene_samples_linspace,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -211,6 +214,15 @@ def test_field_zero_refuses_a_zero_that_rounds_onto_a_puncture():
         field_zero(1e16, 1.0)
 
 
+def test_field_zero_survives_residues_whose_sum_overflows():
+    # lam1 + lam_minus1 = inf made the residual tolerance inf, and the zero
+    # came back 0.0 where it is (1.7 - 1)/2.7
+    z = field_zero(1e308, 1.7e308)
+    assert abs(z - field_zero(1.0, 1.7)) <= math.ulp(field_zero(1.0, 1.7))
+    assert z == pytest.approx(0.7 / 2.7, rel=1e-15)
+    assert field_zero(1.7e308, 1e308) == -z
+
+
 # amoeba map and sampling
 
 
@@ -273,7 +285,7 @@ def test_density_is_checked_before_genus(dumbbell):
 def test_grid_logdist_drops_node_on_puncture():
     # an odd grid puts its centre node on the puncture at 0; it is dropped
     logdist = dg._grid_logdist(np.array([-1.0, 0.0, 1.0], dtype=complex), 9)
-    assert logdist.shape[0] > 0 and np.all(np.isfinite(logdist))
+    assert logdist.shape[0] == 3 and logdist.shape[1] > 0 and np.all(np.isfinite(logdist))
 
 
 # hausdorff
@@ -365,7 +377,7 @@ def test_scene_hausdorff_matches_bruteforce_bit_for_bit(seed, dim, duplicate, ze
     if on_samples:
         step = float(np.linalg.norm(win[:, 1] - win[:, 0])) / 2048.0
         samples, _ = dist._sample_segments(segs, step)
-        pts = np.concatenate([pts, samples[rng.integers(0, len(samples), 5)]])
+        pts = np.concatenate([pts, samples[:, rng.integers(0, samples.shape[1], 5)].T])
     # the routine with no point bounded, as the public hausdorff and each
     # tripod distance call it, or with upper bounds on some points and any
     # bins, as the global distance of the experiment calls it
@@ -561,7 +573,7 @@ def test_convergence_deeper_tree():
     assert all(d is not None and d <= 0.07 for d in per_tripod.values())
 
 
-def _every_row(pts, j, log_radii, *args):
+def _every_row(pts, rows, log_radii, *args):
     return np.ones(log_radii.size, dtype=bool)
 
 
@@ -582,13 +594,14 @@ def _in_window_cloud(mg, R, t, window, sampling):
     the rows that cannot reach the window skipped as the experiment does."""
     _, _, _, win, shift, _ = args = _cloud_args(mg, R, t, window, sampling)
     raw, region, samples = dg._experiment_cloud(*args)
-    inside = dist._in_window(raw, win, math.log(t), shift)
-    return (raw / math.log(t) + shift)[inside], region[inside], samples
+    cols = raw / math.log(t) + shift[:, None]
+    inside = dist._in_window(cols, win)
+    return cols[:, inside].T, region[inside], samples
 
 
-def _random_tree_residues(seed, leaves, t):
+def _random_tree_residues(seed, leaves, t, m=2):
     """A random tree with ``leaves`` leaves and a random integer residue
-    matrix with two rows, or None where the draw is no tree or two of its
+    matrix with m rows, or None where the draw is no tree or two of its
     punctures at t merge in floating point."""
     rng = np.random.default_rng(seed)
     mg = random_cubic(rng, 0, leaves)
@@ -597,32 +610,35 @@ def _random_tree_residues(seed, leaves, t):
     finite = [p for p in place_tree(mg, t).punctures if p is not None]
     if len(set(finite)) != len(finite):
         return None
-    rows = rng.integers(-2, 3, size=(2, leaves)).astype(float)
+    rows = rng.integers(-2, 3, size=(m, leaves)).astype(float)
     rows[:, -1] -= rows.sum(axis=1)
     return mg, ResidueMatrix(rows)
 
 
 def _assert_same_cloud(args):
     """``_experiment_cloud`` against the oracle that evaluates each chart
-    into arrays of its own and stacks them: the same image, regions and
-    count, bit for bit."""
+    into arrays of its own and stacks them: the same image, as coordinate
+    rows, regions and count, bit for bit."""
     raw, region, samples = dg._experiment_cloud(*args)
     raw_ref, region_ref, samples_ref = experiment_cloud_stacked(*args)
-    assert raw.shape == raw_ref.shape and raw.tobytes() == raw_ref.tobytes()
+    assert raw.shape == raw_ref.T.shape and raw.tobytes() == raw_ref.T.tobytes()
     assert region.dtype == region_ref.dtype and np.array_equal(region, region_ref)
     assert samples == samples_ref
 
 
 @settings(max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 8),
-       t=st.sampled_from([1e3, 1e6]), half_width=st.sampled_from([None, 3.0]))
-def test_experiment_cloud_matches_stacked_charts_bit_for_bit(seed, leaves, t, half_width):
+       t=st.sampled_from([1e3, 1e6]), half_width=st.sampled_from([None, 3.0]),
+       m=st.sampled_from([1, 2, 3]), density=st.sampled_from([0.5, 0.7, 1.0, 2.0]))
+def test_experiment_cloud_matches_stacked_charts_bit_for_bit(seed, leaves, t, half_width, m, density):
     # the cloud is allocated once and written chart by chart, through reused
-    # chart buffers, with one matmul per chart
-    drawn = _random_tree_residues(seed, leaves, t)
+    # puncture-major chart buffers, with one residue product per chart; a
+    # one-row image keeps the product shape of the stacked oracle; densities
+    # 0.5, 0.7, 1 and 2 give 32, 45 (odd: no angle at pi), 64 and 128 angles
+    drawn = _random_tree_residues(seed, leaves, t, m)
     assume(drawn is not None)
-    window = None if half_width is None else np.array([[-half_width, half_width]] * 2)
-    _assert_same_cloud(_cloud_args(*drawn, t, window, dg._sampling(1.0)))
+    window = None if half_width is None else np.array([[-half_width, half_width]] * m)
+    _assert_same_cloud(_cloud_args(*drawn, t, window, dg._sampling(density)))
 
 
 @pytest.mark.parametrize("t", [1e3, 1e6])
@@ -636,7 +652,7 @@ def test_experiment_cloud_matches_stacked_charts_with_samples_on_a_puncture(t):
 
     def spy(pts, j, log_radii, angular_count, **kwargs):
         rows, drawn = chart_logdist(pts, j, log_radii, angular_count, **kwargs)
-        dropped.append(log_radii.size * dg._chart_units(pts, angular_count).size - rows.shape[0])
+        dropped.append(log_radii.size * dg._chart_units(pts, angular_count).size - rows.shape[1])
         return rows, drawn
 
     args = _cloud_args(mg, R, t, None, dg._sampling(1.0))
@@ -644,6 +660,34 @@ def test_experiment_cloud_matches_stacked_charts_with_samples_on_a_puncture(t):
         mp.setattr(dg, "_chart_logdist", spy)
         _assert_same_cloud(args)
     assert dropped == [1, 0]
+
+
+def test_experiment_cloud_matches_stacked_charts_on_moved_punctures():
+    # the tripod rules read the nearest puncture off each sample, wherever
+    # the punctures are: moved off a placed tree's clusters, to random
+    # points at random scales or to a real triple -1, 0, 1 around which
+    # samples tie in log-distance to -1 and 1, the regions must still be
+    # those of argmin over each sample (the first index on a tie), and the
+    # image the same, bit for bit
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        m = 1 + seed % 3
+        drawn = _random_tree_residues(seed, 4 + seed % 5, 1e3, m)
+        if drawn is None:
+            continue
+        mg, R = drawn
+        placement = place_tree(mg, 1e3)
+        n = len(placement.punctures) - 1  # the last leaf's puncture is at infinity
+        if seed % 2:
+            pts = (rng.normal(size=n) + 1j * rng.normal(size=n)) * 10.0 ** rng.uniform(-2.0, 3.0, n)
+        else:
+            pts = np.concatenate([[1.0, 0.0, -1.0], 10.0 ** rng.uniform(1.0, 4.0, n - 3)]) + 0j
+        moved = dataclasses.replace(placement, punctures=(*pts.tolist(), None))
+        base = mg.graph.vertices[0]
+        mor = build_morphism(mg, R, base)
+        shift = mor.vertex_position[base] - dg._alignment_offset(moved, R, base)
+        window = np.array([[-3.0, 3.0]] * m)
+        _assert_same_cloud((moved, R, mor, window, shift, dg._sampling(0.5)))
 
 
 @settings(max_examples=20)
@@ -680,16 +724,46 @@ def test_sample_on_the_window_edge_survives_row_skipping():
     idx, pts = placement.sphere().finite()
     for u in np.arange(4, 81) * 0.05:
         logdist, _ = dg._chart_logdist(pts, 0, np.array([u * logt]), 4)
-        row = (logdist @ R.entries[:, idx].T / logt + shift)[:, 0]
+        # the experiment's product shape for one residue row: (N, n) @ (n, 1)
+        row = (np.ascontiguousarray(logdist.T) @ R.entries[:, idx].T / logt + shift)[:, 0]
         for edge, win in ((row.max(), [[row.max(), 60.0]]), (row.min(), [[-60.0, row.min()]])):
             win = np.array(win)
             raw, _, _ = dg._experiment_cloud(placement, R, mor, win, shift, sampling)
-            cloud = raw / logt + shift
-            assert np.any(cloud[dist._in_window(raw, win, logt, shift)][:, 0] == edge)
+            cloud = raw / logt + shift[:, None]
+            assert np.any(cloud[0, dist._in_window(cloud, win)] == edge)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg, "_rows_near_window", _every_row)
         raw_all, _, _ = dg._experiment_cloud(placement, R, mor, win, shift, sampling)
-    assert raw.shape[0] < raw_all.shape[0]
+    assert raw.shape[1] < raw_all.shape[1]
+
+
+def test_rows_near_window_matches_each_chart_bit_for_bit():
+    # one pass over the radius rows of every chart of a t must give each
+    # chart the mask of the per-chart oracle; the u grid holds every integer
+    # height, so some circles pass exactly through another puncture
+    seen = np.zeros(3, dtype=int)  # rows kept, dropped, and on a puncture
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        t, m = [1e3, 1e6][seed % 2], 1 + seed % 3
+        drawn = _random_tree_residues(seed, 3 + seed % 6, t, m)
+        if drawn is None:
+            continue
+        mg, R = drawn
+        idx, pts = place_tree(mg, t).sphere().finite()
+        logt = math.log(t)
+        ks = [np.arange(lo, lo + n) for lo, n in zip(rng.integers(-300, 0, pts.size), rng.integers(0, 600, pts.size))]
+        half = rng.choice([0.5, 3.0, 30.0])
+        window = np.array([[-half, half]] * m) + rng.normal(size=(m, 1))
+        shift = rng.normal(size=m)
+        args = (R.entries[:, idx], window, shift, logt)
+        near = dg._rows_near_window(pts, np.array([k.size for k in ks]), np.concatenate(ks) * 0.02 * logt, *args)
+        want = [rows_near_window_chart(pts, j, k * 0.02 * logt, *args) for j, k in enumerate(ks)]
+        assert near.dtype == bool and np.array_equal(near, np.concatenate(want))
+        seen[:2] += np.count_nonzero(near), np.count_nonzero(~near)
+        for j, k in enumerate(ks):
+            d, r = np.abs(np.delete(pts, j) - pts[j]), np.exp(k * 0.02 * logt)[:, None]
+            seen[2] += np.count_nonzero(np.any(np.abs(d - r) <= 1e-6 * (d + r), axis=1))
+    assert np.all(seen > 0)
 
 
 def _public_distances(mg, R, t, win, base):
@@ -711,7 +785,7 @@ def _public_distances(mg, R, t, win, base):
         mp.setattr(dg, "_chart_units", lambda pts, angular_count: circle_units(angular_count))
         mp.setattr(dg, "_rows_near_window", _every_row)
         raw, region, samples = dg._experiment_cloud(placement, R, mor, win, shift, dg._sampling(1.0))
-    pts = raw / math.log(t) + shift
+    pts = (raw / math.log(t) + shift[:, None]).T
     per_tripod = {v: public(pts[region == i], dg._tripod_scene(mor, v))
                   for i, v in enumerate(mg.graph.vertices)}
     return samples, pts, region, public(pts, emit_embedding(mor)), per_tripod
@@ -745,8 +819,8 @@ def test_convergence_matches_public_hausdorff_per_tripod(window, clipped, empty)
         with pytest.raises(EmptyAfterClippingError, match=empty):
             hausdorff(pts[region == i], dg._tripod_scene(build_morphism(mg, R, "v0"), clipped), win)
     if empty == "scene":
-        assert np.any(dist._in_window(pts[region == i], win, 1.0, np.zeros(2)))
-        assert np.any(dist._in_window(pts[region == -1], win, 1.0, np.zeros(2)))
+        assert np.any(dist._in_window(pts[region == i].T, win))
+        assert np.any(dist._in_window(pts[region == -1].T, win))
 
 
 @settings(max_examples=30)
@@ -778,6 +852,30 @@ def test_convergence_matches_public_hausdorff_on_random_trees(seed, leaves, t, h
     assert all(np.all(bound >= exact) for bound, exact in bounds)
     assert entry.global_hausdorff == d_global
     assert entry.per_tripod == per_tripod
+
+
+def test_scene_samples_match_per_segment_linspace_bit_for_bit():
+    # the scene is deduplicated and sampled in one pass; the segments kept,
+    # the samples and the counts must be those of np.unique(axis=0),
+    # np.linalg.norm and np.linspace one segment at a time, also for a
+    # corner-to-corner segment, whose length is the window diagonal, exactly
+    # 2048 sample steps, and for duplicates that differ only in -0.0
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3):
+        for _ in range(40):
+            win = np.tile([-3.0, 3.0], (dim, 1)) * rng.uniform(0.5, 2.0, (dim, 1))
+            step = dist._scene_step(win)
+            segs = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 9)), 2, dim))
+            segs[rng.random(segs.shape) < 0.2] = 0.0
+            segs[0, 0, 0] = 0.0
+            twin = segs[:1].copy()
+            twin[0, 0, 0] = -0.0
+            segs = np.concatenate([segs, win.T[None], twin, segs[rng.integers(0, len(segs), 2)]])
+            scene = dist._ClippedScene(segs, win)
+            kept, samples, counts = scene_samples_linspace(segs, step)
+            assert scene.segs.tobytes() == kept.tobytes()
+            assert np.array_equal(scene.counts, counts) and 2049 in counts
+            assert scene.cols.tobytes() == np.ascontiguousarray(samples.T).tobytes()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -860,6 +958,7 @@ def _check_chart(pts, j, log_radii, angular_count):
     count, and on punctures of one imaginary part exactly the rows of angle
     indices 0 .. A - ceil(A/2), in the oracle's order."""
     kept, drawn = dg._chart_logdist(pts, j, log_radii, angular_count)
+    kept = kept.T  # one row per sample, as the oracle lays it out
     full, index = chart_logdist_full(pts, j, log_radii, angular_count)
     assert _same_row_set(kept, full)
     assert drawn == full.shape[0]
