@@ -215,8 +215,7 @@ def test_field_zero_refuses_a_zero_that_rounds_onto_a_puncture():
 
 
 def test_field_zero_survives_residues_whose_sum_overflows():
-    # lam1 + lam_minus1 = inf made the residual tolerance inf, and the zero
-    # came back 0.0 where it is (1.7 - 1)/2.7
+    # lam1 + lam_minus1 overflows to inf; the zero is still (1.7 - 1)/2.7
     z = field_zero(1e308, 1.7e308)
     assert abs(z - field_zero(1.0, 1.7)) <= math.ulp(field_zero(1.0, 1.7))
     assert z == pytest.approx(0.7 / 2.7, rel=1e-15)
@@ -626,7 +625,7 @@ def _assert_same_cloud(args):
     assert samples == samples_ref
 
 
-@settings(max_examples=30)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 8),
        t=st.sampled_from([1e3, 1e6]), half_width=st.sampled_from([None, 3.0]),
        m=st.sampled_from([1, 2, 3]), density=st.sampled_from([0.5, 0.7, 1.0, 2.0]))
