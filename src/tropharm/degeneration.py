@@ -616,11 +616,39 @@ def _rows_near_window(pts: np.ndarray, rows: np.ndarray, log_radii: np.ndarray, 
     return ~(clear & np.any(miss, axis=0))
 
 
-def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicMorphism,
+def _chart_plan(placement: TreePlacement, mor: HarmonicMorphism, window: np.ndarray):
+    """What the charts of every t share: (reach, top height, each chart's
+    leaf height, upward paths, scale thresholds).  Radii run, in log_t units,
+    from reach below a chart's leaf height to reach above the top height.
+    The upward paths (vertex indices) and the increasing thresholds between
+    consecutive path vertices (one row per level) are padded to one depth:
+    a threshold of +inf is never reached, so no padded entry is read."""
+    g = placement.carrier.graph
+    wmax = float(np.max(np.abs(window))) + 1.0
+    slopes = [np.abs(v) for v in mor.edge_slope.values()]
+    slopes += [np.abs(v) for v in mor.leaf_slope.values()]
+    nonzero = [float(s.max()) for s in slopes if s.max() > 1e-12]
+    floor = max(min(nonzero) if nonzero else 1.0, 0.05)
+    reach = min(wmax / floor, 200.0)
+    heights = placement.height
+    vertex_index = {v: i for i, v in enumerate(g.vertices)}
+    leaf_vertices = [l.vertex for l, p in zip(g.leaves, placement.punctures) if p is not None]
+    depth = max(len(placement.up_path[v]) for v in leaf_vertices)
+    paths = np.zeros((len(leaf_vertices), depth), dtype=np.min_scalar_type(-len(g.vertices)))
+    bounds = np.full((depth - 1, len(leaf_vertices)), np.inf)
+    for pos, v in enumerate(leaf_vertices):
+        up = placement.up_path[v]
+        hs = [heights[w] for w in up]
+        paths[pos, :len(up)] = [vertex_index[w] for w in up]
+        bounds[:len(up) - 1, pos] = [(a + b) / 2.0 for a, b in zip(hs, hs[1:])]
+    return reach, max(heights.values()), [heights[v] for v in leaf_vertices], paths, bounds
+
+
+def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
                       window: np.ndarray, shift: np.ndarray, sampling: tuple[float, int, int]):
     """Raw amoeba samples as (m, N) coordinate rows, the tripod region of
     each and the samples drawn, at ``sampling`` = (u_step, angular_count,
-    grid_count) (see ``_sampling``).
+    grid_count) (see ``_sampling``) and ``plan`` (see ``_chart_plan``).
 
     A region is an index into the graph's vertices, or -1 for samples of the
     global grid.  Rescaled points are raw / log t + shift.  On real
@@ -647,37 +675,11 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     buffers and tripod scratch.  The arrays returned are views of the first
     columns of the allocated ones: room for the grid is reserved at its node
     count, and samples on a puncture are dropped."""
-    g = placement.carrier.graph
     idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
     logt = math.log(placement.t)
-
-    wmax = float(np.max(np.abs(window))) + 1.0
-    slopes = [np.abs(v) for v in mor.edge_slope.values()]
-    slopes += [np.abs(v) for v in mor.leaf_slope.values()]
-    nonzero = [float(s.max()) for s in slopes if s.max() > 1e-12]
-    floor = max(min(nonzero) if nonzero else 1.0, 0.05)
-    reach = min(wmax / floor, 200.0)
-
-    heights = placement.height
-    h_top = max(heights.values())
     step, angular_count, grid_count = sampling
-
-    # each chart's upward path as vertex indices, and the increasing scale
-    # thresholds between consecutive path vertices stored one row per path
-    # level, both padded to one depth: a threshold of +inf is never reached,
-    # so a padded path entry is never read
-    vertex_index = {v: i for i, v in enumerate(g.vertices)}
-    region_type = np.min_scalar_type(-len(g.vertices))
-    leaf_vertices = [g.leaves[j].vertex for j in idx]
-    depth = max(len(placement.up_path[v]) for v in leaf_vertices)
-    paths = np.zeros((len(leaf_vertices), depth), dtype=region_type)
-    bounds = np.full((depth - 1, len(leaf_vertices)), np.inf)
-    for pos, v in enumerate(leaf_vertices):
-        up = placement.up_path[v]
-        hs = [heights[w] for w in up]
-        paths[pos, :len(up)] = [vertex_index[w] for w in up]
-        bounds[:len(up) - 1, pos] = [(a + b) / 2.0 for a, b in zip(hs, hs[1:])]
+    reach, top, heights, paths, bounds = plan
 
     # below this log radius no other puncture can be as near a chart's
     # sample as its own: the circle keeps inside half the gap to the nearest
@@ -701,7 +703,7 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
             np.maximum(nearest, np.less(rest[k], u_min) * k, out=nearest)
             np.minimum(u_min, rest[k], out=u_min)
         u_min /= logt
-        at = nearest * depth  # the flat index of (nearest, level) in paths
+        at = nearest * paths.shape[1]  # the flat index of (nearest, level) in paths
         for bnd in bounds:
             at += np.take(bnd, nearest) <= u_min
         out[inner:] = np.take(paths, at)
@@ -717,14 +719,13 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
 
     # keep radii t**u representable: |u * log t| must stay below exp overflow
     u_cap = 600.0 / logt
-    u_hi = min(h_top + reach, u_cap)
+    u_hi = min(top + reach, u_cap)
 
     # every chart's radius rows near the window first, in one pass, so that
-    # the coordinate rows and region array are allocated once, for every
-    # chart and the grid
+    # the coordinate rows and region array are allocated once
     ks = []
-    for v in leaf_vertices:
-        u_lo = max(heights[v] - reach, -u_cap)
+    for height in heights:
+        u_lo = max(height - reach, -u_cap)
         k_lo, k_hi = math.ceil(u_lo / step), math.floor(u_hi / step)
         # a chart's distance array holds every row's samples to every puncture
         _check_indexable((k_hi - k_lo + 1) * angular_count * pts.size, "a chart")
@@ -741,7 +742,7 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, mor: HarmonicM
     width = units.size
     sizes = [chart.size * width for chart in charts]
     cols = np.empty((R.m, sum(sizes) + grid_count**2))
-    region = np.empty(cols.shape[1], dtype=region_type)
+    region = np.empty(cols.shape[1], dtype=paths.dtype)
 
     # one product per chart over all its samples, written into the chart's
     # columns: a product of fewer samples can differ from the same samples of
@@ -789,22 +790,19 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     is sampled.  The global and tripod scenes are clipped and prepared once
     per experiment (``distance._ClippedScene``), each sampled in one pass.
     Each t runs in a helper whose arrays are all freed before the next t
-    samples.  Its cloud is m coordinate rows and one region array, allocated
-    once and written chart by chart (``_experiment_cloud``): the near rows
-    of every chart are found in one pass, and each chart is one (n, N)
-    block of reused buffers with exactly one residue product, written into
-    its columns.  While the cloud is sampled, what lives is the coordinate
-    rows, the region array and one chart's buffers and tripod scratch.  The
-    rows are rescaled in place and tested against the window one coordinate
-    at a time (``distance._in_window``); the in-window columns are copied
-    out sorted by region with one stable sort, so each tripod cloud is a
-    column slice in cloud order, and the full rows are freed.  One call,
+    samples.  Its cloud is m coordinate rows and one region array
+    (``_experiment_cloud``), with the radial reach and tripod paths made
+    once per experiment (``_chart_plan``).  The rows are rescaled in place
+    and tested against the window one coordinate at a time
+    (``distance._in_window``); the in-window columns are copied out sorted
+    by region with one stable sort, so each tripod cloud is a column slice
+    in cloud order, and the full rows are freed.  One call,
     ``distance._experiment_distances``, then computes every distance of the
     t, the global cloud side bounded through the tripod distances and the
-    per-tripod tables built once per experiment (``distance._tripod_table``),
-    each point carrying a bound and a bin, the index of a scene sample near
-    its projection.  Every distance equals ``hausdorff`` on the same cloud
-    bit for bit.
+    per-tripod tables built once per experiment
+    (``distance._tripod_table``), each point carrying a bound and a bin, the
+    index of a scene sample near its projection.  Every distance equals
+    ``hausdorff`` on the same cloud bit for bit.
     """
     sampling = _sampling(density)
     if mg.graph.genus != 0:
@@ -826,6 +824,7 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
         placements.append(place_tree(mg, t))
         placements[-1].sphere()
     shift = mor.vertex_position[base_vertex] - _alignment_offset(placements[0], R, base_vertex)
+    plan = _chart_plan(placements[0], mor, win)
 
     # clipping cuts every ray at the window edge, so the scene's drawing
     # length is never read; the scenes do not depend on t: clip and prepare
@@ -841,7 +840,7 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
         """The experiment at one placed t; nothing it allocates outlives it."""
         t = placement.t
         try:
-            cols, region, samples = _experiment_cloud(placement, R, mor, win, shift, sampling)
+            cols, region, samples = _experiment_cloud(placement, R, plan, win, shift, sampling)
         except MemoryError as exc:
             raise SamplingTooDenseError(f"amoeba sampling does not fit in memory: {exc}") from exc
         # rescale the coordinate rows in place, then copy out the in-window

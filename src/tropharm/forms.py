@@ -6,12 +6,13 @@ summing to zero (balancing).  The value on an inward-oriented leaf is the
 residue at that leaf.
 
 Exact forms (vanishing integral around every loop) are determined by their
-residues; they are computed as the electrical flow on the graph with edge
-resistance equal to edge length, which is precisely Kirchhoff's voltage law
-for the integral formula ``integral = sum l(e) * w(e)``.
+residues: the electrical flow with edge resistance equal to edge length
+(Kirchhoff's voltage law for ``integral = sum l(e) * w(e)``), a tree flow
+corrected in the g-dimensional cycle space (``potentials_and_currents``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,13 @@ from .errors import (
     SingularSystemError,
     TooFewLeavesError,
 )
-from .graph import (GraphPath, MetricGraph, OrientedEdge, _spanning_tree, check_path, json_number,
-                    leaf_paths, loop_matrix, read_json)
+from .graph import (GraphPath, MetricGraph, OrientedEdge, _balancing, _spanning_tree, check_path,
+                    json_number, leaf_paths, loop_matrix, read_json)
 
 # Balancing / residue tolerances: relative to the largest stored value.
 TOL_BALANCE = 1e-9
 TOL_RESIDUE = 1e-9
+_OVERFLOW = "the residues' electrical flow overflows: a potential or current is not finite"
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class OneForm:
             raise InputError("1-form values must be finite numbers")
         object.__setattr__(self, "values", vals)
         tol = TOL_BALANCE * max(1.0, max(abs(v) for v in vals.values()) if vals else 1.0)
-        defects = _balancing(self)
+        defects = _balancing(self.carrier, np.array(list(vals.values())))
         bad = np.flatnonzero(np.abs(defects) > 3 * tol)
         if bad.size:
             v = bad[0]
@@ -63,13 +65,6 @@ class OneForm:
         return stored if oe.forward else -stored
 
 
-def _balancing(form: OneForm) -> np.ndarray:
-    """Sum of outgoing values at each vertex; ``OneForm`` stores its values in
-    incidence column order (edge ids, then leaf ids)."""
-    vals = np.fromiter(form.values.values(), dtype=float, count=len(form.values))
-    return form.carrier.incidence @ vals
-
-
 def residues(form: OneForm) -> np.ndarray:
     """Inward leaf values, in leaf order."""
     return np.array([form.values[l.id] for l in form.carrier.graph.leaves], dtype=float)
@@ -77,7 +72,7 @@ def residues(form: OneForm) -> np.ndarray:
 
 def balancing_residual(form: OneForm) -> float:
     """Largest |sum of outgoing values| over the vertices."""
-    return float(np.max(np.abs(_balancing(form))))
+    return float(np.max(np.abs(_balancing(form.carrier, np.array(list(form.values.values()))))))
 
 
 def integrate(form: OneForm, path: GraphPath) -> float:
@@ -119,27 +114,53 @@ def potentials_and_currents(mg: MetricGraph, rows) -> tuple[np.ndarray, np.ndarr
     Current residue_row[j] is injected at the vertex of leaf j and edge e has
     conductance 1/length(e).  Potentials are grounded at the lexicographically
     smallest vertex (index 0); currents run along canonical orientations.
-    Each row gets its own solve: a solve with m right-hand sides at once
-    rounds differently in the last bit, which flips integrality verdicts.
-    A flow that overflows to a non-finite potential or current is refused.
+    The tree flow F pushes each vertex's injection up the spanning tree: on
+    a tree it is the current, exact on integer residues.  For genus g > 0,
+    I = F - C^T Q^-1 (C diag(l) F), Q = C diag(l) C^T over the basis loops
+    C, one g x g solve per row (m right-hand sides at once would round the
+    last bit differently, which flips integrality verdicts).  Potentials
+    integrate -l * I down the tree.  Zero flows and potentials are +0.0; a
+    flow that overflows to a non-finite potential or current is refused.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    ne = len(mg.lengths)
-    edges, leaves = mg.incidence[:, :ne], mg.incidence[:, ne:]
-    lap = (edges / mg.lengths) @ edges.T
-    # 0.0 - x rather than -x, so that a vertex without injection holds +0.0
-    inject = 0.0 - leaves @ rows.T
-    phi = np.zeros((rows.shape[0], len(mg.graph.vertices)))
-    if phi.shape[1] > 1:
-        try:
-            for k in range(rows.shape[0]):
-                phi[k, 1:] = np.linalg.solve(lap[1:, 1:], inject[1:, k])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"grounded Laplacian is singular: {exc}") from exc
-    currents = (phi @ edges) / mg.lengths
-    if not (np.isfinite(phi).all() and np.isfinite(currents).all()):
-        raise InputError("the residues' electrical flow overflows: a potential or current is not finite")
-    return phi, currents
+    if rows.ndim != 2 or rows.shape[1] != mg.n_leaves:
+        raise InputError(f"expected rows of {mg.n_leaves} residues, got shape {rows.shape}")
+    nv, ne = len(mg.graph.vertices), len(mg.lengths)
+    walk, lengths, leaf_vertices = mg._walk, mg.lengths.tolist(), mg._leaf_vertices.tolist()
+    flows = []
+    for row in rows.tolist():
+        held = [0.0] * nv  # the injection at and below each vertex, pushed up the walk
+        for v, r in zip(leaf_vertices, row):
+            held[v] += r
+        flow = [0.0] * ne
+        for child, parent, e, sign in reversed(walk):
+            flow[e] = held[child] if sign > 0 else 0.0 - held[child]
+            held[parent] += held[child]
+        flows.append(flow)
+    currents = np.array(flows).reshape(len(flows), ne)
+    if mg.genus:
+        # stacked (row, ., 1) operands: each row gets its own products and solve;
+        # lengths scaled by a power of two to at most 1 (exact), so Q stays finite
+        cycles = mg.cycles
+        weighted = cycles * np.ldexp(mg.lengths, -math.frexp(max(lengths))[1])  # C diag(l)
+        with np.errstate(over="ignore", invalid="ignore"):
+            periods = weighted @ cycles.T
+            integrals = weighted @ currents[:, :, None]  # the tree flows' loop integrals
+            try:
+                currents -= (cycles.T @ np.linalg.solve(periods, integrals))[:, :, 0]
+            except np.linalg.LinAlgError as exc:  # an integral that overflowed raises here too
+                if not np.isfinite(integrals).all():
+                    raise InputError(_OVERFLOW) from exc
+                raise SingularSystemError(f"cycle-space period matrix is singular: {exc}") from exc
+    pots = []
+    for current in currents.tolist():
+        pot = [0.0] * nv
+        for child, parent, e, sign in walk:
+            pot[child] = pot[parent] + sign * lengths[e] * current[e]  # +0.0 + -0.0 is +0.0
+        if not all(map(math.isfinite, current + pot)):
+            raise InputError(_OVERFLOW)
+        pots.append(pot)
+    return np.array(pots).reshape(len(pots), nv), currents
 
 
 def solve_exact_form(mg: MetricGraph, residue_row) -> OneForm:
@@ -187,7 +208,7 @@ def form_space_dims(mg: MetricGraph) -> tuple[int, int]:
     tree, _ = _spanning_tree(mg.graph)
     cotree = [k for k, eid in enumerate(mg.graph.edge_ids) if eid not in tree]
     basis = loop_matrix(mg.graph, mg.loops + leaf_paths(mg, mg.graph.leaves[0].id))
-    if (np.any(mg.incidence @ basis.T) or np.any(basis[:g, -n:])
+    if (np.any(_balancing(mg, basis.T)) or np.any(basis[:g, -n:])
             or not np.array_equal(basis[:g, cotree], np.eye(g))
             or not np.array_equal(basis[g:, 1 - n:], -np.eye(n - 1))):
         raise RuntimeError("internal: the loops and leaf paths fail their basis certificate")

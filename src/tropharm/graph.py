@@ -138,6 +138,7 @@ class CubicGraph:
         object.__setattr__(self, "_incidence", {v: tuple(incidence[v]) for v in vertices})
         object.__setattr__(self, "_tree", frozenset(tree))
         object.__setattr__(self, "_tree_adj", {v: tuple(sorted(adj)) for v, adj in tree_adj.items()})
+        object.__setattr__(self, "_parent", _spanning_tree(self, vertices[0])[1])
 
     # lookups
 
@@ -218,16 +219,17 @@ class GraphPath:
 class MetricGraph:
     """A cubic graph with edge lengths, plus its linear algebra as read-only arrays.
 
-    ``incidence`` is |V| x (|E|+n): edge columns (edge-id order) carry +1 at
-    ends[0] and -1 at ends[1], leaf columns (leaf order) -1 at the leaf's
-    vertex, so ``incidence @ values`` is the balancing of a 1-form stored on
-    canonical orientations.  ``lengths`` is |E|, ``loops`` the fundamental
-    cycle basis and ``cycles`` its genus x |E| signed edge matrix.
+    ``lengths`` is |E| (edge-id order), ``loops`` the fundamental cycle basis
+    and ``cycles`` its genus x |E| signed edge matrix.  The incidence (columns:
+    edge ids, then leaf ids) is kept as index arrays: ``_tails`` (ends[0]),
+    ``_heads``, ``_leaf_vertices`` and the (|V|, 3) ``_star`` of columns at
+    each vertex, ``_star_sign`` +1 where an edge leaves it, else -1.  ``_walk``
+    is the spanning tree from vertex 0 as (child, parent, edge, sign) in
+    breadth-first order, sign +1 where the edge runs from child to parent.
     """
 
     graph: CubicGraph
     length: dict[str, float]
-    incidence: np.ndarray = field(init=False, repr=False, compare=False)
     lengths: np.ndarray = field(init=False, repr=False, compare=False)
     loops: tuple[GraphPath, ...] = field(init=False, repr=False, compare=False)
     cycles: np.ndarray = field(init=False, repr=False, compare=False)
@@ -254,21 +256,24 @@ class MetricGraph:
 
         vidx = {v: i for i, v in enumerate(g.vertices)}
         ne = len(g.edges)
-        incidence = np.zeros((len(g.vertices), ne + g.n_leaves))
-        for k, e in enumerate(g.edges):
-            incidence[vidx[e.ends[0]], k] = 1.0
-            incidence[vidx[e.ends[1]], k] = -1.0
-        for j, l in enumerate(g.leaves):
-            incidence[vidx[l.vertex], ne + j] = -1.0
-        lengths = np.array(list(length.values()))
+        # the column ends: edge tails, edge heads, leaves; grouped by vertex,
+        # three each, position k < ne is edge k's tail, else column k - ne
+        ends = np.array([vidx[e.ends[0]] for e in g.edges] + [vidx[e.ends[1]] for e in g.edges]
+                        + [vidx[l.vertex] for l in g.leaves], dtype=np.intp)
+        order = np.argsort(ends, kind="stable")
+        tail = order < ne
+        eidx = {e.id: k for k, e in enumerate(g.edges)}
+        walk = tuple((vidx[w], vidx[v], eidx[eid], 1 if g.edge(eid).ends[0] == w else -1)
+                     for w, (v, eid) in _spanning_tree(g)[1].items())
         loops = cycle_basis(self)
-        cycles = loop_matrix(g, loops)[:, :ne]
-        for arr in (incidence, lengths, cycles):
+        arrays = {"lengths": np.array(list(length.values())), "cycles": loop_matrix(g, loops)[:, :ne],
+                  "_tails": ends[:ne], "_heads": ends[ne:2 * ne], "_leaf_vertices": ends[2 * ne:],
+                  "_star": np.where(tail, order, order - ne).reshape(-1, 3),
+                  "_star_sign": np.where(tail, 1.0, -1.0).reshape(-1, 3)}
+        for arr in (ends, *arrays.values()):
             arr.setflags(write=False)
-        object.__setattr__(self, "incidence", incidence)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "cycles", cycles)
+        for name, value in {**arrays, "loops": loops, "_walk": walk}.items():
+            object.__setattr__(self, name, value)
 
     @property
     def genus(self) -> int:
@@ -280,6 +285,12 @@ class MetricGraph:
 
     def total_length(self) -> float:
         return sum(self.length.values())
+
+
+def _balancing(mg: MetricGraph, values: np.ndarray) -> np.ndarray:
+    """Sum of the outgoing values at each vertex: the star table's three
+    columns gathered and signed; ``values`` has one entry, or row, per column."""
+    return np.einsum("vk,vk...->v...", mg._star_sign, values[mg._star])
 
 
 def check_path(g: CubicGraph, path: GraphPath) -> None:
@@ -323,50 +334,38 @@ def _spanning_tree(g: CubicGraph, root: str | None = None) -> tuple[frozenset[st
     """The graph's spanning tree (Kruskal on sorted edge ids, built with the graph).
 
     Returns the tree edge id set and a parent map: vertex -> (parent vertex,
-    connecting edge id), rooted at ``root`` (default: the smallest vertex id).
-    The map is in breadth-first order, neighbours visited by (vertex id,
-    edge id), so every vertex comes after its parent.
+    connecting edge id), rooted at ``root`` (default: the smallest vertex id,
+    whose map is walked once, with the graph; callers only read it), in
+    breadth-first order by (vertex id, edge id): parents come first.
     """
     if root is None:
-        root = g.vertices[0]
+        return g._tree, g._parent
     parent: dict[str, tuple[str, str]] = {}
-    seen = {root}
     queue = [root]
     for v in queue:
         for w, eid in g._tree_adj[v]:
-            if w not in seen:
-                seen.add(w)
+            if w != root and w not in parent:
                 parent[w] = (v, eid)
                 queue.append(w)
     return g._tree, parent
 
 
 def _tree_path(g: CubicGraph, parent: dict[str, tuple[str, str]], u: str, v: str) -> list[OrientedEdge]:
-    """Oriented edges of the spanning-tree path u -> v."""
+    """Oriented edges of the tree path u -> v: both climbs, less the steps they share."""
 
-    def root_path(x):
-        out = [x]
-        while x in parent:
-            x = parent[x][0]
-            out.append(x)
-        return out
-
-    pu, pv = root_path(u), root_path(v)
-    su, sv = set(pu), set(pv)
-    meet = next(x for x in pu if x in sv)
-
-    def climb(x, stop):
+    def climb(x):
         steps = []
-        while x != stop:
-            par, eid = parent[x]
-            e = g.edge(eid)
-            steps.append(OrientedEdge(eid, forward=(e.ends[0] == x)))
-            x = par
+        while x in parent:
+            steps.append((x, parent[x][1]))
+            x = parent[x][0]
         return steps
 
-    up = climb(u, meet)
-    down = [oe.reverse() for oe in reversed(climb(v, meet))]
-    return up + down
+    up, down = climb(u), climb(v)
+    while up and down and up[-1] == down[-1]:
+        up.pop()
+        down.pop()
+    return ([OrientedEdge(eid, forward=g.edge(eid).ends[0] == x) for x, eid in up]
+            + [OrientedEdge(eid, forward=g.edge(eid).ends[1] == x) for x, eid in reversed(down)])
 
 
 def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
@@ -379,13 +378,8 @@ def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
     """
     g = mg.graph
     tree, parent = _spanning_tree(g)
-    loops = []
-    for e in g.edges:
-        if e.id in tree:
-            continue
-        items = [OrientedEdge(e.id, True)] + _tree_path(g, parent, e.ends[1], e.ends[0])
-        loops.append(GraphPath(tuple(items), is_loop=True))
-    return tuple(loops)
+    return tuple(GraphPath((OrientedEdge(e.id, True), *_tree_path(g, parent, e.ends[1], e.ends[0])), is_loop=True)
+                 for e in g.edges if e.id not in tree)
 
 
 def loop_matrix(g: CubicGraph, paths) -> np.ndarray:
@@ -410,17 +404,9 @@ def leaf_paths(mg: MetricGraph, base_leaf: str) -> tuple[GraphPath, ...]:
         raise UnknownLeafError(f"unknown leaf {base_leaf}")
     _, parent = _spanning_tree(g)
     base = g.leaf(base_leaf)
-    paths = []
-    for l in g.leaves:
-        if l.id == base_leaf:
-            continue
-        items = (
-            [OrientedEdge(base.id, True)]
-            + _tree_path(g, parent, base.vertex, l.vertex)
-            + [OrientedEdge(l.id, False)]
-        )
-        paths.append(GraphPath(tuple(items), is_loop=False))
-    return tuple(paths)
+    return tuple(GraphPath((OrientedEdge(base.id, True), *_tree_path(g, parent, base.vertex, l.vertex),
+                            OrientedEdge(l.id, False)), is_loop=False)
+                 for l in g.leaves if l.id != base_leaf)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InputError, UnsupportedDimensionForSvgError
 from .forms import ResidueMatrix, potentials_and_currents
-from .graph import MetricGraph, OrientedEdge
+from .graph import MetricGraph, OrientedEdge, _balancing
 
 COMPAT_TOL = 1e-9
 ZERO_SLOPE_TOL = 1e-12
@@ -83,15 +83,13 @@ def _max_abs(a: np.ndarray) -> float:
 def balancing_defect(mor: HarmonicMorphism) -> float:
     """Largest |sum of the 3 outgoing slopes| over all vertices."""
     inward = np.vstack([mor._edge_slopes, -mor._leaf_slopes])
-    return _max_abs(mor.carrier.incidence @ inward)
+    return _max_abs(_balancing(mor.carrier, inward))
 
 
 def compatibility_defect(mor: HarmonicMorphism) -> float:
     """Largest |position(head) - position(tail) - length*slope| over all edges."""
-    mg = mor.carrier
-    edges = mg.incidence[:, :len(mg.lengths)]
-    gap = edges.T @ mor._positions + mg.lengths[:, None] * mor._edge_slopes
-    return _max_abs(gap)
+    mg, pos = mor.carrier, mor._positions
+    return _max_abs(pos[mg._tails] - pos[mg._heads] + mg.lengths[:, None] * mor._edge_slopes)
 
 
 def build_morphism(mg: MetricGraph, R: ResidueMatrix, base_vertex: str | None = None) -> HarmonicMorphism:
@@ -107,12 +105,8 @@ def build_morphism(mg: MetricGraph, R: ResidueMatrix, base_vertex: str | None = 
     phi, currents = potentials_and_currents(mg, R.entries)
     b = g.vertices.index(base_vertex)
     position = phi[:, b:b + 1] - phi
-    return HarmonicMorphism(
-        mg, R.m, base_vertex,
-        dict(zip(g.vertices, position.T)),
-        dict(zip(g.edge_ids, currents.T)),
-        dict(zip(g.leaf_ids, -R.entries.T)),
-    )
+    return HarmonicMorphism(mg, R.m, base_vertex, dict(zip(g.vertices, position.T)),
+                            dict(zip(g.edge_ids, currents.T)), dict(zip(g.leaf_ids, -R.entries.T)))
 
 
 def residues_of(mor: HarmonicMorphism) -> ResidueMatrix:

@@ -36,15 +36,31 @@ def energy_min_flow(mg, residue_row):
     return {e: sol[eidx[e]] for e in edges}
 
 
+def dense_incidence(g):
+    """|V| x (|E|+n) signed incidence built from the graph's edges and leaves:
+    edge columns (edge-id order) +1 at ends[0] and -1 at ends[1], leaf
+    columns (leaf order) -1 at the leaf's vertex, so its product with a
+    1-form's canonical values is the balancing at each vertex."""
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    ne = len(g.edges)
+    inc = np.zeros((len(g.vertices), ne + len(g.leaves)))
+    for k, e in enumerate(g.edges):
+        inc[vidx[e.ends[0]], k] = 1.0
+        inc[vidx[e.ends[1]], k] = -1.0
+    for j, leaf in enumerate(g.leaves):
+        inc[vidx[leaf.vertex], ne + j] = -1.0
+    return inc
+
+
 def form_space_dims_svd(mg):
     """(dim exact, dim holomorphic, dim balanced) from three dense float ranks.
 
-    Balanced forms are the kernel of the incidence; exact ones also have zero
-    loop integrals (the rank is that of the bare cycles, since
-    cycles @ diag(l) @ cycles.T is positive definite), holomorphic ones zero
-    residues.
+    Balanced forms are the kernel of the incidence (``dense_incidence``);
+    exact ones also have zero loop integrals (the rank is that of the bare
+    cycles, since cycles @ diag(l) @ cycles.T is positive definite),
+    holomorphic ones zero residues.
     """
-    bal = mg.incidence
+    bal = dense_incidence(mg.graph)
     total, g, n = bal.shape[1], mg.genus, mg.n_leaves
     loops = np.hstack([mg.cycles, np.zeros((g, n))])
     leaf_rows = np.hstack([np.zeros((n, total - n)), np.eye(n)])
@@ -53,6 +69,41 @@ def form_space_dims_svd(mg):
         total - np.linalg.matrix_rank(np.vstack([bal, leaf_rows])),
         total - np.linalg.matrix_rank(bal),
     )
+
+
+def kirchhoff_fraction(mg, residue_row):
+    """Exact electrical flow by Kirchhoff's laws in ``Fraction`` arithmetic:
+    the grounded Laplacian (conductance 1/length(e), potential 0 at vertex 0)
+    solved by Gauss-Jordan, residue j injected at leaf j's vertex.  Returns
+    (potentials, currents) as Fraction lists in vertex and edge-id order;
+    the current on e runs ends[0] -> ends[1].  Exact for any float input, so
+    meant for small graphs."""
+    g = mg.graph
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    nv = len(g.vertices)
+    lap = [[Fraction(0)] * nv for _ in range(nv)]
+    rhs = [Fraction(0)] * nv
+    for e in g.edges:
+        a, b = vidx[e.ends[0]], vidx[e.ends[1]]
+        c = 1 / Fraction(mg.length[e.id])
+        lap[a][a] += c
+        lap[b][b] += c
+        lap[a][b] -= c
+        lap[b][a] -= c
+    for r, leaf in zip(residue_row, g.leaves):
+        rhs[vidx[leaf.vertex]] += Fraction(float(r))
+    rows = [lap[i][1:] + [rhs[i]] for i in range(1, nv)]
+    for c in range(nv - 1):
+        piv = next(i for i in range(c, nv - 1) if rows[i][c] != 0)
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(nv - 1):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    phi = [Fraction(0)] + [row[-1] for row in rows]
+    currents = [(phi[vidx[e.ends[0]]] - phi[vidx[e.ends[1]]]) / Fraction(mg.length[e.id]) for e in g.edges]
+    return phi, currents
 
 
 def loop_edge_signs(loop):

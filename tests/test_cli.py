@@ -433,6 +433,19 @@ def test_check_stdout_matches_golden(capsys, fixture):
         assert load_graph(str(path)) == genus2_graph()
 
 
+@pytest.mark.parametrize("command", ["solve", "embed"])
+@pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex"])
+def test_solve_and_embed_stdout_match_golden(capsys, monkeypatch, fixture, command):
+    # residues are integers on these trees, so every current and position is
+    # an integer and the goldens hold exact values; solve echoes the graph
+    # path it is given, so this runs from the repository root, as CI does
+    monkeypatch.chdir(GOLDEN.parent.parent)
+    code, out, err = run(capsys, command, f"tests/golden/{fixture}.graph.json",
+                         f"tests/golden/{fixture}.residues.json")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{fixture}.{command}.stdout").read_bytes()
+
+
 @pytest.mark.parametrize("window", [None, "3"])
 @pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex"])
 def test_degenerate_stdout_matches_golden(capsys, fixture, window):

@@ -578,8 +578,8 @@ def _every_row(pts, rows, log_radii, *args):
 
 def _cloud_args(mg, R, t, window, sampling):
     """The arguments (placement, R, mor, window, shift, sampling) of
-    ``_experiment_cloud`` at t, based at the first vertex; window None is
-    the default window."""
+    ``_cloud`` and of the stacked oracle at t, based at the first vertex;
+    window None is the default window."""
     base = mg.graph.vertices[0]
     mor = build_morphism(mg, R, base)
     win = dg.default_window(emit_embedding(mor, 1.0)) if window is None else window
@@ -588,11 +588,16 @@ def _cloud_args(mg, R, t, window, sampling):
     return placement, R, mor, win, shift, sampling
 
 
+def _cloud(placement, R, mor, win, shift, sampling):
+    """``_experiment_cloud`` with the chart plan the experiment makes once."""
+    return dg._experiment_cloud(placement, R, dg._chart_plan(placement, mor, win), win, shift, sampling)
+
+
 def _in_window_cloud(mg, R, t, window, sampling):
     """In-window rescaled points, their regions and the sample count, with
     the rows that cannot reach the window skipped as the experiment does."""
     _, _, _, win, shift, _ = args = _cloud_args(mg, R, t, window, sampling)
-    raw, region, samples = dg._experiment_cloud(*args)
+    raw, region, samples = _cloud(*args)
     cols = raw / math.log(t) + shift[:, None]
     inside = dist._in_window(cols, win)
     return cols[:, inside].T, region[inside], samples
@@ -618,7 +623,7 @@ def _assert_same_cloud(args):
     """``_experiment_cloud`` against the oracle that evaluates each chart
     into arrays of its own and stacks them: the same image, as coordinate
     rows, regions and count, bit for bit."""
-    raw, region, samples = dg._experiment_cloud(*args)
+    raw, region, samples = _cloud(*args)
     raw_ref, region_ref, samples_ref = experiment_cloud_stacked(*args)
     assert raw.shape == raw_ref.T.shape and raw.tobytes() == raw_ref.T.tobytes()
     assert region.dtype == region_ref.dtype and np.array_equal(region, region_ref)
@@ -727,12 +732,12 @@ def test_sample_on_the_window_edge_survives_row_skipping():
         row = (np.ascontiguousarray(logdist.T) @ R.entries[:, idx].T / logt + shift)[:, 0]
         for edge, win in ((row.max(), [[row.max(), 60.0]]), (row.min(), [[-60.0, row.min()]])):
             win = np.array(win)
-            raw, _, _ = dg._experiment_cloud(placement, R, mor, win, shift, sampling)
+            raw, _, _ = _cloud(placement, R, mor, win, shift, sampling)
             cloud = raw / logt + shift[:, None]
             assert np.any(cloud[0, dist._in_window(cloud, win)] == edge)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg, "_rows_near_window", _every_row)
-        raw_all, _, _ = dg._experiment_cloud(placement, R, mor, win, shift, sampling)
+        raw_all, _, _ = _cloud(placement, R, mor, win, shift, sampling)
     assert raw.shape[1] < raw_all.shape[1]
 
 
@@ -783,7 +788,7 @@ def _public_distances(mg, R, t, win, base):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg, "_chart_units", lambda pts, angular_count: circle_units(angular_count))
         mp.setattr(dg, "_rows_near_window", _every_row)
-        raw, region, samples = dg._experiment_cloud(placement, R, mor, win, shift, dg._sampling(1.0))
+        raw, region, samples = _cloud(placement, R, mor, win, shift, dg._sampling(1.0))
     pts = (raw / math.log(t) + shift[:, None]).T
     per_tripod = {v: public(pts[region == i], dg._tripod_scene(mor, v))
                   for i, v in enumerate(mg.graph.vertices)}

@@ -1,9 +1,11 @@
+import math
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropharm import forms
@@ -26,11 +28,11 @@ from tropharm.forms import (
     residues,
     solve_exact_form,
 )
-from tropharm.graph import GraphPath, OrientedEdge, cycle_basis, leaf_paths
+from tropharm.graph import GraphPath, MetricGraph, OrientedEdge, cycle_basis, leaf_paths
 
-from conftest import theta_graph
+from conftest import dumbbell_graph, theta_graph
 from _generators import random_cubic, random_valid_cubic
-from oracles import energy_min_flow, form_space_dims_svd
+from oracles import dense_incidence, energy_min_flow, form_space_dims_svd, kirchhoff_fraction
 
 
 def dumbbell_loop_e1_fwd():
@@ -292,7 +294,7 @@ def test_incidence_and_cycle_matrices_obey_kirchhoff(seed, genus, leaves):
     mg = random_cubic(rng, genus, leaves)
     assume(mg is not None)
     ne = len(mg.graph.edges)
-    inc, cycles = mg.incidence, mg.cycles
+    inc, cycles = dense_incidence(mg.graph), mg.cycles
     assert np.array_equal(inc[:, :ne].sum(axis=0), np.zeros(ne))
     assert np.array_equal(inc[:, ne:].sum(axis=0), -np.ones(leaves))
     assert np.array_equal(inc[:, :ne] @ cycles.T, np.zeros((inc.shape[0], genus)))
@@ -304,3 +306,70 @@ def test_incidence_and_cycle_matrices_obey_kirchhoff(seed, genus, leaves):
     scale = max(1.0, np.abs(row).max()) * max(1.0, mg.lengths.sum())
     assert np.max(np.abs(inc @ np.concatenate([currents[0], row]))) <= 1e-9 * scale
     assert np.max(np.abs(cycles @ (mg.lengths * currents[0])), initial=0.0) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("rows", [[1.0, -1.0], [[1.0, 0.0, 0.0, -1.0]], [[[1.0, 0.0, -1.0]]]])
+def test_potentials_and_currents_refuse_rows_of_the_wrong_shape(tripod, rows):
+    # the tree flow reads the rows leaf by leaf, so a row of the wrong length
+    # would otherwise be cut short or padded without a word
+    with pytest.raises(InputError, match="expected rows of 3 residues"):
+        potentials_and_currents(tripod, rows)
+
+
+def test_currents_survive_a_loop_longer_than_the_float_range():
+    # the loop is 3.4e308 long, past the largest float; Q is formed over the
+    # lengths scaled by a power of two, so the currents are still the halves
+    phi, currents = potentials_and_currents(dumbbell_graph(1.7e308, 1.7e308), [1.0, -1.0])
+    assert currents.tolist() == [[0.5, 0.5]] and phi.tolist() == [[0.0, -8.5e307]]
+
+
+def _ends0_side_leaves(g, eid):
+    """Leaf indices on the ends[0] side of tree edge ``eid``."""
+    cut = g.edge(eid)
+    side, queue = {cut.ends[0]}, [cut.ends[0]]
+    for v in queue:
+        for ref in g.incident(v):
+            if ref == eid or not g.is_edge(ref):
+                continue
+            w = next(x for x in g.edge(ref).ends if x != v)
+            if w not in side:
+                side.add(w)
+                queue.append(w)
+    return [j for j, leaf in enumerate(g.leaves) if leaf.vertex in side]
+
+
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 8))
+def test_tree_currents_are_integer_leaf_path_sums(seed, leaves):
+    # on a tree each current is the residue sum of the leaves on one side of
+    # its edge; for integer residues the tree flow gives it bit for bit, a
+    # zero as +0.0, where a Laplacian solve left round-off
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, 0, leaves)
+    assume(mg is not None)
+    rows = rng.integers(-3, 4, size=(2, leaves))
+    rows[:, -1] -= rows.sum(axis=1)
+    _, currents = potentials_and_currents(mg, rows.astype(float))
+    for k, e in enumerate(mg.graph.edge_ids):
+        side = _ends0_side_leaves(mg.graph, e)
+        for row, got in zip(rows.tolist(), currents[:, k].tolist()):
+            want = sum(row[j] for j in side)
+            assert got == want
+            if want == 0:
+                assert math.copysign(1.0, got) == 1.0
+
+
+@given(seed=st.integers(0, 2**32 - 1), genus=st.integers(1, 4), leaves=st.integers(2, 5))
+@settings(max_examples=40)
+def test_currents_match_the_fraction_kirchhoff_oracle(seed, genus, leaves):
+    rng = np.random.default_rng(seed)
+    base = random_cubic(rng, genus, leaves)
+    assume(base is not None)
+    mg = MetricGraph(base.graph, {e: float(rng.integers(1, 4)) for e in base.graph.edge_ids})
+    rows = rng.integers(-3, 4, size=(2, leaves)).astype(float)
+    rows[:, -1] -= rows.sum(axis=1)
+    phi, currents = potentials_and_currents(mg, rows)
+    for row, pot, cur in zip(rows, phi, currents):
+        want = sum(kirchhoff_fraction(mg, row), [])
+        scale = max(1, max(abs(x) for x in want))
+        for got, exact in zip(np.concatenate([pot, cur]).tolist(), want):
+            assert abs(Fraction(got) - exact) <= Fraction(1e-12) * scale
