@@ -290,11 +290,11 @@ def _chart_units(pts: np.ndarray, angular_count: int) -> np.ndarray:
 
 
 def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray, angular_count: int, *,
-                   units: np.ndarray | None = None,
-                   buffers: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, int]:
+                   units: np.ndarray, buffers: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, int]:
     """log-distances of p_j + r*e^(i*theta) to every finite puncture, one
-    column per radius and evaluated angle (``_chart_units``), radius by
-    radius: an (n, N) block, one row per puncture.
+    column per radius and evaluated angle (``units``, which is
+    ``_chart_units(pts, angular_count)`` and shared by every chart of a
+    sphere), radius by radius: an (n, N) block, one row per puncture.
 
     Row k is |z - p_k|, written in place and then logged in place, each a
     contiguous pass.  The own row is log r exactly, which keeps tiny radii
@@ -304,17 +304,13 @@ def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray, angular_count
     of at least n * N elements and a (2, N) complex array with N at least
     the chart's column count, are the working storage, and the block
     returned is the start of the float array, laid out (n, N), unless
-    samples were dropped; without them the chart allocates its own.
-    ``units``, if given, is ``_chart_units(pts, angular_count)``, which
-    every chart of a sphere shares.
+    samples were dropped.
 
     Returns the kept columns and the number of samples drawn off a puncture
     over the whole circle, mirror samples included."""
-    if units is None:
-        units = _chart_units(pts, angular_count)
     shape = (log_radii.size, units.size)
     size = shape[0] * shape[1]
-    buf, zbuf = buffers or (np.empty(pts.size * size), np.empty((2, size), dtype=complex))
+    buf, zbuf = buffers
     logdist, offs, z = buf[:pts.size * size].reshape(pts.size, size), zbuf[0, :size], zbuf[1, :size]
     np.multiply(np.exp(log_radii)[:, None], units, out=offs.reshape(shape))
     for k in range(pts.size):
@@ -625,10 +621,9 @@ def _chart_plan(placement: TreePlacement, mor: HarmonicMorphism, window: np.ndar
     a threshold of +inf is never reached, so no padded entry is read."""
     g = placement.carrier.graph
     wmax = float(np.max(np.abs(window))) + 1.0
-    slopes = [np.abs(v) for v in mor.edge_slope.values()]
-    slopes += [np.abs(v) for v in mor.leaf_slope.values()]
-    nonzero = [float(s.max()) for s in slopes if s.max() > 1e-12]
-    floor = max(min(nonzero) if nonzero else 1.0, 0.05)
+    peaks = np.max(np.abs(np.vstack([mor.edge_slopes, mor.leaf_slopes])), axis=1)
+    nonzero = peaks[peaks > 1e-12]
+    floor = max(float(nonzero.min()) if nonzero.size else 1.0, 0.05)
     reach = min(wmax / floor, 200.0)
     heights = placement.height
     vertex_index = {v: i for i, v in enumerate(g.vertices)}

@@ -37,25 +37,31 @@ _OVERFLOW = "the residues' electrical flow overflows: a potential or current is 
 
 @dataclass(frozen=True)
 class OneForm:
-    """Values on canonical orientations: edges ends[0]->ends[1], leaves inward."""
+    """Values on canonical orientations: edges ends[0]->ends[1], leaves inward.
+
+    ``values`` is keyed by id, edges first, then leaves; ``_columns`` holds
+    the same values as a read-only array in that order and ``_scale`` is
+    max(1, largest |value|), the scale of the balancing tolerance.
+    """
 
     carrier: MetricGraph
     values: dict[str, float]
 
     def __post_init__(self):
         g = self.carrier.graph
-        vals: dict[str, float] = {}
-        for ref in list(g.edge_ids) + list(g.leaf_ids):
-            vals[ref] = float(self.values.get(ref, 0.0))
+        vals = {ref: float(self.values.get(ref, 0.0)) for ref in g.edge_ids + g.leaf_ids}
         extra = set(self.values) - set(vals)
         if extra:
             raise InputError(f"values on unknown leaf-edges: {sorted(extra)}")
-        if not np.isfinite(list(vals.values())).all():
+        columns = np.array(list(vals.values()))
+        if not np.isfinite(columns).all():
             raise InputError("1-form values must be finite numbers")
-        object.__setattr__(self, "values", vals)
-        tol = TOL_BALANCE * max(1.0, max(abs(v) for v in vals.values()) if vals else 1.0)
-        defects = _balancing(self.carrier, np.array(list(vals.values())))
-        bad = np.flatnonzero(np.abs(defects) > 3 * tol)
+        columns.setflags(write=False)
+        scale = max(1.0, float(np.max(np.abs(columns))))
+        for name, value in (("values", vals), ("_columns", columns), ("_scale", scale)):
+            object.__setattr__(self, name, value)
+        defects = _balancing(self.carrier, columns)
+        bad = np.flatnonzero(np.abs(defects) > 3 * (TOL_BALANCE * scale))
         if bad.size:
             v = bad[0]
             raise BalancingViolationError(f"balancing fails at vertex {g.vertices[v]} by {defects[v]:.3e}")
@@ -66,13 +72,13 @@ class OneForm:
 
 
 def residues(form: OneForm) -> np.ndarray:
-    """Inward leaf values, in leaf order."""
-    return np.array([form.values[l.id] for l in form.carrier.graph.leaves], dtype=float)
+    """Inward leaf values, in leaf order (a read-only view)."""
+    return form._columns[len(form.carrier.lengths):]
 
 
 def balancing_residual(form: OneForm) -> float:
     """Largest |sum of outgoing values| over the vertices."""
-    return float(np.max(np.abs(_balancing(form.carrier, np.array(list(form.values.values()))))))
+    return float(np.max(np.abs(_balancing(form.carrier, form._columns))))
 
 
 def integrate(form: OneForm, path: GraphPath) -> float:
@@ -83,11 +89,10 @@ def integrate(form: OneForm, path: GraphPath) -> float:
     """
     g = form.carrier.graph
     check_path(g, path)
-    scale = max(1.0, max(abs(v) for v in form.values.values()))
     total = 0.0
     for oe in path.items:
         if g.is_leaf(oe.id):
-            if abs(form.values[oe.id]) > TOL_BALANCE * scale:
+            if abs(form.values[oe.id]) > TOL_BALANCE * form._scale:
                 raise InfiniteIntegralError(f"nonzero value on leaf {oe.id} inside the path")
             continue
         total += form.carrier.length[oe.id] * form.value(oe)
@@ -102,10 +107,7 @@ def dual_form(mg: MetricGraph, path: GraphPath) -> OneForm:
         raise
     except Exception as exc:  # NotALoop on a bad loop is still "not a path or loop" here
         raise NotPathOrLoopError(str(exc)) from exc
-    vals: dict[str, float] = {}
-    for oe in path.items:
-        vals[oe.id] = 1.0 if oe.forward else -1.0
-    return OneForm(mg, vals)
+    return OneForm(mg, {oe.id: 1.0 if oe.forward else -1.0 for oe in path.items})
 
 
 def potentials_and_currents(mg: MetricGraph, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -173,9 +175,7 @@ def solve_exact_form(mg: MetricGraph, residue_row) -> OneForm:
         raise InputError(f"expected {mg.n_leaves} residues, got shape {row.shape}")
     row = ResidueMatrix(row).row(0)
     _, currents = potentials_and_currents(mg, row)
-    vals = dict(zip(mg.graph.edge_ids, currents[0]))
-    vals.update(zip(mg.graph.leaf_ids, row))
-    return OneForm(mg, vals)
+    return OneForm(mg, dict(zip(mg.graph.edge_ids + mg.graph.leaf_ids, [*currents[0], *row])))
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class FormDecomposition:
 def decompose(form: OneForm) -> FormDecomposition:
     """Split into the exact part (from the residues) and a holomorphic remainder."""
     exact = solve_exact_form(form.carrier, residues(form))
-    holo_vals = {k: form.values[k] - exact.values[k] for k in form.values}
+    holo_vals = dict(zip(form.values, form._columns - exact._columns))
     return FormDecomposition(exact, OneForm(form.carrier, holo_vals))
 
 

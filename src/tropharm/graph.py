@@ -46,13 +46,17 @@ class CubicGraph:
 
     ``leaves`` is ordered: this order indexes residue vectors throughout the
     library.  ``ribbon`` maps each vertex to the cyclic order of its three
-    incident leaf/edge ids; if omitted, sorted ids are used.
+    incident leaf/edge ids; if omitted, sorted ids are used.  ``edge_ids``
+    (sorted) and ``leaf_ids`` are built once; ``_column`` maps each id to its
+    incidence column, edges first.
     """
 
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
     leaves: tuple[Leaf, ...]
     ribbon: dict[str, tuple[str, str, str]] = field(default_factory=dict)
+    edge_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    leaf_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vertices = tuple(sorted(str(v) for v in self.vertices))
@@ -133,6 +137,9 @@ class CubicGraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "leaves", leaves)
         object.__setattr__(self, "ribbon", ribbon)
+        object.__setattr__(self, "edge_ids", tuple(ids[:len(edges)]))
+        object.__setattr__(self, "leaf_ids", tuple(ids[len(edges):]))
+        object.__setattr__(self, "_column", {ref: k for k, ref in enumerate(ids)})
         object.__setattr__(self, "_edge_by_id", {e.id: e for e in edges})
         object.__setattr__(self, "_leaf_by_id", {l.id: l for l in leaves})
         object.__setattr__(self, "_incidence", {v: tuple(incidence[v]) for v in vertices})
@@ -165,14 +172,6 @@ class CubicGraph:
     @property
     def n_leaves(self) -> int:
         return len(self.leaves)
-
-    @property
-    def leaf_ids(self) -> tuple[str, ...]:
-        return tuple(l.id for l in self.leaves)
-
-    @property
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
 
     # oriented leaf-edges
 
@@ -262,8 +261,7 @@ class MetricGraph:
                         + [vidx[l.vertex] for l in g.leaves], dtype=np.intp)
         order = np.argsort(ends, kind="stable")
         tail = order < ne
-        eidx = {e.id: k for k, e in enumerate(g.edges)}
-        walk = tuple((vidx[w], vidx[v], eidx[eid], 1 if g.edge(eid).ends[0] == w else -1)
+        walk = tuple((vidx[w], vidx[v], g._column[eid], 1 if g.edge(eid).ends[0] == w else -1)
                      for w, (v, eid) in _spanning_tree(g)[1].items())
         loops = cycle_basis(self)
         arrays = {"lengths": np.array(list(length.values())), "cycles": loop_matrix(g, loops)[:, :ne],
@@ -385,11 +383,10 @@ def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
 def loop_matrix(g: CubicGraph, paths) -> np.ndarray:
     """len(paths) x (|E|+n) signed matrix over the incidence columns: +1 where a
     loop or path runs along a leaf-edge's canonical orientation, -1 against it."""
-    col = {ref: i for i, ref in enumerate(g.edge_ids + g.leaf_ids)}
-    mat = np.zeros((len(paths), len(col)))
+    mat = np.zeros((len(paths), len(g._column)))
     for i, path in enumerate(paths):
         for oe in path.items:
-            mat[i, col[oe.id]] += 1.0 if oe.forward else -1.0
+            mat[i, g._column[oe.id]] += 1.0 if oe.forward else -1.0
     return mat
 
 

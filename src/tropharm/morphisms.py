@@ -10,6 +10,8 @@ coordinate along the leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -26,46 +28,55 @@ ZERO_SLOPE_TOL = 1e-12
 class HarmonicMorphism:
     """Vertex positions plus slope vectors per canonical oriented leaf-edge.
 
-    ``edge_slope[e]`` is the gradient along ends[0]->ends[1]; ``leaf_slope[l]``
-    is the gradient along the outward orientation of leaf l.
+    ``positions``, ``edge_slopes`` and ``leaf_slopes``: one row of m coordinates
+    per vertex, edge (along ends[0]->ends[1]) and leaf (outward), in the graph's
+    order, read-only copies of the caller's arrays.  ``vertex_position``,
+    ``edge_slope`` and ``leaf_slope`` are read-only dict views of the rows.
     """
 
     carrier: MetricGraph
-    ambient_dim: int
     base_vertex: str
-    vertex_position: dict[str, np.ndarray]
-    edge_slope: dict[str, np.ndarray]
-    leaf_slope: dict[str, np.ndarray]
+    positions: np.ndarray
+    edge_slopes: np.ndarray
+    leaf_slopes: np.ndarray
 
     def __post_init__(self):
         g = self.carrier.graph
-        m = self.ambient_dim
-        # The stacked arrays (rows in vertex, edge and leaf order) feed the
-        # matrix computations; the public dicts are new views of their rows,
-        # so the caller's dicts are left as they were.
-        for view, name, keys, what in (("vertex_position", "_positions", g.vertices, "vertices"),
-                                       ("edge_slope", "_edge_slopes", g.edge_ids, "edges"),
-                                       ("leaf_slope", "_leaf_slopes", g.leaf_ids, "leaves")):
-            table = getattr(self, view)
-            missing = set(keys) - set(table)
-            if missing:
-                raise InputError(f"{view} missing for {what} {sorted(missing)}")
-            extra = set(table) - set(keys)
-            if extra:
-                raise InputError(f"{view} given for unknown {what} {sorted(extra)}")
-            rows = np.array([np.asarray(table[k], dtype=float).reshape(m) for k in keys])
-            rows = rows.reshape(len(keys), m)
+        m = np.shape(self.positions)[-1:]  # (m,) if positions is 2-D; any other shape fails
+        for name, count in (("positions", len(g.vertices)), ("edge_slopes", len(g.edges)),
+                            ("leaf_slopes", g.n_leaves)):
+            rows = np.array(getattr(self, name), dtype=float, order="C")
+            if rows.shape != (count, *m):
+                raise InputError(f"{name} has shape {rows.shape}, expected ({count}, m)")
             rows.setflags(write=False)
-            object.__setattr__(self, view, dict(zip(keys, rows)))
             object.__setattr__(self, name, rows)
-        scale = max(1.0, _max_abs(self._edge_slopes), _max_abs(self._leaf_slopes))
+        scale = max(1.0, _max_abs(self.edge_slopes), _max_abs(self.leaf_slopes))
         defect = balancing_defect(self)
         if not defect <= 3 * COMPAT_TOL * scale:  # a NaN defect fails too
             raise InputError(f"morphism slopes violate balancing by {defect:.3e}")
-        pos_scale = max(1.0, _max_abs(self._positions))
+        pos_scale = max(1.0, _max_abs(self.positions))
         defect = compatibility_defect(self)
         if not defect <= 3 * COMPAT_TOL * max(pos_scale, scale):
             raise InputError(f"positions and slopes are incompatible by {defect:.3e}")
+
+    def __getstate__(self):  # a mappingproxy does not pickle; the views are rebuilt on demand
+        return {k: v for k, v in self.__dict__.items() if not isinstance(v, MappingProxyType)}
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.positions.shape[1]
+
+    @cached_property
+    def vertex_position(self) -> MappingProxyType[str, np.ndarray]:
+        return MappingProxyType(dict(zip(self.carrier.graph.vertices, self.positions)))
+
+    @cached_property
+    def edge_slope(self) -> MappingProxyType[str, np.ndarray]:
+        return MappingProxyType(dict(zip(self.carrier.graph.edge_ids, self.edge_slopes)))
+
+    @cached_property
+    def leaf_slope(self) -> MappingProxyType[str, np.ndarray]:
+        return MappingProxyType(dict(zip(self.carrier.graph.leaf_ids, self.leaf_slopes)))
 
     def slope(self, oe: OrientedEdge) -> np.ndarray:
         g = self.carrier.graph
@@ -82,14 +93,14 @@ def _max_abs(a: np.ndarray) -> float:
 
 def balancing_defect(mor: HarmonicMorphism) -> float:
     """Largest |sum of the 3 outgoing slopes| over all vertices."""
-    inward = np.vstack([mor._edge_slopes, -mor._leaf_slopes])
+    inward = np.vstack([mor.edge_slopes, -mor.leaf_slopes])
     return _max_abs(_balancing(mor.carrier, inward))
 
 
 def compatibility_defect(mor: HarmonicMorphism) -> float:
     """Largest |position(head) - position(tail) - length*slope| over all edges."""
-    mg, pos = mor.carrier, mor._positions
-    return _max_abs(pos[mg._tails] - pos[mg._heads] + mg.lengths[:, None] * mor._edge_slopes)
+    mg, pos = mor.carrier, mor.positions
+    return _max_abs(pos[mg._tails] - pos[mg._heads] + mg.lengths[:, None] * mor.edge_slopes)
 
 
 def build_morphism(mg: MetricGraph, R: ResidueMatrix, base_vertex: str | None = None) -> HarmonicMorphism:
@@ -105,18 +116,17 @@ def build_morphism(mg: MetricGraph, R: ResidueMatrix, base_vertex: str | None = 
     phi, currents = potentials_and_currents(mg, R.entries)
     b = g.vertices.index(base_vertex)
     position = phi[:, b:b + 1] - phi
-    return HarmonicMorphism(mg, R.m, base_vertex, dict(zip(g.vertices, position.T)),
-                            dict(zip(g.edge_ids, currents.T)), dict(zip(g.leaf_ids, -R.entries.T)))
+    return HarmonicMorphism(mg, base_vertex, position.T, currents.T, -R.entries.T)
 
 
 def residues_of(mor: HarmonicMorphism) -> ResidueMatrix:
     """Inward leaf slopes as residue columns; inverse of build_morphism."""
-    return ResidueMatrix(-mor._leaf_slopes.T)
+    return ResidueMatrix(-mor.leaf_slopes.T)
 
 
 def is_tropical(mor: HarmonicMorphism, tol: float = 1e-9) -> bool:
     """True iff every edge and leaf slope vector is integral within tol."""
-    slopes = np.vstack([mor._edge_slopes, mor._leaf_slopes])
+    slopes = np.vstack([mor.edge_slopes, mor.leaf_slopes])
     return _max_abs(slopes - np.round(slopes)) <= tol
 
 
@@ -127,7 +137,7 @@ def loop_slope_matrix(mor: HarmonicMorphism) -> np.ndarray:
     of the edge as oriented by the loop, and 0 off the loop.
     """
     g, ne = mor.carrier.cycles.shape
-    return (mor.carrier.cycles[:, None, :] * mor._edge_slopes.T).reshape(g * mor.ambient_dim, ne)
+    return (mor.carrier.cycles[:, None, :] * mor.edge_slopes.T).reshape(g * mor.ambient_dim, ne)
 
 
 class RegularityReport(NamedTuple):
@@ -151,7 +161,7 @@ def regularity_rank(mg: MetricGraph, mor: HarmonicMorphism, rank_tol: float = 1e
     if not mat.any():
         return RegularityReport(0, expected, expected == 0)
     svals = np.linalg.svd(mat, compute_uv=False)
-    scale = max(_max_abs(mor._edge_slopes), _max_abs(mor._leaf_slopes))
+    scale = max(_max_abs(mor.edge_slopes), _max_abs(mor.leaf_slopes))
     rank = int(np.sum(svals > rank_tol * scale))
     return RegularityReport(rank, expected, rank == expected)
 
@@ -172,11 +182,9 @@ class Scene:
 def emit_embedding(mor: HarmonicMorphism, leaf_ray_length: float = 3.0) -> Scene:
     if not 0.0 < leaf_ray_length < np.inf:
         raise InputError(f"leaf ray length must be positive and finite, got {leaf_ray_length}")
-    g = mor.carrier.graph
-    rays = tuple(
-        (l.id, mor.vertex_position[l.vertex], mor.leaf_slope[l.id]) for l in g.leaves
-    )
-    edges = tuple((e.id, e.ends[0], e.ends[1]) for e in g.edges)
+    mg = mor.carrier
+    rays = tuple(zip(mg.graph.leaf_ids, mor.positions[mg._leaf_vertices], mor.leaf_slopes))
+    edges = tuple((e.id, e.ends[0], e.ends[1]) for e in mg.graph.edges)
     return Scene(mor.ambient_dim, dict(mor.vertex_position), edges, rays, float(leaf_ray_length))
 
 

@@ -227,7 +227,7 @@ def _check_basis(mg: MetricGraph, basis: PeriodBasis) -> None:
         inc = loop_matrix(g, basis.b_loops)
         if np.linalg.matrix_rank(inc) != g.genus:
             raise BadBasisError("B-loops are rationally dependent")
-        pairing = inc[:, [g.edge_ids.index(e) for e in basis.a_edges]]
+        pairing = inc[:, [g._column[e] for e in basis.a_edges]]
         if abs(np.linalg.det(pairing)) < 1e-9:
             raise BadBasisError("A-edges pair degenerately with the B-loops")
 

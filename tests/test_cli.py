@@ -434,16 +434,31 @@ def test_check_stdout_matches_golden(capsys, fixture):
 
 
 @pytest.mark.parametrize("command", ["solve", "embed"])
-@pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex"])
+@pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex", "genus2"])
 def test_solve_and_embed_stdout_match_golden(capsys, monkeypatch, fixture, command):
-    # residues are integers on these trees, so every current and position is
-    # an integer and the goldens hold exact values; solve echoes the graph
-    # path it is given, so this runs from the repository root, as CI does
+    # residues are integers on these trees, and on genus2 they are a multiple
+    # that makes every current an integer, so the goldens hold exact values;
+    # solve echoes the graph path it is given, so this runs from the
+    # repository root, as CI does
     monkeypatch.chdir(GOLDEN.parent.parent)
     code, out, err = run(capsys, command, f"tests/golden/{fixture}.graph.json",
                          f"tests/golden/{fixture}.residues.json")
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"{fixture}.{command}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["regularity", "twists-solve", "twists-check", "periods"])
+def test_morphism_commands_match_genus2_golden(capsys, command):
+    # the commands that read the morphism, on the conftest genus-2 graph with
+    # integer slopes; genus2.twists.json passes every loop congruence
+    graph, residues, twists = (str(GOLDEN / f"genus2.{x}.json") for x in ("graph", "residues", "twists"))
+    argv = {"regularity": ["regularity", graph, residues],
+            "twists-solve": ["twists", graph, residues, "solve"],
+            "twists-check": ["twists", graph, residues, "check", "--twists", twists],
+            "periods": ["periods", graph, residues, twists]}[command]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"genus2.{command}.stdout").read_bytes()
 
 
 @pytest.mark.parametrize("window", [None, "3"])

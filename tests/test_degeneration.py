@@ -727,7 +727,7 @@ def test_sample_on_the_window_edge_survives_row_skipping():
     shift = mor.vertex_position["w"] - dg._alignment_offset(placement, R, "w")
     idx, pts = placement.sphere().finite()
     for u in np.arange(4, 81) * 0.05:
-        logdist, _ = dg._chart_logdist(pts, 0, np.array([u * logt]), 4)
+        logdist, _ = _chart_logdist(pts, 0, np.array([u * logt]), 4)
         # the experiment's product shape for one residue row: (N, n) @ (n, 1)
         row = (np.ascontiguousarray(logdist.T) @ R.entries[:, idx].T / logt + shift)[:, 0]
         for edge, win in ((row.max(), [[row.max(), 60.0]]), (row.min(), [[-60.0, row.min()]])):
@@ -953,6 +953,14 @@ def test_convergence_peak_memory_stays_within_budget():
     assert peak < 1.25 * 2.03e6
 
 
+def _chart_logdist(pts, j, log_radii, angular_count):
+    """dg._chart_logdist on units and buffers of its own, sized for one chart."""
+    units = dg._chart_units(pts, angular_count)
+    size = log_radii.size * units.size
+    return dg._chart_logdist(pts, j, log_radii, angular_count, units=units,
+                             buffers=(np.empty(pts.size * size), np.empty((2, size), dtype=complex)))
+
+
 def _same_row_set(kept, full):
     return np.array_equal(np.unique(kept, axis=0), np.unique(full, axis=0))
 
@@ -961,7 +969,7 @@ def _check_chart(pts, j, log_radii, angular_count):
     """_chart_logdist against the whole-circle oracle: the same row set and
     count, and on punctures of one imaginary part exactly the rows of angle
     indices 0 .. A - ceil(A/2), in the oracle's order."""
-    kept, drawn = dg._chart_logdist(pts, j, log_radii, angular_count)
+    kept, drawn = _chart_logdist(pts, j, log_radii, angular_count)
     kept = kept.T  # one row per sample, as the oracle lays it out
     full, index = chart_logdist_full(pts, j, log_radii, angular_count)
     assert _same_row_set(kept, full)

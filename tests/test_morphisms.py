@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -100,37 +102,42 @@ def test_positions_integrate_slopes_along_spanning_tree(rng):
             assert np.max(np.abs(mor.vertex_position[v] - want[v])) <= 1e-12 * scale
 
 
-def test_morphism_copies_the_callers_dicts_and_refuses_bad_keys(dumbbell):
+TABLES = {"vertex_position": "positions", "edge_slope": "edge_slopes", "leaf_slope": "leaf_slopes"}
+
+
+def test_morphism_copies_the_callers_arrays_and_refuses_bad_shapes(dumbbell):
     mor = build_morphism(dumbbell, ResidueMatrix([[3.0, -3.0]]))
-    tables = {"vertex_position": {v: list(x) for v, x in mor.vertex_position.items()},
-              "edge_slope": {e: list(x) for e, x in mor.edge_slope.items()},
-              "leaf_slope": {l: list(x) for l, x in mor.leaf_slope.items()}}
-    before = {name: dict(table) for name, table in tables.items()}
-    built = HarmonicMorphism(dumbbell, 1, "u", **tables)
-    for name, table in tables.items():
-        assert table.keys() == before[name].keys()
-        assert all(table[k] is x for k, x in before[name].items())  # not replaced by arrays
-        assert getattr(built, name) is not table
-        assert getattr(built, name).keys() == getattr(mor, name).keys()
-    for name, key in (("vertex_position", "ghost"), ("edge_slope", "p1"), ("leaf_slope", "e1")):
-        ghost = dict(tables, **{name: {**tables[name], key: [0.0]}})
-        with pytest.raises(InputError, match="unknown"):
-            HarmonicMorphism(dumbbell, 1, "u", **ghost)
-        first = next(iter(tables[name]))
-        short = dict(tables, **{name: {k: x for k, x in tables[name].items() if k != first}})
-        with pytest.raises(InputError, match="missing"):
-            HarmonicMorphism(dumbbell, 1, "u", **short)
+    arrays = {name: np.array(getattr(mor, name)) for name in TABLES.values()}
+    built = HarmonicMorphism(dumbbell, "u", **arrays)
+    assert built.ambient_dim == 1
+    g = dumbbell.graph
+    for (view, name), keys in zip(TABLES.items(), (g.vertices, g.edge_ids, g.leaf_ids)):
+        arr, stored, table = arrays[name], getattr(built, name), getattr(built, view)
+        assert arr.flags.writeable and not np.shares_memory(arr, stored)
+        assert not stored.flags.writeable and stored.tobytes() == arr.tobytes()
+        assert getattr(built, view) is table and list(table) == list(keys)
+        assert all(table[k].tobytes() == row.tobytes() for k, row in zip(keys, stored))
+        with pytest.raises(TypeError):
+            table[keys[0]] = arr[0]
+        with pytest.raises(ValueError, match="read-only"):
+            table[keys[0]][0] = 1.0
+        for bad in (arr[1:], arr.ravel(), arr[:, :, None], np.hstack([arr, arr])):
+            with pytest.raises(InputError, match="has shape"):
+                HarmonicMorphism(dumbbell, "u", **dict(arrays, **{name: bad}))
+    again = pickle.loads(pickle.dumps(built))  # with the dict views built, as above
+    for view, name in TABLES.items():
+        assert getattr(again, name).tobytes() == getattr(built, name).tobytes()
+        assert getattr(again, view).keys() == getattr(built, view).keys()
 
 
 @pytest.mark.parametrize("name", ["vertex_position", "edge_slope"])
 def test_morphism_refuses_a_nan_defect(dumbbell, name):
     # a NaN position or slope makes a defect NaN, which must fail its check
     mor = build_morphism(dumbbell, ResidueMatrix([[3.0, -3.0]]))
-    tables = {key: dict(getattr(mor, key)) for key in ("vertex_position", "edge_slope", "leaf_slope")}
-    first = next(iter(tables[name]))
-    tables[name][first] = [np.nan]
+    arrays = {key: np.array(getattr(mor, key)) for key in TABLES.values()}
+    arrays[TABLES[name]][0] = np.nan
     with pytest.raises(InputError, match="incompatible" if name == "vertex_position" else "balancing"):
-        HarmonicMorphism(dumbbell, 1, "u", **tables)
+        HarmonicMorphism(dumbbell, "u", **arrays)
 
 
 def test_residues_of_line(tripod):
@@ -158,14 +165,14 @@ def test_combinatorial_type(rng):
         R -= R.mean(axis=1, keepdims=True)
         mor = build_morphism(mg, ResidueMatrix(R))
         mor5 = build_morphism(mg, ResidueMatrix(5.0 * R))
-        for s, s5 in ((mor._edge_slopes, mor5._edge_slopes), (mor._leaf_slopes, mor5._leaf_slopes)):
+        for s, s5 in ((mor.edge_slopes, mor5.edge_slopes), (mor.leaf_slopes, mor5.leaf_slopes)):
             assert s5 == pytest.approx(5.0 * s, rel=1e-9, abs=1e-12)
 
 
 def test_combinatorial_type_zero(dumbbell):
     # zero residues contract every edge and leaf
     mor = build_morphism(dumbbell, ResidueMatrix(np.zeros((1, 2))))
-    assert not mor._edge_slopes.any() and not mor._leaf_slopes.any()
+    assert not mor.edge_slopes.any() and not mor.leaf_slopes.any()
 
 
 def test_regularity_genus0(tripod):
