@@ -24,14 +24,14 @@ COMPAT_TOL = 1e-9
 ZERO_SLOPE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicMorphism:
     """Vertex positions plus slope vectors per canonical oriented leaf-edge.
 
     ``positions``, ``edge_slopes`` and ``leaf_slopes``: one row of m coordinates
     per vertex, edge (along ends[0]->ends[1]) and leaf (outward), in the graph's
     order, read-only copies of the caller's arrays.  ``vertex_position``,
-    ``edge_slope`` and ``leaf_slope`` are read-only dict views of the rows.
+    ``edge_slope`` and ``leaf_slope`` are read-only dict views of the rows; ``==`` is identity.
     """
 
     carrier: MetricGraph

@@ -95,6 +95,14 @@ def test_integrate_refuses_leaf_with_value(tripod):
         integrate(f, path)
 
 
+def test_integrate_leaf_tolerance_follows_the_form_scale(dumbbell):
+    # the end leaves' residues of 1 are round-off next to an edge value of
+    # 1e12 (tolerance 1e-9 of the form's largest value), so the path is finite
+    f = OneForm(dumbbell, {"e1": 1e12 + 1.0, "e2": -1e12, "p1": 1.0, "p2": -1.0})
+    (path,) = leaf_paths(dumbbell, "p1")
+    assert integrate(f, path) == 1e12 + 1.0
+
+
 def test_dual_form_of_dumbbell_loop(dumbbell):
     f = dual_form(dumbbell, dumbbell_loop_e1_fwd())
     assert f.values["e1"] == 1.0

@@ -110,6 +110,7 @@ def test_morphism_copies_the_callers_arrays_and_refuses_bad_shapes(dumbbell):
     arrays = {name: np.array(getattr(mor, name)) for name in TABLES.values()}
     built = HarmonicMorphism(dumbbell, "u", **arrays)
     assert built.ambient_dim == 1
+    assert built == built and built != mor  # identity: arrays have no single truth value
     g = dumbbell.graph
     for (view, name), keys in zip(TABLES.items(), (g.vertices, g.edge_ids, g.leaf_ids)):
         arr, stored, table = arrays[name], getattr(built, name), getattr(built, view)
