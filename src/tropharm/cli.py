@@ -68,8 +68,8 @@ def cmd_solve(args):
     bal = max(forms.balancing_residual(f) for f in solved)
     loop_res = 0.0
     for f in solved:
-        for loop in mg.loops:
-            loop_res = max(loop_res, abs(forms.integrate(f, loop)))
+        for loop in mg.loops:  # built valid: no path check
+            loop_res = max(loop_res, abs(forms._integral(f, loop)))
     meta = {"balancing_residual": bal, "loop_residual": loop_res}
     if R.m == 1:
         payload = {"graph": args.graph, "values": solved[0].values, "metadata": meta}

@@ -46,7 +46,7 @@ from .errors import (
     ZeroCoordinateError,
 )
 from .forms import ResidueMatrix
-from .graph import MetricGraph, _spanning_tree
+from .graph import MetricGraph, _tree_walk
 from .morphisms import HarmonicMorphism, Scene, build_morphism, emit_embedding
 
 FOUR_PI = 4.0 * np.pi
@@ -385,36 +385,32 @@ def place_tree(mg: MetricGraph, t: float) -> TreePlacement:
         raise NotATreeError(f"graph has genus {g.genus}, not a tree")
     if not (np.isfinite(t) and t > np.e):
         raise InputError(f"t must be finite and exceed e, got {t}")
-    infinite_leaf = g.leaf_ids[-1]
-    root = g.leaf(infinite_leaf).vertex
+    ids, names, ne = g.edge_ids + g.leaf_ids, g.vertices, len(g.edges)
+    *leaf_vertices, root = g._leaf_vertices.tolist()
 
-    # metric depth from the root through the (unique) tree paths; the
-    # parent map is in breadth-first order, so parents come first
-    _, parent = _spanning_tree(g, root)
-    depth = {root: 0.0}
-    up_path: dict[str, tuple[str, ...]] = {root: (root,)}
-    for w, (v, eid) in parent.items():
-        depth[w] = depth[v] + mg.length[eid]
-        up_path[w] = (w,) + up_path[v]
-    ecc = max(depth.values())
-    height = {v: ecc - d for v, d in depth.items()}
+    # metric depth from the root through the tree walked from it, in
+    # breadth-first order, so parents come first; each vertex's incoming
+    # column (the last leaf at the root); Python-float lengths and heights
+    walk, lengths = _tree_walk(g._tree_adj, root), mg.lengths.tolist()
+    depth, incoming = [0.0] * len(names), [len(ids) - 1] * len(names)
+    up_path = {names[root]: (names[root],)}
+    for w, v, k, _ in walk:
+        depth[w], incoming[w] = depth[v] + lengths[k], k
+        up_path[names[w]] = (names[w],) + up_path[names[v]]
+    ecc = max(depth)
+    height = [ecc - d for d in depth]
 
-    def branch(v: str, ref: str) -> int:
-        """Constant of branch ``ref`` at v: 0 or 1 by its ribbon position
-        after the reference v is entered by."""
-        ribbon = g.ribbon[v]
-        incoming = parent[v][1] if v in parent else infinite_leaf
-        return (ribbon.index(ref) - ribbon.index(incoming) - 1) % 3
+    def branch(v: int, k: int) -> int:
+        """Constant of branch column ``k`` at v: 0 or 1 by its ribbon
+        position after the reference v is entered by."""
+        ribbon = g.ribbon[names[v]]
+        return (ribbon.index(ids[k]) - ribbon.index(ids[incoming[v]]) - 1) % 3
 
-    center = {root: 0.0 + 0.0j}
-    for w, (v, eid) in parent.items():
-        center[w] = center[v] + branch(v, eid) * t ** height[v]
-    punctures = tuple(
-        None if l.id == infinite_leaf
-        else center[l.vertex] + branch(l.vertex, l.id) * t ** height[l.vertex]
-        for l in g.leaves
-    )
-    return TreePlacement(mg, float(t), infinite_leaf, punctures, height, up_path)
+    center = [0j] * len(names)
+    for w, v, k, _ in walk:
+        center[w] = center[v] + branch(v, k) * t ** height[v]
+    punctures = tuple(center[v] + branch(v, ne + j) * t ** height[v] for j, v in enumerate(leaf_vertices))
+    return TreePlacement(mg, float(t), g.leaf_ids[-1], (*punctures, None), dict(zip(names, height)), up_path)
 
 
 @dataclass(frozen=True)
@@ -539,22 +535,21 @@ class ConvergenceReport:
 
 
 def _tripod_scene(mor: HarmonicMorphism, v: str) -> Scene:
-    """Image of the vertex's half-tripod: half edges, full leaf rays."""
+    """Image of the vertex's half-tripod: half edges, full leaf rays, in
+    column order (edges by id, then leaves)."""
     mg = mor.carrier
-    g = mg.graph
-    vertices = {v: mor.vertex_position[v]}
+    g, ne, i = mg.graph, len(mg.lengths), mg.graph.vertices.index(v)
+    pos = mor.positions[i]
+    vertices = {v: pos}
     edges = []
     rays = []
-    for ref in g.incident(v):
-        if g.is_edge(ref):
-            e = g.edge(ref)
-            slope = mor.edge_slope[ref] if e.ends[0] == v else -mor.edge_slope[ref]
-            mid = mor.vertex_position[v] + 0.5 * mg.length[ref] * slope
-            mid_id = f"{ref}:mid"
-            vertices[mid_id] = mid
-            edges.append((ref, v, mid_id))
+    for k, sign in sorted(zip(g._star[i].tolist(), g._star_sign[i].tolist())):
+        if k < ne:
+            ref, slope = g.edge_ids[k], mor.edge_slopes[k]
+            vertices[f"{ref}:mid"] = pos + 0.5 * mg.lengths[k] * (slope if sign > 0 else -slope)
+            edges.append((ref, v, f"{ref}:mid"))
         else:
-            rays.append((ref, mor.vertex_position[v], mor.leaf_slope[ref]))
+            rays.append((g.leaf_ids[k - ne], pos, mor.leaf_slopes[k - ne]))
     return Scene(mor.ambient_dim, vertices, tuple(edges), tuple(rays))
 
 
@@ -661,47 +656,34 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
     all its kept samples, written straight into its columns of the
     coordinate rows (with one residue row over an (N, n) copy of the block:
     the (1, n) @ (n, N) product runs another BLAS kernel and changes last
-    bits).  A sample's tripod region is read off its nearest puncture:
-    radius rows whose circle stays inside half the gap to the nearest other
-    puncture, by a margin of 1e-6 in log r, get one region per row from the
-    own log radius; the other samples keep a running minimum over the
-    block's rows, the first index winning ties.  The grid follows.  What
-    lives at once is the coordinate rows, the region array and one chart's
-    buffers and tripod scratch.  The arrays returned are views of the first
-    columns of the allocated ones: room for the grid is reserved at its node
-    count, and samples on a puncture are dropped."""
+    bits).  A sample's tripod region is read off its nearest puncture, a
+    running minimum over the block's rows, the first index winning ties.
+    The grid follows.  What lives at once is the coordinate rows, the
+    region array and one chart's buffers and tripod scratch.  The arrays
+    returned are views of the first columns of the allocated ones: room for
+    the grid is reserved at its node count, and samples on a puncture are
+    dropped."""
     idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
     logt = math.log(placement.t)
     step, angular_count, grid_count = sampling
     reach, top, heights, paths, bounds = plan
 
-    # below this log radius no other puncture can be as near a chart's
-    # sample as its own: the circle keeps inside half the gap to the nearest
-    # other puncture, with a margin far above the round-off of the distances
-    others = np.abs(pts[None, :] - pts[:, None]) + np.diag(np.full(pts.size, np.inf))
-    inner_log_radius = np.log(others.min(axis=1) / 2.0) - 1e-6
-
-    def assign_tripods(pos: int, log_radii: np.ndarray, logdist: np.ndarray, out: np.ndarray) -> None:
+    def assign_tripods(logdist: np.ndarray, out: np.ndarray) -> None:
         """Tripod region of each sample: nearest puncture in log scale, then
         walk that leaf's upward path to the sample's own scale (the level is
         the number of thresholds at or below it, as np.digitize counts)."""
-        inner = np.searchsorted(log_radii, inner_log_radius[pos])
-        level = np.count_nonzero(bounds[:, pos, None] <= log_radii[:inner] / logt, axis=0)
-        inner *= width
-        out[:inner] = np.repeat(paths[pos, level], width)
-        rest = logdist[:, inner:]
-        u_min = rest[0].copy()
+        u_min = logdist[0].copy()
         nearest = np.zeros(u_min.size, dtype=np.intp)
         for k in range(1, pts.size):
-            # k exceeds every index so far, so the max sets it where rest[k] is smaller
-            np.maximum(nearest, np.less(rest[k], u_min) * k, out=nearest)
-            np.minimum(u_min, rest[k], out=u_min)
+            # k exceeds every index so far, so the max sets it where logdist[k] is smaller
+            np.maximum(nearest, np.less(logdist[k], u_min) * k, out=nearest)
+            np.minimum(u_min, logdist[k], out=u_min)
         u_min /= logt
         at = nearest * paths.shape[1]  # the flat index of (nearest, level) in paths
         for bnd in bounds:
             at += np.take(bnd, nearest) <= u_min
-        out[inner:] = np.take(paths, at)
+        out[:] = np.take(paths, at)
 
     def write_image(logdist: np.ndarray, part: slice) -> None:
         """The raw image of an (n, N) log-distance block, one residue product
@@ -734,8 +716,7 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
     charts = [r[keep] for r, keep in zip(np.split(log_radii, cuts), np.split(near, cuts))]
     _check_indexable(grid_count**2 * pts.size, "the global grid")
     units = _chart_units(pts, angular_count)
-    width = units.size
-    sizes = [chart.size * width for chart in charts]
+    sizes = [chart.size * units.size for chart in charts]
     cols = np.empty((R.m, sum(sizes) + grid_count**2))
     region = np.empty(cols.shape[1], dtype=paths.dtype)
 
@@ -748,7 +729,7 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
         logdist, drawn = _chart_logdist(pts, pos, chart, angular_count, units=units, buffers=buffers)
         part = slice(end, end + logdist.shape[1])
         write_image(logdist, part)
-        assign_tripods(pos, chart, logdist, region[part])
+        assign_tripods(logdist, region[part])
         end, samples = part.stop, samples + drawn
     del buffers, logdist
 
@@ -818,7 +799,7 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     for t in ts:
         placements.append(place_tree(mg, t))
         placements[-1].sphere()
-    shift = mor.vertex_position[base_vertex] - _alignment_offset(placements[0], R, base_vertex)
+    shift = mor.positions[mg.graph.vertices.index(base_vertex)] - _alignment_offset(placements[0], R, base_vertex)
     plan = _chart_plan(placements[0], mor, win)
 
     # clipping cuts every ray at the window edge, so the scene's drawing

@@ -26,8 +26,8 @@ from .errors import (
     SingularSystemError,
     TooFewLeavesError,
 )
-from .graph import (GraphPath, MetricGraph, OrientedEdge, _balancing, _spanning_tree, check_path,
-                    json_number, leaf_paths, loop_matrix, read_json)
+from .graph import (GraphPath, MetricGraph, _balancing, _cotree, check_path, json_number, leaf_paths,
+                    loop_matrix, read_json)
 
 # Balancing / residue tolerances: relative to the largest stored value.
 TOL_BALANCE = 1e-9
@@ -66,10 +66,6 @@ class OneForm:
             v = bad[0]
             raise BalancingViolationError(f"balancing fails at vertex {g.vertices[v]} by {defects[v]:.3e}")
 
-    def value(self, oe: OrientedEdge) -> float:
-        stored = self.values[oe.id]
-        return stored if oe.forward else -stored
-
 
 def residues(form: OneForm) -> np.ndarray:
     """Inward leaf values, in leaf order (a read-only view)."""
@@ -87,16 +83,23 @@ def integrate(form: OneForm, path: GraphPath) -> float:
     Leaves are metrically infinite: a nonzero value on a leaf inside the path
     makes the integral infinite, which is refused.
     """
-    g = form.carrier.graph
-    check_path(g, path)
+    check_path(form.carrier.graph, path)
+    return _integral(form, path)
+
+
+def _integral(form: OneForm, path: GraphPath) -> float:
+    """``integrate`` on a path known to be valid (``check_path`` is not run):
+    the terms are added in path order."""
+    column, lengths, values = form.carrier.graph._column, form.carrier.lengths, form._columns
     total = 0.0
     for oe in path.items:
-        if g.is_leaf(oe.id):
-            if abs(form.values[oe.id]) > TOL_BALANCE * form._scale:
+        k = column[oe.id]
+        if k >= len(lengths):
+            if abs(values[k]) > TOL_BALANCE * form._scale:
                 raise InfiniteIntegralError(f"nonzero value on leaf {oe.id} inside the path")
             continue
-        total += form.carrier.length[oe.id] * form.value(oe)
-    return total
+        total += lengths[k] * (values[k] if oe.forward else -values[k])
+    return float(total)
 
 
 def dual_form(mg: MetricGraph, path: GraphPath) -> OneForm:
@@ -128,7 +131,7 @@ def potentials_and_currents(mg: MetricGraph, rows) -> tuple[np.ndarray, np.ndarr
     if rows.ndim != 2 or rows.shape[1] != mg.n_leaves:
         raise InputError(f"expected rows of {mg.n_leaves} residues, got shape {rows.shape}")
     nv, ne = len(mg.graph.vertices), len(mg.lengths)
-    walk, lengths, leaf_vertices = mg._walk, mg.lengths.tolist(), mg._leaf_vertices.tolist()
+    walk, lengths, leaf_vertices = mg.graph._walk, mg.lengths.tolist(), mg.graph._leaf_vertices.tolist()
     flows = []
     for row in rows.tolist():
         held = [0.0] * nv  # the injection at and below each vertex, pushed up the walk
@@ -205,8 +208,7 @@ def form_space_dims(mg: MetricGraph) -> tuple[int, int]:
     n, g = mg.n_leaves, mg.genus
     if n < 2:
         raise TooFewLeavesError(f"need at least 2 leaves, have {n}")
-    tree, _ = _spanning_tree(mg.graph)
-    cotree = [k for k, eid in enumerate(mg.graph.edge_ids) if eid not in tree]
+    cotree = _cotree(mg.graph)
     basis = loop_matrix(mg.graph, mg.loops + leaf_paths(mg, mg.graph.leaves[0].id))
     if (np.any(_balancing(mg, basis.T)) or np.any(basis[:g, -n:])
             or not np.array_equal(basis[:g, cotree], np.eye(g))

@@ -48,7 +48,13 @@ class CubicGraph:
     library.  ``ribbon`` maps each vertex to the cyclic order of its three
     incident leaf/edge ids; if omitted, sorted ids are used.  ``edge_ids``
     (sorted) and ``leaf_ids`` are built once; ``_column`` maps each id to its
-    incidence column, edges first.
+    incidence column, edges first.  The incidence is kept as index arrays:
+    ``_tails`` (ends[0]), ``_heads``, ``_leaf_vertices`` and the (|V|, 3)
+    ``_star`` of columns at each vertex, ``_star_sign`` +1 where an edge
+    leaves it, else -1.  The spanning tree is ``_tree_adj``, each vertex's
+    tree neighbours as (neighbour, column, sign) in (neighbour, column)
+    order, sign +1 where the edge runs from the neighbour to the vertex, and
+    ``_walk``, the tree walked from vertex 0 (``_tree_walk``).
     """
 
     vertices: tuple[str, ...]
@@ -72,34 +78,38 @@ class CubicGraph:
         ids = [e.id for e in edges] + [l.id for l in leaves]
         if len(set(ids)) != len(ids):
             raise InputError("edge and leaf ids must be pairwise distinct")
-        vset = set(vertices)
+        vidx = {v: i for i, v in enumerate(vertices)}
         for e in edges:
-            if e.ends[0] not in vset or e.ends[1] not in vset:
+            if e.ends[0] not in vidx or e.ends[1] not in vidx:
                 raise InputError(f"edge {e.id} references unknown vertex")
             if e.ends[0] == e.ends[1]:
                 raise SelfLoopEdgeError(f"edge {e.id} joins {e.ends[0]} to itself")
         for l in leaves:
-            if l.vertex not in vset:
+            if l.vertex not in vidx:
                 raise InputError(f"leaf {l.id} references unknown vertex")
 
-        incidence: dict[str, list[str]] = {v: [] for v in vertices}
-        for e in edges:
-            incidence[e.ends[0]].append(e.id)
-            incidence[e.ends[1]].append(e.id)
-        for l in leaves:
-            incidence[l.vertex].append(l.id)
-        for v in vertices:
-            if len(incidence[v]) != 3:
-                raise NotCubicError(f"vertex {v} has valence {len(incidence[v])}, not 3")
-
+        # the column ends: edge tails, edge heads, leaves; grouped by vertex,
+        # three each, position k < ne is edge k's tail, else column k - ne
+        nv, ne = len(vertices), len(edges)
+        ends = np.array([vidx[e.ends[0]] for e in edges] + [vidx[e.ends[1]] for e in edges]
+                        + [vidx[l.vertex] for l in leaves], dtype=np.intp)
+        valence = np.bincount(ends, minlength=nv)
+        bad = np.flatnonzero(valence != 3)
+        if bad.size:
+            raise NotCubicError(f"vertex {vertices[bad[0]]} has valence {valence[bad[0]]}, not 3")
         if not vertices:
             raise NotCubicError("graph has no vertices")
+        order = np.argsort(ends, kind="stable")
+        tail = order < ne
+        star = np.where(tail, order, order - ne).reshape(-1, 3)
+
         # Kruskal on the sorted edge ids gives the one spanning tree that cycle
-        # bases, leaf paths and tree placement walk; a forest with fewer than
-        # |V| - 1 edges means the graph is disconnected.  With every vertex
+        # bases, leaf paths and tree placement walk; a walk from vertex 0 that
+        # misses a vertex means the graph is disconnected.  With every vertex
         # trivalent and the graph connected, |E| = 3g - 3 + n and
         # |V| = 2g - 2 + n follow.
-        root = {v: v for v in vertices}
+        tails, heads = ends[:ne].tolist(), ends[ne:2 * ne].tolist()
+        root = list(range(nv))
 
         def find(v):
             while root[v] != v:
@@ -107,45 +117,43 @@ class CubicGraph:
                 v = root[v]
             return v
 
-        tree_adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
-        tree = set()
-        for e in edges:
-            ru, rv = find(e.ends[0]), find(e.ends[1])
-            if ru != rv:
-                root[ru] = rv
-                tree.add(e.id)
-                tree_adj[e.ends[0]].append((e.ends[1], e.id))
-                tree_adj[e.ends[1]].append((e.ends[0], e.id))
-        if len(tree) != len(vertices) - 1:
+        adjacent: list[list[tuple[int, int, int]]] = [[] for _ in vertices]
+        for k, (u, w) in enumerate(zip(tails, heads)):
+            ru, rw = find(u), find(w)
+            if ru != rw:
+                root[ru] = rw
+                adjacent[u].append((w, k, -1))
+                adjacent[w].append((u, k, 1))
+        tree_adj = tuple(tuple(sorted(adj)) for adj in adjacent)
+        walk = _tree_walk(tree_adj, 0)
+        if len(walk) != nv - 1:
             raise DisconnectedError("graph is not connected")
 
         ribbon: dict[str, tuple[str, str, str]] = {}
-        for v in vertices:
+        for v, row in zip(vertices, star.tolist()):
+            incident = sorted(ids[k] for k in row)
             if self.ribbon and v in self.ribbon:
-                order = tuple(str(x) for x in self.ribbon[v])
-                if sorted(order) != sorted(incidence[v]):
+                order3 = tuple(str(x) for x in self.ribbon[v])
+                if sorted(order3) != incident:
                     raise BadRibbonError(f"ribbon at {v} is not a cyclic order of its incident leaf-edges")
-                ribbon[v] = order
+                ribbon[v] = order3
             else:
-                ribbon[v] = tuple(sorted(incidence[v]))
+                ribbon[v] = tuple(incident)
         if self.ribbon:
-            unknown = set(self.ribbon) - vset
+            unknown = set(self.ribbon) - set(vidx)
             if unknown:
                 raise BadRibbonError(f"ribbon mentions unknown vertices {sorted(unknown)}")
 
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "leaves", leaves)
-        object.__setattr__(self, "ribbon", ribbon)
-        object.__setattr__(self, "edge_ids", tuple(ids[:len(edges)]))
-        object.__setattr__(self, "leaf_ids", tuple(ids[len(edges):]))
-        object.__setattr__(self, "_column", {ref: k for k, ref in enumerate(ids)})
-        object.__setattr__(self, "_edge_by_id", {e.id: e for e in edges})
-        object.__setattr__(self, "_leaf_by_id", {l.id: l for l in leaves})
-        object.__setattr__(self, "_incidence", {v: tuple(incidence[v]) for v in vertices})
-        object.__setattr__(self, "_tree", frozenset(tree))
-        object.__setattr__(self, "_tree_adj", {v: tuple(sorted(adj)) for v, adj in tree_adj.items()})
-        object.__setattr__(self, "_parent", _spanning_tree(self, vertices[0])[1])
+        arrays = {"_tails": ends[:ne], "_heads": ends[ne:2 * ne], "_leaf_vertices": ends[2 * ne:],
+                  "_star": star, "_star_sign": np.where(tail, 1.0, -1.0).reshape(-1, 3)}
+        for arr in (ends, *arrays.values()):
+            arr.setflags(write=False)
+        for name, value in {"vertices": vertices, "edges": edges, "leaves": leaves, "ribbon": ribbon,
+                            "edge_ids": tuple(ids[:ne]), "leaf_ids": tuple(ids[ne:]),
+                            "_column": {ref: k for k, ref in enumerate(ids)},
+                            "_edge_by_id": {e.id: e for e in edges}, "_leaf_by_id": {l.id: l for l in leaves},
+                            **arrays, "_tree_adj": tree_adj, "_walk": walk}.items():
+            object.__setattr__(self, name, value)
 
     # lookups
 
@@ -162,8 +170,9 @@ class CubicGraph:
         return ref in self._leaf_by_id
 
     def incident(self, v: str) -> tuple[str, ...]:
-        """Ids of the three leaf-edges at vertex ``v``."""
-        return self._incidence[v]
+        """Ids of the three leaf-edges at vertex ``v``: edges by id, then leaves."""
+        ids = self.edge_ids + self.leaf_ids
+        return tuple(ids[k] for k in sorted(self._star[self.vertices.index(v)].tolist()))
 
     @property
     def genus(self) -> int:
@@ -219,12 +228,8 @@ class MetricGraph:
     """A cubic graph with edge lengths, plus its linear algebra as read-only arrays.
 
     ``lengths`` is |E| (edge-id order), ``loops`` the fundamental cycle basis
-    and ``cycles`` its genus x |E| signed edge matrix.  The incidence (columns:
-    edge ids, then leaf ids) is kept as index arrays: ``_tails`` (ends[0]),
-    ``_heads``, ``_leaf_vertices`` and the (|V|, 3) ``_star`` of columns at
-    each vertex, ``_star_sign`` +1 where an edge leaves it, else -1.  ``_walk``
-    is the spanning tree from vertex 0 as (child, parent, edge, sign) in
-    breadth-first order, sign +1 where the edge runs from child to parent.
+    and ``cycles`` its genus x |E| signed edge matrix; the incidence and the
+    spanning tree are the graph's.
     """
 
     graph: CubicGraph
@@ -253,24 +258,12 @@ class MetricGraph:
             raise InputError(f"length entries for unknown edges (leaves carry no length): {sorted(extra)}")
         object.__setattr__(self, "length", length)
 
-        vidx = {v: i for i, v in enumerate(g.vertices)}
-        ne = len(g.edges)
-        # the column ends: edge tails, edge heads, leaves; grouped by vertex,
-        # three each, position k < ne is edge k's tail, else column k - ne
-        ends = np.array([vidx[e.ends[0]] for e in g.edges] + [vidx[e.ends[1]] for e in g.edges]
-                        + [vidx[l.vertex] for l in g.leaves], dtype=np.intp)
-        order = np.argsort(ends, kind="stable")
-        tail = order < ne
-        walk = tuple((vidx[w], vidx[v], g._column[eid], 1 if g.edge(eid).ends[0] == w else -1)
-                     for w, (v, eid) in _spanning_tree(g)[1].items())
+        lengths = np.array(list(length.values()))
         loops = cycle_basis(self)
-        arrays = {"lengths": np.array(list(length.values())), "cycles": loop_matrix(g, loops)[:, :ne],
-                  "_tails": ends[:ne], "_heads": ends[ne:2 * ne], "_leaf_vertices": ends[2 * ne:],
-                  "_star": np.where(tail, order, order - ne).reshape(-1, 3),
-                  "_star_sign": np.where(tail, 1.0, -1.0).reshape(-1, 3)}
-        for arr in (ends, *arrays.values()):
-            arr.setflags(write=False)
-        for name, value in {**arrays, "loops": loops, "_walk": walk}.items():
+        cycles = loop_matrix(g, loops)[:, :len(g.edges)]
+        lengths.setflags(write=False)
+        cycles.setflags(write=False)
+        for name, value in (("lengths", lengths), ("loops", loops), ("cycles", cycles)):
             object.__setattr__(self, name, value)
 
     @property
@@ -288,7 +281,15 @@ class MetricGraph:
 def _balancing(mg: MetricGraph, values: np.ndarray) -> np.ndarray:
     """Sum of the outgoing values at each vertex: the star table's three
     columns gathered and signed; ``values`` has one entry, or row, per column."""
-    return np.einsum("vk,vk...->v...", mg._star_sign, values[mg._star])
+    g = mg.graph
+    return np.einsum("vk,vk...->v...", g._star_sign, values[g._star])
+
+
+def _check_carrier(mg: MetricGraph, *objs) -> None:
+    """InputError unless each object's ``carrier`` is ``mg`` or equal to it."""
+    for obj in objs:
+        if obj.carrier is not mg and obj.carrier != mg:
+            raise InputError(f"the {type(obj).__name__} lives on another metric graph")
 
 
 def check_path(g: CubicGraph, path: GraphPath) -> None:
@@ -328,42 +329,53 @@ def check_path(g: CubicGraph, path: GraphPath) -> None:
 # spanning tree, cycle basis, leaf paths (deterministic: sorted edge ids)
 
 
-def _spanning_tree(g: CubicGraph, root: str | None = None) -> tuple[frozenset[str], dict[str, tuple[str, str]]]:
-    """The graph's spanning tree (Kruskal on sorted edge ids, built with the graph).
-
-    Returns the tree edge id set and a parent map: vertex -> (parent vertex,
-    connecting edge id), rooted at ``root`` (default: the smallest vertex id,
-    whose map is walked once, with the graph; callers only read it), in
-    breadth-first order by (vertex id, edge id): parents come first.
-    """
-    if root is None:
-        return g._tree, g._parent
-    parent: dict[str, tuple[str, str]] = {}
+def _tree_walk(tree_adj, root: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The spanning tree from vertex ``root`` as (child, parent, column, sign)
+    in breadth-first order, each vertex's neighbours in ``tree_adj`` order
+    (vertex, column): parents come first.  Sign +1 where the edge runs from
+    child to parent."""
+    walk = []
+    seen = [False] * len(tree_adj)
+    seen[root] = True
     queue = [root]
     for v in queue:
-        for w, eid in g._tree_adj[v]:
-            if w != root and w not in parent:
-                parent[w] = (v, eid)
+        for w, k, sign in tree_adj[v]:
+            if not seen[w]:
+                seen[w] = True
+                walk.append((w, v, k, sign))
                 queue.append(w)
-    return g._tree, parent
+    return tuple(walk)
 
 
-def _tree_path(g: CubicGraph, parent: dict[str, tuple[str, str]], u: str, v: str) -> list[OrientedEdge]:
-    """Oriented edges of the tree path u -> v: both climbs, less the steps they share."""
+def _cotree(g: CubicGraph) -> list[int]:
+    """Columns of the edges off the spanning tree, in edge order."""
+    tree = {k for _, _, k, _ in g._walk}
+    return [k for k in range(len(g.edges)) if k not in tree]
+
+
+def _tree_paths(g: CubicGraph):
+    """The function giving the oriented edges of the tree path between vertex
+    indices u -> v: both climbs of the walk to vertex 0, less the steps they
+    share."""
+    up = {child: (parent, k, sign) for child, parent, k, sign in g._walk}
+    ids = g.edge_ids
 
     def climb(x):
         steps = []
-        while x in parent:
-            steps.append((x, parent[x][1]))
-            x = parent[x][0]
+        while x in up:
+            x, k, sign = up[x]
+            steps.append((k, sign))
         return steps
 
-    up, down = climb(u), climb(v)
-    while up and down and up[-1] == down[-1]:
-        up.pop()
-        down.pop()
-    return ([OrientedEdge(eid, forward=g.edge(eid).ends[0] == x) for x, eid in up]
-            + [OrientedEdge(eid, forward=g.edge(eid).ends[1] == x) for x, eid in reversed(down)])
+    def path(u: int, v: int) -> list[OrientedEdge]:
+        a, b = climb(u), climb(v)
+        while a and b and a[-1] == b[-1]:
+            a.pop()
+            b.pop()
+        return ([OrientedEdge(ids[k], sign > 0) for k, sign in a]
+                + [OrientedEdge(ids[k], sign < 0) for k, sign in reversed(b)])
+
+    return path
 
 
 def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
@@ -375,9 +387,9 @@ def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
     ``check_path`` by construction; the tests check this, not every call.
     """
     g = mg.graph
-    tree, parent = _spanning_tree(g)
-    return tuple(GraphPath((OrientedEdge(e.id, True), *_tree_path(g, parent, e.ends[1], e.ends[0])), is_loop=True)
-                 for e in g.edges if e.id not in tree)
+    path, tails, heads = _tree_paths(g), g._tails.tolist(), g._heads.tolist()
+    return tuple(GraphPath((OrientedEdge(g.edge_ids[k], True), *path(heads[k], tails[k])), is_loop=True)
+                 for k in _cotree(g))
 
 
 def loop_matrix(g: CubicGraph, paths) -> np.ndarray:
@@ -399,11 +411,10 @@ def leaf_paths(mg: MetricGraph, base_leaf: str) -> tuple[GraphPath, ...]:
     g = mg.graph
     if not g.is_leaf(base_leaf):
         raise UnknownLeafError(f"unknown leaf {base_leaf}")
-    _, parent = _spanning_tree(g)
-    base = g.leaf(base_leaf)
-    return tuple(GraphPath((OrientedEdge(base.id, True), *_tree_path(g, parent, base.vertex, l.vertex),
-                            OrientedEdge(l.id, False)), is_loop=False)
-                 for l in g.leaves if l.id != base_leaf)
+    path, ends = _tree_paths(g), dict(zip(g.leaf_ids, g._leaf_vertices.tolist()))
+    return tuple(GraphPath((OrientedEdge(base_leaf, True), *path(ends[base_leaf], v),
+                            OrientedEdge(lid, False)), is_loop=False)
+                 for lid, v in ends.items() if lid != base_leaf)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, UnsupportedDimensionForSvgError
 from .forms import ResidueMatrix, potentials_and_currents
-from .graph import MetricGraph, OrientedEdge, _balancing
+from .graph import MetricGraph, _balancing, _check_carrier
 
 COMPAT_TOL = 1e-9
 ZERO_SLOPE_TOL = 1e-12
@@ -78,14 +78,6 @@ class HarmonicMorphism:
     def leaf_slope(self) -> MappingProxyType[str, np.ndarray]:
         return MappingProxyType(dict(zip(self.carrier.graph.leaf_ids, self.leaf_slopes)))
 
-    def slope(self, oe: OrientedEdge) -> np.ndarray:
-        g = self.carrier.graph
-        if g.is_edge(oe.id):
-            s = self.edge_slope[oe.id]
-            return s if oe.forward else -s
-        s = self.leaf_slope[oe.id]  # stored outward; forward means inward
-        return -s if oe.forward else s
-
 
 def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a), initial=0.0))
@@ -100,7 +92,7 @@ def balancing_defect(mor: HarmonicMorphism) -> float:
 def compatibility_defect(mor: HarmonicMorphism) -> float:
     """Largest |position(head) - position(tail) - length*slope| over all edges."""
     mg, pos = mor.carrier, mor.positions
-    return _max_abs(pos[mg._tails] - pos[mg._heads] + mg.lengths[:, None] * mor.edge_slopes)
+    return _max_abs(pos[mg.graph._tails] - pos[mg.graph._heads] + mg.lengths[:, None] * mor.edge_slopes)
 
 
 def build_morphism(mg: MetricGraph, R: ResidueMatrix, base_vertex: str | None = None) -> HarmonicMorphism:
@@ -156,6 +148,7 @@ def regularity_rank(mg: MetricGraph, mor: HarmonicMorphism, rank_tol: float = 1e
     value counts when it exceeds ``rank_tol`` times the largest slope of the
     whole morphism, edges and leaves, so a loop matrix of round-off has rank 0.
     """
+    _check_carrier(mg, mor)
     expected = mor.ambient_dim * mg.genus
     mat = loop_slope_matrix(mor)
     if not mat.any():
@@ -182,10 +175,10 @@ class Scene:
 def emit_embedding(mor: HarmonicMorphism, leaf_ray_length: float = 3.0) -> Scene:
     if not 0.0 < leaf_ray_length < np.inf:
         raise InputError(f"leaf ray length must be positive and finite, got {leaf_ray_length}")
-    mg = mor.carrier
-    rays = tuple(zip(mg.graph.leaf_ids, mor.positions[mg._leaf_vertices], mor.leaf_slopes))
-    edges = tuple((e.id, e.ends[0], e.ends[1]) for e in mg.graph.edges)
-    return Scene(mor.ambient_dim, dict(mor.vertex_position), edges, rays, float(leaf_ray_length))
+    g = mor.carrier.graph
+    rays = tuple(zip(g.leaf_ids, mor.positions[g._leaf_vertices], mor.leaf_slopes))
+    edges = tuple((e.id, e.ends[0], e.ends[1]) for e in g.edges)
+    return Scene(mor.ambient_dim, dict(zip(g.vertices, mor.positions)), edges, rays, float(leaf_ray_length))
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BadBasisError, InputError, NotTropicalError
 from .forms import ResidueMatrix
-from .graph import GraphPath, MetricGraph, check_path, json_number, loop_matrix
+from .graph import GraphPath, MetricGraph, _check_carrier, check_path, json_number, loop_matrix
 from .morphisms import HarmonicMorphism, build_morphism, is_tropical, loop_slope_matrix
 
 TWO_PI = 2.0 * np.pi
@@ -57,10 +57,12 @@ def _twist_sums(twists: TwistAssignment, mor: HarmonicMorphism, loops) -> np.nda
     Terms are added in each loop's own order: a product in edge order rounds
     differently and flips verdicts on sums that sit at the tolerance.
     """
+    column, slopes = mor.carrier.graph._column, mor.edge_slopes
     sums = np.zeros((len(loops), mor.ambient_dim))
     for i, loop in enumerate(loops):
         for oe in loop.items:
-            sums[i] += twists.theta[oe.id] * mor.slope(oe)
+            slope = slopes[column[oe.id]]
+            sums[i] += twists.theta[oe.id] * (slope if oe.forward else -slope)
     return sums
 
 
@@ -83,6 +85,7 @@ def check_integrality(mg: MetricGraph, twists: TwistAssignment, mor: HarmonicMor
     Slopes must be integer; integrality on a cycle-space basis then implies it
     on every loop by linearity.
     """
+    _check_carrier(mg, twists, mor)
     if not is_tropical(mor, tol=max(tol, 1e-12)):
         raise NotTropicalError("morphism has non-integer slopes")
     sums = _twist_sums(twists, mor, mg.loops)
@@ -168,6 +171,7 @@ def solve_twists(mg: MetricGraph, mor: HarmonicMorphism, tol: float = 1e-9) -> T
     The system is homogeneous, so theta = 0 always solves it; the solution set
     is a subtorus of dimension |E| - rank of the integer constraint matrix.
     """
+    _check_carrier(mg, mor)
     if not is_tropical(mor, tol=tol):
         raise NotTropicalError("morphism has non-integer slopes")
     edge_order = mg.graph.edge_ids
@@ -246,20 +250,13 @@ def limit_period_matrix(mg: MetricGraph, twists: TwistAssignment, R: ResidueMatr
     _check_basis(mg, basis)
     if mor is None:
         mor = build_morphism(mg, R)
-    g = mg.graph
-    leaf_index = {l.id: j for j, l in enumerate(g.leaves)}
-    rows = []
-    labels = []
-    for lid in basis.puncture_leaves:
-        labels.append(f"puncture:{lid}")
-        rows.append(R.entries[:, leaf_index[lid]].astype(complex))
-    for eid in basis.a_edges:
-        labels.append(f"A:{eid}")
-        rows.append(mor.edge_slope[eid].astype(complex))
-    for i, s in enumerate(_twist_sums(twists, mor, basis.b_loops)):
-        labels.append(f"B:{i}")
-        rows.append((s / TWO_PI).astype(complex))
-    entries = np.array(rows) if rows else np.zeros((0, R.m), dtype=complex)
+    _check_carrier(mg, twists, mor)
+    column, ne = mg.graph._column, len(mg.lengths)
+    entries = np.vstack([R.entries[:, [column[l] - ne for l in basis.puncture_leaves]].T,
+                         mor.edge_slopes[[column[e] for e in basis.a_edges]],
+                         _twist_sums(twists, mor, basis.b_loops) / TWO_PI]).astype(complex)
+    labels = ([f"puncture:{lid}" for lid in basis.puncture_leaves] + [f"A:{eid}" for eid in basis.a_edges]
+              + [f"B:{i}" for i in range(len(basis.b_loops))])
     return LimitPeriodMatrix(tuple(labels), entries)
 
 

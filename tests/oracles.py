@@ -7,7 +7,6 @@ from math import gcd
 import numpy as np
 
 from tropharm.errors import EvaluationAtPunctureError
-from tropharm.graph import _spanning_tree
 
 
 def energy_min_flow(mg, residue_row):
@@ -34,6 +33,37 @@ def energy_min_flow(mg, residue_row):
     rhs = np.concatenate([np.zeros(ne), b])
     sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     return {e: sol[eidx[e]] for e in edges}
+
+
+def spanning_tree_reference(g, root=None):
+    """The spanning tree by Kruskal on the sorted edge ids, with components
+    merged as vertex sets, then walked breadth-first from ``root`` (default:
+    the smallest vertex id), each vertex's tree neighbours taken in (vertex
+    id, edge id) order.  Returns the tree's edge ids and the parent map
+    vertex -> (parent, edge id) in walk order."""
+    component = {v: {v} for v in g.vertices}
+    tree = set()
+    for e in sorted(g.edges, key=lambda e: e.id):
+        a, b = component[e.ends[0]], component[e.ends[1]]
+        if a is not b:
+            tree.add(e.id)
+            a |= b
+            for v in b:
+                component[v] = a
+    neighbours = {v: [] for v in g.vertices}
+    for e in g.edges:
+        if e.id in tree:
+            neighbours[e.ends[0]].append((e.ends[1], e.id))
+            neighbours[e.ends[1]].append((e.ends[0], e.id))
+    root = min(g.vertices) if root is None else root
+    parent = {}
+    queue = [root]
+    for v in queue:
+        for w, eid in sorted(neighbours[v]):
+            if w != root and w not in parent:
+                parent[w] = (v, eid)
+                queue.append(w)
+    return tree, parent
 
 
 def dense_incidence(g):
@@ -370,7 +400,7 @@ def place_tree_reference(mg, t):
     g = mg.graph
     infinite_leaf = g.leaf_ids[-1]
     root = g.leaf(infinite_leaf).vertex
-    _, parent = _spanning_tree(g, root)
+    _, parent = spanning_tree_reference(g, root)
     depth = {root: 0.0}
     up_path = {root: (root,)}
     for w, (v, eid) in parent.items():

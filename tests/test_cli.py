@@ -447,6 +447,15 @@ def test_solve_and_embed_stdout_match_golden(capsys, monkeypatch, fixture, comma
     assert out.encode() == (GOLDEN / f"{fixture}.{command}.stdout").read_bytes()
 
 
+@pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex", "genus2"])
+def test_embed_svg_stdout_matches_golden(capsys, fixture):
+    # the drawing every cli-tropical benchmark job makes; it prints no path
+    code, out, err = run(capsys, "embed", str(GOLDEN / f"{fixture}.graph.json"),
+                         str(GOLDEN / f"{fixture}.residues.json"), "--svg")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / f"{fixture}.embed-svg.stdout").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["regularity", "twists-solve", "twists-check", "periods"])
 def test_morphism_commands_match_genus2_golden(capsys, command):
     # the commands that read the morphism, on the conftest genus-2 graph with

@@ -18,12 +18,15 @@ from tropharm.graph import (
     Leaf,
     MetricGraph,
     OrientedEdge,
+    _cotree,
+    _tree_walk,
     check_path,
     cycle_basis,
     leaf_paths,
 )
 
-from conftest import dumbbell_graph, theta_graph, tripod_graph
+from conftest import caterpillar_graph, dumbbell_graph, genus2_graph, theta_graph, tripod_graph
+from oracles import spanning_tree_reference
 from _generators import random_cubic, random_valid_cubic
 
 
@@ -208,3 +211,66 @@ def test_loop_validation_rejects_leaves():
     bad = GraphPath((OrientedEdge("p1", True),), is_loop=True)
     with pytest.raises(Exception):
         check_path(mg.graph, bad)
+
+
+def _check_incidence_and_tree(mg, root):
+    # the stored star table, incident(), walks and co-tree against the
+    # graph's edge and leaf lists and the id-keyed spanning-tree oracle
+    g = mg.graph
+    vidx = {v: i for i, v in enumerate(g.vertices)}
+    column = {ref: k for k, ref in enumerate(g.edge_ids + g.leaf_ids)}
+    ne = len(g.edges)
+    for v, i in vidx.items():
+        star = [(int(k), float(s)) for k, s in zip(g._star[i], g._star_sign[i])]
+        assert star == ([(column[e.id], 1.0) for e in g.edges if e.ends[0] == v]
+                        + [(column[e.id], -1.0) for e in g.edges if e.ends[1] == v]
+                        + [(column[l.id], -1.0) for l in g.leaves if l.vertex == v])
+        incident = g.incident(v)
+        assert incident == (tuple(e.id for e in g.edges if v in e.ends)
+                            + tuple(l.id for l in g.leaves if l.vertex == v))
+        assert sorted(g.ribbon[v]) == sorted(incident)
+    assert g._tails.tolist() == [vidx[e.ends[0]] for e in g.edges]
+    assert g._heads.tolist() == [vidx[e.ends[1]] for e in g.edges]
+    assert g._leaf_vertices.tolist() == [vidx[l.vertex] for l in g.leaves]
+    for start, walk in ((None, g._walk), (root, _tree_walk(g._tree_adj, vidx[root]))):
+        tree, parent = spanning_tree_reference(g, start)
+        assert walk == tuple((vidx[w], vidx[v], column[eid], 1 if g.edge(eid).ends[0] == w else -1)
+                             for w, (v, eid) in parent.items())
+    cotree = [e.id for e in g.edges if e.id not in tree]
+    assert [g.edge_ids[k] for k in _cotree(g)] == cotree
+    assert [loop.items[0] for loop in mg.loops] == [OrientedEdge(e, True) for e in cotree]
+    assert len(cotree) == mg.genus and all(k < ne for k in _cotree(g))
+
+
+def _relabelled(rng, mg):
+    """The graph with its vertex and edge ids drawn afresh and some edges
+    reversed, so that id order and construction order disagree."""
+    g = mg.graph
+    vname = dict(zip(g.vertices, (f"v{k}" for k in rng.permutation(3 * len(g.vertices)))))
+    ename = dict(zip(g.edge_ids, (f"e{k}" for k in rng.permutation(3 * len(g.edges)))))
+    edges = [Edge(ename[e.id], tuple(vname[x] for x in (e.ends[::-1] if rng.random() < 0.5 else e.ends)))
+             for e in g.edges]
+    leaves = [Leaf(l.id, vname[l.vertex]) for l in g.leaves]
+    graph = CubicGraph(tuple(vname.values()), tuple(edges), tuple(leaves))
+    return MetricGraph(graph, {ename[e]: length for e, length in mg.length.items()})
+
+
+@given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 4), leaves=st.integers(1, 8))
+def test_incidence_and_spanning_tree_match_the_id_oracle(seed, genus, leaves):
+    # random cubic graphs, parallel edges included, relabelled so that sorted
+    # ids differ from construction order; a walk that took its neighbours in
+    # another order than (vertex id, edge id) fails here
+    assume(2 * genus - 2 + leaves >= 1)
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, genus, leaves)
+    assume(mg is not None)
+    mg = _relabelled(rng, mg)
+    g = mg.graph
+    _check_incidence_and_tree(mg, g.vertices[rng.integers(len(g.vertices))])
+    assert all(g.ribbon[v] == tuple(sorted(g.incident(v))) for v in g.vertices)  # the default ribbon
+
+
+@pytest.mark.parametrize("make", [tripod_graph, dumbbell_graph, caterpillar_graph, genus2_graph, theta_graph])
+def test_incidence_and_spanning_tree_of_the_fixtures(make):
+    mg = make()
+    _check_incidence_and_tree(mg, mg.graph.vertices[-1])

@@ -5,7 +5,7 @@ import pytest
 
 from tropharm.errors import InputError, UnsupportedDimensionForSvgError
 from tropharm.forms import ResidueMatrix, solve_exact_form
-from tropharm.graph import MetricGraph, _spanning_tree
+from tropharm.graph import MetricGraph
 from tropharm.morphisms import (
     HarmonicMorphism,
     build_morphism,
@@ -20,6 +20,7 @@ from tropharm.morphisms import (
 )
 
 from conftest import tripod_graph
+from oracles import spanning_tree_reference
 from _generators import random_valid_cubic
 
 LINE_R = ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
@@ -91,7 +92,7 @@ def test_positions_integrate_slopes_along_spanning_tree(rng):
     for _ in range(10):
         mg, R, mor = _random_morphism(rng)
         g = mg.graph
-        _, parent = _spanning_tree(g)
+        _, parent = spanning_tree_reference(g)
         rel = {g.vertices[0]: np.zeros(R.m)}
         for w, (v, eid) in parent.items():  # breadth-first: parents come first
             step = mg.length[eid] * mor.edge_slope[eid]
@@ -188,6 +189,12 @@ def test_regularity_dumbbell(dumbbell):
     zero = build_morphism(dumbbell, ResidueMatrix(np.zeros((1, 2))))
     rep0 = regularity_rank(dumbbell, zero)
     assert rep0.rank == 0 and not rep0.is_regular
+
+
+def test_regularity_refuses_a_morphism_on_another_graph(tripod, dumbbell):
+    # the dumbbell's morphism against the tripod read rank 1 of expected 0
+    with pytest.raises(InputError, match="HarmonicMorphism lives on another metric graph"):
+        regularity_rank(tripod, build_morphism(dumbbell, ResidueMatrix([[3.0, -3.0]])))
 
 
 def test_slope_map_rank_m_n_minus_1(rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropharm.errors import BadBasisError, NotTropicalError
+from tropharm.errors import BadBasisError, InputError, NotTropicalError
 from tropharm.forms import ResidueMatrix
 from tropharm.graph import cycle_basis
 from tropharm.morphisms import build_morphism, regularity_rank
@@ -139,6 +139,34 @@ def test_limit_period_matrix_dumbbell(dumbbell):
     b_entry = P2.entries[2, 0]
     assert abs(b_entry.real + 0.5) <= 1e-12 or abs(b_entry.real - 0.5) <= 1e-12
     assert not is_integer_period_matrix(P2, 1e-9)
+
+
+def test_limit_period_matrix_refuses_data_on_another_graph():
+    # the dumbbells a and b differ only in e2's length; b's morphism gave
+    # a's A-row 0.5 where a's own gives 1, without an error
+    a, b = dumbbell_graph(1.0, 2.0), dumbbell_graph(1.0, 5.0)
+    with pytest.raises(InputError, match="HarmonicMorphism lives on another metric graph"):
+        limit_period_matrix(a, zero_twists(a), R33, mor=build_morphism(b, R33))
+    with pytest.raises(InputError, match="TwistAssignment lives on another metric graph"):
+        limit_period_matrix(a, zero_twists(b), R33)
+    # an equal carrier built separately is the same graph
+    same = limit_period_matrix(a, zero_twists(a), R33, mor=build_morphism(dumbbell_graph(1.0, 2.0), R33))
+    assert same.entries.tolist() == limit_period_matrix(a, zero_twists(a), R33).entries.tolist() == [[3], [1], [0]]
+
+
+def test_check_integrality_refuses_data_on_another_graph():
+    a, b = dumbbell_graph(1.0, 2.0), dumbbell_graph(1.0, 5.0)
+    R66 = ResidueMatrix([[6.0, -6.0]])  # integer slopes on both
+    with pytest.raises(InputError, match="HarmonicMorphism lives on another metric graph"):
+        check_integrality(a, zero_twists(a), build_morphism(b, R66))
+    with pytest.raises(InputError, match="TwistAssignment lives on another metric graph"):
+        check_integrality(a, zero_twists(b), build_morphism(a, R66))
+
+
+def test_solve_twists_refuses_a_morphism_on_another_graph():
+    a, b = dumbbell_graph(1.0, 2.0), dumbbell_graph(1.0, 5.0)
+    with pytest.raises(InputError, match="HarmonicMorphism lives on another metric graph"):
+        solve_twists(a, build_morphism(b, ResidueMatrix([[6.0, -6.0]])))
 
 
 def test_limit_period_matrix_tripod(tripod):
