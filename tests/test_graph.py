@@ -219,7 +219,6 @@ def _check_incidence_and_tree(mg, root):
     g = mg.graph
     vidx = {v: i for i, v in enumerate(g.vertices)}
     column = {ref: k for k, ref in enumerate(g.edge_ids + g.leaf_ids)}
-    ne = len(g.edges)
     for v, i in vidx.items():
         star = [(int(k), float(s)) for k, s in zip(g._star[i], g._star_sign[i])]
         assert star == ([(column[e.id], 1.0) for e in g.edges if e.ends[0] == v]
@@ -239,7 +238,7 @@ def _check_incidence_and_tree(mg, root):
     cotree = [e.id for e in g.edges if e.id not in tree]
     assert [g.edge_ids[k] for k in _cotree(g)] == cotree
     assert [loop.items[0] for loop in mg.loops] == [OrientedEdge(e, True) for e in cotree]
-    assert len(cotree) == mg.genus and all(k < ne for k in _cotree(g))
+    assert len(cotree) == mg.genus
 
 
 def _relabelled(rng, mg):
