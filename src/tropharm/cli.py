@@ -66,10 +66,11 @@ def cmd_solve(args):
     mg, R = _load_inputs(args)
     solved = [forms.solve_exact_form(mg, R.row(k)) for k in range(R.m)]
     bal = max(forms.balancing_residual(f) for f in solved)
+    loops = [graph._path_columns(mg.graph, loop) for loop in mg.loops]  # built valid: no path check
     loop_res = 0.0
     for f in solved:
-        for loop in mg.loops:  # built valid: no path check
-            loop_res = max(loop_res, abs(forms._integral(f, loop)))
+        for loop in loops:
+            loop_res = max(loop_res, abs(forms._integral(f, *loop)))
     meta = {"balancing_residual": bal, "loop_residual": loop_res}
     if R.m == 1:
         payload = {"graph": args.graph, "values": solved[0].values, "metadata": meta}

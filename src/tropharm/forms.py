@@ -26,8 +26,8 @@ from .errors import (
     SingularSystemError,
     TooFewLeavesError,
 )
-from .graph import (GraphPath, MetricGraph, _balancing, _cotree, check_path, json_number, leaf_paths,
-                    loop_matrix, read_json)
+from .graph import (GraphPath, MetricGraph, _balancing, _cotree, _path_columns, check_path, json_number,
+                    leaf_paths, loop_matrix, read_json)
 
 # Balancing / residue tolerances: relative to the largest stored value.
 TOL_BALANCE = 1e-9
@@ -83,34 +83,34 @@ def integrate(form: OneForm, path: GraphPath) -> float:
     Leaves are metrically infinite: a nonzero value on a leaf inside the path
     makes the integral infinite, which is refused.
     """
-    check_path(form.carrier.graph, path)
-    return _integral(form, path)
+    return _integral(form, *check_path(form.carrier.graph, path))
 
 
-def _integral(form: OneForm, path: GraphPath) -> float:
-    """``integrate`` on a path known to be valid (``check_path`` is not run):
-    the terms are added in path order."""
-    column, lengths, values = form.carrier.graph._column, form.carrier.lengths, form._columns
-    total = 0.0
-    for oe in path.items:
-        k = column[oe.id]
-        if k >= len(lengths):
-            if abs(values[k]) > TOL_BALANCE * form._scale:
-                raise InfiniteIntegralError(f"nonzero value on leaf {oe.id} inside the path")
-            continue
-        total += lengths[k] * (values[k] if oe.forward else -values[k])
-    return float(total)
+def _integral(form: OneForm, cols: np.ndarray, signs: np.ndarray) -> float:
+    """``integrate`` over a valid path's columns and signs (``check_path`` is
+    not run): the edge terms are added one at a time in path order, from +0.0."""
+    lengths, values = form.carrier.lengths, form._columns
+    leaf = cols >= len(lengths)
+    if leaf.any():  # only a leaf-to-leaf path has leaves
+        big = np.flatnonzero(np.abs(values[cols[leaf]]) > TOL_BALANCE * form._scale)
+        if big.size:
+            lid = form.carrier.graph.leaf_ids[cols[leaf][big[0]] - len(lengths)]
+            raise InfiniteIntegralError(f"nonzero value on leaf {lid} inside the path")
+        cols, signs = cols[~leaf], signs[~leaf]
+    terms = lengths[cols] * (signs * values[cols])
+    return float(np.cumsum(terms)[-1] + 0.0) if terms.size else 0.0
 
 
 def dual_form(mg: MetricGraph, path: GraphPath) -> OneForm:
     """Form with value +1 on the oriented leaf-edges of a loop or leaf-to-leaf path."""
     try:
-        check_path(mg.graph, path)
+        cols, signs = check_path(mg.graph, path)
     except NotPathOrLoopError:
         raise
     except Exception as exc:  # NotALoop on a bad loop is still "not a path or loop" here
         raise NotPathOrLoopError(str(exc)) from exc
-    return OneForm(mg, {oe.id: 1.0 if oe.forward else -1.0 for oe in path.items})
+    ids = mg.graph.edge_ids + mg.graph.leaf_ids
+    return OneForm(mg, {ids[k]: s for k, s in zip(cols.tolist(), signs.tolist())})
 
 
 def potentials_and_currents(mg: MetricGraph, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +209,8 @@ def form_space_dims(mg: MetricGraph) -> tuple[int, int]:
     if n < 2:
         raise TooFewLeavesError(f"need at least 2 leaves, have {n}")
     cotree = _cotree(mg.graph)
-    basis = loop_matrix(mg.graph, mg.loops + leaf_paths(mg, mg.graph.leaves[0].id))
+    paths = mg.loops + leaf_paths(mg, mg.graph.leaves[0].id)
+    basis = loop_matrix(mg.graph, [_path_columns(mg.graph, p) for p in paths])
     if (np.any(_balancing(mg, basis.T)) or np.any(basis[:g, -n:])
             or not np.array_equal(basis[:g, cotree], np.eye(g))
             or not np.array_equal(basis[g:, 1 - n:], -np.eye(n - 1))):

@@ -47,11 +47,11 @@ class CubicGraph:
     ``leaves`` is ordered: this order indexes residue vectors throughout the
     library.  ``ribbon`` maps each vertex to the cyclic order of its three
     incident leaf/edge ids; if omitted, sorted ids are used.  ``edge_ids``
-    (sorted) and ``leaf_ids`` are built once; ``_column`` maps each id to its
-    incidence column, edges first.  The incidence is kept as index arrays:
-    ``_tails`` (ends[0]), ``_heads``, ``_leaf_vertices`` and the (|V|, 3)
-    ``_star`` of columns at each vertex, ``_star_sign`` +1 where an edge
-    leaves it, else -1.  The spanning tree is ``_tree_adj``, each vertex's
+    (sorted) and ``leaf_ids`` are built once; ``_column``, the one id index,
+    maps each id to its incidence column, edges first.  The incidence is kept
+    as index arrays: ``_tails`` (ends[0]), ``_heads``, ``_leaf_vertices`` and
+    the (|V|, 3) ``_star`` of columns at each vertex, ``_star_sign`` +1 where
+    an edge leaves it, else -1.  The spanning tree is ``_tree_adj``, each vertex's
     tree neighbours as (neighbour, column, sign) in (neighbour, column)
     order, sign +1 where the edge runs from the neighbour to the vertex, and
     ``_walk``, the tree walked from vertex 0 (``_tree_walk``).
@@ -151,23 +151,8 @@ class CubicGraph:
         for name, value in {"vertices": vertices, "edges": edges, "leaves": leaves, "ribbon": ribbon,
                             "edge_ids": tuple(ids[:ne]), "leaf_ids": tuple(ids[ne:]),
                             "_column": {ref: k for k, ref in enumerate(ids)},
-                            "_edge_by_id": {e.id: e for e in edges}, "_leaf_by_id": {l.id: l for l in leaves},
                             **arrays, "_tree_adj": tree_adj, "_walk": walk}.items():
             object.__setattr__(self, name, value)
-
-    # lookups
-
-    def edge(self, eid: str) -> Edge:
-        return self._edge_by_id[eid]
-
-    def leaf(self, lid: str) -> Leaf:
-        return self._leaf_by_id[lid]
-
-    def is_edge(self, ref: str) -> bool:
-        return ref in self._edge_by_id
-
-    def is_leaf(self, ref: str) -> bool:
-        return ref in self._leaf_by_id
 
     def incident(self, v: str) -> tuple[str, ...]:
         """Ids of the three leaf-edges at vertex ``v``: edges by id, then leaves."""
@@ -181,21 +166,6 @@ class CubicGraph:
     @property
     def n_leaves(self) -> int:
         return len(self.leaves)
-
-    # oriented leaf-edges
-
-    def tail(self, oe: "OrientedEdge") -> str | None:
-        """Start vertex of an oriented leaf-edge (None at the open leaf end)."""
-        if self.is_edge(oe.id):
-            ends = self.edge(oe.id).ends
-            return ends[0] if oe.forward else ends[1]
-        return None if oe.forward else self.leaf(oe.id).vertex
-
-    def head(self, oe: "OrientedEdge") -> str | None:
-        if self.is_edge(oe.id):
-            ends = self.edge(oe.id).ends
-            return ends[1] if oe.forward else ends[0]
-        return self.leaf(oe.id).vertex if oe.forward else None
 
 
 @dataclass(frozen=True)
@@ -260,7 +230,7 @@ class MetricGraph:
 
         lengths = np.array(list(length.values()))
         loops = cycle_basis(self)
-        cycles = loop_matrix(g, loops)[:, :len(g.edges)]
+        cycles = loop_matrix(g, [_path_columns(g, loop) for loop in loops])[:, :len(g.edges)]
         lengths.setflags(write=False)
         cycles.setflags(write=False)
         for name, value in (("lengths", lengths), ("loops", loops), ("cycles", cycles)):
@@ -292,37 +262,51 @@ def _check_carrier(mg: MetricGraph, *objs) -> None:
             raise InputError(f"the {type(obj).__name__} lives on another metric graph")
 
 
-def check_path(g: CubicGraph, path: GraphPath) -> None:
-    """Validate chaining and injectivity; raise NotPathOrLoop / NotALoop."""
+def check_path(g: CubicGraph, path: GraphPath) -> tuple[np.ndarray, np.ndarray]:
+    """Validate chaining and injectivity; raise NotPathOrLoop / NotALoop.
+
+    Returns the path's columns and signs (``_path_columns``).  A column runs
+    from tail to head, a leaf from its open end (-1) to its vertex, and an
+    item with ``forward=False`` the other way.
+    """
     items = path.items
     if not items:
         raise NotPathOrLoopError("empty path")
     ids = [oe.id for oe in items]
     if len(set(ids)) != len(ids):
         raise NotPathOrLoopError("path repeats a leaf-edge")
-    for oe in items:
-        if not (g.is_edge(oe.id) or g.is_leaf(oe.id)):
-            raise NotPathOrLoopError(f"unknown leaf-edge {oe.id}")
+    for ref in ids:
+        if ref not in g._column:
+            raise NotPathOrLoopError(f"unknown leaf-edge {ref}")
+    cols, signs = _path_columns(g, path)
+    leaf = cols >= len(g.edges)
+    tails = np.concatenate([g._tails, np.full(len(g.leaves), -1)])[cols]
+    heads = np.concatenate([g._heads, g._leaf_vertices])[cols]
+    forward = signs > 0
+    starts, ends = np.where(forward, tails, heads), np.where(forward, heads, tails)
     if path.is_loop:
-        for oe in items:
-            if g.is_leaf(oe.id):
-                raise NotALoopError("loops contain no leaves")
-        for k, oe in enumerate(items):
-            nxt = items[(k + 1) % len(items)]
-            if g.head(oe) != g.tail(nxt):
-                raise NotALoopError("loop is not cyclically head-to-tail")
+        if leaf.any():
+            raise NotALoopError("loops contain no leaves")
+        if (ends[:-1] != starts[1:]).any() or ends[-1] != starts[0]:
+            raise NotALoopError("loop is not cyclically head-to-tail")
     else:
-        first, last = items[0], items[-1]
-        if not (g.is_leaf(first.id) and first.forward):
+        if not (leaf[0] and signs[0] > 0):
             raise NotPathOrLoopError("path must start at a leaf, oriented inward")
-        if not (g.is_leaf(last.id) and not last.forward):
+        if not (leaf[-1] and signs[-1] < 0):
             raise NotPathOrLoopError("path must end at a leaf, oriented outward")
-        for oe in items[1:-1]:
-            if g.is_leaf(oe.id):
-                raise NotPathOrLoopError("interior of a path cannot contain leaves")
-        for k in range(len(items) - 1):
-            if g.head(items[k]) != g.tail(items[k + 1]):
-                raise NotPathOrLoopError("path is not head-to-tail")
+        if leaf[1:-1].any():
+            raise NotPathOrLoopError("interior of a path cannot contain leaves")
+        if (ends[:-1] != starts[1:]).any():
+            raise NotPathOrLoopError("path is not head-to-tail")
+    return cols, signs
+
+
+def _path_columns(g: CubicGraph, path: GraphPath) -> tuple[np.ndarray, np.ndarray]:
+    """The incidence columns of a path's items and their signs, +1.0 along
+    the canonical orientation, else -1.0, in path order; the path is not
+    checked (the loops and leaf paths built here are valid by construction)."""
+    return (np.array([g._column[oe.id] for oe in path.items], dtype=np.intp),
+            np.array([1.0 if oe.forward else -1.0 for oe in path.items]))
 
 
 # ----------------------------------------------------------------------
@@ -393,12 +377,12 @@ def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
 
 
 def loop_matrix(g: CubicGraph, paths) -> np.ndarray:
-    """len(paths) x (|E|+n) signed matrix over the incidence columns: +1 where a
-    loop or path runs along a leaf-edge's canonical orientation, -1 against it."""
+    """len(paths) x (|E|+n) signed matrix of paths given as (columns, signs):
+    +1 where a loop or path runs along a leaf-edge's canonical orientation,
+    -1 against it (paths are edge-injective, so no column repeats)."""
     mat = np.zeros((len(paths), len(g._column)))
-    for i, path in enumerate(paths):
-        for oe in path.items:
-            mat[i, g._column[oe.id]] += 1.0 if oe.forward else -1.0
+    for row, (cols, signs) in zip(mat, paths):
+        row[cols] = signs
     return mat
 
 
@@ -409,7 +393,7 @@ def leaf_paths(mg: MetricGraph, base_leaf: str) -> tuple[GraphPath, ...]:
     construction; as for ``cycle_basis``, the tests check this, not every call.
     """
     g = mg.graph
-    if not g.is_leaf(base_leaf):
+    if g._column.get(base_leaf, -1) < len(g.edges):
         raise UnknownLeafError(f"unknown leaf {base_leaf}")
     path, ends = _tree_paths(g), dict(zip(g.leaf_ids, g._leaf_vertices.tolist()))
     return tuple(GraphPath((OrientedEdge(base_leaf, True), *path(ends[base_leaf], v),

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import BadBasisError, InputError, NotTropicalError
 from .forms import ResidueMatrix
-from .graph import GraphPath, MetricGraph, _check_carrier, check_path, json_number, loop_matrix
+from .graph import (GraphPath, MetricGraph, _check_carrier, _cotree, _path_columns, check_path, json_number,
+                    loop_matrix)
 from .morphisms import HarmonicMorphism, build_morphism, is_tropical, loop_slope_matrix
 
 TWO_PI = 2.0 * np.pi
@@ -52,17 +53,17 @@ def zero_twists(mg: MetricGraph) -> TwistAssignment:
 
 
 def _twist_sums(twists: TwistAssignment, mor: HarmonicMorphism, loops) -> np.ndarray:
-    """(loops, coordinates) array of sum theta(e) * slope(e) around each loop.
+    """(loops, coordinates) array of sum theta(e) * slope(e) around each loop,
+    given as (columns, signs).
 
-    Terms are added in each loop's own order: a product in edge order rounds
-    differently and flips verdicts on sums that sit at the tolerance.
+    Terms are added one at a time in each loop's own order, from +0.0: a
+    product in edge order, or np.sum, rounds differently and flips verdicts on
+    sums that sit at the tolerance.
     """
-    column, slopes = mor.carrier.graph._column, mor.edge_slopes
+    theta = np.array([twists.theta[e] for e in mor.carrier.graph.edge_ids])
     sums = np.zeros((len(loops), mor.ambient_dim))
-    for i, loop in enumerate(loops):
-        for oe in loop.items:
-            slope = slopes[column[oe.id]]
-            sums[i] += twists.theta[oe.id] * (slope if oe.forward else -slope)
+    for row, (cols, signs) in zip(sums, loops):
+        row += np.cumsum(theta[cols, None] * (signs[:, None] * mor.edge_slopes[cols]), axis=0)[-1]
     return sums
 
 
@@ -88,7 +89,7 @@ def check_integrality(mg: MetricGraph, twists: TwistAssignment, mor: HarmonicMor
     _check_carrier(mg, twists, mor)
     if not is_tropical(mor, tol=max(tol, 1e-12)):
         raise NotTropicalError("morphism has non-integer slopes")
-    sums = _twist_sums(twists, mor, mg.loops)
+    sums = _twist_sums(twists, mor, [_path_columns(mg.graph, loop) for loop in mg.loops])
     residuals = np.abs(sums - TWO_PI * np.round(sums / TWO_PI))
     return IntegralityCheck(mg.loops, sums, residuals, residuals <= tol)
 
@@ -199,7 +200,7 @@ class PeriodBasis:
 def default_period_basis(mg: MetricGraph) -> PeriodBasis:
     """All leaves but the last; co-tree edges; their fundamental cycles."""
     g = mg.graph
-    a_edges = tuple(loop.items[0].id for loop in mg.loops)
+    a_edges = tuple(g.edge_ids[k] for k in _cotree(g))  # each basis loop's first edge
     return PeriodBasis(g.leaf_ids[:-1] if g.n_leaves else (), a_edges, mg.loops)
 
 
@@ -209,31 +210,36 @@ class LimitPeriodMatrix:
     entries: np.ndarray  # complex, (2g+n-1) x m
 
 
-def _check_basis(mg: MetricGraph, basis: PeriodBasis) -> None:
+def _check_basis(mg: MetricGraph, basis: PeriodBasis) -> list[tuple[np.ndarray, np.ndarray]]:
+    """BadBasisError unless ``basis`` is a period basis of ``mg``; returns
+    the B-loops' columns and signs."""
     g = mg.graph
+    column, ne = g._column, len(g.edges)
     if len(set(basis.puncture_leaves)) != len(basis.puncture_leaves) or any(
-        not g.is_leaf(l) for l in basis.puncture_leaves
+        column.get(l, -1) < ne for l in basis.puncture_leaves
     ):
         raise BadBasisError("puncture labels must be distinct leaves")
     if len(basis.puncture_leaves) != max(g.n_leaves - 1, 0):
         raise BadBasisError(f"need {g.n_leaves - 1} puncture labels, got {len(basis.puncture_leaves)}")
-    if len(set(basis.a_edges)) != len(basis.a_edges) or any(not g.is_edge(e) for e in basis.a_edges):
+    if len(set(basis.a_edges)) != len(basis.a_edges) or any(column.get(e, ne) >= ne for e in basis.a_edges):
         raise BadBasisError("A-cycle edges must be distinct non-leaf edges")
     if len(basis.a_edges) != g.genus or len(basis.b_loops) != g.genus:
         raise BadBasisError(f"need genus = {g.genus} A-edges and B-loops")
+    loops = []
     for loop in basis.b_loops:
-        check_path(g, loop)
+        loops.append(check_path(g, loop))
         if not loop.is_loop:
             raise BadBasisError("B-cycle entries must be loops")
     if g.genus:
         # B-loops must be a cycle-space basis and pair non-degenerately with
         # the chosen A-edges (signed incidence determinant nonzero).
-        inc = loop_matrix(g, basis.b_loops)
+        inc = loop_matrix(g, loops)
         if np.linalg.matrix_rank(inc) != g.genus:
             raise BadBasisError("B-loops are rationally dependent")
-        pairing = inc[:, [g._column[e] for e in basis.a_edges]]
+        pairing = inc[:, [column[e] for e in basis.a_edges]]
         if abs(np.linalg.det(pairing)) < 1e-9:
             raise BadBasisError("A-edges pair degenerately with the B-loops")
+    return loops
 
 
 def limit_period_matrix(mg: MetricGraph, twists: TwistAssignment, R: ResidueMatrix,
@@ -243,18 +249,21 @@ def limit_period_matrix(mg: MetricGraph, twists: TwistAssignment, R: ResidueMatr
 
     Puncture rows are the residue columns, A-rows the solved edge slopes, and
     B-rows the loop twist sums divided by 2*pi.  All limit entries are real;
-    they are stored as complex numbers with zero imaginary part.
+    they are stored as complex numbers with zero imaginary part.  A given
+    ``mor`` must be R's morphism: its leaf slopes are exactly -R.
     """
     if basis is None:
         basis = default_period_basis(mg)
-    _check_basis(mg, basis)
+    b_loops = _check_basis(mg, basis)
     if mor is None:
         mor = build_morphism(mg, R)
     _check_carrier(mg, twists, mor)
+    if not np.array_equal(-mor.leaf_slopes.T, R.entries):
+        raise InputError("the morphism's residues are not R")
     column, ne = mg.graph._column, len(mg.lengths)
     entries = np.vstack([R.entries[:, [column[l] - ne for l in basis.puncture_leaves]].T,
                          mor.edge_slopes[[column[e] for e in basis.a_edges]],
-                         _twist_sums(twists, mor, basis.b_loops) / TWO_PI]).astype(complex)
+                         _twist_sums(twists, mor, b_loops) / TWO_PI]).astype(complex)
     labels = ([f"puncture:{lid}" for lid in basis.puncture_leaves] + [f"A:{eid}" for eid in basis.a_edges]
               + [f"B:{i}" for i in range(len(basis.b_loops))])
     return LimitPeriodMatrix(tuple(labels), entries)

@@ -6,7 +6,7 @@ from math import gcd
 
 import numpy as np
 
-from tropharm.errors import EvaluationAtPunctureError
+from tropharm.errors import EvaluationAtPunctureError, NotALoopError, NotPathOrLoopError
 
 
 def energy_min_flow(mg, residue_row):
@@ -33,6 +33,48 @@ def energy_min_flow(mg, residue_row):
     rhs = np.concatenate([np.zeros(ne), b])
     sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     return {e: sol[eidx[e]] for e in edges}
+
+
+def check_path_reference(g, path):
+    """The path check on objects: each item's ends looked up in id dicts built
+    from ``g.edges`` and ``g.leaves`` (an edge's ends, a leaf's open end None
+    and its vertex), swapped where the item runs backward, then compared head
+    to tail.  Raises what ``graph.check_path`` raises, in the same order;
+    returns the items' (id, forward) pairs."""
+    edge_ends = {e.id: e.ends for e in g.edges}
+    leaf_vertex = {l.id: l.vertex for l in g.leaves}
+
+    def ends(oe):
+        tail, head = edge_ends[oe.id] if oe.id in edge_ends else (None, leaf_vertex[oe.id])
+        return (tail, head) if oe.forward else (head, tail)
+
+    items = path.items
+    if not items:
+        raise NotPathOrLoopError("empty path")
+    ids = [oe.id for oe in items]
+    if len(set(ids)) != len(ids):
+        raise NotPathOrLoopError("path repeats a leaf-edge")
+    for ref in ids:
+        if ref not in edge_ends and ref not in leaf_vertex:
+            raise NotPathOrLoopError(f"unknown leaf-edge {ref}")
+    if path.is_loop:
+        if any(ref in leaf_vertex for ref in ids):
+            raise NotALoopError("loops contain no leaves")
+        for k, oe in enumerate(items):
+            if ends(oe)[1] != ends(items[(k + 1) % len(items)])[0]:
+                raise NotALoopError("loop is not cyclically head-to-tail")
+    else:
+        first, last = items[0], items[-1]
+        if not (first.id in leaf_vertex and first.forward):
+            raise NotPathOrLoopError("path must start at a leaf, oriented inward")
+        if not (last.id in leaf_vertex and not last.forward):
+            raise NotPathOrLoopError("path must end at a leaf, oriented outward")
+        if any(ref in leaf_vertex for ref in ids[1:-1]):
+            raise NotPathOrLoopError("interior of a path cannot contain leaves")
+        for a, b in zip(items, items[1:]):
+            if ends(a)[1] != ends(b)[0]:
+                raise NotPathOrLoopError("path is not head-to-tail")
+    return [(oe.id, oe.forward) for oe in items]
 
 
 def spanning_tree_reference(g, root=None):
@@ -398,8 +440,9 @@ def place_tree_reference(mg, t):
     its cluster centre is the parent's centre plus c * t**H(parent).
     """
     g = mg.graph
+    edge_ends = {e.id: e.ends for e in g.edges}
     infinite_leaf = g.leaf_ids[-1]
-    root = g.leaf(infinite_leaf).vertex
+    root = g.leaves[-1].vertex
     _, parent = spanning_tree_reference(g, root)
     depth = {root: 0.0}
     up_path = {root: (root,)}
@@ -420,9 +463,9 @@ def place_tree_reference(mg, t):
     for v in [root, *parent]:
         for ref, c in branch_constants(v, incoming_ref[v]).items():
             constants[(v, ref)] = c
-            if g.is_edge(ref):
-                e = g.edge(ref)
-                w = e.ends[0] if e.ends[1] == v else e.ends[1]
+            if ref in edge_ends:
+                ends = edge_ends[ref]
+                w = ends[0] if ends[1] == v else ends[1]
                 if depth[w] > depth[v]:
                     center[w] = center[v] + c * t ** height[v]
                     incoming_ref[w] = ref

@@ -333,13 +333,13 @@ def test_currents_survive_a_loop_longer_than_the_float_range():
 
 def _ends0_side_leaves(g, eid):
     """Leaf indices on the ends[0] side of tree edge ``eid``."""
-    cut = g.edge(eid)
-    side, queue = {cut.ends[0]}, [cut.ends[0]]
+    edge_ends = {e.id: e.ends for e in g.edges}
+    side, queue = {edge_ends[eid][0]}, [edge_ends[eid][0]]
     for v in queue:
         for ref in g.incident(v):
-            if ref == eid or not g.is_edge(ref):
+            if ref == eid or ref not in edge_ends:
                 continue
-            w = next(x for x in g.edge(ref).ends if x != v)
+            w = next(x for x in edge_ends[ref] if x != v)
             if w not in side:
                 side.add(w)
                 queue.append(w)

@@ -7,8 +7,10 @@ from tropharm.errors import (
     BadRibbonError,
     DisconnectedError,
     NonPositiveLengthError,
+    NotALoopError,
     NotCubicError,
     SelfLoopEdgeError,
+    TropharmError,
     UnknownLeafError,
 )
 from tropharm.graph import (
@@ -26,7 +28,7 @@ from tropharm.graph import (
 )
 
 from conftest import caterpillar_graph, dumbbell_graph, genus2_graph, theta_graph, tripod_graph
-from oracles import spanning_tree_reference
+from oracles import check_path_reference, spanning_tree_reference
 from _generators import random_cubic, random_valid_cubic
 
 
@@ -209,7 +211,7 @@ def test_leaf_paths_never_repeat_edges(rng):
 def test_loop_validation_rejects_leaves():
     mg = tripod_graph()
     bad = GraphPath((OrientedEdge("p1", True),), is_loop=True)
-    with pytest.raises(Exception):
+    with pytest.raises(NotALoopError, match="loops contain no leaves"):
         check_path(mg.graph, bad)
 
 
@@ -219,6 +221,7 @@ def _check_incidence_and_tree(mg, root):
     g = mg.graph
     vidx = {v: i for i, v in enumerate(g.vertices)}
     column = {ref: k for k, ref in enumerate(g.edge_ids + g.leaf_ids)}
+    edge_ends = {e.id: e.ends for e in g.edges}
     for v, i in vidx.items():
         star = [(int(k), float(s)) for k, s in zip(g._star[i], g._star_sign[i])]
         assert star == ([(column[e.id], 1.0) for e in g.edges if e.ends[0] == v]
@@ -233,7 +236,7 @@ def _check_incidence_and_tree(mg, root):
     assert g._leaf_vertices.tolist() == [vidx[l.vertex] for l in g.leaves]
     for start, walk in ((None, g._walk), (root, _tree_walk(g._tree_adj, vidx[root]))):
         tree, parent = spanning_tree_reference(g, start)
-        assert walk == tuple((vidx[w], vidx[v], column[eid], 1 if g.edge(eid).ends[0] == w else -1)
+        assert walk == tuple((vidx[w], vidx[v], column[eid], 1 if edge_ends[eid][0] == w else -1)
                              for w, (v, eid) in parent.items())
     cotree = [e.id for e in g.edges if e.id not in tree]
     assert [g.edge_ids[k] for k in _cotree(g)] == cotree
@@ -273,3 +276,56 @@ def test_incidence_and_spanning_tree_match_the_id_oracle(seed, genus, leaves):
 def test_incidence_and_spanning_tree_of_the_fixtures(make):
     mg = make()
     _check_incidence_and_tree(mg, mg.graph.vertices[-1])
+
+
+def _mutants(rng, path, known):
+    """The path with one item dropped, one reversed, two swapped, a known or
+    an unknown id inserted, ``is_loop`` flipped, and the whole path reversed."""
+    items = list(path.items)
+    i, j = sorted(rng.choice(len(items), size=2, replace=len(items) < 2))
+    at = int(rng.integers(len(items) + 1))
+    swapped = list(items)
+    swapped[i], swapped[j] = items[j], items[i]
+    inserted = [OrientedEdge(ref, bool(rng.integers(2))) for ref in (known[rng.integers(len(known))], "nope")]
+    return [
+        GraphPath(tuple(items[:i] + items[i + 1:]), path.is_loop),
+        GraphPath(tuple(items[:i] + [items[i].reverse()] + items[i + 1:]), path.is_loop),
+        GraphPath(tuple(swapped), path.is_loop),
+        *(GraphPath(tuple(items[:at] + [oe] + items[at:]), path.is_loop) for oe in inserted),
+        GraphPath(path.items, not path.is_loop),
+        GraphPath(tuple(oe.reverse() for oe in reversed(items)), path.is_loop),
+    ]
+
+
+def _outcome(check, g, path):
+    try:
+        return check(g, path)
+    except TropharmError as exc:
+        return type(exc), str(exc)
+
+
+@given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 3), leaves=st.integers(3, 7))
+def test_check_path_matches_the_object_reference(seed, genus, leaves):
+    # valid loops and leaf paths of relabelled random graphs, mutated once and
+    # twice: the column check raises the reference's error class and message,
+    # and on a valid path returns the columns and signs of the reference's ids
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, genus, leaves)
+    assume(mg is not None)
+    mg = _relabelled(rng, mg)
+    g = mg.graph
+    known = g.edge_ids + g.leaf_ids
+    column = {ref: k for k, ref in enumerate(known)}
+    valid = mg.loops + leaf_paths(mg, g.leaf_ids[rng.integers(leaves)])
+    paths = [*valid, *(m for p in valid for m in _mutants(rng, p, known))]
+    paths += [m for p in paths[len(valid):] if p.items for m in _mutants(rng, p, known)]
+    assert all(isinstance(check_path_reference(g, p), list) for p in valid)
+    for path in paths:
+        want = _outcome(check_path_reference, g, path)
+        got = _outcome(check_path, g, path)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            cols, signs = got
+            assert cols.tolist() == [column[ref] for ref, _ in want]
+            assert signs.tolist() == [1.0 if forward else -1.0 for _, forward in want]

@@ -93,10 +93,11 @@ def test_positions_integrate_slopes_along_spanning_tree(rng):
         mg, R, mor = _random_morphism(rng)
         g = mg.graph
         _, parent = spanning_tree_reference(g)
+        edge_ends = {e.id: e.ends for e in g.edges}
         rel = {g.vertices[0]: np.zeros(R.m)}
         for w, (v, eid) in parent.items():  # breadth-first: parents come first
             step = mg.length[eid] * mor.edge_slope[eid]
-            rel[w] = rel[v] + (step if g.edge(eid).ends[0] == v else -step)
+            rel[w] = rel[v] + (step if edge_ends[eid][0] == v else -step)
         want = {v: rel[v] - rel[mor.base_vertex] for v in g.vertices}
         scale = max(1.0, max(float(np.max(np.abs(p))) for p in want.values()))
         for v in g.vertices:

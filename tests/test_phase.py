@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from tropharm.errors import BadBasisError, InputError, NotTropicalError
 from tropharm.forms import ResidueMatrix
-from tropharm.graph import cycle_basis
+from tropharm.graph import CubicGraph, Edge, Leaf, MetricGraph, cycle_basis
 from tropharm.morphisms import build_morphism, regularity_rank
 from tropharm.phase import (
     PeriodBasis,
     TwistAssignment,
     _rational_nullspace,
-    _twist_sums,
     check_integrality,
     default_period_basis,
     is_integer_period_matrix,
@@ -154,6 +153,54 @@ def test_limit_period_matrix_refuses_data_on_another_graph():
     assert same.entries.tolist() == limit_period_matrix(a, zero_twists(a), R33).entries.tolist() == [[3], [1], [0]]
 
 
+def _ring(rng, k):
+    """k vertices on a cycle, one leaf at each, random edge directions and
+    lengths: the one basis loop has k edges."""
+    edges = [Edge(f"e{i:02d}", (f"v{i}", f"v{(i + 1) % k}")[::int(rng.choice([1, -1]))]) for i in range(k)]
+    g = CubicGraph(tuple(f"v{i}" for i in range(k)), tuple(edges), tuple(Leaf(f"p{i}", f"v{i}") for i in range(k)))
+    return MetricGraph(g, {e.id: float(rng.uniform(0.5, 3.0)) for e in edges})
+
+
+def _sequential_twist_sums(twists, mor, loops):
+    """Each loop's theta(e) * slope(e) terms added one by one in loop order, from +0.0."""
+    sums = np.zeros((len(loops), mor.ambient_dim))
+    for row, loop in zip(sums, loops):
+        for oe in loop.items:
+            slope = mor.edge_slope[oe.id]
+            row += twists.theta[oe.id] * (slope if oe.forward else -slope)
+    return sums
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(8, 14), m=st.integers(1, 2))
+def test_twist_sums_are_added_in_loop_order(seed, k, m):
+    # one loop of 8-14 edges: np.sum or a product in edge order would add the
+    # terms in another order and round differently; B-rows and check sums
+    # must equal the loop-order sums bit for bit
+    rng = np.random.default_rng(seed)
+    mg = _ring(rng, k)
+    rows = rng.normal(size=(m, k))
+    rows[:, -1] = -rows[:, :-1].sum(axis=1)
+    R = ResidueMatrix(rows)
+    twists = TwistAssignment(mg, {e: float(rng.uniform(0, 2 * np.pi)) for e in mg.graph.edge_ids})
+    want = _sequential_twist_sums(twists, build_morphism(mg, R), mg.loops)
+    P = limit_period_matrix(mg, twists, R)
+    assert P.entries[-1:].real.tobytes() == (want / (2 * np.pi)).tobytes()
+    tmg, _, mor = random_tropical_morphism(mg, rng)
+    tw = TwistAssignment(tmg, twists.theta)
+    assert check_integrality(tmg, tw, mor).sums.tobytes() == _sequential_twist_sums(tw, mor, tmg.loops).tobytes()
+
+
+def test_limit_period_matrix_refuses_a_morphism_of_other_residues():
+    # the puncture rows come from R and the A-rows from mor: [[6, -6]]'s
+    # morphism gave A-row 2 beside R = [[3, -3]]'s puncture row 3, where R's
+    # own morphism gives 1, without an error
+    a = dumbbell_graph(1.0, 2.0)
+    with pytest.raises(InputError, match="the morphism's residues are not R"):
+        limit_period_matrix(a, zero_twists(a), R33, mor=build_morphism(a, ResidueMatrix([[6.0, -6.0]])))
+    own = limit_period_matrix(a, zero_twists(a), R33, mor=build_morphism(a, R33))
+    assert own.entries.tolist() == [[3], [1], [0]]
+
+
 def test_check_integrality_refuses_data_on_another_graph():
     a, b = dumbbell_graph(1.0, 2.0), dumbbell_graph(1.0, 5.0)
     R66 = ResidueMatrix([[6.0, -6.0]])  # integer slopes on both
@@ -216,7 +263,7 @@ def test_loop_twist_sum_additive_in_cycle_space(rng):
     mg, R, mor = random_tropical_morphism(genus2_graph(), rng)
     tw = TwistAssignment(mg, {e: float(rng.uniform(0, 2 * np.pi)) for e in mg.graph.edge_ids})
     loops = cycle_basis(mg)
-    sums = _twist_sums(tw, mor, loops)
+    sums = check_integrality(mg, tw, mor).sums  # the sums over mg.loops, which are cycle_basis(mg)
     eidx = {e: i for i, e in enumerate(mg.graph.edge_ids)}
     inc = np.zeros((len(loops), len(eidx)))
     for i, loop in enumerate(loops):
