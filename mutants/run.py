@@ -46,13 +46,17 @@ def load(path: str) -> list[dict]:
     return entries
 
 
+def read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def stale(entries: list[dict], root: str) -> list[str]:
     """One line per entry whose old text is not found exactly once."""
     out = []
     for e in entries:
         path = os.path.join(root, e["file"])
-        text = open(path, encoding="utf-8").read() if os.path.isfile(path) else ""
-        count = text.count(e["old"])
+        count = read(path).count(e["old"]) if os.path.isfile(path) else 0
         if count != 1:
             out.append(f"{e['name']}: old text found {count} times in {e['file']}")
     return out
@@ -73,10 +77,9 @@ def copy_src(root: str, tmp: str, entry: dict | None = None) -> str:
     shutil.copytree(os.path.join(root, "src"), src, ignore=shutil.ignore_patterns("__pycache__"))
     if entry is not None:
         path = os.path.join(tmp, entry["file"])
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read(path).replace(entry["old"], entry["new"])
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text.replace(entry["old"], entry["new"]))
+            fh.write(text)
     return src
 
 

@@ -12,12 +12,6 @@ sys.path.insert(0, HERE)
 import run  # noqa: E402
 
 
-def _register(path, *entries):
-    path.write_text(json.dumps([{"name": f"m{k}", "file": "src/pkg/__init__.py", "tests": ["tests/test_pkg.py"],
-                                 **e} for k, e in enumerate(entries)]))
-    return str(path)
-
-
 def test_every_committed_entry_applies():
     assert run.stale(run.load(os.path.join(HERE, "register.json")), os.path.dirname(HERE)) == []
 
@@ -38,7 +32,10 @@ def test_killed_and_surviving_mutants_of_a_small_project(tmp_path, capsys):
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_pkg.py").write_text("from pkg import double\n\n\n"
                                                     "def test_double():\n    assert double(2) == 4\n")
-    reg = _register(tmp_path / "register.json", {"old": "2 * x", "new": "3 * x"}, {"old": "2 * x", "new": "x + x"})
+    reg = tmp_path / "register.json"
+    reg.write_text(json.dumps([{"name": f"m{k}", "file": "src/pkg/__init__.py", "old": "2 * x", "new": new,
+                                "tests": ["tests/test_pkg.py"]} for k, new in enumerate(["3 * x", "x + x"])]))
+    reg = str(reg)
     assert run.main(["--root", str(tmp_path), "--register", reg]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["killed", "m0"]
