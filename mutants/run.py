@@ -1,7 +1,7 @@
 """Run the mutant register: each mutant is one edit of the library that its
 named tests must catch.
 
-    python3 mutants/run.py [--register FILE] [--root DIR] [NAME ...]
+    python3 mutants/run.py [--register FILE] [--root DIR]
 
 Every entry of the register (``register.json`` beside this file) gives a
 ``name``, a ``file`` under ``src/``, the exact ``old`` text, the ``new`` text
@@ -87,14 +87,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--register", default=os.path.join(HERE, "register.json"))
     ap.add_argument("--root", default=os.path.dirname(HERE), help="the project: src/ and tests/")
-    ap.add_argument("names", nargs="*", help="run only these mutants")
     args = ap.parse_args(argv)
     entries = load(args.register)
-    if args.names:
-        unknown = set(args.names) - {e["name"] for e in entries}
-        if unknown:
-            raise SystemExit(f"no such mutants: {sorted(unknown)}")
-        entries = [e for e in entries if e["name"] in args.names]
     bad = stale(entries, args.root)
     if bad:
         print("stale register entries:", *bad, sep="\n  ")

@@ -35,12 +35,10 @@ def test_killed_and_surviving_mutants_of_a_small_project(tmp_path, capsys):
     reg = tmp_path / "register.json"
     reg.write_text(json.dumps([{"name": f"m{k}", "file": "src/pkg/__init__.py", "old": "2 * x", "new": new,
                                 "tests": ["tests/test_pkg.py"]} for k, new in enumerate(["3 * x", "x + x"])]))
-    reg = str(reg)
-    assert run.main(["--root", str(tmp_path), "--register", reg]) == 1
+    assert run.main(["--root", str(tmp_path), "--register", str(reg)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == ["killed", "m0"]
     assert lines[1].split() == ["survived,", "tier-1", "too", "m1"]
     assert lines[2] == "1 of 2 mutants killed"
     # the source itself is never edited
     assert (tmp_path / "src" / "pkg" / "__init__.py").read_text() == "def double(x):\n    return 2 * x\n"
-    assert run.main(["--root", str(tmp_path), "--register", reg, "m0"]) == 0

@@ -86,31 +86,30 @@ def integrate(form: OneForm, path: GraphPath) -> float:
     return _integral(form, *check_path(form.carrier.graph, path))
 
 
-def _integral(form: OneForm, cols: np.ndarray, signs: np.ndarray) -> float:
+def _integral(form: OneForm, cols: list[int], signs: list[float]) -> float:
     """``integrate`` over a valid path's columns and signs (``check_path`` is
-    not run): the edge terms are added one at a time in path order, from +0.0."""
+    not run): the terms are added in path order."""
     lengths, values = form.carrier.lengths, form._columns
-    leaf = cols >= len(lengths)
-    if leaf.any():  # only a leaf-to-leaf path has leaves
-        big = np.flatnonzero(np.abs(values[cols[leaf]]) > TOL_BALANCE * form._scale)
-        if big.size:
-            lid = form.carrier.graph.leaf_ids[cols[leaf][big[0]] - len(lengths)]
-            raise InfiniteIntegralError(f"nonzero value on leaf {lid} inside the path")
-        cols, signs = cols[~leaf], signs[~leaf]
-    terms = lengths[cols] * (signs * values[cols])
-    return float(np.cumsum(terms)[-1] + 0.0) if terms.size else 0.0
+    total = 0.0
+    for k, sign in zip(cols, signs):
+        if k >= len(lengths):
+            if abs(values[k]) > TOL_BALANCE * form._scale:
+                lid = form.carrier.graph.leaf_ids[k - len(lengths)]
+                raise InfiniteIntegralError(f"nonzero value on leaf {lid} inside the path")
+            continue
+        total += lengths[k] * (values[k] if sign > 0 else -values[k])
+    return float(total)
 
 
 def dual_form(mg: MetricGraph, path: GraphPath) -> OneForm:
     """Form with value +1 on the oriented leaf-edges of a loop or leaf-to-leaf path."""
     try:
-        cols, signs = check_path(mg.graph, path)
+        check_path(mg.graph, path)
     except NotPathOrLoopError:
         raise
     except Exception as exc:  # NotALoop on a bad loop is still "not a path or loop" here
         raise NotPathOrLoopError(str(exc)) from exc
-    ids = mg.graph.edge_ids + mg.graph.leaf_ids
-    return OneForm(mg, {ids[k]: s for k, s in zip(cols.tolist(), signs.tolist())})
+    return OneForm(mg, {oe.id: 1.0 if oe.forward else -1.0 for oe in path.items})
 
 
 def potentials_and_currents(mg: MetricGraph, rows) -> tuple[np.ndarray, np.ndarray]:

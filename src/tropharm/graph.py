@@ -51,10 +51,12 @@ class CubicGraph:
     maps each id to its incidence column, edges first.  The incidence is kept
     as index arrays: ``_tails`` (ends[0]), ``_heads``, ``_leaf_vertices`` and
     the (|V|, 3) ``_star`` of columns at each vertex, ``_star_sign`` +1 where
-    an edge leaves it, else -1.  The spanning tree is ``_tree_adj``, each vertex's
-    tree neighbours as (neighbour, column, sign) in (neighbour, column)
-    order, sign +1 where the edge runs from the neighbour to the vertex, and
-    ``_walk``, the tree walked from vertex 0 (``_tree_walk``).
+    an edge leaves it, else -1; ``_ends`` holds each column's (tail, head)
+    as plain ints, a leaf's tail -1 (its open end).  The spanning tree is
+    ``_tree_adj``, each vertex's tree neighbours as (neighbour, column, sign)
+    in (neighbour, column) order, sign +1 where the edge runs from the
+    neighbour to the vertex, and ``_walk``, the tree walked from vertex 0
+    (``_tree_walk``).
     """
 
     vertices: tuple[str, ...]
@@ -151,6 +153,7 @@ class CubicGraph:
         for name, value in {"vertices": vertices, "edges": edges, "leaves": leaves, "ribbon": ribbon,
                             "edge_ids": tuple(ids[:ne]), "leaf_ids": tuple(ids[ne:]),
                             "_column": {ref: k for k, ref in enumerate(ids)},
+                            "_ends": tuple(zip(tails + [-1] * len(leaves), heads + ends[2 * ne:].tolist())),
                             **arrays, "_tree_adj": tree_adj, "_walk": walk}.items():
             object.__setattr__(self, name, value)
 
@@ -262,12 +265,11 @@ def _check_carrier(mg: MetricGraph, *objs) -> None:
             raise InputError(f"the {type(obj).__name__} lives on another metric graph")
 
 
-def check_path(g: CubicGraph, path: GraphPath) -> tuple[np.ndarray, np.ndarray]:
+def check_path(g: CubicGraph, path: GraphPath) -> tuple[list[int], list[float]]:
     """Validate chaining and injectivity; raise NotPathOrLoop / NotALoop.
 
-    Returns the path's columns and signs (``_path_columns``).  A column runs
-    from tail to head, a leaf from its open end (-1) to its vertex, and an
-    item with ``forward=False`` the other way.
+    Returns the path's columns and signs (``_path_columns``).  Each item runs
+    along its column's ``_ends``, or the other way where ``forward=False``.
     """
     items = path.items
     if not items:
@@ -279,34 +281,36 @@ def check_path(g: CubicGraph, path: GraphPath) -> tuple[np.ndarray, np.ndarray]:
         if ref not in g._column:
             raise NotPathOrLoopError(f"unknown leaf-edge {ref}")
     cols, signs = _path_columns(g, path)
-    leaf = cols >= len(g.edges)
-    tails = np.concatenate([g._tails, np.full(len(g.leaves), -1)])[cols]
-    heads = np.concatenate([g._heads, g._leaf_vertices])[cols]
-    forward = signs > 0
-    starts, ends = np.where(forward, tails, heads), np.where(forward, heads, tails)
+    steps = [g._ends[k] if s > 0 else g._ends[k][::-1] for k, s in zip(cols, signs)]
+    leaf = [g._ends[k][0] < 0 for k in cols]
     if path.is_loop:
-        if leaf.any():
+        if any(leaf):
             raise NotALoopError("loops contain no leaves")
-        if (ends[:-1] != starts[1:]).any() or ends[-1] != starts[0]:
+        if any(steps[i - 1][1] != steps[i][0] for i in range(len(steps))):
             raise NotALoopError("loop is not cyclically head-to-tail")
     else:
         if not (leaf[0] and signs[0] > 0):
             raise NotPathOrLoopError("path must start at a leaf, oriented inward")
         if not (leaf[-1] and signs[-1] < 0):
             raise NotPathOrLoopError("path must end at a leaf, oriented outward")
-        if leaf[1:-1].any():
+        if any(leaf[1:-1]):
             raise NotPathOrLoopError("interior of a path cannot contain leaves")
-        if (ends[:-1] != starts[1:]).any():
+        if any(steps[i - 1][1] != steps[i][0] for i in range(1, len(steps))):
             raise NotPathOrLoopError("path is not head-to-tail")
     return cols, signs
 
 
-def _path_columns(g: CubicGraph, path: GraphPath) -> tuple[np.ndarray, np.ndarray]:
+def _path_columns(g: CubicGraph, path: GraphPath) -> tuple[list[int], list[float]]:
     """The incidence columns of a path's items and their signs, +1.0 along
     the canonical orientation, else -1.0, in path order; the path is not
     checked (the loops and leaf paths built here are valid by construction)."""
-    return (np.array([g._column[oe.id] for oe in path.items], dtype=np.intp),
-            np.array([1.0 if oe.forward else -1.0 for oe in path.items]))
+    return [g._column[oe.id] for oe in path.items], [1.0 if oe.forward else -1.0 for oe in path.items]
+
+
+def _kind(g: CubicGraph, ref: str) -> str | None:
+    """"edge" or "leaf" for an id of ``g`` (edges take the first columns), else None."""
+    k = g._column.get(ref)
+    return None if k is None else "edge" if k < len(g.edges) else "leaf"
 
 
 # ----------------------------------------------------------------------
@@ -371,8 +375,8 @@ def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
     ``check_path`` by construction; the tests check this, not every call.
     """
     g = mg.graph
-    path, tails, heads = _tree_paths(g), g._tails.tolist(), g._heads.tolist()
-    return tuple(GraphPath((OrientedEdge(g.edge_ids[k], True), *path(heads[k], tails[k])), is_loop=True)
+    path = _tree_paths(g)
+    return tuple(GraphPath((OrientedEdge(g.edge_ids[k], True), *path(*g._ends[k][::-1])), is_loop=True)
                  for k in _cotree(g))
 
 
@@ -393,7 +397,7 @@ def leaf_paths(mg: MetricGraph, base_leaf: str) -> tuple[GraphPath, ...]:
     construction; as for ``cycle_basis``, the tests check this, not every call.
     """
     g = mg.graph
-    if g._column.get(base_leaf, -1) < len(g.edges):
+    if _kind(g, base_leaf) != "leaf":
         raise UnknownLeafError(f"unknown leaf {base_leaf}")
     path, ends = _tree_paths(g), dict(zip(g.leaf_ids, g._leaf_vertices.tolist()))
     return tuple(GraphPath((OrientedEdge(base_leaf, True), *path(ends[base_leaf], v),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BadBasisError, InputError, NotTropicalError
 from .forms import ResidueMatrix
-from .graph import (GraphPath, MetricGraph, _check_carrier, _cotree, _path_columns, check_path, json_number,
+from .graph import (GraphPath, MetricGraph, _check_carrier, _kind, _path_columns, check_path, json_number,
                     loop_matrix)
 from .morphisms import HarmonicMorphism, build_morphism, is_tropical, loop_slope_matrix
 
@@ -56,14 +56,15 @@ def _twist_sums(twists: TwistAssignment, mor: HarmonicMorphism, loops) -> np.nda
     """(loops, coordinates) array of sum theta(e) * slope(e) around each loop,
     given as (columns, signs).
 
-    Terms are added one at a time in each loop's own order, from +0.0: a
-    product in edge order, or np.sum, rounds differently and flips verdicts on
-    sums that sit at the tolerance.
+    Terms are added in each loop's own order: a product in edge order, or
+    np.sum, rounds differently and flips verdicts on sums that sit at the
+    tolerance.
     """
-    theta = np.array([twists.theta[e] for e in mor.carrier.graph.edge_ids])
+    ids, slopes = mor.carrier.graph.edge_ids, mor.edge_slopes
     sums = np.zeros((len(loops), mor.ambient_dim))
     for row, (cols, signs) in zip(sums, loops):
-        row += np.cumsum(theta[cols, None] * (signs[:, None] * mor.edge_slopes[cols]), axis=0)[-1]
+        for k, sign in zip(cols, signs):
+            row += twists.theta[ids[k]] * (slopes[k] if sign > 0 else -slopes[k])
     return sums
 
 
@@ -200,7 +201,7 @@ class PeriodBasis:
 def default_period_basis(mg: MetricGraph) -> PeriodBasis:
     """All leaves but the last; co-tree edges; their fundamental cycles."""
     g = mg.graph
-    a_edges = tuple(g.edge_ids[k] for k in _cotree(g))  # each basis loop's first edge
+    a_edges = tuple(loop.items[0].id for loop in mg.loops)
     return PeriodBasis(g.leaf_ids[:-1] if g.n_leaves else (), a_edges, mg.loops)
 
 
@@ -210,18 +211,17 @@ class LimitPeriodMatrix:
     entries: np.ndarray  # complex, (2g+n-1) x m
 
 
-def _check_basis(mg: MetricGraph, basis: PeriodBasis) -> list[tuple[np.ndarray, np.ndarray]]:
+def _check_basis(mg: MetricGraph, basis: PeriodBasis) -> list[tuple[list[int], list[float]]]:
     """BadBasisError unless ``basis`` is a period basis of ``mg``; returns
     the B-loops' columns and signs."""
     g = mg.graph
-    column, ne = g._column, len(g.edges)
     if len(set(basis.puncture_leaves)) != len(basis.puncture_leaves) or any(
-        column.get(l, -1) < ne for l in basis.puncture_leaves
+        _kind(g, l) != "leaf" for l in basis.puncture_leaves
     ):
         raise BadBasisError("puncture labels must be distinct leaves")
     if len(basis.puncture_leaves) != max(g.n_leaves - 1, 0):
         raise BadBasisError(f"need {g.n_leaves - 1} puncture labels, got {len(basis.puncture_leaves)}")
-    if len(set(basis.a_edges)) != len(basis.a_edges) or any(column.get(e, ne) >= ne for e in basis.a_edges):
+    if len(set(basis.a_edges)) != len(basis.a_edges) or any(_kind(g, e) != "edge" for e in basis.a_edges):
         raise BadBasisError("A-cycle edges must be distinct non-leaf edges")
     if len(basis.a_edges) != g.genus or len(basis.b_loops) != g.genus:
         raise BadBasisError(f"need genus = {g.genus} A-edges and B-loops")
@@ -236,7 +236,7 @@ def _check_basis(mg: MetricGraph, basis: PeriodBasis) -> list[tuple[np.ndarray, 
         inc = loop_matrix(g, loops)
         if np.linalg.matrix_rank(inc) != g.genus:
             raise BadBasisError("B-loops are rationally dependent")
-        pairing = inc[:, [column[e] for e in basis.a_edges]]
+        pairing = inc[:, [g._column[e] for e in basis.a_edges]]
         if abs(np.linalg.det(pairing)) < 1e-9:
             raise BadBasisError("A-edges pair degenerately with the B-loops")
     return loops

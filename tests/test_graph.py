@@ -327,5 +327,5 @@ def test_check_path_matches_the_object_reference(seed, genus, leaves):
             assert got == want
         else:
             cols, signs = got
-            assert cols.tolist() == [column[ref] for ref, _ in want]
-            assert signs.tolist() == [1.0 if forward else -1.0 for _, forward in want]
+            assert cols == [column[ref] for ref, _ in want]
+            assert signs == [1.0 if forward else -1.0 for _, forward in want]
