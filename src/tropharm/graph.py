@@ -51,12 +51,12 @@ class CubicGraph:
     maps each id to its incidence column, edges first.  The incidence is kept
     as index arrays: ``_tails`` (ends[0]), ``_heads``, ``_leaf_vertices`` and
     the (|V|, 3) ``_star`` of columns at each vertex, ``_star_sign`` +1 where
-    an edge leaves it, else -1; ``_ends`` holds each column's (tail, head)
-    as plain ints, a leaf's tail -1 (its open end).  The spanning tree is
-    ``_tree_adj``, each vertex's tree neighbours as (neighbour, column, sign)
-    in (neighbour, column) order, sign +1 where the edge runs from the
-    neighbour to the vertex, and ``_walk``, the tree walked from vertex 0
-    (``_tree_walk``).
+    an edge leaves it, else -1; ``_ends`` holds the columns' tails and
+    heads as two tuples of ints, a leaf's tail -1 (its open end).  The
+    spanning tree is ``_tree_adj``, each vertex's tree neighbours as
+    (neighbour, column, sign) in (neighbour, column) order, sign +1 where the
+    edge runs from the neighbour to the vertex, and ``_walk``, the tree
+    walked from vertex 0 (``_tree_walk``).
     """
 
     vertices: tuple[str, ...]
@@ -153,7 +153,7 @@ class CubicGraph:
         for name, value in {"vertices": vertices, "edges": edges, "leaves": leaves, "ribbon": ribbon,
                             "edge_ids": tuple(ids[:ne]), "leaf_ids": tuple(ids[ne:]),
                             "_column": {ref: k for k, ref in enumerate(ids)},
-                            "_ends": tuple(zip(tails + [-1] * len(leaves), heads + ends[2 * ne:].tolist())),
+                            "_ends": (tuple(tails + [-1] * len(leaves)), tuple(heads + ends[2 * ne:].tolist())),
                             **arrays, "_tree_adj": tree_adj, "_walk": walk}.items():
             object.__setattr__(self, name, value)
 
@@ -268,8 +268,8 @@ def _check_carrier(mg: MetricGraph, *objs) -> None:
 def check_path(g: CubicGraph, path: GraphPath) -> tuple[list[int], list[float]]:
     """Validate chaining and injectivity; raise NotPathOrLoop / NotALoop.
 
-    Returns the path's columns and signs (``_path_columns``).  Each item runs
-    along its column's ``_ends``, or the other way where ``forward=False``.
+    Returns the path's columns and signs (``_path_columns``); an item runs
+    from tail to head (``_ends``), or back where ``forward=False``.
     """
     items = path.items
     if not items:
@@ -281,8 +281,9 @@ def check_path(g: CubicGraph, path: GraphPath) -> tuple[list[int], list[float]]:
         if ref not in g._column:
             raise NotPathOrLoopError(f"unknown leaf-edge {ref}")
     cols, signs = _path_columns(g, path)
-    steps = [g._ends[k] if s > 0 else g._ends[k][::-1] for k, s in zip(cols, signs)]
-    leaf = [g._ends[k][0] < 0 for k in cols]
+    tails, heads = g._ends
+    steps = [(tails[k], heads[k]) if s > 0 else (heads[k], tails[k]) for k, s in zip(cols, signs)]
+    leaf = [tails[k] < 0 for k in cols]
     if path.is_loop:
         if any(leaf):
             raise NotALoopError("loops contain no leaves")
@@ -375,8 +376,8 @@ def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
     ``check_path`` by construction; the tests check this, not every call.
     """
     g = mg.graph
-    path = _tree_paths(g)
-    return tuple(GraphPath((OrientedEdge(g.edge_ids[k], True), *path(*g._ends[k][::-1])), is_loop=True)
+    path, (tails, heads) = _tree_paths(g), g._ends
+    return tuple(GraphPath((OrientedEdge(g.edge_ids[k], True), *path(heads[k], tails[k])), is_loop=True)
                  for k in _cotree(g))
 
 
