@@ -99,8 +99,9 @@ def check_integrality(mg: MetricGraph, twists: TwistAssignment, mor: HarmonicMor
 # twist congruence solver
 
 
-def _rational_nullspace(mat: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """Exact rank and integer null-space basis of an integer matrix.
+def _rational_nullspace(mat: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
+    """Exact rank and integer null-space basis, as tuples of Python ints, of an
+    integer matrix.
 
     Gauss-Jordan without fractions, on Python ints: the pivot of column c is
     the first non-zero entry at or below row r; every other row i with entry
@@ -142,7 +143,7 @@ def _rational_nullspace(mat: np.ndarray) -> tuple[int, list[np.ndarray]]:
         vec[f] = scale
         for row, p in zip(rows, pivots):
             vec[p] = -row[f] * scale // row[p]
-        basis.append(np.array(vec, dtype=float))
+        basis.append(tuple(vec))
     return r, basis
 
 
@@ -156,15 +157,20 @@ class TwistSolution:
     rank: int
     dimension: int
     representative: TwistAssignment
-    kernel: tuple[np.ndarray, ...]  # integer basis of the null space
+    kernel: tuple[tuple[int, ...], ...]  # integer basis of the null space
 
     def sample(self, rng: np.random.Generator) -> TwistAssignment:
-        """Random point on the identity component of the solution subtorus."""
-        theta = np.zeros(len(self.edge_order))
-        for vec in self.kernel:
-            theta += rng.uniform(0.0, TWO_PI) * vec
-        theta = np.mod(theta, TWO_PI)
-        return TwistAssignment(self.carrier, dict(zip(self.edge_order, theta)))
+        """Random point on the identity component of the solution subtorus.
+
+        Each kernel vector k_i gets an integer coefficient a_i below N = 2**53,
+        and theta_e = 2*pi * c_e / N with c_e = sum a_i * k_i[e] mod N, reduced
+        in integers: every loop sum of c_e * slope(e) is a multiple of N, so
+        every twist sum is a whole multiple of 2*pi up to one rounding per angle.
+        """
+        n = 2**53
+        coeffs = rng.integers(n, size=len(self.kernel)).tolist()
+        cells = [sum(a * vec[e] for a, vec in zip(coeffs, self.kernel)) % n for e in range(len(self.edge_order))]
+        return TwistAssignment(self.carrier, {e: TWO_PI * (c / n) for e, c in zip(self.edge_order, cells)})
 
 
 def solve_twists(mg: MetricGraph, mor: HarmonicMorphism, tol: float = 1e-9) -> TwistSolution:
@@ -172,12 +178,16 @@ def solve_twists(mg: MetricGraph, mor: HarmonicMorphism, tol: float = 1e-9) -> T
 
     The system is homogeneous, so theta = 0 always solves it; the solution set
     is a subtorus of dimension |E| - rank of the integer constraint matrix.
+    Slopes are integers by check_integrality's rule: within max(tol, 1e-12).
     """
     _check_carrier(mg, mor)
-    if not is_tropical(mor, tol=tol):
+    if not is_tropical(mor, tol=max(tol, 1e-12)):
         raise NotTropicalError("morphism has non-integer slopes")
     edge_order = mg.graph.edge_ids
-    mat = np.round(loop_slope_matrix(mor)).astype(int)
+    mat = np.round(loop_slope_matrix(mor))
+    if not np.all(np.abs(mat) < 2.0**53):  # also false on NaN
+        raise InputError("loop slopes must be finite and below 2**53 in magnitude to be read as exact integers")
+    mat = mat.astype(int)
     rank, kernel = _rational_nullspace(mat)
     return TwistSolution(
         mg, edge_order, mat, rank, len(edge_order) - rank,

@@ -4,8 +4,9 @@ Deterministic byte-for-byte for equal inputs; 17 significant digits make the
 float round trip exact, and non-finite floats are written as ``null``.
 Strings are escaped as ``json.dumps`` escapes them (ASCII only).  Each value
 is written by the writer registered for its exact type; numpy scalars other
-than ``np.float64`` and ``np.bool_``, and subclasses of the built-in types,
-go through an ``isinstance`` chain that gives the same text.
+than ``np.float64`` and ``np.bool_`` are written as the Python value their
+``.item()`` gives.  Any other type, a subclass of a written type included,
+raises TypeError.
 """
 from __future__ import annotations
 
@@ -35,23 +36,11 @@ def _dict(obj) -> str:
 
 
 def _fallback(obj) -> str:
-    """Subclasses of the written types and numpy scalars without a writer
-    (None and bool cannot be subclassed)."""
-    if isinstance(obj, np.bool_):
-        return _bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float(float(obj))
-    if isinstance(obj, str):
-        return _str(obj)
-    if isinstance(obj, np.ndarray):
-        return dumps_canonical(obj.tolist())
-    if isinstance(obj, dict):
-        return _dict(obj)
-    if isinstance(obj, (list, tuple)):
-        return _list(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    """numpy scalars without a writer: the Python value ``.item()`` gives."""
+    writer = _WRITERS.get(type(obj.item())) if isinstance(obj, np.generic) else None
+    if writer is None:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    return writer(obj.item())
 
 
 _WRITERS = {

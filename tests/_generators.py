@@ -1,4 +1,7 @@
 """Seeded random instances: cubic graphs and integer tropical morphisms."""
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from tropharm.forms import ResidueMatrix
@@ -84,3 +87,11 @@ def random_tropical_morphism(base: MetricGraph, rng, m=1, max_tries=100):
                     return mg, R, mor
                 break
     raise RuntimeError("could not build a random tropical morphism")
+
+
+def benchmark_gen():
+    """The benchmark's instance generator, ``perfbench/gen.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", Path(__file__).parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen

@@ -478,10 +478,11 @@ def place_tree_reference(mg, t):
 
 
 def rational_nullspace_fraction(mat):
-    """Exact rank and integer null-space basis of an integer matrix, by
-    Gauss-Jordan on ``Fraction`` rows: each pivot row is divided by its pivot,
-    and each kernel vector (1 at its free column, minus the reduced entries at
-    the pivot columns) is scaled by the lcm of its denominators."""
+    """Exact rank and integer null-space basis, as tuples of ints, of an
+    integer matrix, by Gauss-Jordan on ``Fraction`` rows: each pivot row is
+    divided by its pivot, and each kernel vector (1 at its free column, minus
+    the reduced entries at the pivot columns) is scaled by the lcm of its
+    denominators."""
     rows = [[Fraction(int(x)) for x in row] for row in mat]
     ncols = mat.shape[1]
     pivots = []
@@ -511,7 +512,7 @@ def rational_nullspace_fraction(mat):
         denom = 1
         for x in vec:
             denom = denom * x.denominator // gcd(denom, x.denominator)
-        basis.append(np.array([int(x * denom) for x in vec], dtype=float))
+        basis.append(tuple(int(x * denom) for x in vec))
     return r, basis
 
 

@@ -222,6 +222,18 @@ def test_twists_solve_and_check(capsys, files):
     assert json.loads(out)["all_pass"] is True
 
 
+@pytest.mark.parametrize("residue", [3 * 2**53, 3e27])
+def test_twists_solve_refuses_slopes_past_exact_floats(capsys, files, tmp_path, residue):
+    # slopes 2/3 and 1/3 of the residue: from 2**53 on every float is an
+    # integer whatever the exact slope; 2e27 was cast to int64 as garbage
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"rows": 1, "leaf_order": ["p1", "p2"], "entries": [[residue, -residue]]}))
+    code, out, err = run(capsys, "twists", files["dumbbell"], str(p), "solve")
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
+    assert "below 2**53" in json.loads(err)["message"]
+
+
 def test_periods(capsys, files):
     code, out, _ = run(capsys, "periods", files["dumbbell"], files["r33"], files["twists"],
                        "--a-edges", "e1")
@@ -666,6 +678,51 @@ def test_malformed_graph_document_errors(capsys, tmp_path, field, value, code):
     got, out, err = run(capsys, "check", str(path))
     assert got == 1 and out == ""
     assert json.loads(err)["code"] == code
+
+
+@pytest.mark.parametrize("change, code, message", [
+    ({"vertices": ["u", "v", "u"]}, "BadInput", "duplicate vertex ids"),
+    ({"leaves": [{"id": "e1", "vertex": "u"}, {"id": "p2", "vertex": "v"}]}, "BadInput",
+     "edge and leaf ids must be pairwise distinct"),
+    ({"edges": [{"id": "e1", "ends": ["u", "w"], "length": 1.0}, DUMBBELL["edges"][1]]}, "BadInput",
+     "edge e1 references unknown vertex"),
+    ({"leaves": [{"id": "p1", "vertex": "w"}, {"id": "p2", "vertex": "v"}]}, "BadInput",
+     "leaf p1 references unknown vertex"),
+    ({"ribbon": {"w": ["a", "b", "c"]}}, "BadRibbon", "ribbon mentions unknown vertices ['w']"),
+], ids=["repeated-vertex", "edge-id-as-leaf-id", "edge-to-unknown-vertex", "leaf-on-unknown-vertex",
+        "ribbon-on-unknown-vertex"])
+def test_graph_document_with_unresolved_ids_errors(capsys, tmp_path, change, code, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**DUMBBELL, **change}))
+    got, out, err = run(capsys, "check", str(path))
+    assert (got, out) == (1, "")
+    assert json.loads(err) == {"code": code, "message": message}
+
+
+GENUS2 = {x: str(GOLDEN / f"genus2.{x}.json") for x in ("graph", "residues", "twists")}
+
+
+@pytest.mark.parametrize("argv, doc, code, message", [
+    (["solve", "{dumbbell}", "{in}"], {"rows": 2, "leaf_order": ["p1", "p2"], "entries": [[1, -1]]}, "BadInput",
+     "entries shape (1, 2) does not match rows=2, 2 leaves"),
+    (["embed", "{dumbbell}", "{r33}", "--base-vertex", "w"], None, "BadInput", "unknown base vertex w"),
+    (["twists", "{dumbbell}", "{r33}", "check", "--twists", "{in}"], {"e1": 0.0}, "BadInput",
+     "twists missing for edges ['e2']"),
+    (["periods", "{dumbbell}", "{r33}", "{in}"], {"e1": 0.0, "e2": 0.0, "p1": 0.0}, "BadInput",
+     "twists on unknown edges ['p1']"),
+    (["periods", *GENUS2.values(), "--a-edges", "e2,e2"], None, "BadBasis",
+     "A-cycle edges must be distinct non-leaf edges"),
+    (["periods", *GENUS2.values(), "--a-edges", "e2,p1"], None, "BadBasis",
+     "A-cycle edges must be distinct non-leaf edges"),
+    (["periods", *GENUS2.values(), "--a-edges", "f1,f2"], None, "BadBasis",
+     "A-edges pair degenerately with the B-loops"),
+], ids=["residue-shape", "unknown-base-vertex", "twist-missing", "twist-on-leaf", "repeated-a-edge",
+        "leaf-as-a-edge", "degenerate-a-edges"])
+def test_inconsistent_input_errors(capsys, files, tmp_path, argv, doc, code, message):
+    (tmp_path / "in.json").write_text(json.dumps(doc))
+    got, out, err = run(capsys, *(a.format(**files, **{"in": str(tmp_path / "in.json")}) for a in argv))
+    assert (got, out) == (1, "")
+    assert json.loads(err) == {"code": code, "message": message}
 
 
 def test_regularity_has_no_base_vertex_flag(capsys, files):

@@ -309,6 +309,19 @@ def test_hausdorff_grid_vs_fill():
     assert hausdorff(grid, scene, [[-2, 2], [-2, 2]]) <= h / np.sqrt(2) + 1e-6
 
 
+def test_hausdorff_reads_a_pair_as_the_same_bounds_on_every_axis():
+    scene = Scene(2, {"a": np.zeros(2), "b": np.array([1.0, 0.0])}, (("e", "a", "b"),), (), 1.0)
+    pts = np.array([[0.5, 0.5], [3.0, 0.0], [-1.5, 1.0]])  # (3, 0) lies outside the window
+    assert hausdorff(pts, scene, [-2, 2]) == hausdorff(pts, scene, [[-2, 2], [-2, 2]]) == math.hypot(1.5, 1.0)
+
+
+@pytest.mark.parametrize("points", [np.zeros(2), np.zeros((1, 1, 2))])
+def test_hausdorff_refuses_points_that_are_not_a_2d_array(points):
+    scene = Scene(2, {"a": np.zeros(2), "b": np.array([1.0, 0.0])}, (("e", "a", "b"),), (), 1.0)
+    with pytest.raises(InputError, match="points must be an \\(N, m\\) array"):
+        hausdorff(points, scene, [-2, 2])
+
+
 def test_hausdorff_empty_after_clip():
     scene = Scene(2, {"a": np.zeros(2)}, (), (("p", np.zeros(2), np.array([1.0, 0.0])),), 1.0)
     with pytest.raises(EmptyAfterClippingError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tropharm.errors import (
     BadRibbonError,
     DisconnectedError,
+    InputError,
     NonPositiveLengthError,
     NotALoopError,
     NotCubicError,
@@ -100,6 +101,15 @@ def test_nonpositive_length():
         MetricGraph(g, {"e1": 1.0, "e2": -2.0})
     with pytest.raises(NonPositiveLengthError):
         MetricGraph(g, {"e1": 1.0})
+
+
+@pytest.mark.parametrize("length, message", [
+    ({"e1": 1.0, "e2": "two"}, "edge e2 has length 'two', not a number"),
+    ({"e1": 1.0, "e2": 2.0, "p1": 1.0}, r"length entries for unknown edges \(leaves carry no length\): \['p1'\]"),
+])
+def test_metric_graph_refuses_bad_length_entries(length, message):
+    with pytest.raises(InputError, match=message):
+        MetricGraph(dumbbell_graph().graph, length)
 
 
 def test_bad_ribbon():

@@ -26,6 +26,11 @@ from _generators import random_valid_cubic
 LINE_R = ResidueMatrix([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
 
 
+def test_build_morphism_refuses_a_residue_matrix_of_other_width(tripod):
+    with pytest.raises(InputError, match="residue matrix has 2 columns for 3 leaves"):
+        build_morphism(tripod, ResidueMatrix([[1.0, -1.0]]))
+
+
 def test_tropical_line_slopes(tripod):
     mor = build_morphism(tripod, LINE_R, "w")
     # outgoing slope on leaf j is minus the residue column: the image's

@@ -1,11 +1,15 @@
+import functools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropharm.errors import BadBasisError, InputError, NotTropicalError
-from tropharm.forms import ResidueMatrix
-from tropharm.graph import CubicGraph, Edge, Leaf, MetricGraph, cycle_basis
+from tropharm.forms import ResidueMatrix, residues_from_dict
+from tropharm.graph import (CubicGraph, Edge, GraphPath, Leaf, MetricGraph, OrientedEdge, cycle_basis,
+                            graph_from_dict)
 from tropharm.morphisms import build_morphism, regularity_rank
 from tropharm.phase import (
     PeriodBasis,
@@ -20,7 +24,7 @@ from tropharm.phase import (
 )
 
 from conftest import dumbbell_graph, genus2_graph
-from _generators import random_tropical_morphism, random_valid_cubic
+from _generators import benchmark_gen, random_tropical_morphism, random_valid_cubic
 from oracles import rational_nullspace_fraction
 
 R33 = ResidueMatrix([[3.0, -3.0]])
@@ -123,6 +127,48 @@ def test_solve_twists_samples_pass(rng):
             tw = sol.sample(rng)
             chk = check_integrality(mg, tw, mor, 1e-9)
             assert chk.all_pass, chk.residuals
+
+
+@functools.cache
+def _benchmark_morphisms(seed):
+    """(graph, morphism) of the benchmark's tropical_instance(seed, i) for i < 200:
+    genus 1-4, 2-6 leaves, two integer residue rows."""
+    gen, out = benchmark_gen(), []
+    for i in range(200):
+        inst = gen.tropical_instance(seed, i)
+        mg = graph_from_dict(inst["graph"])
+        out.append((mg, build_morphism(mg, residues_from_dict(inst["residues"], mg))))
+    return out
+
+
+def test_twist_samples_of_the_benchmark_instances_pass_their_check():
+    # float coefficients times the kernel, reduced mod 2*pi afterwards, gave
+    # 53 of these 200 samples loop residuals up to 3.08 rad
+    gen = benchmark_gen()
+    for i, (mg, mor) in enumerate(_benchmark_morphisms(101)):
+        tw = solve_twists(mg, mor).sample(gen.instance_rng(101, gen.TWIST_STREAM, i))
+        chk = check_integrality(mg, tw, mor, 1e-9)
+        assert chk.all_pass, (i, chk.residuals.max())
+
+
+def test_twist_solve_and_check_refuse_the_same_slopes_at_tol_zero():
+    # solve_twists read tol 0 as is and refused 91 of these morphisms as not
+    # tropical, while check_integrality floors tol at 1e-12 and refused 4
+    refused = 0
+    for mg, mor in _benchmark_morphisms(101):
+        try:
+            solve_twists(mg, mor, tol=0.0)
+            solved = True
+        except NotTropicalError:
+            solved = False
+        try:
+            check_integrality(mg, zero_twists(mg), mor, tol=0.0)
+            checked = True
+        except NotTropicalError:
+            checked = False
+        assert solved == checked
+        refused += not solved
+    assert refused == 4
 
 
 def test_limit_period_matrix_dumbbell(dumbbell):
@@ -243,6 +289,28 @@ def test_bad_basis_rejected(dumbbell):
                             PeriodBasis(("p1",), ("e1", "e2"), loops))
 
 
+_G2 = genus2_graph()
+_G2_LOOPS = cycle_basis(_G2)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"puncture_leaves": ("p1", "p1")}, "puncture labels must be distinct leaves"),
+    ({"puncture_leaves": ("e1",)}, "puncture labels must be distinct leaves"),
+    ({"a_edges": ("e2", "e2")}, "A-cycle edges must be distinct non-leaf edges"),
+    ({"a_edges": ("e2", "p1")}, "A-cycle edges must be distinct non-leaf edges"),
+    ({"b_loops": (_G2_LOOPS[0], GraphPath((OrientedEdge("p1", True), OrientedEdge("f2", True),
+                                          OrientedEdge("p2", False)), is_loop=False))},
+     "B-cycle entries must be loops"),
+    ({"b_loops": (_G2_LOOPS[0], _G2_LOOPS[0])}, "B-loops are rationally dependent"),
+    ({"a_edges": ("f1", "f2")}, "A-edges pair degenerately with the B-loops"),  # f1, f2 lie on one loop
+], ids=["repeated-puncture", "edge-as-puncture", "repeated-a-edge", "leaf-as-a-edge", "leaf-path-as-b-loop",
+        "repeated-b-loop", "degenerate-pairing"])
+def test_period_basis_refusals(change, message):
+    basis = replace(default_period_basis(_G2), **change)
+    with pytest.raises(BadBasisError, match=message):
+        limit_period_matrix(_G2, zero_twists(_G2), ResidueMatrix([[1.0, -1.0]]), basis)
+
+
 def test_default_basis_valid(rng):
     mg, R, mor = random_tropical_morphism(genus2_graph(), rng)
     basis = default_period_basis(mg)
@@ -309,5 +377,5 @@ def test_rational_nullspace_matches_fraction_oracle(mat):
     rank, basis = _rational_nullspace(mat)
     want_rank, want_basis = rational_nullspace_fraction(mat)
     assert rank == want_rank
-    assert len(basis) == len(want_basis)
-    assert all(np.array_equal(got, want) for got, want in zip(basis, want_basis))
+    assert basis == want_basis
+    assert all(type(x) is int for vec in basis for x in vec)
