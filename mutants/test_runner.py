@@ -4,12 +4,10 @@
 """
 import json
 import os
-import sys
+
+from mutants import run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, HERE)
-
-import run  # noqa: E402
 
 
 def test_every_committed_entry_applies():

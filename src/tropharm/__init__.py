@@ -4,7 +4,6 @@ morphisms, twist integrality, and genus-0 amoeba degeneration experiments."""
 from .degeneration import (
     AnnulusReport,
     ConvergenceReport,
-    IotaMap,
     PuncturedSphere,
     SphereDifferential,
     annulus_period_experiment,
@@ -16,7 +15,6 @@ from .degeneration import (
     hausdorff,
     ind_genus0,
     place_tree,
-    realize_genus0,
     rescale_H,
 )
 from .errors import TropharmError

@@ -39,7 +39,6 @@ from .errors import (
     MinimumDensityViolationError,
     NonPositiveLengthError,
     NonPositiveResiduesError,
-    NonIntegerResiduesError,
     NotATreeError,
     SamplingTooDenseError,
     TropharmError,
@@ -413,42 +412,6 @@ def place_tree(mg: MetricGraph, t: float) -> TreePlacement:
     return TreePlacement(mg, float(t), g.leaf_ids[-1], (*punctures, None), dict(zip(names, height)), up_path)
 
 
-@dataclass(frozen=True)
-class IotaMap:
-    """z -> (prod_j (z - p_j)^{R[k, j]})_k over the finite punctures."""
-
-    sphere: PuncturedSphere
-    exponents: np.ndarray  # integer (m, n_finite)
-
-    def __call__(self, z):
-        _, pts = self.sphere.finite()
-        zs = np.asarray(z, dtype=complex)
-        scalar = zs.ndim == 0
-        zs = np.atleast_1d(zs)
-        diffs = zs[:, None] - pts[None, :]
-        if np.any(diffs == 0.0):
-            raise EvaluationAtPunctureError("map evaluated at a puncture")
-        out = np.exp(np.log(diffs) @ self.exponents.T.astype(complex))
-        return out[0] if scalar else out
-
-
-def realize_genus0(mg: MetricGraph, R: ResidueMatrix, t: float) -> tuple[PuncturedSphere, IotaMap]:
-    """Punctured sphere whose rescaled amoeba approaches the tree's image.
-
-    Needs an integer residue matrix (so the coordinate-wise exponential of the
-    integrals is single-valued) and a tree; the guarantee is expressed by the
-    Hausdorff experiment, not analytically.
-    """
-    if mg.graph.genus != 0:
-        raise NotATreeError(f"graph has genus {mg.graph.genus}, not a tree")
-    if not R.is_integer():
-        raise NonIntegerResiduesError("residue matrix must be integer")
-    sphere = place_tree(mg, t).sphere()
-    idx, _ = sphere.finite()
-    exponents = np.round(R.entries[:, idx]).astype(int)
-    return sphere, IotaMap(sphere, exponents)
-
-
 def rescale_H(t: float, w):
     """Coordinate-wise |z|^(1/log t) * z/|z|; phases kept, moduli rescaled."""
     if not t > 1.0:
@@ -764,7 +727,7 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     Every t is placed, and its punctures checked, before anything is clipped
     or sampled, so a t that cannot be placed raises its error before any t
     is sampled.  The global and tripod scenes are clipped and prepared once
-    per experiment (``distance._ClippedScene``), each sampled in one pass.
+    per experiment (``distance._ClippedScene``).
     Each t runs in a helper whose arrays are all freed before the next t
     samples.  Its cloud is m coordinate rows and one region array
     (``_experiment_cloud``), with the radial reach and tripod paths made

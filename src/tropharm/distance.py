@@ -170,25 +170,14 @@ def _points_to_segments(cols: np.ndarray, params):
 
 def _sample_segments(segs: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
     """Samples a + linspace(0, 1, n)*(b - a) of each segment, n >= 2 of them
-    at most ``step`` apart, as (d, total) coordinate columns, and the count n
-    of each segment, all segments in one pass.
-
-    Each length is the square root of one (1, d) @ (d, 1) product per
-    segment, the dot kernel that np.linalg.norm of one segment runs, so the
-    counts match it bit for bit (a row-wise sum of squares differs in the
-    last bit); sample i of n is a + s*(b - a) with s = i * (1/(n - 1)) and
-    s = 1 at the last, the bits of np.linspace(0, 1, n)."""
-    a, ab = segs[:, 0, :], segs[:, 1, :] - segs[:, 0, :]
-    length = np.sqrt(np.matmul(ab[:, None, :], ab[:, :, None])[:, 0, 0])
-    counts = np.maximum(2, np.ceil(length / step).astype(np.intp) + 1)
-    last = np.cumsum(counts) - 1
-    s = np.arange(last[-1] + 1) - np.repeat(last - (counts - 1), counts)
-    s = s * np.repeat(1.0 / (counts - 1), counts)
-    s[last] = 1.0
-    cols = np.repeat(ab.T, counts, axis=1)
-    cols *= s
-    cols += np.repeat(a.T, counts, axis=1)
-    return cols, counts
+    at most ``step`` apart by np.linalg.norm, as (d, total) coordinate
+    columns, and the count n of each segment."""
+    parts, counts = [], []
+    for a, b in segs:
+        n = max(2, int(np.ceil(np.linalg.norm(b - a) / step)) + 1)
+        parts.append(a[:, None] + np.linspace(0.0, 1.0, n) * (b - a)[:, None])
+        counts.append(n)
+    return np.concatenate(parts, axis=1), np.array(counts)
 
 
 class _ClippedScene:

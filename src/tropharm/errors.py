@@ -86,10 +86,6 @@ class NotATreeError(TropharmError):
     code = "NotATree"
 
 
-class NonIntegerResiduesError(TropharmError):
-    code = "NonIntegerResidues"
-
-
 class EvaluationAtPunctureError(TropharmError):
     code = "EvaluationAtPuncture"
 

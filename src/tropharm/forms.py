@@ -246,9 +246,6 @@ class ResidueMatrix:
     def row(self, k: int) -> np.ndarray:
         return self.entries[k]
 
-    def is_integer(self) -> bool:
-        return bool(np.all(np.abs(self.entries - np.round(self.entries)) <= 1e-9))
-
 
 # ----------------------------------------------------------------------
 # file formats

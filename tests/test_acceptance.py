@@ -140,7 +140,7 @@ def test_criterion_7_genus0_realization():
         t0 = time.time()
         mg = caterpillar_graph(1.0)
         R = ResidueMatrix([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
-        sphere, iota = th.realize_genus0(mg, R, 1e6)
+        sphere = th.place_tree(mg, 1e6).sphere()
         assert sphere.punctures[:2] == (0.0 + 0.0j, 1.0 + 0.0j)
         assert sphere.punctures[2] == pytest.approx(1e6)
         rep = th.convergence_experiment(mg, R, [1e3, 1e4, 1e5, 1e6],

@@ -165,6 +165,19 @@ def test_overflowing_electrical_flow_errors(capsys, overflowing_flow, argv):
     assert json.loads(err) == {"code": "BadInput", "message": message}
 
 
+def test_solve_singular_period_matrix_errors(capsys, tmp_path):
+    # genus2 with the loop e1-e2 of length 2e-300 and the path u-a-b-v of 3e300
+    doc = json.loads((GOLDEN / "genus2.graph.json").read_text())
+    for edge in doc["edges"]:
+        edge["length"] = 1e-300 if edge["id"] in ("e1", "e2") else 1e300
+    graph, res = tmp_path / "graph.json", tmp_path / "residues.json"
+    graph.write_text(json.dumps(doc))
+    res.write_text(json.dumps({"rows": 1, "leaf_order": ["p1", "p2"], "entries": [[1, -1]]}))
+    code, out, err = run(capsys, "solve", str(graph), str(res))
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "SingularSystem"
+
+
 def test_embed_svg_extent_overflow_errors(capsys):
     # the rays end 1e308 from the origin, so the drawing's extent overflows
     code, out, err = run(capsys, "embed", str(GOLDEN / "tripod.graph.json"),

@@ -23,7 +23,6 @@ from tropharm.degeneration import (
     hausdorff,
     ind_genus0,
     place_tree,
-    realize_genus0,
     rescale_H,
 )
 from tropharm.errors import (
@@ -34,7 +33,6 @@ from tropharm.errors import (
     NonPositiveLengthError,
     NonPositiveResiduesError,
     NotATreeError,
-    NonIntegerResiduesError,
     ResiduesDontSumToZeroError,
     ZeroCoordinateError,
 )
@@ -123,6 +121,17 @@ def test_annulus_experiment_kappa_star():
     assert rep2.kappa_star == pytest.approx(2 * np.pi**2, rel=1e-2)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"l_trop": 0.0}, "l_trop and kappa must be positive"),
+    ({"l_trop": 1.0, "kappa": -1.0}, "l_trop and kappa must be positive"),
+    ({"l_trop": 1.0, "t_values": [1e8]}, "at least two t values"),
+    ({"l_trop": 1.0, "t_values": [2.0, 1e8]}, "all exceeding e"),
+], ids=["l_trop", "kappa", "one-t", "t-below-e"])
+def test_annulus_experiment_refuses_bad_arguments(kwargs, match):
+    with pytest.raises(InputError, match=match):
+        annulus_period_experiment(**kwargs)
+
+
 def test_annulus_limit_inverse_in_kappa():
     a = annulus_period_experiment(1.0, kappa=4 * np.pi).limit
     b = annulus_period_experiment(1.0, kappa=8 * np.pi).limit
@@ -151,6 +160,11 @@ def test_ind_genus0_pair_of_pants_form():
     assert w.value(z) == pytest.approx(lam1 / (z - 1) + lam_1 / (z + 1))
 
 
+def test_ind_genus0_refuses_a_row_of_the_wrong_length():
+    with pytest.raises(InputError, match="expected 3 residues"):
+        ind_genus0(LINE_SPHERE, [1.0, -1.0])
+
+
 def test_ind_genus0_rejects_bad_sum():
     with pytest.raises(ResiduesDontSumToZeroError):
         ind_genus0(LINE_SPHERE, [1.0, 1.0, 1.0])
@@ -164,6 +178,14 @@ def test_circular_period_residue_readoff(rng):
             per = w.circular_period(w.sphere.punctures[j], r)
             assert abs(per / (2j * np.pi) - lam[j]) <= 1e-6 * r
             assert abs(per.real) <= 1e-9
+
+
+def test_circular_period_refuses_a_zero_radius_and_a_circle_through_a_puncture():
+    w = ind_genus0(PuncturedSphere((1.0, -1.0, None)), [2.0, 1.0, -3.0])
+    with pytest.raises(InputError, match="radius must be positive"):
+        w.circular_period(0.0, 0.0)
+    with pytest.raises(EvaluationAtPunctureError):
+        w.circular_period(0.0, 1.0)
 
 
 def test_periods_purely_imaginary(rng):
@@ -242,6 +264,13 @@ def test_punctured_sphere_refuses_non_finite_punctures(bad):
         PuncturedSphere((bad, 1.0, None))
 
 
+def test_punctured_sphere_refuses_one_puncture_and_two_at_infinity():
+    with pytest.raises(InputError, match="at least 2 punctures"):
+        PuncturedSphere((0.0,))
+    with pytest.raises(InputError, match="at most one puncture may sit at infinity"):
+        PuncturedSphere((None, None, 1.0))
+
+
 def test_punctured_sphere_refuses_repeated_punctures():
     with pytest.raises(InputError, match="distinct"):
         PuncturedSphere((1.0, 2.0 + 1.0j, 1.0 + 0.0j, None))
@@ -262,6 +291,11 @@ def test_amoeba_respects_rescaling(rng):
     hz = rescale_H(t, zs)
     assert np.max(np.abs(np.log(np.abs(hz)) - np.log(np.abs(zs)) / np.log(t))) <= 1e-12
     assert np.max(np.abs(np.angle(hz) - np.angle(zs))) <= 1e-12
+
+
+def test_rescale_H_refuses_t_at_most_one():
+    with pytest.raises(InputError, match="t must exceed 1"):
+        rescale_H(1.0, 2.0)
 
 
 def test_rescale_H_zero_coordinate():
@@ -320,6 +354,12 @@ def test_hausdorff_refuses_points_that_are_not_a_2d_array(points):
     scene = Scene(2, {"a": np.zeros(2), "b": np.array([1.0, 0.0])}, (("e", "a", "b"),), (), 1.0)
     with pytest.raises(InputError, match="points must be an \\(N, m\\) array"):
         hausdorff(points, scene, [-2, 2])
+
+
+def test_hausdorff_refuses_a_window_of_the_wrong_dimension():
+    scene = Scene(2, {"a": np.zeros(2), "b": np.array([1.0, 0.0])}, (("e", "a", "b"),), (), 1.0)
+    with pytest.raises(InputError, match="window must be \\(dim, 2\\)"):
+        hausdorff(np.zeros((4, 2)), scene, [[-2, 2], [-2, 2], [-2, 2]])
 
 
 def test_hausdorff_empty_after_clip():
@@ -439,20 +479,9 @@ def test_place_tree_matches_the_dict_reference_bit_for_bit(seed, leaves):
         assert pl.height == height and pl.up_path == up_path
 
 
-def test_realize_rejects_nontree_and_noninteger():
+def test_place_tree_rejects_a_positive_genus_graph():
     with pytest.raises(NotATreeError):
-        realize_genus0(dumbbell_graph(), ResidueMatrix([[3.0, -3.0]]), 100.0)
-    with pytest.raises(NonIntegerResiduesError):
-        realize_genus0(tripod_graph(), ResidueMatrix([[0.5, 0.0, -0.5]]), 100.0)
-
-
-def test_realize_iota_closed_form():
-    mg = caterpillar_graph(1.0)
-    R = ResidueMatrix([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
-    sphere, iota = realize_genus0(mg, R, 1e3)
-    z = 7.0 + 2.0j
-    expected = np.array([(z - 0) * (z - 1e3) ** -1, (z - 1)])
-    assert np.allclose(iota(z), expected)
+        place_tree(dumbbell_graph(), 100.0)
 
 
 def test_convergence_line(tripod):
@@ -497,6 +526,16 @@ def test_convergence_rejects_positive_genus(dumbbell):
         convergence_experiment(dumbbell, ResidueMatrix([[1.0, -1.0]]), [1e3])
 
 
+def test_convergence_refuses_no_t_values(tripod):
+    with pytest.raises(InputError, match="at least one t value"):
+        convergence_experiment(tripod, LINE_R, [])
+
+
+def test_convergence_refuses_a_window_that_clips_the_whole_cloud(tripod):
+    with pytest.raises(EmptyAfterClippingError, match="point cloud is empty"):
+        convergence_experiment(tripod, LINE_R, [1e3], window=[[100, 101], [100, 101]])
+
+
 def _merging_tree():
     mg = graph_from_dict(MERGING_TREE)
     return mg, residues_from_dict(MERGING_TREE_RESIDUES, mg)
@@ -537,13 +576,11 @@ def test_convergence_places_each_distinct_t_once(monkeypatch):
 
 
 def test_amoeba_of_Ht_image_is_rescaled_amoeba():
-    # coordinate-wise: log|H_t(w)| = (1/log t) log|w| on iota images
-    mg = caterpillar_graph(1.0)
-    R = ResidueMatrix([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+    # coordinate-wise: log|H_t(w)| = (1/log t) log|w| on points of the complex
+    # torus, here z/(z - t) and z - 1 as for the caterpillar's punctures 0, 1, t
     t = 1e4
-    sphere, iota = realize_genus0(mg, R, t)
     zs = np.array([0.5 + 0.25j, -2.0 + 1.0j, 40.0 + 3.0j, 0.1j])
-    w = iota(zs)  # (N, 2) points of the complex torus
+    w = np.stack([zs / (zs - t), zs - 1.0], axis=1)  # (N, 2)
     hw = rescale_H(t, w)
     lhs = np.log(np.abs(hw))
     rhs = np.log(np.abs(w)) / np.log(t)
@@ -872,7 +909,7 @@ def test_convergence_matches_public_hausdorff_on_random_trees(seed, leaves, t, h
 
 
 def test_scene_samples_match_per_segment_linspace_bit_for_bit():
-    # the scene is deduplicated and sampled in one pass; the segments kept,
+    # the scene is deduplicated and sampled once; the segments kept,
     # the samples and the counts must be those of np.unique(axis=0),
     # np.linalg.norm and np.linspace one segment at a time, also for a
     # corner-to-corner segment, whose length is the window diagonal, exactly

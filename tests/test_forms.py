@@ -15,6 +15,7 @@ from tropharm.errors import (
     InputError,
     NotPathOrLoopError,
     ResiduesDontSumToZeroError,
+    SingularSystemError,
     TooFewLeavesError,
 )
 from tropharm.forms import (
@@ -30,7 +31,7 @@ from tropharm.forms import (
 )
 from tropharm.graph import GraphPath, MetricGraph, OrientedEdge, cycle_basis, leaf_paths
 
-from conftest import dumbbell_graph, theta_graph
+from conftest import dumbbell_graph, genus2_graph, theta_graph
 from _generators import random_cubic, random_valid_cubic
 from oracles import dense_incidence, energy_min_flow, form_space_dims_svd, kirchhoff_fraction
 
@@ -138,6 +139,13 @@ def test_solve_dumbbell_hand_values(dumbbell):
 def test_solve_rejects_bad_row(dumbbell):
     with pytest.raises(ResiduesDontSumToZeroError):
         solve_exact_form(dumbbell, [1.0, 1.0])
+    with pytest.raises(InputError, match="expected 2 residues"):
+        solve_exact_form(dumbbell, [1.0])
+
+
+def test_one_form_refuses_values_on_unknown_ids(dumbbell):
+    with pytest.raises(InputError, match="unknown leaf-edges: \\['nope'\\]"):
+        OneForm(dumbbell, {"nope": 1.0})
 
 
 def test_solve_linearity(rng):
@@ -322,6 +330,14 @@ def test_potentials_and_currents_refuse_rows_of_the_wrong_shape(tripod, rows):
     # would otherwise be cut short or padded without a word
     with pytest.raises(InputError, match="expected rows of 3 residues"):
         potentials_and_currents(tripod, rows)
+
+
+def test_potentials_and_currents_refuse_a_singular_period_matrix():
+    # with lengths scaled so the longest is at most 1, e1 and e2 underflow
+    # to 0 and the period matrix of the loops has a zero row
+    mg = genus2_graph({"e1": 1e-300, "e2": 1e-300, "f1": 1e300, "f2": 1e300, "f3": 1e300})
+    with pytest.raises(SingularSystemError):
+        potentials_and_currents(mg, [[1.0, -1.0]])
 
 
 def test_currents_survive_a_loop_longer_than_the_float_range():
