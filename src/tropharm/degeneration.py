@@ -21,7 +21,8 @@ infinity.  Root the tree at the vertex carrying the last leaf and give each
 vertex v the height H(v) = ecc - dist(root, v).  Walking from the root toward
 leaf j, each branch taken at a vertex w contributes c * t**H(w) with branch
 constants c in {0, 1} read off the ribbon order.  Pairwise puncture distances
-are then t**H(meet), which reproduces the tree's edge lengths in log_t scale.
+are then |p_j - p_k| = t**H(meet) * |1 + O(t**-dh)|, dh > 0 the height drop
+below the meet, which reproduces the tree's edge lengths in log_t scale.
 """
 from __future__ import annotations
 
@@ -355,25 +356,26 @@ def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TreePlacement:
-    """Puncture positions for a metric tree at a given t, with cluster data."""
+    """Puncture positions for a metric tree at a given t, with the tree
+    rooted at the last leaf's vertex: ``parent`` and ``height`` are indexed
+    like the graph's vertices, the root's parent is -1, and H(v) decreases
+    away from the root."""
 
     carrier: MetricGraph
     t: float
-    infinite_leaf: str
     punctures: tuple[complex | None, ...]
-    height: dict[str, float]         # vertex -> H(v), decreasing away from the root
-    up_path: dict[str, tuple[str, ...]]  # vertex -> path of vertices up to the root
+    parent: tuple[int, ...]
+    height: tuple[float, ...]
 
     def sphere(self) -> PuncturedSphere:
         return PuncturedSphere(self.punctures)
 
-    def meet_height(self, v: str, w: str) -> float:
-        """H at the first common vertex of the two upward paths."""
-        on_w = set(self.up_path[w])
-        for x in self.up_path[v]:
-            if x in on_w:
-                return self.height[x]
-        raise RuntimeError("internal: tree paths never meet")
+    def up_path(self, v: int) -> list[int]:
+        """Vertex indices from ``v`` up to the root."""
+        path = [v]
+        while self.parent[path[-1]] >= 0:
+            path.append(self.parent[path[-1]])
+        return path
 
 
 def place_tree(mg: MetricGraph, t: float) -> TreePlacement:
@@ -388,14 +390,12 @@ def place_tree(mg: MetricGraph, t: float) -> TreePlacement:
     *leaf_vertices, root = g._leaf_vertices.tolist()
 
     # metric depth from the root through the tree walked from it, in
-    # breadth-first order, so parents come first; each vertex's incoming
+    # breadth-first order (parents first); each vertex's parent and incoming
     # column (the last leaf at the root); Python-float lengths and heights
     walk, lengths = _tree_walk(g._tree_adj, root), mg.lengths.tolist()
-    depth, incoming = [0.0] * len(names), [len(ids) - 1] * len(names)
-    up_path = {names[root]: (names[root],)}
+    depth, incoming, parent = [0.0] * len(names), [len(ids) - 1] * len(names), [-1] * len(names)
     for w, v, k, _ in walk:
-        depth[w], incoming[w] = depth[v] + lengths[k], k
-        up_path[names[w]] = (names[w],) + up_path[names[v]]
+        depth[w], incoming[w], parent[w] = depth[v] + lengths[k], k, v
     ecc = max(depth)
     height = [ecc - d for d in depth]
 
@@ -409,7 +409,7 @@ def place_tree(mg: MetricGraph, t: float) -> TreePlacement:
     for w, v, k, _ in walk:
         center[w] = center[v] + branch(v, k) * t ** height[v]
     punctures = tuple(center[v] + branch(v, ne + j) * t ** height[v] for j, v in enumerate(leaf_vertices))
-    return TreePlacement(mg, float(t), g.leaf_ids[-1], (*punctures, None), dict(zip(names, height)), up_path)
+    return TreePlacement(mg, float(t), (*punctures, None), tuple(parent), tuple(height))
 
 
 def rescale_H(t: float, w):
@@ -516,23 +516,6 @@ def _tripod_scene(mor: HarmonicMorphism, v: str) -> Scene:
     return Scene(mor.ambient_dim, vertices, tuple(edges), tuple(rays))
 
 
-def _alignment_offset(placement: TreePlacement, R: ResidueMatrix, base_vertex: str) -> np.ndarray:
-    """Limit of the rescaled amoeba over the base vertex's cluster region.
-
-    By the circle mean-value property, averaging the amoeba map over the
-    cluster-scale circle at a vertex v gives sum_j r_j * H(meet(v, v_j)) in
-    log_t units, up to vanishing corrections; matching this to the scene's
-    vertex position removes the translation ambiguity without sampling noise.
-    """
-    g = placement.carrier.graph
-    off = np.zeros(R.m)
-    for j, l in enumerate(g.leaves):
-        if l.id == placement.infinite_leaf:
-            continue
-        off += R.entries[:, j] * placement.meet_height(base_vertex, l.vertex)
-    return off
-
-
 def _rows_near_window(pts: np.ndarray, rows: np.ndarray, log_radii: np.ndarray, res_cols: np.ndarray,
                       window: np.ndarray, shift: np.ndarray, logt: float) -> np.ndarray:
     """Mask of the radius rows whose amoeba image may meet the window, for
@@ -571,30 +554,40 @@ def _rows_near_window(pts: np.ndarray, rows: np.ndarray, log_radii: np.ndarray, 
 
 
 def _chart_plan(placement: TreePlacement, mor: HarmonicMorphism, window: np.ndarray):
-    """What the charts of every t share: (reach, top height, each chart's
-    leaf height, upward paths, scale thresholds).  Radii run, in log_t units,
-    from reach below a chart's leaf height to reach above the top height.
-    The upward paths (vertex indices) and the increasing thresholds between
-    consecutive path vertices (one row per level) are padded to one depth:
-    a threshold of +inf is never reached, so no padded entry is read."""
+    """What the charts of every t share, (reach, top height, each chart's
+    leaf height, upward paths, scale thresholds), and the alignment shift.
+    Radii run, in log_t units, from reach below a chart's leaf height to
+    reach above the top height.  The upward paths (vertex indices) and the
+    increasing thresholds between consecutive path vertices (one row per
+    level) are padded to one depth: a threshold of +inf is never reached, so
+    no padded entry is read.
+
+    The shift is positions[b] + sum_j s_j * H(meet(b, v_j)) over the finite
+    leaves j, s_j = -r_j the leaf slope, each term added in the climb of leaf
+    j's path: by the circle mean-value property the amoeba map averages to
+    sum_j r_j * H(meet) (log_t units, up to vanishing corrections) on the
+    cluster-scale circle at the base vertex b."""
     g = placement.carrier.graph
     wmax = float(np.max(np.abs(window))) + 1.0
     peaks = np.max(np.abs(np.vstack([mor.edge_slopes, mor.leaf_slopes])), axis=1)
     nonzero = peaks[peaks > 1e-12]
     floor = max(float(nonzero.min()) if nonzero.size else 1.0, 0.05)
     reach = min(wmax / floor, 200.0)
-    heights = placement.height
-    vertex_index = {v: i for i, v in enumerate(g.vertices)}
-    leaf_vertices = [l.vertex for l, p in zip(g.leaves, placement.punctures) if p is not None]
-    depth = max(len(placement.up_path[v]) for v in leaf_vertices)
-    paths = np.zeros((len(leaf_vertices), depth), dtype=np.min_scalar_type(-len(g.vertices)))
-    bounds = np.full((depth - 1, len(leaf_vertices)), np.inf)
-    for pos, v in enumerate(leaf_vertices):
-        up = placement.up_path[v]
+    heights, base = placement.height, g.vertices.index(mor.base_vertex)
+    on_base = set(placement.up_path(base))
+    *leaf_vertices, _ = g._leaf_vertices.tolist()  # the last leaf is at infinity
+    ups = [placement.up_path(v) for v in leaf_vertices]
+    depth = max(map(len, ups))
+    paths = np.zeros((len(ups), depth), dtype=np.min_scalar_type(-len(g.vertices)))
+    bounds = np.full((depth - 1, len(ups)), np.inf)
+    lift = np.zeros(mor.ambient_dim)
+    for j, up in enumerate(ups):
         hs = [heights[w] for w in up]
-        paths[pos, :len(up)] = [vertex_index[w] for w in up]
-        bounds[:len(up) - 1, pos] = [(a + b) / 2.0 for a, b in zip(hs, hs[1:])]
-    return reach, max(heights.values()), [heights[v] for v in leaf_vertices], paths, bounds
+        paths[j, :len(up)] = up
+        bounds[:len(up) - 1, j] = [(a + b) / 2.0 for a, b in zip(hs, hs[1:])]
+        lift += mor.leaf_slopes[j] * heights[next(w for w in up if w in on_base)]
+    plan = reach, max(heights), [heights[v] for v in leaf_vertices], paths, bounds
+    return plan, mor.positions[base] + lift
 
 
 def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
@@ -730,8 +723,8 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     per experiment (``distance._ClippedScene``).
     Each t runs in a helper whose arrays are all freed before the next t
     samples.  Its cloud is m coordinate rows and one region array
-    (``_experiment_cloud``), with the radial reach and tripod paths made
-    once per experiment (``_chart_plan``).  The rows are rescaled in place
+    (``_experiment_cloud``), with the radial reach, tripod paths and shift
+    made once per experiment (``_chart_plan``).  The rows are rescaled in place
     and tested against the window one coordinate at a time
     (``distance._in_window``); the in-window columns are copied out sorted
     by region with one stable sort, so each tripod cloud is a column slice
@@ -757,13 +750,12 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     win = default_window(scene) if window is None else distance._as_window(window, R.m)
     # place every t, checking its punctures as it is placed, before anything
     # is clipped or sampled, so a t that cannot be placed costs no work; the
-    # heights, and so the alignment shift, do not depend on t
+    # heights, and so the chart plan and the alignment shift, do not depend on t
     placements = []
     for t in ts:
         placements.append(place_tree(mg, t))
         placements[-1].sphere()
-    shift = mor.positions[mg.graph.vertices.index(base_vertex)] - _alignment_offset(placements[0], R, base_vertex)
-    plan = _chart_plan(placements[0], mor, win)
+    plan, shift = _chart_plan(placements[0], mor, win)
 
     # clipping cuts every ray at the window edge, so the scene's drawing
     # length is never read; the scenes do not depend on t: clip and prepare

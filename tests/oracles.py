@@ -386,19 +386,19 @@ def experiment_cloud_stacked(placement, R, mor, window, shift, sampling):
     reach = min(wmax / floor, 200.0)
 
     heights = placement.height
-    h_top = max(heights.values())
+    h_top = max(heights)
     step, angular_count, grid_count = sampling
 
     vertex_index = {v: i for i, v in enumerate(g.vertices)}
     region_type = np.min_scalar_type(-len(g.vertices))
-    leaf_vertices = [g.leaves[j].vertex for j in idx]
-    depth = max(len(placement.up_path[v]) for v in leaf_vertices)
+    leaf_vertices = [vertex_index[g.leaves[j].vertex] for j in idx]
+    depth = max(len(placement.up_path(v)) for v in leaf_vertices)
     paths = np.zeros((len(leaf_vertices), depth), dtype=region_type)
     bounds = np.full((depth - 1, len(leaf_vertices)), np.inf)
     for pos, v in enumerate(leaf_vertices):
-        up = placement.up_path[v]
+        up = placement.up_path(v)
         hs = [heights[w] for w in up]
-        paths[pos, :len(up)] = [vertex_index[w] for w in up]
+        paths[pos, :len(up)] = up
         bounds[:len(up) - 1, pos] = [(a + b) / 2.0 for a, b in zip(hs, hs[1:])]
 
     def assign_tripods(logdist):

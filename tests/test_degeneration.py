@@ -462,7 +462,7 @@ def test_place_caterpillar_matches_expected():
 
 
 @settings(max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 8))
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 64))
 def test_place_tree_matches_the_dict_reference_bit_for_bit(seed, leaves):
     rng = np.random.default_rng(seed)
     mg = random_cubic(rng, 0, leaves)
@@ -476,7 +476,8 @@ def test_place_tree_matches_the_dict_reference_bit_for_bit(seed, leaves):
         # tuples of complex numbers compare by value; compare the bits
         assert [None if p is None else (p.real.hex(), p.imag.hex()) for p in pl.punctures] == \
             [None if p is None else (p.real.hex(), p.imag.hex()) for p in punctures]
-        assert pl.height == height and pl.up_path == up_path
+        assert dict(zip(g.vertices, pl.height)) == height
+        assert {v: tuple(g.vertices[w] for w in pl.up_path(i)) for i, v in enumerate(g.vertices)} == up_path
 
 
 def test_place_tree_rejects_a_positive_genus_graph():
@@ -536,6 +537,12 @@ def test_convergence_refuses_a_window_that_clips_the_whole_cloud(tripod):
         convergence_experiment(tripod, LINE_R, [1e3], window=[[100, 101], [100, 101]])
 
 
+def test_convergence_refuses_a_window_that_clips_the_whole_scene(tripod):
+    # amoeba points fall in this box, but no piece of the scene does
+    with pytest.raises(EmptyAfterClippingError, match="scene is empty after clipping"):
+        convergence_experiment(tripod, LINE_R, [1e3], window=[[0.01, 0.04], [-0.2, -0.1]])
+
+
 def _merging_tree():
     mg = graph_from_dict(MERGING_TREE)
     return mg, residues_from_dict(MERGING_TREE_RESIDUES, mg)
@@ -575,6 +582,48 @@ def test_convergence_places_each_distinct_t_once(monkeypatch):
     assert placed == [1e3, 1e4]
 
 
+class _Stop(Exception):
+    """Raised by a spy to end an experiment before it samples."""
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 16), m=st.integers(1, 3))
+def test_alignment_shift_is_the_mean_value_of_the_leaf_meets(seed, leaves, m):
+    # the experiment moves the rescaled cloud by positions[b] minus
+    # sum_j R[:, j] * H(meet(b, v_j)) over the finite leaves j, the meet of
+    # the base vertex b and the leaf's vertex v_j read off the dict
+    # reference's upward paths; a random base vertex is often off some
+    # leaf's path to the root, where H(meet) and H(v_j) differ
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, 0, leaves)
+    g = mg.graph
+    base = g.vertices[rng.integers(len(g.vertices))]
+    rows = rng.normal(size=(m, leaves))
+    rows[:, -1] = -rows[:, :-1].sum(axis=1)
+    R = ResidueMatrix(rows)
+    t = 3.0  # small, so the punctures of deep trees stay distinct
+    finite = [p for p in place_tree(mg, t).punctures if p is not None]
+    assume(len(set(finite)) == len(finite))
+    _, height, up_path = place_tree_reference(mg, t)
+    on_base = set(up_path[base])
+    offset = np.zeros(m)
+    for j, leaf in enumerate(g.leaves[:-1]):
+        offset += R.entries[:, j] * height[next(w for w in up_path[leaf.vertex] if w in on_base)]
+    want = build_morphism(mg, R, base).vertex_position[base] - offset
+
+    shifts = []
+
+    def spy(placement, R, plan, window, shift, sampling):
+        shifts.append(shift)
+        raise _Stop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dg, "_experiment_cloud", spy)
+        with pytest.raises(_Stop):
+            convergence_experiment(mg, R, [t], base_vertex=base)
+    assert shifts[0].tobytes() == want.tobytes()
+
+
 def test_amoeba_of_Ht_image_is_rescaled_amoeba():
     # coordinate-wise: log|H_t(w)| = (1/log t) log|w| on points of the complex
     # torus, here z/(z - t) and z - 1 as for the caterpillar's punctures 0, 1, t
@@ -608,7 +657,7 @@ def test_convergence_deeper_tree():
     )
     mg = MetricGraph(g, {"a": 1.0, "b": 0.5})
     pl = place_tree(mg, 1e4)
-    assert pl.height == {"v2": 1.5, "v1": 1.0, "v0": 0.0}
+    assert pl.height == (0.0, 1.0, 1.5) and pl.parent == (1, 2, -1)
     assert pl.punctures[:4] == (0j, 1 + 0j, 1e4 + 0j, 1e6 + 0j)
     R = ResidueMatrix([[1.0, 0.0, -1.0, 0.0, 0.0], [0.0, 1.0, 1.0, -1.0, -1.0]])
     rep = convergence_experiment(mg, R, [1e4, 1e6], window=[[-3, 3], [-3, 3]],
@@ -634,13 +683,13 @@ def _cloud_args(mg, R, t, window, sampling):
     mor = build_morphism(mg, R, base)
     win = dg.default_window(emit_embedding(mor, 1.0)) if window is None else window
     placement = place_tree(mg, t)
-    shift = mor.vertex_position[base] - dg._alignment_offset(placement, R, base)
+    _, shift = dg._chart_plan(placement, mor, win)
     return placement, R, mor, win, shift, sampling
 
 
 def _cloud(placement, R, mor, win, shift, sampling):
     """``_experiment_cloud`` with the chart plan the experiment makes once."""
-    return dg._experiment_cloud(placement, R, dg._chart_plan(placement, mor, win), win, shift, sampling)
+    return dg._experiment_cloud(placement, R, dg._chart_plan(placement, mor, win)[0], win, shift, sampling)
 
 
 def _in_window_cloud(mg, R, t, window, sampling):
@@ -739,8 +788,8 @@ def test_experiment_cloud_matches_stacked_charts_on_moved_punctures():
         moved = dataclasses.replace(placement, punctures=(*pts.tolist(), None))
         base = mg.graph.vertices[0]
         mor = build_morphism(mg, R, base)
-        shift = mor.vertex_position[base] - dg._alignment_offset(moved, R, base)
         window = np.array([[-3.0, 3.0]] * m)
+        _, shift = dg._chart_plan(moved, mor, window)
         _assert_same_cloud((moved, R, mor, window, shift, dg._sampling(0.5)))
 
 
@@ -774,7 +823,7 @@ def test_sample_on_the_window_edge_survives_row_skipping():
     logt = math.log(t)
     mor = build_morphism(mg, R, "w")
     placement = place_tree(mg, t)
-    shift = mor.vertex_position["w"] - dg._alignment_offset(placement, R, "w")
+    _, shift = dg._chart_plan(placement, mor, np.array([[-60.0, 60.0]]))  # the window sets only the reach
     idx, pts = placement.sphere().finite()
     for u in np.arange(4, 81) * 0.05:
         logdist, _ = _chart_logdist(pts, 0, np.array([u * logt]), 4)
@@ -834,7 +883,7 @@ def _public_distances(mg, R, t, win, base):
 
     mor = build_morphism(mg, R, base)
     placement = place_tree(mg, t)
-    shift = mor.vertex_position[base] - dg._alignment_offset(placement, R, base)
+    _, shift = dg._chart_plan(placement, mor, win)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg, "_chart_units", lambda pts, angular_count: circle_units(angular_count))
         mp.setattr(dg, "_rows_near_window", _every_row)

@@ -122,6 +122,17 @@ def test_dual_form_empty_rejected(tripod):
         dual_form(tripod, GraphPath((), is_loop=False))
 
 
+@pytest.mark.parametrize("items, match", [
+    ((OrientedEdge("p1"),), "loops contain no leaves"),
+    ((OrientedEdge("e1"), OrientedEdge("e2")), "loop is not cyclically head-to-tail"),
+], ids=["leaf", "open"])
+def test_dual_form_refuses_a_bad_loop_as_not_a_path_or_loop(dumbbell, items, match):
+    # check_path refuses these loops with NotALoopError, which dual_form
+    # raises as NotPathOrLoopError
+    with pytest.raises(NotPathOrLoopError, match=match):
+        dual_form(dumbbell, GraphPath(items, is_loop=True))
+
+
 def test_solve_zero_residues(dumbbell):
     f = solve_exact_form(dumbbell, [0.0, 0.0])
     assert all(v == 0.0 for v in f.values.values())
