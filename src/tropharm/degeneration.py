@@ -300,37 +300,45 @@ def _chart_logdist(pts: np.ndarray, j: int, log_radii: np.ndarray, angular_count
     contiguous pass.  The own row is log r exactly, which keeps tiny radii
     accurate where z - p_j would cancel to zero in floating point.  Only if
     some distance is exactly 0, a sample landing on another puncture, are
-    the columns compacted to drop those samples.  ``buffers``, a float array
-    of at least n * N elements and a (2, N) complex array with N at least
-    the chart's column count, are the working storage, and the block
-    returned is the start of the float array, laid out (n, N), unless
-    samples were dropped.
+    the columns compacted, in place, to drop those samples.  ``buffers``, a
+    float array of at least n * N elements and a (2, W) complex array of at
+    least one radius row, are the working storage: the offsets
+    r*e^(i*theta) and the points z are made W // units.size radius rows at
+    a time, and the block returned is the start of the float array, laid out
+    (n, N) with N the samples kept.
 
     Returns the kept columns and the number of samples drawn off a puncture
     over the whole circle, mirror samples included."""
     shape = (log_radii.size, units.size)
     size = shape[0] * shape[1]
     buf, zbuf = buffers
-    logdist, offs, z = buf[:pts.size * size].reshape(pts.size, size), zbuf[0, :size], zbuf[1, :size]
-    np.multiply(np.exp(log_radii)[:, None], units, out=offs.reshape(shape))
-    for k in range(pts.size):
-        if k != j:
-            np.add(offs, pts[j] - pts[k], out=z)
-            np.abs(z, out=logdist[k])
+    logdist = buf[:pts.size * size].reshape(pts.size, size)
+    per_pass = zbuf.shape[1] // units.size  # radius rows
+    for lo in range(0, shape[0], per_pass):
+        radii = np.exp(log_radii[lo:lo + per_pass])
+        part = slice(lo * units.size, (lo + radii.size) * units.size)
+        offs, z = zbuf[:, :radii.size * units.size]
+        np.multiply(radii[:, None], units, out=offs.reshape(radii.size, units.size))
+        for k in range(pts.size):
+            if k != j:
+                np.add(offs, pts[j] - pts[k], out=z)
+                np.abs(z, out=logdist[k, part])
     logdist[j] = 1.0  # passes the check until log r is written over it
     twins = angular_count - units.size  # angle indices 1 .. twins have mirror copies
-    if logdist.all():  # no sample on a puncture
-        drawn = size + shape[0] * twins
-        for rows in (logdist[:j], logdist[j + 1:]):
-            np.log(rows, out=rows)
-        logdist[j].reshape(shape)[:] = log_radii[:, None]
-        return logdist, drawn
-    keep = np.all(logdist > 0.0, axis=0)
-    drawn = np.count_nonzero(keep) + np.count_nonzero(keep.reshape(shape)[:, 1:1 + twins])
-    logdist = logdist[:, keep]
-    np.log(logdist, out=logdist)
-    logdist[j] = np.repeat(log_radii, units.size)[keep]
-    return logdist, int(drawn)
+    keep = None if logdist.all() else np.all(logdist > 0.0, axis=0)
+    logdist[j].reshape(shape)[:] = log_radii[:, None]
+    drawn = size + shape[0] * twins
+    if keep is not None:  # some sample on a puncture
+        drawn = int(np.count_nonzero(keep) + np.count_nonzero(keep.reshape(shape)[:, 1:1 + twins]))
+        # compacted row by row into the start of the buffer: row k's kept
+        # columns end before row k + 1 begins, so no row is written over unread
+        kept = buf[:pts.size * np.count_nonzero(keep)].reshape(pts.size, -1)
+        for k in range(pts.size):
+            kept[k] = logdist[k, keep]
+        logdist = kept
+    for rows in (logdist[:j], logdist[j + 1:]):
+        np.log(rows, out=rows)
+    return logdist, drawn
 
 
 def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
@@ -592,70 +600,93 @@ def _chart_plan(placement: TreePlacement, mor: HarmonicMorphism, window: np.ndar
 
 def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
                       window: np.ndarray, shift: np.ndarray, sampling: tuple[float, int, int]):
-    """Raw amoeba samples as (m, N) coordinate rows, the tripod region of
-    each and the samples drawn, at ``sampling`` = (u_step, angular_count,
-    grid_count) (see ``_sampling``) and ``plan`` (see ``_chart_plan``).
+    """The rescaled amoeba samples inside the window as (m, N) coordinate
+    columns sorted by tripod region, where the regions end, and the samples
+    drawn, at ``sampling`` = (u_step, angular_count, grid_count) (see
+    ``_sampling``) and ``plan`` (see ``_chart_plan``).
 
-    A region is an index into the graph's vertices, or -1 for samples of the
-    global grid.  Rescaled points are raw / log t + shift.  On real
-    punctures each chart is evaluated on the lower half-circle only (see
+    A region is an index into the graph's vertices; the samples of the
+    global grid have none.  Rescaled points are raw / log t + shift.  The
+    columns hold the grid's samples first, then each region in vertex
+    order, each in chart order and then sample order: the grid is columns
+    :ends[0] and region i columns ends[i]:ends[i + 1].  On real punctures
+    each chart is evaluated on the lower half-circle only (see
     ``_chart_units``), and radius rows that provably miss the window (see
     ``_rows_near_window``) are never evaluated; the returned count still
     includes both: every chart sample drawn off a puncture over the whole
     circle, plus the grid samples.
 
     The near rows of every chart are found first, in one pass, so the
-    coordinate rows and the region array are allocated once.  The charts
-    are then evaluated one at a time, each as an (n, N) block in one pair of
-    chart buffers, sized for the largest chart and reused by every chart
-    (``_chart_logdist``).  Each chart has exactly one residue product, over
-    all its kept samples, written straight into its columns of the
-    coordinate rows (with one residue row over an (N, n) copy of the block:
-    the (1, n) @ (n, N) product runs another BLAS kernel and changes last
-    bits).  A sample's tripod region is read off its nearest puncture, a
-    running minimum over the block's rows, the first index winning ties.
-    The grid follows.  What lives at once is the coordinate rows, the
-    region array and one chart's buffers and tripod scratch.  The arrays
-    returned are views of the first columns of the allocated ones: room for
-    the grid is reserved at its node count, and samples on a puncture are
-    dropped."""
+    chart buffers are allocated once, sized for the largest chart and
+    reused by every chart.  The grid is evaluated first, then the charts,
+    one at a time, each as an (n, N) block (``_chart_logdist``).  Each has
+    exactly one residue product, over all its kept samples, into an image of
+    its own (with one residue row over an (N, n) copy of the block: the
+    (1, n) @ (n, N) product runs another BLAS kernel and changes last bits),
+    which is rescaled in place.  A sample's tripod region is read off its
+    nearest puncture, a running minimum over the block's rows, the first
+    index winning ties, ``distance._BLOCK`` samples at a time.  The
+    in-window columns of each image are moved to its front, sorted by
+    region, stably, and these pieces are put together once, slot by slot
+    (a slot is the grid or one region).
+    So what lives at once is the pieces so far, the chart buffers, one
+    image and block-sized scratch, and at the end the pieces and the
+    cloud."""
     idx, pts = placement.sphere().finite()
     res_cols = R.entries[:, idx]
     logt = math.log(placement.t)
     step, angular_count, grid_count = sampling
     reach, top, heights, paths, bounds = plan
+    # the slots of a piece, the grid's and then each region's, begin and end
+    # where its sorted regions reach these values
+    slot_edges = np.arange(-1, len(placement.carrier.graph.vertices) + 1)
+    block = distance._BLOCK
 
-    def assign_tripods(logdist: np.ndarray, out: np.ndarray) -> None:
+    def assign_tripods(logdist: np.ndarray) -> np.ndarray:
         """Tripod region of each sample: nearest puncture in log scale, then
         walk that leaf's upward path to the sample's own scale (the level is
         the number of thresholds at or below it, as np.digitize counts)."""
-        u_min = logdist[0].copy()
-        nearest = np.zeros(u_min.size, dtype=np.intp)
-        for k in range(1, pts.size):
-            # k exceeds every index so far, so the max sets it where logdist[k] is smaller
-            np.maximum(nearest, np.less(logdist[k], u_min) * k, out=nearest)
-            np.minimum(u_min, logdist[k], out=u_min)
-        u_min /= logt
-        at = nearest * paths.shape[1]  # the flat index of (nearest, level) in paths
-        for bnd in bounds:
-            at += np.take(bnd, nearest) <= u_min
-        out[:] = np.take(paths, at)
+        out = np.empty(logdist.shape[1], dtype=paths.dtype)
+        for lo in range(0, logdist.shape[1], block):
+            part = logdist[:, lo:lo + block]
+            u_min = part[0].copy()
+            nearest = np.zeros(u_min.size, dtype=np.intp)
+            for k in range(1, pts.size):
+                # k exceeds every index so far, so the max sets it where part[k] is smaller
+                np.maximum(nearest, np.less(part[k], u_min) * k, out=nearest)
+                np.minimum(u_min, part[k], out=u_min)
+            u_min /= logt
+            at = nearest * paths.shape[1]  # the flat index of (nearest, level) in paths
+            for bnd in bounds:
+                at += np.take(bnd, nearest) <= u_min
+            out[lo:lo + block] = np.take(paths, at)
+        return out
 
-    def write_image(logdist: np.ndarray, part: slice) -> None:
-        """The raw image of an (n, N) log-distance block, one residue product
-        written into the coordinate columns ``part``; with one residue row,
-        (N, n) @ (n, 1) over a copy of the block, as for the stacked image."""
+    def image_by_region(logdist: np.ndarray, region: np.ndarray):
+        """The rescaled image of an (n, N) log-distance block, one residue
+        product; with one residue row, (N, n) @ (n, 1) over a copy of the
+        block, as for the stacked image.  Returns its in-window columns,
+        moved to its front sorted by region, stably, and where each slot of
+        them ends."""
+        image = np.empty((R.m, logdist.shape[1]))
         if R.m == 1:
-            np.matmul(np.ascontiguousarray(logdist.T), res_cols.T, out=cols[:, part].T)
+            np.matmul(np.ascontiguousarray(logdist.T), res_cols.T, out=image.T)
         else:
-            np.matmul(res_cols, logdist, out=cols[:, part])
+            np.matmul(res_cols, logdist, out=image)
+        np.divide(image, logt, out=image)
+        image += shift[:, None]
+        keep = np.flatnonzero(distance._in_window(image, window))
+        keep = keep[np.argsort(region[keep], kind="stable")]
+        for row in image:
+            row[:keep.size] = row[keep]
+        return image[:, :keep.size], np.searchsorted(region[keep], slot_edges)
 
     # keep radii t**u representable: |u * log t| must stay below exp overflow
     u_cap = 600.0 / logt
     u_hi = min(top + reach, u_cap)
 
     # every chart's radius rows near the window first, in one pass, so that
-    # the coordinate rows and region array are allocated once
+    # the chart buffers are allocated once
     ks = []
     for height in heights:
         u_lo = max(height - reach, -u_cap)
@@ -671,30 +702,30 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
     cuts = np.cumsum(rows)[:-1]
     charts = [r[keep] for r, keep in zip(np.split(log_radii, cuts), np.split(near, cuts))]
     _check_indexable(grid_count**2 * pts.size, "the global grid")
-    units = _chart_units(pts, angular_count)
-    sizes = [chart.size * units.size for chart in charts]
-    cols = np.empty((R.m, sum(sizes) + grid_count**2))
-    region = np.empty(cols.shape[1], dtype=paths.dtype)
-
-    # one product per chart over all its samples, written into the chart's
-    # columns: a product of fewer samples can differ from the same samples of
-    # the whole one in the last bit
-    buffers = np.empty(pts.size * max(sizes)), np.empty((2, max(sizes)), dtype=complex)
-    end = 0
-    for pos, chart in enumerate(charts):
-        logdist, drawn = _chart_logdist(pts, pos, chart, angular_count, units=units, buffers=buffers)
-        part = slice(end, end + logdist.shape[1])
-        write_image(logdist, part)
-        assign_tripods(logdist, region[part])
-        end, samples = part.stop, samples + drawn
-    del buffers, logdist
 
     # coarse global grid over a disk containing all finite punctures
     grid = _grid_logdist(pts, grid_count)
-    part = slice(end, end + grid.shape[1])
-    write_image(grid, part)
-    region[part] = -1
-    return cols[:, :part.stop], region[:part.stop], samples + grid.shape[1]
+    pieces = [image_by_region(grid, np.full(grid.shape[1], -1, dtype=paths.dtype))]
+    samples += grid.shape[1]
+    del grid
+
+    # one product per chart over all its samples: a product of fewer samples
+    # can differ from the same samples of the whole one in the last bit; the
+    # log-distances of the largest chart, and z and its offsets for half a
+    # block of samples each (at least one radius row)
+    units = _chart_units(pts, angular_count)
+    buffers = (np.empty(pts.size * max(chart.size for chart in charts) * units.size),
+               np.empty((2, max(1, block // 2 // units.size) * units.size), dtype=complex))
+    for pos, chart in enumerate(charts):
+        logdist, drawn = _chart_logdist(pts, pos, chart, angular_count, units=units, buffers=buffers)
+        pieces.append(image_by_region(logdist, assign_tripods(logdist)))
+        samples += drawn
+    del buffers, logdist
+
+    # the pieces in slot order, each slot's in chart order
+    cols = np.concatenate([piece[:, ends[slot]:ends[slot + 1]] for slot in range(slot_edges.size - 1)
+                           for piece, ends in pieces], axis=1)
+    return cols, np.cumsum(np.sum([np.diff(ends) for _, ends in pieces], axis=0)), samples
 
 
 def default_window(scene: Scene) -> np.ndarray:
@@ -722,13 +753,11 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
     is sampled.  The global and tripod scenes are clipped and prepared once
     per experiment (``distance._ClippedScene``).
     Each t runs in a helper whose arrays are all freed before the next t
-    samples.  Its cloud is m coordinate rows and one region array
+    samples.  Its cloud comes from the sampler already rescaled, clipped to
+    the window and sorted by region, so each tripod cloud is a column slice
     (``_experiment_cloud``), with the radial reach, tripod paths and shift
-    made once per experiment (``_chart_plan``).  The rows are rescaled in place
-    and tested against the window one coordinate at a time
-    (``distance._in_window``); the in-window columns are copied out sorted
-    by region with one stable sort, so each tripod cloud is a column slice
-    in cloud order, and the full rows are freed.  One call,
+    made once per experiment (``_chart_plan``); each phase of a t holds
+    about one copy of its cloud besides block-sized scratch.  One call,
     ``distance._experiment_distances``, then computes every distance of the
     t, the global cloud side bounded through the tripod distances and the
     per-tripod tables built once per experiment
@@ -769,29 +798,12 @@ def convergence_experiment(mg: MetricGraph, R: ResidueMatrix, t_values, density:
 
     def step(placement: TreePlacement) -> TStepResult:
         """The experiment at one placed t; nothing it allocates outlives it."""
-        t = placement.t
         try:
-            cols, region, samples = _experiment_cloud(placement, R, plan, win, shift, sampling)
+            cols, ends, samples = _experiment_cloud(placement, R, plan, win, shift, sampling)
         except MemoryError as exc:
             raise SamplingTooDenseError(f"amoeba sampling does not fit in memory: {exc}") from exc
-        # rescale the coordinate rows in place, then copy out the in-window
-        # points sorted by region, stably, so each tripod cloud is one slice
-        # of the columns; row by row, because the rows are views of wider
-        # ones that a take along columns would first copy whole
-        np.divide(cols, math.log(t), out=cols)
-        cols += shift[:, None]
-        keep = np.flatnonzero(distance._in_window(cols, win))
-        keep = keep[np.argsort(region[keep], kind="stable")]
-        region = region[keep]
-        picked = np.empty((R.m, keep.size))
-        for k in range(R.m):
-            picked[k] = cols[k, keep]
-        cols = picked
-        del keep, picked
-        ends = np.searchsorted(region, np.arange(len(vertices) + 1))
-        del region
         d_global, per_tripod = distance._experiment_distances(cols, ends, glob, tripods, tables)
-        return TStepResult(t, d_global, dict(zip(vertices, per_tripod)), samples)
+        return TStepResult(placement.t, d_global, dict(zip(vertices, per_tripod)), samples)
 
     entries = [step(placement) for placement in placements]
     return ConvergenceReport(tuple(entries), win, base_vertex, mg.graph.leaf_ids[-1])

@@ -82,6 +82,15 @@ def _in_window(cols: np.ndarray, win: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _take_columns(cols: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """cols[:, idx] by one take per row: a take along columns would first
+    copy the wider rows of a view, and fancy indexing is slower."""
+    out = np.empty((cols.shape[0], idx.size))
+    for row, dest in zip(cols, out):
+        row.take(idx, out=dest)
+    return out
+
+
 def _clipped_t(cols: np.ndarray, a: np.ndarray, ab: np.ndarray, denom: float,
                lanes: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Projection parameter t = (p - a).ab / |ab|^2 of every column point on
@@ -123,48 +132,46 @@ def _segment_params(segs: np.ndarray):
     return a, ab, np.where(denom == 0.0, 1.0, denom)
 
 
-# points per pass of _points_to_segments, so that its scratch arrays stay small
+# points per pass of the distance engine and of the chart sampler, so that
+# their scratch arrays stay small next to the cloud
 _BLOCK = 8192
 
 
-def _points_to_segments(cols: np.ndarray, params):
-    """Exact distance from each column point to the nearest segment; cols is
-    (d, N) and params is ``_segment_params`` of the (S, 2, d) segments.
+def _points_to_segments(cols: np.ndarray, params, out: np.ndarray | None = None):
+    """Exact distance from each column point to the nearest segment, written
+    into ``out`` if given; cols is (d, N) and params is ``_segment_params``
+    of the (S, 2, d) segments.
 
-    The points go in blocks of ``_BLOCK``, and each block takes one pass per
-    segment over its coordinate columns: the clipped projection
+    One pass per segment over the coordinate columns: the clipped projection
     parameter (``_clipped_t``), then a running minimum of the squared
     distance to a + t*ab, and one sqrt at the end; the result equals the
     broadcast formula bit for bit, and each point's value depends on that
-    point alone.  Also returns the index of each point's nearest segment and
-    the clipped t on it.
+    point alone, so callers pass the points ``_BLOCK`` at a time to keep the
+    scratch small.  Also returns the index of each point's nearest segment
+    and the clipped t on it.
     """
     a, ab, denom = params
     dim, n = cols.shape
-    best, best_t = np.full(n, np.inf), np.zeros(n)
-    best_seg = np.zeros(n, dtype=np.intp)
-    width = min(n, _BLOCK)
-    lanes, r, sq = np.empty((2, width)), np.empty(width), np.empty(width)
-    closer = np.empty(width, dtype=bool)
-    for lo in range(0, n, _BLOCK):
-        c = cols[:, lo:lo + _BLOCK]
-        w = c.shape[1]
-        b_sq, b_r, b_closer = sq[:w], r[:w], closer[:w]
-        b_best, b_t, b_seg = best[lo:lo + w], best_t[lo:lo + w], best_seg[lo:lo + w]
-        for s in range(a.shape[0]):
-            t = _clipped_t(c, a[s], ab[s], denom[s], lanes[:, :w], b_r)
-            for k in range(dim):
-                term = b_sq if k == 0 else b_r
-                np.multiply(t, ab[s, k], out=term)
-                term += a[s, k]
-                np.subtract(c[k], term, out=term)
-                term *= term
-                if k:
-                    b_sq += b_r
-            np.less(b_sq, b_best, out=b_closer)
-            np.copyto(b_best, b_sq, where=b_closer)
-            np.copyto(b_t, t, where=b_closer)
-            np.copyto(b_seg, s, where=b_closer)
+    best, best_t = np.empty(n) if out is None else out, np.zeros(n)
+    best.fill(np.inf)
+    best_seg = np.zeros(n, dtype=np.min_scalar_type(a.shape[0] - 1))
+    lanes, r = np.empty((2, n)), np.empty(n)
+    sq = lanes[1]  # free once the two lanes of t are added
+    closer = np.empty(n, dtype=bool)
+    for s in range(a.shape[0]):
+        t = _clipped_t(cols, a[s], ab[s], denom[s], lanes, r)
+        for k in range(dim):
+            term = sq if k == 0 else r
+            np.multiply(t, ab[s, k], out=term)
+            term += a[s, k]
+            np.subtract(cols[k], term, out=term)
+            term *= term
+            if k:
+                sq += r
+        np.less(sq, best, out=closer)
+        np.copyto(best, sq, where=closer)
+        np.copyto(best_t, t, where=closer)
+        np.copyto(best_seg, s, where=closer)
     return np.sqrt(best, out=best), best_seg, best_t
 
 
@@ -214,7 +221,8 @@ class _ClippedScene:
         same segment, or point 0 on a segment no point is binned to."""
         n = self.cols.shape[1]
         rep = np.full(n, -1, dtype=np.intp)
-        rep[bins] = np.arange(cols.shape[1])
+        for lo in range(0, bins.size, _BLOCK):  # a later point binned to a sample replaces an earlier one
+            rep[bins[lo:lo + _BLOCK]] = np.arange(lo, min(lo + _BLOCK, bins.size))
         idx = np.arange(n)
         covered = rep >= 0
         before = np.maximum.accumulate(np.where(covered, idx, -1))
@@ -223,20 +231,26 @@ class _ClippedScene:
         gap_after = np.where(after < self.stop, after - idx, n)
         near = np.where(gap_before <= gap_after, before, after)
         fill = np.where(np.minimum(gap_before, gap_after) < n, rep[near.clip(0, n - 1)], 0)
-        return np.sqrt(_sq_dist(cols.take(fill, axis=1), self.cols))
+        return np.sqrt(_sq_dist(_take_columns(cols, fill), self.cols))
 
     def scan(self, cols: np.ndarray, bound: np.ndarray, lmax: float, above: float = -math.inf) -> float:
         """max(lmax, the largest distance from a scanned scene sample to the
         cloud): exact scans, largest ``bound`` first, while the largest bound
-        beats both lmax and ``above``.  The nearest point of each scanned
-        sample tightens every other bound, in place, so a later call goes on
-        from there; with ``above`` at -inf the result is max(lmax, the
+        beats both lmax and ``above``.  A scan takes the cloud ``_BLOCK``
+        points at a time and keeps the first of its nearest points: a later
+        block's nearest replaces it only if strictly nearer.  That point
+        tightens every other bound, in place, so a later call goes on from
+        there; with ``above`` at -inf the result is max(lmax, the
         scene-to-cloud distance)."""
         i = np.argmax(bound)
         while bound[i] > max(lmax, above):
-            sq = _sq_dist(cols, self.cols[:, i])
-            p = np.argmin(sq)
-            lmax = max(lmax, np.sqrt(sq[p]))
+            sample, nearest, p = self.cols[:, i], math.inf, 0
+            for lo in range(0, cols.shape[1], _BLOCK):
+                sq = _sq_dist(cols[:, lo:lo + _BLOCK], sample)
+                k = np.argmin(sq)
+                if sq[k] < nearest:
+                    nearest, p = sq[k], lo + k
+            lmax = max(lmax, np.sqrt(nearest))
             np.minimum(bound, np.sqrt(_sq_dist(self.cols, cols[:, p])), out=bound)
             i = np.argmax(bound)
         return float(lmax)
@@ -273,12 +287,13 @@ def _global_hausdorff(cols: np.ndarray, scene: _ClippedScene, bound: np.ndarray,
     where none is known) and a bin for each bounded point, the index of a
     scene sample near it: any bins give the result, near ones sooner.
 
-    Points are projected exactly (``_points_to_segments``), and a projected
-    point's bound and bin are overwritten with its exact distance and the
-    sample nearest its projection.  The first round projects the unbounded
-    points and the point with the largest finite bound, whose distance is
-    usually near the maximum; when no point is bounded it projects ``cols``
-    itself, without a copy.  Then the scene side is bounded
+    Points are projected exactly (``_points_to_segments``), ``_BLOCK`` at
+    a time, and a projected point's bound and bin are overwritten with its
+    exact distance and the sample nearest its projection.  The first round
+    projects the unbounded points and the point with the largest finite
+    bound, whose distance is usually near the maximum; when no point is
+    bounded it projects ``cols`` itself, each block's distances written
+    straight into ``bound``.  Then the scene side is bounded
     (``_ClippedScene.bounds``), and the scene samples whose bounds beat
     every point's bound are scanned exactly first: their distances are part
     of the result too, and raise the maximum that a point's bound must beat
@@ -289,20 +304,34 @@ def _global_hausdorff(cols: np.ndarray, scene: _ClippedScene, bound: np.ndarray,
     distance, so the result equals the all-pairs Hausdorff distance bit for
     bit.  With every bound at +inf, as in ``hausdorff`` and each tripod
     distance, this is one projection, the scene bounds and one full scan.
+    Besides ``cols``, ``bound`` and ``bins``, it holds scene-sized arrays
+    and block-sized scratch only.
     On an amoeba that fits the scene to round-off, the tripod slack
     (``_tripod_table``) is above every exact point distance, and the scene
     samples scanned first are what spare projecting the whole cloud.
     """
     def project(todo: np.ndarray | None) -> float:
-        d, s, ts = _points_to_segments(cols if todo is None else cols.take(todo, axis=1), scene.params)
-        key = slice(None) if todo is None else todo
-        bound[key], bins[key] = d, scene.bin(s, ts)
-        return d.max()
+        """Project the points ``todo`` (every point if None) ``_BLOCK`` at a
+        time; the largest distance found."""
+        top = -math.inf
+        for lo in range(0, cols.shape[1] if todo is None else todo.size, _BLOCK):
+            if todo is None:
+                key = slice(lo, lo + _BLOCK)
+                d, s, ts = _points_to_segments(cols[:, key], scene.params, out=bound[key])
+            else:
+                key = todo[lo:lo + _BLOCK]
+                d, s, ts = _points_to_segments(_take_columns(cols, key), scene.params)
+                bound[key] = d
+            bins[key] = scene.bin(s, ts)
+            top = max(top, d.max())
+        return top
 
     unbounded = bound == np.inf
     todo = None
     if not unbounded.all():
-        todo = np.append(np.flatnonzero(unbounded), np.argmax(np.where(unbounded, -np.inf, bound)))
+        bound[unbounded] = -np.inf  # the largest finite bound without a copy of the bounds
+        todo = np.append(np.flatnonzero(unbounded), np.argmax(bound))
+        bound[unbounded] = np.inf
     del unbounded
     lmax = project(todo)
     scene_bound = scene.bounds(cols, bins)
@@ -323,21 +352,26 @@ def _experiment_distances(cols: np.ndarray, ends: np.ndarray, glob: _ClippedScen
     global bounds and bins, which its ``_tripod_table`` turns into global
     bounds and bins, so only grid points, points of a region whose tripod is
     clipped away and points whose bound beats the running maximum are
-    projected on the global scene."""
+    projected on the global scene.  The bins are kept in the smallest
+    integer type that indexes every scene sample, and the tables are
+    applied ``_BLOCK`` points at a time."""
     if cols.size == 0:
         raise EmptyAfterClippingError("point cloud is empty after clipping")
     if glob is None:
         raise EmptyAfterClippingError("scene is empty after clipping")
-    n = cols.shape[1]
-    bound, bins = np.full(n, np.inf), np.zeros(n, dtype=np.intp)
+    n, most = cols.shape[1], max(s.cols.shape[1] for s in [glob, *tripods] if s is not None)
+    bound, bins = np.full(n, np.inf), np.zeros(n, dtype=np.min_scalar_type(most - 1))
     per_tripod = [None] * len(tripods)
     for i, (tripod, table) in enumerate(zip(tripods, tables)):
         part = slice(ends[i], ends[i + 1])
         if part.start < part.stop and tripod is not None:
             per_tripod[i] = _global_hausdorff(cols[:, part], tripod, bound[part], bins[part])
             slack, parent_bin = table
-            bound[part] += slack[bins[part]]
-            bins[part] = parent_bin[bins[part]]
+            for lo in range(part.start, part.stop, _BLOCK):
+                key = slice(lo, min(lo + _BLOCK, part.stop))
+                at = bins[key].astype(np.intp)  # cast once for both lookups
+                bound[key] += slack[at]
+                bins[key] = parent_bin[at]
     return _global_hausdorff(cols, glob, bound, bins), per_tripod
 
 

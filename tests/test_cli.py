@@ -495,20 +495,28 @@ def test_morphism_commands_match_genus2_golden(capsys, command):
     assert out.encode() == (GOLDEN / f"genus2.{command}.stdout").read_bytes()
 
 
-@pytest.mark.parametrize("window", [None, "3"])
+@pytest.mark.parametrize("window, density", [(None, None), ("3", None), ("3", "2")],
+                         ids=["None", "3", "3-density2"])
 @pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex"])
-def test_degenerate_stdout_matches_golden(capsys, fixture, window):
-    # the golden files hold stdout of the version before conjugate-twin
-    # samples were dropped, less the "kappa" key the report has lost since;
-    # every later change must reproduce it byte for byte
+def test_degenerate_stdout_matches_golden(capsys, fixture, window, density):
+    # the golden files without a density hold stdout of the version before
+    # conjugate-twin samples were dropped, less the "kappa" key the report
+    # has lost since; the density-2 ones, whose larger charts give other
+    # BLAS call shapes, that of the version before the cloud was kept sorted
+    # by region chart by chart; every later change must reproduce them byte
+    # for byte
     argv = ["degenerate", str(GOLDEN / f"{fixture}.graph.json"),
             str(GOLDEN / f"{fixture}.residues.json"), "--t", "1e3,1e6"]
+    name = fixture
     if window is not None:
         argv += ["--window", window]
+        name += f".window{window}"
+    if density is not None:
+        argv += ["--density", density]
+        name += f".density{density}"
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    name = f"{fixture}.stdout" if window is None else f"{fixture}.window{window}.stdout"
-    assert out.encode() == (GOLDEN / name).read_bytes()
+    assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
 def test_degenerate_wide_window_matches_earlier_stdout(capsys):

@@ -410,9 +410,9 @@ def test_points_to_segments_matches_broadcast_formula_bit_for_bit(dim):
 @settings(max_examples=120)
 @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), duplicate=st.booleans(),
        zero_length=st.booleans(), parallel=st.booleans(), one_side=st.booleans(),
-       on_samples=st.booleans(), bounded=st.booleans())
+       on_samples=st.booleans(), bounded=st.booleans(), block=st.sampled_from([7, dist._BLOCK]))
 def test_scene_hausdorff_matches_bruteforce_bit_for_bit(seed, dim, duplicate, zero_length,
-                                                        parallel, one_side, on_samples, bounded):
+                                                        parallel, one_side, on_samples, bounded, block):
     rng = np.random.default_rng(seed)
     win = np.tile([-3.0, 3.0], (dim, 1))
     segs = rng.uniform(-3.0, 3.0, size=(int(rng.integers(1, 7)), 2, dim))
@@ -432,14 +432,38 @@ def test_scene_hausdorff_matches_bruteforce_bit_for_bit(seed, dim, duplicate, ze
         pts = np.concatenate([pts, samples[:, rng.integers(0, samples.shape[1], 5)].T])
     # the routine with no point bounded, as the public hausdorff and each
     # tripod distance call it, or with upper bounds on some points and any
-    # bins, as the global distance of the experiment calls it
+    # bins, as the global distance of the experiment calls it; projections,
+    # scans and scene bounds go block by block, here also 7 points at a time
     scene, cols, n = dist._ClippedScene(segs, win), np.ascontiguousarray(pts.T), pts.shape[0]
     bound, bins = np.full(n, np.inf), np.zeros(n, dtype=np.intp)
     if bounded:
         some = rng.random(n) < 0.8
         bound[some] = points_to_segments_broadcast(pts, segs)[some] + rng.uniform(0.0, 0.5, n)[some]
         bins[:] = rng.integers(0, scene.cols.shape[1], n)
-    assert dist._global_hausdorff(cols, scene, bound, bins) == scene_hausdorff_bruteforce(pts, segs, win)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "_BLOCK", block)
+        got = dist._global_hausdorff(cols, scene, bound, bins)
+    assert got == scene_hausdorff_bruteforce(pts, segs, win)
+
+
+def test_scan_keeps_the_first_of_two_nearest_points_across_a_block_boundary():
+    # the scene sample (0, 0) of the diagonal has two equally near cloud
+    # points, the last of one block and the first of the next; the scan must
+    # take the first, as one argmin over the whole cloud does, and tighten
+    # every other bound by its distances, which differ from the second's
+    win = np.array([[-3.0, 3.0], [-3.0, 3.0]])
+    scene = dist._ClippedScene(np.array([win.T]), win)  # 2049 samples, 6/2048 apart: exact
+    [i] = np.flatnonzero(np.all(scene.cols == 0.0, axis=0))
+    cols = np.full((2, 14), 2.5)
+    cols[:, 6], cols[:, 7] = (-0.5, 0.25), (0.5, 0.25)
+    bound = np.full(scene.cols.shape[1], 10.0)
+    bound[i] = 20.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "_BLOCK", 7)
+        # the bounds after one scan are all below 5, which stops the scans
+        assert scene.scan(cols, bound, -math.inf, above=5.0) == math.sqrt(0.3125)
+    first, second = (np.sqrt(dist._sq_dist(scene.cols, p)) for p in cols.T[6:8])
+    assert np.array_equal(bound, first) and not np.array_equal(first, second)
 
 
 # placement, realization, convergence
@@ -688,18 +712,40 @@ def _cloud_args(mg, R, t, window, sampling):
 
 
 def _cloud(placement, R, mor, win, shift, sampling):
-    """``_experiment_cloud`` with the chart plan the experiment makes once."""
+    """``_experiment_cloud`` with the chart plan the experiment makes once:
+    the rescaled in-window cloud sorted by region, the region ends and the
+    sample count."""
     return dg._experiment_cloud(placement, R, dg._chart_plan(placement, mor, win)[0], win, shift, sampling)
 
 
 def _in_window_cloud(mg, R, t, window, sampling):
-    """In-window rescaled points, their regions and the sample count, with
-    the rows that cannot reach the window skipped as the experiment does."""
-    _, _, _, win, shift, _ = args = _cloud_args(mg, R, t, window, sampling)
-    raw, region, samples = _cloud(*args)
-    cols = raw / math.log(t) + shift[:, None]
-    inside = dist._in_window(cols, win)
-    return cols[:, inside].T, region[inside], samples
+    """In-window rescaled points, their region ends and the sample count,
+    with the rows that cannot reach the window skipped as the experiment
+    does."""
+    cols, ends, samples = _cloud(*_cloud_args(mg, R, t, window, sampling))
+    return cols.T, ends, samples
+
+
+def _counting_columns(mp):
+    """Spy on ``_chart_logdist`` and ``_grid_logdist`` through the
+    monkeypatch ``mp``: the list it returns gets the column count of each
+    chart block and grid evaluated, in call order."""
+    columns = []
+    chart_logdist, grid_logdist = dg._chart_logdist, dg._grid_logdist
+
+    def chart_spy(*args, **kwargs):
+        logdist, drawn = chart_logdist(*args, **kwargs)
+        columns.append(logdist.shape[1])
+        return logdist, drawn
+
+    def grid_spy(*args):
+        grid = grid_logdist(*args)
+        columns.append(grid.shape[1])
+        return grid
+
+    mp.setattr(dg, "_chart_logdist", chart_spy)
+    mp.setattr(dg, "_grid_logdist", grid_spy)
+    return columns
 
 
 def _random_tree_residues(seed, leaves, t, m=2):
@@ -720,12 +766,18 @@ def _random_tree_residues(seed, leaves, t, m=2):
 
 def _assert_same_cloud(args):
     """``_experiment_cloud`` against the oracle that evaluates each chart
-    into arrays of its own and stacks them: the same image, as coordinate
-    rows, regions and count, bit for bit."""
-    raw, region, samples = _cloud(*args)
+    into arrays of its own and stacks them, its image then rescaled, clipped
+    to the window and sorted by region, stably: the same points, region
+    ends and count, bit for bit."""
+    placement, _, _, win, shift, _ = args
+    cols, ends, samples = _cloud(*args)
     raw_ref, region_ref, samples_ref = experiment_cloud_stacked(*args)
-    assert raw.shape == raw_ref.T.shape and raw.tobytes() == raw_ref.T.tobytes()
-    assert region.dtype == region_ref.dtype and np.array_equal(region, region_ref)
+    ref = raw_ref.T / math.log(placement.t) + shift[:, None]
+    keep = np.flatnonzero(dist._in_window(ref, win))
+    keep = keep[np.argsort(region_ref[keep], kind="stable")]
+    ref, regions = ref[:, keep], np.arange(len(placement.carrier.graph.vertices) + 1)
+    assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
+    assert np.array_equal(ends, np.searchsorted(region_ref[keep], regions))
     assert samples == samples_ref
 
 
@@ -802,12 +854,12 @@ def test_skipped_rows_change_no_in_window_point(seed, leaves, t, half_width):
     mg, R = drawn
     window = None if half_width is None else np.array([[-half_width, half_width]] * 2)
     sampling = dg._sampling(1.0)
-    pts, region, samples = _in_window_cloud(mg, R, t, window, sampling)
+    pts, ends, samples = _in_window_cloud(mg, R, t, window, sampling)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg, "_rows_near_window", _every_row)
-        pts_all, region_all, samples_all = _in_window_cloud(mg, R, t, window, sampling)
+        pts_all, ends_all, samples_all = _in_window_cloud(mg, R, t, window, sampling)
     assert np.array_equal(pts, pts_all)
-    assert np.array_equal(region, region_all)
+    assert np.array_equal(ends, ends_all)
     assert samples == samples_all
 
 
@@ -831,13 +883,16 @@ def test_sample_on_the_window_edge_survives_row_skipping():
         row = (np.ascontiguousarray(logdist.T) @ R.entries[:, idx].T / logt + shift)[:, 0]
         for edge, win in ((row.max(), [[row.max(), 60.0]]), (row.min(), [[-60.0, row.min()]])):
             win = np.array(win)
-            raw, _, _ = _cloud(placement, R, mor, win, shift, sampling)
-            cloud = raw / logt + shift[:, None]
-            assert np.any(cloud[0, dist._in_window(cloud, win)] == edge)
+            cloud, _, _ = _cloud(placement, R, mor, win, shift, sampling)
+            assert np.any(cloud[0] == edge)
     with pytest.MonkeyPatch.context() as mp:
+        skipping = _counting_columns(mp)
+        _cloud(placement, R, mor, win, shift, sampling)
+    with pytest.MonkeyPatch.context() as mp:
+        every = _counting_columns(mp)
         mp.setattr(dg, "_rows_near_window", _every_row)
-        raw_all, _, _ = _cloud(placement, R, mor, win, shift, sampling)
-    assert raw.shape[1] < raw_all.shape[1]
+        _cloud(placement, R, mor, win, shift, sampling)
+    assert sum(skipping) < sum(every)
 
 
 def test_rows_near_window_matches_each_chart_bit_for_bit():
@@ -883,12 +938,13 @@ def _public_distances(mg, R, t, win, base):
 
     mor = build_morphism(mg, R, base)
     placement = place_tree(mg, t)
-    _, shift = dg._chart_plan(placement, mor, win)
+    plan, shift = dg._chart_plan(placement, mor, win)
+    everywhere = np.tile([-np.inf, np.inf], (R.m, 1))  # keeps every point, clipped by hausdorff
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dg, "_chart_units", lambda pts, angular_count: circle_units(angular_count))
         mp.setattr(dg, "_rows_near_window", _every_row)
-        raw, region, samples = _cloud(placement, R, mor, win, shift, dg._sampling(1.0))
-    pts = (raw / math.log(t) + shift[:, None]).T
+        cols, ends, samples = dg._experiment_cloud(placement, R, plan, everywhere, shift, dg._sampling(1.0))
+    pts, region = cols.T, np.repeat(np.arange(-1, ends.size - 1), np.diff(ends, prepend=0))
     per_tripod = {v: public(pts[region == i], dg._tripod_scene(mor, v))
                   for i, v in enumerate(mg.graph.vertices)}
     return samples, pts, region, public(pts, emit_embedding(mor)), per_tripod
@@ -933,7 +989,8 @@ def test_convergence_matches_public_hausdorff_on_random_trees(seed, leaves, t, h
     # the global cloud side is bounded through the tripod projections and
     # refined only where a bound beats the maximum: every bound must hold at
     # every point, and every distance must equal the public hausdorff bit
-    # for bit
+    # for bit, here with the sampler and the distance engine going 31
+    # samples at a time, so that block edges fall inside every region
     drawn = _random_tree_residues(seed, leaves, t)
     assume(drawn is not None)
     mg, R = drawn
@@ -949,6 +1006,7 @@ def test_convergence_matches_public_hausdorff_on_random_trees(seed, leaves, t, h
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dist, "_global_hausdorff", spy)
+        mp.setattr(dist, "_BLOCK", 31)
         report = convergence_experiment(mg, R, [t], window=window, base_vertex=base)
     entry = report.entries[0]
     _, _, _, d_global, per_tripod = _public_distances(mg, R, t, report.window, base)
@@ -1020,9 +1078,9 @@ def test_line_amoeba_projects_few_points_on_the_global_scene(t):
     calls, clouds = [], []
     points_to_segments, global_hausdorff = dist._points_to_segments, dist._global_hausdorff
 
-    def spy_points(cols, params):
+    def spy_points(cols, params, **kwargs):
         calls.append((params, cols.shape[1]))
-        return points_to_segments(cols, params)
+        return points_to_segments(cols, params, **kwargs)
 
     def spy_global(cols, scene, *args):
         clouds.append((scene, cols.shape[1]))
@@ -1039,9 +1097,11 @@ def test_line_amoeba_projects_few_points_on_the_global_scene(t):
 
 
 def test_convergence_peak_memory_stays_within_budget():
-    # per t the working set is the in-window cloud plus one chart's buffers,
-    # and nothing outlives its t; the budget is 25 % above the traced peak
-    # of 2.03 MB measured on this tree
+    # per t the sampler holds the in-window pieces of the charts so far, the
+    # chart buffers and one chart's image, then the pieces and the cloud
+    # sorted by region; the distances hold the cloud, a bound and a bin per
+    # point and block-sized scratch; nothing outlives its t.  The budget is
+    # 25 % above the traced peak of 1.57 MB measured on this tree
     mg, R = _random_tree_residues(3, 8, 1e6)
     tracemalloc.start()
     try:
@@ -1049,15 +1109,36 @@ def test_convergence_peak_memory_stays_within_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 2.03e6
+    assert peak < 1.25 * 1.57e6
+
+
+def test_convergence_peak_memory_per_sample():
+    # each phase of a t holds about one copy of its cloud, 16 bytes per
+    # point for m = 2: 32 while its pieces are put together, 26 while its
+    # bounds and bins live, and the pieces so far plus one chart's buffers
+    # before that; 40 bytes per evaluated sample of the larger t, plus
+    # 0.5 MB for the scenes, tables and block-sized scratch, bounds the
+    # traced peak
+    mg, R = _random_tree_residues(3, 8, 1e6)
+    per_t = len(mg.graph.leaves)  # a chart per finite puncture and the grid
+    with pytest.MonkeyPatch.context() as mp:
+        columns = _counting_columns(mp)
+        tracemalloc.start()
+        try:
+            convergence_experiment(mg, R, [1e3, 1e6], density=2.0, window=[[-3.0, 3.0], [-3.0, 3.0]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(columns) == 2 * per_t
+    assert peak <= 40 * max(sum(columns[:per_t]), sum(columns[per_t:])) + 0.5e6
 
 
 def _chart_logdist(pts, j, log_radii, angular_count):
     """dg._chart_logdist on units and buffers of its own, sized for one chart."""
     units = dg._chart_units(pts, angular_count)
-    size = log_radii.size * units.size
     return dg._chart_logdist(pts, j, log_radii, angular_count, units=units,
-                             buffers=(np.empty(pts.size * size), np.empty((2, size), dtype=complex)))
+                             buffers=(np.empty(pts.size * log_radii.size * units.size),
+                                      np.empty((2, units.size), dtype=complex)))
 
 
 def _same_row_set(kept, full):
