@@ -386,9 +386,15 @@ class TreePlacement:
         return path
 
 
+# the natural log of the largest float
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 def place_tree(mg: MetricGraph, t: float) -> TreePlacement:
     """Nested-cluster puncture placement for a genus-0 metric graph; the last
-    leaf's puncture sits at infinity."""
+    leaf's puncture sits at infinity.  A t at which the punctures, or the
+    convergence experiment's global grid around them, may leave the float
+    range is refused."""
     g = mg.graph
     if g.genus != 0:
         raise NotATreeError(f"graph has genus {g.genus}, not a tree")
@@ -405,6 +411,10 @@ def place_tree(mg: MetricGraph, t: float) -> TreePlacement:
     for w, v, k, _ in walk:
         depth[w], incoming[w], parent[w] = depth[v] + lengths[k], k, v
     ecc = max(depth)
+    # a puncture sums at most one term c * t**H <= t**ecc per vertex, and the
+    # convergence experiment's global grid spans under 16 times the largest
+    if ecc * math.log(t) + math.log(16 * len(names)) > _LOG_MAX:
+        raise InputError(f"t = {float(t)!r} places punctures beyond the float range: the tree's height is {ecc!r}")
     height = [ecc - d for d in depth]
 
     def branch(v: int, k: int) -> int:
@@ -524,11 +534,10 @@ def _tripod_scene(mor: HarmonicMorphism, v: str) -> Scene:
     return Scene(mor.ambient_dim, vertices, tuple(edges), tuple(rays))
 
 
-def _rows_near_window(pts: np.ndarray, rows: np.ndarray, log_radii: np.ndarray, res_cols: np.ndarray,
+def _rows_near_window(pts: np.ndarray, j: int, log_radii: np.ndarray, res_cols: np.ndarray,
                       window: np.ndarray, shift: np.ndarray, logt: float) -> np.ndarray:
-    """Mask of the radius rows whose amoeba image may meet the window, for
-    every chart of a t in one pass: the first rows[0] log radii are the
-    chart around p_0, the next rows[1] the chart around p_1, and so on.
+    """Mask of the radius rows of the chart around p_j whose amoeba image
+    may meet the window.
 
     On the circle |z - p_j| = r the own log-distance is log r exactly, and
     log|z - p_k| lies in [log|d_k - r|, log(d_k + r)] with d_k = |p_j - p_k|;
@@ -538,19 +547,17 @@ def _rows_near_window(pts: np.ndarray, rows: np.ndarray, log_radii: np.ndarray, 
     misses the window, taken in raw coordinates (window - shift) * log t, by
     1e-6 of the term sizes plus 1e-9: far above round-off, so no dropped
     sample lands on a puncture or inside the window.  Each bound is one
-    array over every radius row, with one row per puncture.
+    (n, rows) array over the chart's radius rows, with one row per puncture.
     """
-    ends = np.cumsum(rows)
-    d = np.repeat(np.abs(pts[:, None] - pts[None, :]), rows, axis=1)  # d[k, i] = |p_k - p_j|
+    d = np.abs(pts - pts[j])[:, None]  # d[k] = |p_k - p_j|
     radii = np.exp(log_radii)
     gap = d - radii
     np.abs(gap, out=gap)
-    hi = np.add(d, radii, out=d)  # d is not read again
+    hi = d + radii
     clear = np.all(gap > 1e-6 * hi, axis=0)  # the own gap r always passes
     gap[:, ~clear] = 1.0  # logs safely; a row not clear is kept whatever its box
     lo, hi = np.log(gap, out=gap), np.log(hi, out=hi)
-    for j, (a, b) in enumerate(zip(ends - rows, ends)):
-        lo[j, a:b] = hi[j, a:b] = log_radii[a:b]
+    lo[j] = hi[j] = log_radii
     pos, neg = np.maximum(res_cols, 0.0), np.maximum(-res_cols, 0.0)
     box_lo = pos @ lo - neg @ hi
     box_hi = pos @ hi - neg @ lo
@@ -616,10 +623,11 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
     includes both: every chart sample drawn off a puncture over the whole
     circle, plus the grid samples.
 
-    The near rows of every chart are found first, in one pass, so the
+    The near rows of every chart are found first, chart by chart, so the
     chart buffers are allocated once, sized for the largest chart and
-    reused by every chart.  The grid is evaluated first, then the charts,
-    one at a time, each as an (n, N) block (``_chart_logdist``).  Each has
+    reused by every chart; the filter's scratch is one chart's (n, rows).
+    The grid is evaluated first, then the charts, one at a time, each as
+    an (n, N) block (``_chart_logdist``).  Each has
     exactly one residue product, over all its kept samples, into an image of
     its own (with one residue row over an (N, n) copy of the block: the
     (1, n) @ (n, N) product runs another BLAS kernel and changes last bits),
@@ -685,22 +693,20 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
     u_cap = 600.0 / logt
     u_hi = min(top + reach, u_cap)
 
-    # every chart's radius rows near the window first, in one pass, so that
-    # the chart buffers are allocated once
-    ks = []
-    for height in heights:
-        u_lo = max(height - reach, -u_cap)
-        k_lo, k_hi = math.ceil(u_lo / step), math.floor(u_hi / step)
+    # every chart is checked before any is filtered, and its radius rows
+    # near the window are found before any is evaluated, so that the chart
+    # buffers are allocated once
+    spans = [(math.ceil(max(height - reach, -u_cap) / step), math.floor(u_hi / step)) for height in heights]
+    for k_lo, k_hi in spans:
         # a chart's distance array holds every row's samples to every puncture
         _check_indexable((k_hi - k_lo + 1) * angular_count * pts.size, "a chart")
-        ks.append(np.arange(k_lo, k_hi + 1))
-    rows = [k.size for k in ks]
-    log_radii = np.concatenate(ks) * step * logt
-    near = _rows_near_window(pts, rows, log_radii, res_cols, window, shift, logt)
-    # a dropped row keeps clear of every other puncture: all its samples count
-    samples = int(near.size - np.count_nonzero(near)) * angular_count
-    cuts = np.cumsum(rows)[:-1]
-    charts = [r[keep] for r, keep in zip(np.split(log_radii, cuts), np.split(near, cuts))]
+    charts, samples = [], 0
+    for j, (k_lo, k_hi) in enumerate(spans):
+        log_radii = np.arange(k_lo, k_hi + 1) * step * logt
+        near = _rows_near_window(pts, j, log_radii, res_cols, window, shift, logt)
+        # a dropped row keeps clear of every other puncture: all its samples count
+        samples += int(near.size - np.count_nonzero(near)) * angular_count
+        charts.append(log_radii[near])
     _check_indexable(grid_count**2 * pts.size, "the global grid")
 
     # coarse global grid over a disk containing all finite punctures

@@ -68,6 +68,19 @@ def _twist_sums(twists: TwistAssignment, mor: HarmonicMorphism, loops) -> np.nda
     return sums
 
 
+def _require_tropical(mor: HarmonicMorphism, tol: float) -> None:
+    """NotTropicalError naming the slope farthest from an integer (edge or
+    leaf, coordinate, value, distance) unless every slope is an integer
+    within max(tol, 1e-12); a NaN slope counts as the farthest."""
+    if not is_tropical(mor, tol=max(tol, 1e-12)):
+        slopes = np.vstack([mor.edge_slopes, mor.leaf_slopes])
+        off = np.abs(slopes - np.round(slopes))
+        i, k = map(int, np.unravel_index(np.argmax(off), off.shape))
+        g = mor.carrier.graph
+        raise NotTropicalError(f"morphism has non-integer slopes: {(g.edge_ids + g.leaf_ids)[i]} coordinate {k} "
+                               f"has slope {float(slopes[i, k])!r}, {off[i, k]:.3g} from the nearest integer")
+
+
 @dataclass(frozen=True)
 class IntegralityCheck:
     loops: tuple[GraphPath, ...]
@@ -88,8 +101,7 @@ def check_integrality(mg: MetricGraph, twists: TwistAssignment, mor: HarmonicMor
     on every loop by linearity.
     """
     _check_carrier(mg, twists, mor)
-    if not is_tropical(mor, tol=max(tol, 1e-12)):
-        raise NotTropicalError("morphism has non-integer slopes")
+    _require_tropical(mor, tol)
     sums = _twist_sums(twists, mor, [_path_columns(mg.graph, loop) for loop in mg.loops])
     residuals = np.abs(sums - TWO_PI * np.round(sums / TWO_PI))
     return IntegralityCheck(mg.loops, sums, residuals, residuals <= tol)
@@ -181,8 +193,7 @@ def solve_twists(mg: MetricGraph, mor: HarmonicMorphism, tol: float = 1e-9) -> T
     Slopes are integers by check_integrality's rule: within max(tol, 1e-12).
     """
     _check_carrier(mg, mor)
-    if not is_tropical(mor, tol=max(tol, 1e-12)):
-        raise NotTropicalError("morphism has non-integer slopes")
+    _require_tropical(mor, tol)
     edge_order = mg.graph.edge_ids
     mat = np.round(loop_slope_matrix(mor))
     if not np.all(np.abs(mat) < 2.0**53):  # also false on NaN

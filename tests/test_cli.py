@@ -446,6 +446,23 @@ def test_degenerate_refuses_an_unplaceable_t_before_sampling_any(capsys, tmp_pat
     assert json.loads(err) == {"code": "BadInput", "message": "punctures must be pairwise distinct"}
 
 
+@pytest.mark.parametrize("fixture, length, ts", [
+    ("three-vertex", None, "1e3,1e308"),  # t**H overflowed to an OverflowError
+    ("caterpillar", 50.0, "1e7"),
+    ("caterpillar", None, "1e308"),  # the global grid's linspace overflowed, exit 0
+])
+def test_degenerate_refuses_a_t_whose_placement_leaves_the_float_range(capsys, tmp_path, fixture, length, ts):
+    graph = json.loads((GOLDEN / f"{fixture}.graph.json").read_text())
+    if length is not None:
+        graph["edges"][0]["length"] = length
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    code, out, err = run(capsys, "degenerate", str(tmp_path / "graph.json"),
+                         str(GOLDEN / f"{fixture}.residues.json"), "--t", ts)
+    assert code == 1 and out == ""
+    assert json.loads(err)["code"] == "BadInput"
+    assert "beyond the float range" in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize("fixture", ["tripod", "caterpillar", "three-vertex", "genus2"])
 def test_check_stdout_matches_golden(capsys, fixture):
     # the goldens hold the stdout of the rank-verified version; genus2 is the

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -695,7 +696,7 @@ def test_convergence_deeper_tree():
     assert all(d is not None and d <= 0.07 for d in per_tripod.values())
 
 
-def _every_row(pts, rows, log_radii, *args):
+def _every_row(pts, j, log_radii, *args):
     return np.ones(log_radii.size, dtype=bool)
 
 
@@ -895,10 +896,19 @@ def test_sample_on_the_window_edge_survives_row_skipping():
     assert sum(skipping) < sum(every)
 
 
+@pytest.mark.parametrize("length, t, height, fits", [(50.0, 1e7, "50.0", 1e6), (1.0, 1e308, "1.0", 1e300)])
+def test_place_tree_refuses_a_t_beyond_the_float_range(length, t, height, fits):
+    # t**50 overflows at t = 1e7; at t = 1e308 the punctures are finite, but
+    # the experiment's global grid around them is not
+    with pytest.raises(InputError, match=re.escape(f"t = {t!r} ") + f".* the tree's height is {height}$"):
+        place_tree(caterpillar_graph(length), t)
+    place_tree(caterpillar_graph(length), fits)
+
+
 def test_rows_near_window_matches_each_chart_bit_for_bit():
-    # one pass over the radius rows of every chart of a t must give each
-    # chart the mask of the per-chart oracle; the u grid holds every integer
-    # height, so some circles pass exactly through another puncture
+    # each chart's mask must be the per-chart oracle's; the u grid holds
+    # every integer height, so some circles pass exactly through another
+    # puncture
     seen = np.zeros(3, dtype=int)  # rows kept, dropped, and on a puncture
     for seed in range(60):
         rng = np.random.default_rng(seed)
@@ -914,14 +924,43 @@ def test_rows_near_window_matches_each_chart_bit_for_bit():
         window = np.array([[-half, half]] * m) + rng.normal(size=(m, 1))
         shift = rng.normal(size=m)
         args = (R.entries[:, idx], window, shift, logt)
-        near = dg._rows_near_window(pts, np.array([k.size for k in ks]), np.concatenate(ks) * 0.02 * logt, *args)
-        want = [rows_near_window_chart(pts, j, k * 0.02 * logt, *args) for j, k in enumerate(ks)]
-        assert near.dtype == bool and np.array_equal(near, np.concatenate(want))
-        seen[:2] += np.count_nonzero(near), np.count_nonzero(~near)
         for j, k in enumerate(ks):
-            d, r = np.abs(np.delete(pts, j) - pts[j]), np.exp(k * 0.02 * logt)[:, None]
+            log_radii = k * 0.02 * logt
+            near = dg._rows_near_window(pts, j, log_radii, *args)
+            assert near.dtype == bool and np.array_equal(near, rows_near_window_chart(pts, j, log_radii, *args))
+            seen[:2] += np.count_nonzero(near), np.count_nonzero(~near)
+            d, r = np.abs(np.delete(pts, j) - pts[j]), np.exp(log_radii)[:, None]
             seen[2] += np.count_nonzero(np.any(np.abs(d - r) <= 1e-6 * (d + r), axis=1))
     assert np.all(seen > 0)
+
+
+def test_rows_near_window_scratch_is_one_charts():
+    # the filter's scratch is one chart's (n, rows) arrays: on this 16-leaf
+    # tree about 0.35 MB a call, where all 15 charts' rows at once take
+    # about 3.85 MB
+    rng = np.random.default_rng(2)
+    mg = random_cubic(rng, 0, 16)
+    rows = rng.integers(-1, 2, (2, 16)).astype(float)
+    rows[:, -1] -= rows.sum(axis=1)
+    scratch = []
+
+    def traced(*args):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        near = filter_rows(*args)
+        scratch.append(tracemalloc.get_traced_memory()[1] - before)
+        return near
+
+    filter_rows = dg._rows_near_window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dg, "_rows_near_window", traced)
+        tracemalloc.start()
+        try:
+            convergence_experiment(mg, ResidueMatrix(rows), [1e3], window=[[-3.0, 3.0], [-3.0, 3.0]])
+        finally:
+            tracemalloc.stop()
+    assert max(scratch) <= 0.5e6
+    assert len(scratch) == 15  # a chart per finite puncture
 
 
 def _public_distances(mg, R, t, win, base):

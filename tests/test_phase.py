@@ -23,7 +23,7 @@ from tropharm.phase import (
     zero_twists,
 )
 
-from conftest import dumbbell_graph, genus2_graph
+from conftest import caterpillar_graph, dumbbell_graph, genus2_graph
 from _generators import benchmark_gen, random_tropical_morphism, random_valid_cubic
 from oracles import rational_nullspace_fraction
 
@@ -63,6 +63,20 @@ def test_check_integrality_needs_integer_slopes(dumbbell):
     mor = build_morphism(dumbbell, ResidueMatrix([[1.0, -1.0]]))
     with pytest.raises(NotTropicalError):
         check_integrality(dumbbell, zero_twists(dumbbell), mor, 1e-9)
+
+
+@pytest.mark.parametrize("solve", [True, False], ids=["solve", "check"])
+def test_not_tropical_names_the_worst_slope(solve):
+    # slopes off an integer by 0.25, 0.25, 0.125, 0.125, 0.375 and, last of
+    # all, 0.5 on leaf p4's second coordinate
+    mg = caterpillar_graph()
+    mor = build_morphism(mg, ResidueMatrix([[0.25, 0.75, -1.0, 0.0], [0.0, 0.125, 0.375, -0.5]]))
+    with pytest.raises(NotTropicalError, match=r"^morphism has non-integer slopes: p4 coordinate 1 "
+                                               r"has slope 0\.5, 0\.5 from the nearest integer$"):
+        if solve:
+            solve_twists(mg, mor)
+        else:
+            check_integrality(mg, zero_twists(mg), mor)
 
 
 def test_integrality_linear_in_cycle_space(rng):
