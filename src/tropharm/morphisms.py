@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _intmat
 from .errors import InputError, UnsupportedDimensionForSvgError
 from .forms import ResidueMatrix, potentials_and_currents
 from .graph import MetricGraph, _balancing, _check_carrier
@@ -122,6 +123,12 @@ def is_tropical(mor: HarmonicMorphism, tol: float = 1e-9) -> bool:
     return _max_abs(slopes - np.round(slopes)) <= tol
 
 
+def _reads_as_integers(mor: HarmonicMorphism, tol: float) -> bool:
+    """True iff every slope is an integer within max(tol, 1e-12): the rule by
+    which regularity, twists and their check read a morphism as tropical."""
+    return is_tropical(mor, tol=max(tol, 1e-12))
+
+
 def loop_slope_matrix(mor: HarmonicMorphism) -> np.ndarray:
     """(basis loop, coordinate) x edge matrix of slopes signed by the loops.
 
@@ -130,6 +137,16 @@ def loop_slope_matrix(mor: HarmonicMorphism) -> np.ndarray:
     """
     g, ne = mor.carrier.cycles.shape
     return (mor.carrier.cycles[:, None, :] * mor.edge_slopes.T).reshape(g * mor.ambient_dim, ne)
+
+
+def _integer_loop_slopes(mor: HarmonicMorphism) -> np.ndarray:
+    """The loop-slope matrix of a morphism that reads as integers, rounded to
+    an int array; InputError unless every entry is below 2**53, where floats
+    still tell integers apart."""
+    mat = np.round(loop_slope_matrix(mor))
+    if not np.all(np.abs(mat) < 2.0**53):  # also false on NaN
+        raise InputError("loop slopes must be finite and below 2**53 in magnitude to be read as exact integers")
+    return mat.astype(int)
 
 
 class RegularityReport(NamedTuple):
@@ -144,18 +161,22 @@ def regularity_rank(mg: MetricGraph, mor: HarmonicMorphism, rank_tol: float = 1e
     Row (loop, coordinate k): entry at edge e is the signed k-th slope
     component of e as oriented by the loop (0 off the loop).  Lengths
     admitting a combinatorially equivalent morphism satisfy these linear
-    conditions; the morphism is regular when they are independent.  A singular
-    value counts when it exceeds ``rank_tol`` times the largest slope of the
-    whole morphism, edges and leaves, so a loop matrix of round-off has rank 0.
+    conditions; the morphism is regular when they are independent.
+
+    On a morphism whose slopes read as integers within max(``rank_tol``,
+    1e-12), as ``solve_twists`` reads them, the rank is exact: that of the
+    integer matrix, so it equals the twist rank.  Otherwise a singular value
+    counts when it exceeds ``rank_tol`` times the largest slope of the whole
+    morphism, edges and leaves, so a loop matrix of round-off has rank 0.
     """
     _check_carrier(mg, mor)
     expected = mor.ambient_dim * mg.genus
-    mat = loop_slope_matrix(mor)
-    if not mat.any():
-        return RegularityReport(0, expected, expected == 0)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    scale = max(_max_abs(mor.edge_slopes), _max_abs(mor.leaf_slopes))
-    rank = int(np.sum(svals > rank_tol * scale))
+    if _reads_as_integers(mor, rank_tol):
+        rank = _intmat.rank(_integer_loop_slopes(mor))
+    else:
+        mat = loop_slope_matrix(mor)
+        scale = max(_max_abs(mor.edge_slopes), _max_abs(mor.leaf_slopes))
+        rank = int(np.sum(np.linalg.svd(mat, compute_uv=False) > rank_tol * scale)) if mat.any() else 0
     return RegularityReport(rank, expected, rank == expected)
 
 

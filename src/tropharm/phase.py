@@ -12,15 +12,15 @@ surface is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 
 import numpy as np
 
+from . import _intmat
 from .errors import BadBasisError, InputError, NotTropicalError
 from .forms import ResidueMatrix
 from .graph import (GraphPath, MetricGraph, _check_carrier, _kind, _path_columns, check_path, json_number,
                     loop_matrix)
-from .morphisms import HarmonicMorphism, build_morphism, is_tropical, loop_slope_matrix
+from .morphisms import HarmonicMorphism, _integer_loop_slopes, _reads_as_integers, build_morphism
 
 TWO_PI = 2.0 * np.pi
 
@@ -72,7 +72,7 @@ def _require_tropical(mor: HarmonicMorphism, tol: float) -> None:
     """NotTropicalError naming the slope farthest from an integer (edge or
     leaf, coordinate, value, distance) unless every slope is an integer
     within max(tol, 1e-12); a NaN slope counts as the farthest."""
-    if not is_tropical(mor, tol=max(tol, 1e-12)):
+    if not _reads_as_integers(mor, tol):
         slopes = np.vstack([mor.edge_slopes, mor.leaf_slopes])
         off = np.abs(slopes - np.round(slopes))
         i, k = map(int, np.unravel_index(np.argmax(off), off.shape))
@@ -111,54 +111,6 @@ def check_integrality(mg: MetricGraph, twists: TwistAssignment, mor: HarmonicMor
 # twist congruence solver
 
 
-def _rational_nullspace(mat: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
-    """Exact rank and integer null-space basis, as tuples of Python ints, of an
-    integer matrix.
-
-    Gauss-Jordan without fractions, on Python ints: the pivot of column c is
-    the first non-zero entry at or below row r; every other row i with entry
-    f in that column becomes p * row_i - f * row_r (p the pivot), divided by
-    the gcd of its entries.  Each row stays a non-zero multiple of its reduced
-    row-echelon row, so the reduced-row-echelon entry of pivot row i in free
-    column f is rows[i][f] / rows[i][p_i].  The basis vector of free column f
-    is the one with 1 at f and minus those entries at the pivots, scaled to
-    primitive integers by the lcm of their denominators.
-    """
-    rows = mat.tolist()
-    ncols = mat.shape[1]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f:
-                row = [p * a - f * b for a, b in zip(row, prow)]
-                g = gcd(*row)
-                rows[i] = [a // g for a in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        scale = 1
-        for row, p in zip(rows, pivots):  # math.lcm ignores the sign of a negative pivot
-            scale = lcm(scale, row[p] // gcd(row[f], row[p]))
-        vec = [0] * ncols
-        vec[f] = scale
-        for row, p in zip(rows, pivots):
-            vec[p] = -row[f] * scale // row[p]
-        basis.append(tuple(vec))
-    return r, basis
-
-
 @dataclass(frozen=True)
 class TwistSolution:
     """Affine subtorus {theta : A theta = 0 mod 2*pi} through theta = 0."""
@@ -195,11 +147,8 @@ def solve_twists(mg: MetricGraph, mor: HarmonicMorphism, tol: float = 1e-9) -> T
     _check_carrier(mg, mor)
     _require_tropical(mor, tol)
     edge_order = mg.graph.edge_ids
-    mat = np.round(loop_slope_matrix(mor))
-    if not np.all(np.abs(mat) < 2.0**53):  # also false on NaN
-        raise InputError("loop slopes must be finite and below 2**53 in magnitude to be read as exact integers")
-    mat = mat.astype(int)
-    rank, kernel = _rational_nullspace(mat)
+    mat = _integer_loop_slopes(mor)
+    rank, kernel = _intmat.nullspace(mat)
     return TwistSolution(
         mg, edge_order, mat, rank, len(edge_order) - rank,
         zero_twists(mg), tuple(kernel),
@@ -271,11 +220,16 @@ def limit_period_matrix(mg: MetricGraph, twists: TwistAssignment, R: ResidueMatr
     Puncture rows are the residue columns, A-rows the solved edge slopes, and
     B-rows the loop twist sums divided by 2*pi.  All limit entries are real;
     they are stored as complex numbers with zero imaginary part.  A given
-    ``mor`` must be R's morphism: its leaf slopes are exactly -R.
+    ``mor`` must be R's morphism: its leaf slopes are exactly -R.  A caller's
+    ``basis`` is checked (BadBasisError); the default one is valid by
+    construction, as each B-loop holds its own A-edge and no other, so that
+    the pairing is the identity, and the tests check it, not every call.
     """
     if basis is None:
         basis = default_period_basis(mg)
-    b_loops = _check_basis(mg, basis)
+        b_loops = [_path_columns(mg.graph, loop) for loop in mg.loops]
+    else:
+        b_loops = _check_basis(mg, basis)
     if mor is None:
         mor = build_morphism(mg, R)
     _check_carrier(mg, twists, mor)

@@ -247,6 +247,17 @@ def test_twists_solve_refuses_slopes_past_exact_floats(capsys, files, tmp_path, 
     assert "below 2**53" in json.loads(err)["message"]
 
 
+def test_regularity_refuses_slopes_past_exact_floats(capsys, files, tmp_path):
+    # regularity reads integer slopes as twists solve does, so it refuses
+    # the same matrix; the SVD used to give it a rank
+    p = tmp_path / "r.json"
+    p.write_text(json.dumps({"rows": 1, "leaf_order": ["p1", "p2"], "entries": [[3 * 2**53, -3 * 2**53]]}))
+    code, out, err = run(capsys, "regularity", files["dumbbell"], str(p))
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "BadInput", "message": "loop slopes must be finite and below 2**53 in "
+                               "magnitude to be read as exact integers"}
+
+
 def test_periods(capsys, files):
     code, out, _ = run(capsys, "periods", files["dumbbell"], files["r33"], files["twists"],
                        "--a-edges", "e1")
@@ -510,6 +521,28 @@ def test_morphism_commands_match_genus2_golden(capsys, command):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"genus2.{command}.stdout").read_bytes()
+
+
+def test_periods_with_other_a_edges_matches_genus2_golden(capsys):
+    # e1, f1 is a valid choice other than the default e2, f3, so this basis
+    # goes through the check that the default one skips
+    graph, residues, twists = (str(GOLDEN / f"genus2.{x}.json") for x in ("graph", "residues", "twists"))
+    code, out, err = run(capsys, "periods", graph, residues, twists, "--a-edges", "e1,f1")
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN / "genus2.periods-a-edges.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-9", "0.4"])
+def test_regularity_on_integer_slopes_is_the_twist_rank_at_every_tol(capsys, tol):
+    # the SVD read the genus-2 loop matrix as rank 4, regular, at --tol 0,
+    # where round-off singular values count, and as rank 1 at --tol 0.4; on
+    # integer slopes --tol is the integrality tolerance, as for twists
+    graph, residues = (str(GOLDEN / f"genus2.{x}.json") for x in ("graph", "residues"))
+    code, out, err = run(capsys, "regularity", graph, residues, "--tol", tol)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"expected": 4, "is_regular": False, "rank": 2}
+    code, out, _ = run(capsys, "twists", graph, residues, "solve", "--tol", tol)
+    assert code == 0 and json.loads(out)["rank"] == 2
 
 
 @pytest.mark.parametrize("window, density", [(None, None), ("3", None), ("3", "2")],

@@ -1,20 +1,22 @@
 import functools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropharm import _intmat
 from tropharm.errors import BadBasisError, InputError, NotTropicalError
 from tropharm.forms import ResidueMatrix, residues_from_dict
-from tropharm.graph import (CubicGraph, Edge, GraphPath, Leaf, MetricGraph, OrientedEdge, cycle_basis,
-                            graph_from_dict)
+from tropharm.graph import (CubicGraph, Edge, GraphPath, Leaf, MetricGraph, OrientedEdge, _path_columns,
+                            cycle_basis, graph_from_dict)
 from tropharm.morphisms import build_morphism, regularity_rank
 from tropharm.phase import (
     PeriodBasis,
     TwistAssignment,
-    _rational_nullspace,
+    _check_basis,
     check_integrality,
     default_period_basis,
     is_integer_period_matrix,
@@ -388,8 +390,57 @@ def integer_matrices(draw):
 @settings(max_examples=300)
 @given(integer_matrices())
 def test_rational_nullspace_matches_fraction_oracle(mat):
-    rank, basis = _rational_nullspace(mat)
+    rank, basis = _intmat.nullspace(mat)
     want_rank, want_basis = rational_nullspace_fraction(mat)
-    assert rank == want_rank
+    assert rank == want_rank == _intmat.rank(mat)
     assert basis == want_basis
     assert all(type(x) is int for vec in basis for x in vec)
+
+
+def test_exact_rank_of_a_unimodular_matrix_the_svd_reads_as_rank_one():
+    # determinant 1, yet its smallest singular value, about 5e-6, lies below
+    # regularity's default cutoff of 1e-9 times the largest entry
+    s = 10**5
+    mat = np.array([[s, s + 1], [s - 1, s]])
+    assert _intmat.rank(mat) == 2 == rational_nullspace_fraction(mat)[0]
+    assert np.sum(np.linalg.svd(mat.astype(float), compute_uv=False) > 1e-9 * s) == 1
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_default_period_basis_passes_the_basis_check(seed):
+    # limit_period_matrix skips _check_basis on the default basis, which is
+    # valid by construction; this test is that check, on random cubic graphs
+    mg = random_valid_cubic(np.random.default_rng(seed), max_genus=8, max_leaves=8)
+    assert _check_basis(mg, default_period_basis(mg)) == [_path_columns(mg.graph, loop) for loop in mg.loops]
+
+
+def test_tropical_paths_call_no_lapack(monkeypatch, capsys):
+    # on integer slopes regularity, both twist modes and the default-basis
+    # period matrix are decided in integers; only real residues reach the SVD
+    from tropharm.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    for name in ("svd", "matrix_rank", "det"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    golden = Path(__file__).parent / "golden"
+    graph, residues, twists = (str(golden / f"genus2.{x}.json") for x in ("graph", "residues", "twists"))
+    for command, argv in (("regularity", ["regularity", graph, residues]),
+                          ("twists-solve", ["twists", graph, residues, "solve"]),
+                          ("twists-check", ["twists", graph, residues, "check", "--twists", twists]),
+                          ("periods", ["periods", graph, residues, twists])):
+        assert main(argv) == 0
+        out = capsys.readouterr()
+        assert (out.out.encode(), out.err) == ((golden / f"genus2.{command}.stdout").read_bytes(), "")
+    rng = np.random.default_rng(404)
+    for m in (1, 2, 1, 2, 1, 2):
+        mg, R, mor = random_tropical_morphism(random_valid_cubic(rng), rng, m=m)
+        sol = solve_twists(mg, mor)
+        assert regularity_rank(mg, mor).rank == sol.rank
+        assert check_integrality(mg, sol.sample(rng), mor).all_pass
+        limit_period_matrix(mg, zero_twists(mg), R, mor=mor)
+    dumbbell = dumbbell_graph()
+    with pytest.raises(AssertionError, match="LAPACK called"):
+        regularity_rank(dumbbell, build_morphism(dumbbell, ResidueMatrix([[1.0, -1.0]])))
