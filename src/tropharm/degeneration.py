@@ -355,7 +355,7 @@ def _grid_logdist(pts: np.ndarray, grid_count: int) -> np.ndarray:
     gz = (center + gx + 1j * gy).ravel()
     dist = np.abs(gz[None, :] - pts[:, None])
     keep = (np.abs(gz - center) <= r0) & (dist.min(axis=0) > 1e-9 * (1.0 + r0))
-    return np.log(dist[:, keep])
+    return np.log(dist.compress(keep, axis=1))  # laid out (n, N), as dist[:, keep] is not
 
 
 # ----------------------------------------------------------------------
@@ -559,9 +559,9 @@ def _rows_near_window(pts: np.ndarray, j: int, log_radii: np.ndarray, res_cols: 
     lo, hi = np.log(gap, out=gap), np.log(hi, out=hi)
     lo[j] = hi[j] = log_radii
     pos, neg = np.maximum(res_cols, 0.0), np.maximum(-res_cols, 0.0)
-    box_lo = pos @ lo - neg @ hi
-    box_hi = pos @ hi - neg @ lo
-    terms = np.abs(res_cols) @ np.maximum(np.abs(lo, out=lo), np.abs(hi, out=hi), out=lo)
+    box_lo = np.einsum("kn,nr->kr", pos, lo) - np.einsum("kn,nr->kr", neg, hi)
+    box_hi = np.einsum("kn,nr->kr", pos, hi) - np.einsum("kn,nr->kr", neg, lo)
+    terms = np.einsum("kn,nr->kr", np.abs(res_cols), np.maximum(np.abs(lo, out=lo), np.abs(hi, out=hi), out=lo))
     slack = 1e-6 * (terms + ((np.abs(window).max(axis=1) + np.abs(shift)) * logt)[:, None]) + 1e-9
     raw_win = (window - shift[:, None]) * logt
     miss = (box_hi + slack < raw_win[:, :1]) | (box_lo - slack > raw_win[:, 1:])
@@ -627,13 +627,14 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
     chart buffers are allocated once, sized for the largest chart and
     reused by every chart; the filter's scratch is one chart's (n, rows).
     The grid is evaluated first, then the charts, one at a time, each as
-    an (n, N) block (``_chart_logdist``).  Each has
-    exactly one residue product, over all its kept samples, into an image of
-    its own (with one residue row over an (N, n) copy of the block: the
-    (1, n) @ (n, N) product runs another BLAS kernel and changes last bits),
-    which is rescaled in place.  A sample's tripod region is read off its
-    nearest puncture, a running minimum over the block's rows, the first
-    index winning ties, ``distance._BLOCK`` samples at a time.  The
+    an (n, N) block (``_chart_logdist``), multiplied by the residue columns
+    into an image of its own, which is rescaled in place.  The product is
+    numpy's einsum loop, not BLAS: each image entry is summed over the
+    punctures in order, so the output is the same whatever BLAS kernel the
+    CPU selects, and a column slice of a block multiplies to the same
+    columns of the whole image, bit for bit.  A sample's tripod region is
+    read off its nearest puncture, a running minimum over the block's rows,
+    the first index winning ties, ``distance._BLOCK`` samples at a time.  The
     in-window columns of each image are moved to its front, sorted by
     region, stably, and these pieces are put together once, slot by slot
     (a slot is the grid or one region).
@@ -671,16 +672,10 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
         return out
 
     def image_by_region(logdist: np.ndarray, region: np.ndarray):
-        """The rescaled image of an (n, N) log-distance block, one residue
-        product; with one residue row, (N, n) @ (n, 1) over a copy of the
-        block, as for the stacked image.  Returns its in-window columns,
-        moved to its front sorted by region, stably, and where each slot of
-        them ends."""
-        image = np.empty((R.m, logdist.shape[1]))
-        if R.m == 1:
-            np.matmul(np.ascontiguousarray(logdist.T), res_cols.T, out=image.T)
-        else:
-            np.matmul(res_cols, logdist, out=image)
+        """The rescaled image of an (n, N) log-distance block.  Returns its
+        in-window columns, moved to its front sorted by region, stably, and
+        where each slot of them ends."""
+        image = np.einsum("kn,nN->kN", res_cols, logdist)
         np.divide(image, logt, out=image)
         image += shift[:, None]
         keep = np.flatnonzero(distance._in_window(image, window))
@@ -715,10 +710,8 @@ def _experiment_cloud(placement: TreePlacement, R: ResidueMatrix, plan: tuple,
     samples += grid.shape[1]
     del grid
 
-    # one product per chart over all its samples: a product of fewer samples
-    # can differ from the same samples of the whole one in the last bit; the
-    # log-distances of the largest chart, and z and its offsets for half a
-    # block of samples each (at least one radius row)
+    # the log-distances of the largest chart, and z and its offsets for half
+    # a block of samples each (at least one radius row)
     units = _chart_units(pts, angular_count)
     buffers = (np.empty(pts.size * max(chart.size for chart in charts) * units.size),
                np.empty((2, max(1, block // 2 // units.size) * units.size), dtype=complex))

@@ -124,9 +124,13 @@ def is_tropical(mor: HarmonicMorphism, tol: float = 1e-9) -> bool:
 
 
 def _reads_as_integers(mor: HarmonicMorphism, tol: float) -> bool:
-    """True iff every slope is an integer within max(tol, 1e-12): the rule by
-    which regularity, twists and their check read a morphism as tropical."""
-    return is_tropical(mor, tol=max(tol, 1e-12))
+    """True iff every slope is an integer within max(tol, 1e-12, 16 eps S), S
+    the largest |slope|: the rule by which regularity, twists and their check
+    read a morphism as tropical.  The slopes come out of one solve, so their
+    round-off scales with S, not with each slope; the benchmark's tropical
+    instances reach 1.15 eps S, and 16 eps S stays below 1/2 up to S = 2**47."""
+    scale = max(_max_abs(mor.edge_slopes), _max_abs(mor.leaf_slopes))
+    return is_tropical(mor, tol=max(tol, 1e-12, 16 * np.finfo(float).eps * scale))
 
 
 def loop_slope_matrix(mor: HarmonicMorphism) -> np.ndarray:
@@ -163,11 +167,12 @@ def regularity_rank(mg: MetricGraph, mor: HarmonicMorphism, rank_tol: float = 1e
     admitting a combinatorially equivalent morphism satisfy these linear
     conditions; the morphism is regular when they are independent.
 
-    On a morphism whose slopes read as integers within max(``rank_tol``,
-    1e-12), as ``solve_twists`` reads them, the rank is exact: that of the
-    integer matrix, so it equals the twist rank.  Otherwise a singular value
-    counts when it exceeds ``rank_tol`` times the largest slope of the whole
-    morphism, edges and leaves, so a loop matrix of round-off has rank 0.
+    On a morphism whose slopes read as integers at ``rank_tol`` (see
+    ``_reads_as_integers``), as ``solve_twists`` reads them, the rank is
+    exact: that of the integer matrix, so it equals the twist rank.
+    Otherwise a singular value counts when it exceeds ``rank_tol`` times the
+    largest slope of the whole morphism, edges and leaves, so a loop matrix
+    of round-off has rank 0.
     """
     _check_carrier(mg, mor)
     expected = mor.ambient_dim * mg.genus

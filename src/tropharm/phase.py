@@ -71,7 +71,8 @@ def _twist_sums(twists: TwistAssignment, mor: HarmonicMorphism, loops) -> np.nda
 def _require_tropical(mor: HarmonicMorphism, tol: float) -> None:
     """NotTropicalError naming the slope farthest from an integer (edge or
     leaf, coordinate, value, distance) unless every slope is an integer
-    within max(tol, 1e-12); a NaN slope counts as the farthest."""
+    at tol (see ``morphisms._reads_as_integers``); a NaN slope counts as
+    the farthest."""
     if not _reads_as_integers(mor, tol):
         slopes = np.vstack([mor.edge_slopes, mor.leaf_slopes])
         off = np.abs(slopes - np.round(slopes))
@@ -142,7 +143,7 @@ def solve_twists(mg: MetricGraph, mor: HarmonicMorphism, tol: float = 1e-9) -> T
 
     The system is homogeneous, so theta = 0 always solves it; the solution set
     is a subtorus of dimension |E| - rank of the integer constraint matrix.
-    Slopes are integers by check_integrality's rule: within max(tol, 1e-12).
+    Slopes are integers by check_integrality's rule, ``_reads_as_integers``.
     """
     _check_carrier(mg, mor)
     _require_tropical(mor, tol)

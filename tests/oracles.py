@@ -369,8 +369,9 @@ def grid_logdist_rows(pts, grid_count):
 def experiment_cloud_stacked(placement, R, mor, window, shift, sampling):
     """The convergence experiment's raw cloud, regions and sample count, each
     chart evaluated into arrays of its own (``chart_logdist_masked``) and
-    multiplied by the residue columns, and the charts and the global grid
-    stacked at the end.  Chart radii, rows skipped as missing the window
+    multiplied by the residue columns as the library multiplies, an einsum
+    over an (n, N) block, and the charts and the global grid stacked at the
+    end.  Chart radii, rows skipped as missing the window
     (``rows_near_window_chart``, one chart at a time) and tripod regions
     follow the library's rules."""
     g = placement.carrier.graph
@@ -421,12 +422,12 @@ def experiment_cloud_stacked(placement, R, mor, window, shift, sampling):
         log_radii = u * logt
         near = rows_near_window_chart(pts, pos, log_radii, res_cols, window, shift, logt)
         logdist, drawn = chart_logdist_masked(pts, pos, log_radii[near], angular_count)
-        chunks.append(logdist @ res_cols.T)
+        chunks.append(np.einsum("kn,nN->kN", res_cols, np.ascontiguousarray(logdist.T)).T)
         regions.append(assign_tripods(logdist))
         samples += drawn + (near.size - np.count_nonzero(near)) * angular_count
 
     grid = grid_logdist_rows(pts, grid_count)
-    chunks.append(grid @ res_cols.T)
+    chunks.append(np.einsum("kn,nN->kN", res_cols, np.ascontiguousarray(grid.T)).T)
     regions.append(np.full(grid.shape[0], -1, dtype=region_type))
     return np.vstack(chunks), np.concatenate(regions), samples + grid.shape[0]
 

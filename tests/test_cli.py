@@ -13,6 +13,7 @@ from tropharm import cli
 from tropharm.cli import main
 from tropharm.graph import load_graph
 
+from _generators import benchmark_gen
 from conftest import MERGING_TREE, MERGING_TREE_RESIDUES, genus2_graph
 
 TRIPOD = {
@@ -222,6 +223,22 @@ def test_regularity_rank_of_round_off_loop_slopes_is_zero(capsys, tmp_path):
     assert json.loads(out) == {"expected": 4, "is_regular": False, "rank": 0}
     code, out, _ = run(capsys, "twists", str(g), str(r), "solve")
     assert code == 0 and json.loads(out)["rank"] == 0
+
+
+def test_regularity_and_twists_read_large_slopes_as_integers_at_tol_zero(capsys, tmp_path):
+    # perfbench/gen.py tropical_instance(101, 179) has the slope
+    # 5579.999999999998: an absolute floor of 1e-12 read it as no integer,
+    # so regularity fell to singular values cut at 0 and printed rank 8,
+    # regular, and twists solve refused it as not tropical
+    inst = benchmark_gen().tropical_instance(101, 179)
+    g, r = tmp_path / "g.json", tmp_path / "r.json"
+    g.write_text(json.dumps(inst["graph"]))
+    r.write_text(json.dumps(inst["residues"]))
+    code, out, _ = run(capsys, "regularity", str(g), str(r), "--tol", "0")
+    assert code == 0
+    assert json.loads(out) == {"expected": 8, "is_regular": False, "rank": 5}
+    code, out, err = run(capsys, "twists", str(g), str(r), "solve", "--tol", "0")
+    assert (code, err) == (0, "") and json.loads(out)["rank"] == 5
 
 
 def test_twists_solve_and_check(capsys, files):
@@ -567,6 +584,26 @@ def test_degenerate_stdout_matches_golden(capsys, fixture, window, density):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+
+
+def test_degenerate_stdout_does_not_depend_on_the_blas_kernel():
+    # real residues make the image a sum of inexact products; through BLAS
+    # its last bits followed the kernel OpenBLAS picks for the CPU, and
+    # v0's distance at t = 1e3 read ...674 by default and ...675 under the
+    # Sandybridge kernel.  Both runs must print the golden stdout
+    argv = ["degenerate", str(GOLDEN / "caterpillar.graph.json"), str(GOLDEN / "caterpillar.real-residues.json"),
+            "--t", "1e3,1e6", "--window", "3", "--density", "2"]
+    src = os.path.dirname(os.path.dirname(tropharm.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    outs = []
+    for kernel in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"}):
+        proc = subprocess.run([sys.executable, "-c", "import sys; from tropharm.cli import main; sys.exit(main())",
+                               *argv], env={**env, **kernel}, capture_output=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0] == (GOLDEN / "caterpillar.real.window3.density2.stdout").read_bytes()
 
 
 def test_degenerate_wide_window_matches_earlier_stdout(capsys):

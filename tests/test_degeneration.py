@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -782,15 +783,34 @@ def _assert_same_cloud(args):
     assert samples == samples_ref
 
 
+@pytest.mark.parametrize("module", [dg, dist])
+def test_sampler_and_distance_engine_multiply_without_blas(module):
+    # a BLAS product's last bits follow the kernel OpenBLAS picks for the CPU
+    # and the shape of the call, so these modules multiply with np.einsum,
+    # numpy's own loop.  The 1-D np.linalg.norm calls in distance.py (BLAS
+    # ddot) stay: they read the window diagonal and segment lengths only to
+    # check the sample spacing and to count each segment's scene samples
+    # through a ceiling, never a distance the report prints
+    blas = {"matmul", "dot", "inner", "tensordot"}
+    found = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"@ at line {node.lineno}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name, owner = node.func.attr, node.func.value
+            if name == "dot" or (name in blas and isinstance(owner, ast.Name) and owner.id == "np"):
+                found.append(f"{name} at line {node.lineno}")
+    assert found == []
+
+
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), leaves=st.integers(3, 8),
        t=st.sampled_from([1e3, 1e6]), half_width=st.sampled_from([None, 3.0]),
        m=st.sampled_from([1, 2, 3]), density=st.sampled_from([0.5, 0.7, 1.0, 2.0]))
 def test_experiment_cloud_matches_stacked_charts_bit_for_bit(seed, leaves, t, half_width, m, density):
     # the cloud is allocated once and written chart by chart, through reused
-    # puncture-major chart buffers, with one residue product per chart; a
-    # one-row image keeps the product shape of the stacked oracle; densities
-    # 0.5, 0.7, 1 and 2 give 32, 45 (odd: no angle at pi), 64 and 128 angles
+    # puncture-major chart buffers; densities 0.5, 0.7, 1 and 2 give 32, 45
+    # (odd: no angle at pi), 64 and 128 angles
     drawn = _random_tree_residues(seed, leaves, t, m)
     assume(drawn is not None)
     window = None if half_width is None else np.array([[-half_width, half_width]] * m)
