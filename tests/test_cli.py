@@ -588,9 +588,10 @@ def test_degenerate_stdout_matches_golden(capsys, fixture, window, density):
 
 def test_degenerate_stdout_does_not_depend_on_the_blas_kernel():
     # real residues make the image a sum of inexact products; through BLAS
-    # its last bits followed the kernel OpenBLAS picks for the CPU, and
-    # v0's distance at t = 1e3 read ...674 by default and ...675 under the
-    # Sandybridge kernel.  Both runs must print the golden stdout
+    # its last bits followed the kernel OpenBLAS picks for the CPU, and v0's
+    # distance at t = 1e3 printed 0.098702577988267398 under an AVX-512
+    # kernel and 0.098702577988267495 under Sandybridge.  Both runs must
+    # print the golden stdout
     argv = ["degenerate", str(GOLDEN / "caterpillar.graph.json"), str(GOLDEN / "caterpillar.real-residues.json"),
             "--t", "1e3,1e6", "--window", "3", "--density", "2"]
     src = os.path.dirname(os.path.dirname(tropharm.__file__))
