@@ -26,8 +26,8 @@ from .errors import (
     SingularSystemError,
     TooFewLeavesError,
 )
-from .graph import (GraphPath, MetricGraph, _balancing, _cotree, _path_columns, check_path, json_number,
-                    leaf_paths, loop_matrix, read_json)
+from .graph import (GraphPath, MetricGraph, _balancing, _cotree, _leaf_columns, check_path, json_number,
+                    loop_matrix, read_json)
 
 # Balancing / residue tolerances: relative to the largest stored value.
 TOL_BALANCE = 1e-9
@@ -208,8 +208,7 @@ def form_space_dims(mg: MetricGraph) -> tuple[int, int]:
     if n < 2:
         raise TooFewLeavesError(f"need at least 2 leaves, have {n}")
     cotree = _cotree(mg.graph)
-    paths = mg.loops + leaf_paths(mg, mg.graph.leaves[0].id)
-    basis = loop_matrix(mg.graph, [_path_columns(mg.graph, p) for p in paths])
+    basis = loop_matrix(mg.graph, (*mg._loops, *_leaf_columns(mg.graph, mg.graph.leaf_ids[0])))
     if (np.any(_balancing(mg, basis.T)) or np.any(basis[:g, -n:])
             or not np.array_equal(basis[:g, cotree], np.eye(g))
             or not np.array_equal(basis[g:, 1 - n:], -np.eye(n - 1))):

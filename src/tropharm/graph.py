@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,12 +52,14 @@ class CubicGraph:
     maps each id to its incidence column, edges first.  The incidence is kept
     as index arrays: ``_tails`` (ends[0]), ``_heads``, ``_leaf_vertices`` and
     the (|V|, 3) ``_star`` of columns at each vertex, ``_star_sign`` +1 where
-    an edge leaves it, else -1; ``_ends`` holds the columns' tails and
-    heads as two tuples of ints, a leaf's tail -1 (its open end).  The
-    spanning tree is ``_tree_adj``, each vertex's tree neighbours as
-    (neighbour, column, sign) in (neighbour, column) order, sign +1 where the
-    edge runs from the neighbour to the vertex, and ``_walk``, the tree
-    walked from vertex 0 (``_tree_walk``).
+    an edge leaves it, else -1, in order: edges leaving, edges entering,
+    leaves, each by column.  They are grouped in plain lists, which give the
+    valences, and each array is made from its list.  ``_ends`` holds the
+    columns' tails and heads as two tuples of ints, a leaf's tail -1 (its
+    open end).  The spanning tree is ``_tree_adj``, each vertex's tree
+    neighbours as (neighbour, column, sign) in (neighbour, column) order,
+    sign +1 where the edge runs from the neighbour to the vertex, and
+    ``_walk``, the tree walked from vertex 0 (``_tree_walk``).
     """
 
     vertices: tuple[str, ...]
@@ -90,27 +93,27 @@ class CubicGraph:
             if l.vertex not in vidx:
                 raise InputError(f"leaf {l.id} references unknown vertex")
 
-        # the column ends: edge tails, edge heads, leaves; grouped by vertex,
-        # three each, position k < ne is edge k's tail, else column k - ne
+        # the columns at each vertex and their signs: edges whose tail it is
+        # (+1), edges whose head it is (-1), then its leaves (-1)
         nv, ne = len(vertices), len(edges)
-        ends = np.array([vidx[e.ends[0]] for e in edges] + [vidx[e.ends[1]] for e in edges]
-                        + [vidx[l.vertex] for l in leaves], dtype=np.intp)
-        valence = np.bincount(ends, minlength=nv)
-        bad = np.flatnonzero(valence != 3)
-        if bad.size:
-            raise NotCubicError(f"vertex {vertices[bad[0]]} has valence {valence[bad[0]]}, not 3")
+        tails, heads = [vidx[e.ends[0]] for e in edges], [vidx[e.ends[1]] for e in edges]
+        leaf_vertices = [vidx[l.vertex] for l in leaves]
+        star, star_sign = [[] for _ in vertices], [[] for _ in vertices]
+        for ends, sign, first in ((tails, 1.0, 0), (heads, -1.0, 0), (leaf_vertices, -1.0, ne)):
+            for k, v in enumerate(ends, first):
+                star[v].append(k)
+                star_sign[v].append(sign)
+        bad = next((v for v, at in enumerate(star) if len(at) != 3), None)
+        if bad is not None:
+            raise NotCubicError(f"vertex {vertices[bad]} has valence {len(star[bad])}, not 3")
         if not vertices:
             raise NotCubicError("graph has no vertices")
-        order = np.argsort(ends, kind="stable")
-        tail = order < ne
-        star = np.where(tail, order, order - ne).reshape(-1, 3)
 
         # Kruskal on the sorted edge ids gives the one spanning tree that cycle
         # bases, leaf paths and tree placement walk; a walk from vertex 0 that
         # misses a vertex means the graph is disconnected.  With every vertex
         # trivalent and the graph connected, |E| = 3g - 3 + n and
         # |V| = 2g - 2 + n follow.
-        tails, heads = ends[:ne].tolist(), ends[ne:2 * ne].tolist()
         root = list(range(nv))
 
         def find(v):
@@ -132,8 +135,8 @@ class CubicGraph:
             raise DisconnectedError("graph is not connected")
 
         ribbon: dict[str, tuple[str, str, str]] = {}
-        for v, row in zip(vertices, star.tolist()):
-            incident = sorted(ids[k] for k in row)
+        for v, at in zip(vertices, star):
+            incident = sorted(ids[k] for k in at)
             if self.ribbon and v in self.ribbon:
                 order3 = tuple(str(x) for x in self.ribbon[v])
                 if sorted(order3) != incident:
@@ -146,14 +149,15 @@ class CubicGraph:
             if unknown:
                 raise BadRibbonError(f"ribbon mentions unknown vertices {sorted(unknown)}")
 
-        arrays = {"_tails": ends[:ne], "_heads": ends[ne:2 * ne], "_leaf_vertices": ends[2 * ne:],
-                  "_star": star, "_star_sign": np.where(tail, 1.0, -1.0).reshape(-1, 3)}
-        for arr in (ends, *arrays.values()):
+        arrays = {"_tails": np.array(tails, dtype=np.intp), "_heads": np.array(heads, dtype=np.intp),
+                  "_leaf_vertices": np.array(leaf_vertices, dtype=np.intp),
+                  "_star": np.array(star, dtype=np.intp), "_star_sign": np.array(star_sign)}
+        for arr in arrays.values():
             arr.setflags(write=False)
         for name, value in {"vertices": vertices, "edges": edges, "leaves": leaves, "ribbon": ribbon,
                             "edge_ids": tuple(ids[:ne]), "leaf_ids": tuple(ids[ne:]),
                             "_column": {ref: k for k, ref in enumerate(ids)},
-                            "_ends": (tuple(tails + [-1] * len(leaves)), tuple(heads + ends[2 * ne:].tolist())),
+                            "_ends": (tuple(tails + [-1] * len(leaves)), tuple(heads + leaf_vertices)),
                             **arrays, "_tree_adj": tree_adj, "_walk": walk}.items():
             object.__setattr__(self, name, value)
 
@@ -200,15 +204,15 @@ class GraphPath:
 class MetricGraph:
     """A cubic graph with edge lengths, plus its linear algebra as read-only arrays.
 
-    ``lengths`` is |E| (edge-id order), ``loops`` the fundamental cycle basis
-    and ``cycles`` its genus x |E| signed edge matrix; the incidence and the
-    spanning tree are the graph's.
+    ``lengths`` is |E| (edge-id order); ``_loops``, which the library reads,
+    the fundamental loops as (columns, signs) lists (``_loop_columns``),
+    ``cycles`` their genus x |E| signed matrix and ``loops`` their ``GraphPath``
+    objects, built on first read.  Incidence and spanning tree: the graph's.
     """
 
     graph: CubicGraph
     length: dict[str, float]
     lengths: np.ndarray = field(init=False, repr=False, compare=False)
-    loops: tuple[GraphPath, ...] = field(init=False, repr=False, compare=False)
     cycles: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -232,12 +236,14 @@ class MetricGraph:
         object.__setattr__(self, "length", length)
 
         lengths = np.array(list(length.values()))
-        loops = cycle_basis(self)
-        cycles = loop_matrix(g, [_path_columns(g, loop) for loop in loops])[:, :len(g.edges)]
+        loops = _loop_columns(g)
+        cycles = loop_matrix(g, loops)[:, :len(g.edges)]
         lengths.setflags(write=False)
         cycles.setflags(write=False)
-        for name, value in (("lengths", lengths), ("loops", loops), ("cycles", cycles)):
+        for name, value in (("lengths", lengths), ("_loops", loops), ("cycles", cycles)):
             object.__setattr__(self, name, value)
+
+    loops = cached_property(lambda self: cycle_basis(self))
 
     @property
     def genus(self) -> int:
@@ -342,29 +348,52 @@ def _cotree(g: CubicGraph) -> list[int]:
     return [k for k in range(len(g.edges)) if k not in tree]
 
 
-def _tree_paths(g: CubicGraph):
-    """The function giving the oriented edges of the tree path between vertex
-    indices u -> v: both climbs of the walk to vertex 0, less the steps they
-    share."""
-    up = {child: (parent, k, sign) for child, parent, k, sign in g._walk}
-    ids = g.edge_ids
+def _tree_columns(g: CubicGraph, pairs) -> list[tuple[list[int], list[float]]]:
+    """The tree path u -> v of each vertex pair (u, v) as columns and signs:
+    one climb of the walk from both ends, the deeper first, until they meet;
+    the steps from u in order, then those from v reversed and flipped."""
+    parent, column, sign, depth = ([0] * len(g.vertices) for _ in range(4))
+    for child, p, k, s in g._walk:
+        parent[child], column[child], sign[child], depth[child] = p, k, float(s), depth[p] + 1
+    paths = []
+    for u, v in pairs:
+        up, back = [], []  # the children of the steps from u, from v
+        while u != v:
+            if depth[u] >= depth[v]:
+                up.append(u)
+                u = parent[u]
+            else:
+                back.append(v)
+                v = parent[v]
+        back.reverse()
+        paths.append(([column[w] for w in up + back], [sign[w] for w in up] + [-sign[w] for w in back]))
+    return paths
 
-    def climb(x):
-        steps = []
-        while x in up:
-            x, k, sign = up[x]
-            steps.append((k, sign))
-        return steps
 
-    def path(u: int, v: int) -> list[OrientedEdge]:
-        a, b = climb(u), climb(v)
-        while a and b and a[-1] == b[-1]:
-            a.pop()
-            b.pop()
-        return ([OrientedEdge(ids[k], sign > 0) for k, sign in a]
-                + [OrientedEdge(ids[k], sign < 0) for k, sign in reversed(b)])
+def _loop_columns(g: CubicGraph) -> tuple[tuple[list[int], list[float]], ...]:
+    """The fundamental loops as columns and signs, one per co-tree edge in edge
+    order: the co-tree edge, then the tree path from its head to its tail."""
+    cotree, (tails, heads) = _cotree(g), g._ends
+    return tuple(([k, *cols], [1.0, *signs])
+                 for k, (cols, signs) in zip(cotree, _tree_columns(g, [(heads[k], tails[k]) for k in cotree])))
 
-    return path
+
+def _leaf_columns(g: CubicGraph, base_leaf: str) -> list[tuple[list[int], list[float]]]:
+    """The paths from ``base_leaf`` (UnknownLeafError unless a leaf) to every
+    other leaf, in leaf order, as columns and signs: in, the tree path, out."""
+    if _kind(g, base_leaf) != "leaf":
+        raise UnknownLeafError(f"unknown leaf {base_leaf}")
+    b, at = g._column[base_leaf], g._ends[1]  # a leaf column's head is its vertex
+    others = [k for k in range(len(g.edges), len(g._column)) if k != b]
+    return [([b, *cols, k], [1.0, *signs, -1.0])
+            for k, (cols, signs) in zip(others, _tree_columns(g, [(at[b], at[k]) for k in others]))]
+
+
+def _path_objects(g: CubicGraph, paths, is_loop: bool) -> tuple[GraphPath, ...]:
+    """The paths given as columns and signs, as ``GraphPath`` objects."""
+    ids = g.edge_ids + g.leaf_ids
+    return tuple(GraphPath(tuple(OrientedEdge(ids[k], s > 0) for k, s in zip(cols, signs)), is_loop)
+                 for cols, signs in paths)
 
 
 def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
@@ -375,10 +404,7 @@ def cycle_basis(mg: MetricGraph) -> tuple[GraphPath, ...]:
     co-tree edge followed by the tree path back to its tail, so it passes
     ``check_path`` by construction; the tests check this, not every call.
     """
-    g = mg.graph
-    path, (tails, heads) = _tree_paths(g), g._ends
-    return tuple(GraphPath((OrientedEdge(g.edge_ids[k], True), *path(heads[k], tails[k])), is_loop=True)
-                 for k in _cotree(g))
+    return _path_objects(mg.graph, mg._loops, is_loop=True)
 
 
 def loop_matrix(g: CubicGraph, paths) -> np.ndarray:
@@ -397,13 +423,7 @@ def leaf_paths(mg: MetricGraph, base_leaf: str) -> tuple[GraphPath, ...]:
     Each path runs through the spanning tree, so it passes ``check_path`` by
     construction; as for ``cycle_basis``, the tests check this, not every call.
     """
-    g = mg.graph
-    if _kind(g, base_leaf) != "leaf":
-        raise UnknownLeafError(f"unknown leaf {base_leaf}")
-    path, ends = _tree_paths(g), dict(zip(g.leaf_ids, g._leaf_vertices.tolist()))
-    return tuple(GraphPath((OrientedEdge(base_leaf, True), *path(ends[base_leaf], v),
-                            OrientedEdge(lid, False)), is_loop=False)
-                 for lid, v in ends.items() if lid != base_leaf)
+    return _path_objects(mg.graph, _leaf_columns(mg.graph, base_leaf), is_loop=False)
 
 
 # ----------------------------------------------------------------------

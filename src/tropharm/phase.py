@@ -18,8 +18,7 @@ import numpy as np
 from . import _intmat
 from .errors import BadBasisError, InputError, NotTropicalError
 from .forms import ResidueMatrix
-from .graph import (GraphPath, MetricGraph, _check_carrier, _kind, _path_columns, check_path, json_number,
-                    loop_matrix)
+from .graph import GraphPath, MetricGraph, _check_carrier, _kind, check_path, json_number, loop_matrix
 from .morphisms import HarmonicMorphism, _integer_loop_slopes, _reads_as_integers, build_morphism
 
 TWO_PI = 2.0 * np.pi
@@ -103,7 +102,7 @@ def check_integrality(mg: MetricGraph, twists: TwistAssignment, mor: HarmonicMor
     """
     _check_carrier(mg, twists, mor)
     _require_tropical(mor, tol)
-    sums = _twist_sums(twists, mor, [_path_columns(mg.graph, loop) for loop in mg.loops])
+    sums = _twist_sums(twists, mor, mg._loops)
     residuals = np.abs(sums - TWO_PI * np.round(sums / TWO_PI))
     return IntegralityCheck(mg.loops, sums, residuals, residuals <= tol)
 
@@ -169,11 +168,14 @@ class PeriodBasis:
     b_loops: tuple[GraphPath, ...]
 
 
+def _default_rows(mg: MetricGraph) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """All leaves but the last, and the co-tree edges: each loop's first column."""
+    return mg.graph.leaf_ids[:-1], tuple(mg.graph.edge_ids[cols[0]] for cols, _ in mg._loops)
+
+
 def default_period_basis(mg: MetricGraph) -> PeriodBasis:
     """All leaves but the last; co-tree edges; their fundamental cycles."""
-    g = mg.graph
-    a_edges = tuple(loop.items[0].id for loop in mg.loops)
-    return PeriodBasis(g.leaf_ids[:-1] if g.n_leaves else (), a_edges, mg.loops)
+    return PeriodBasis(*_default_rows(mg), mg.loops)
 
 
 @dataclass(frozen=True)
@@ -227,21 +229,20 @@ def limit_period_matrix(mg: MetricGraph, twists: TwistAssignment, R: ResidueMatr
     the pairing is the identity, and the tests check it, not every call.
     """
     if basis is None:
-        basis = default_period_basis(mg)
-        b_loops = [_path_columns(mg.graph, loop) for loop in mg.loops]
+        (puncture_leaves, a_edges), b_loops = _default_rows(mg), mg._loops
     else:
-        b_loops = _check_basis(mg, basis)
+        puncture_leaves, a_edges, b_loops = basis.puncture_leaves, basis.a_edges, _check_basis(mg, basis)
     if mor is None:
         mor = build_morphism(mg, R)
     _check_carrier(mg, twists, mor)
     if not np.array_equal(-mor.leaf_slopes.T, R.entries):
         raise InputError("the morphism's residues are not R")
     column, ne = mg.graph._column, len(mg.lengths)
-    entries = np.vstack([R.entries[:, [column[l] - ne for l in basis.puncture_leaves]].T,
-                         mor.edge_slopes[[column[e] for e in basis.a_edges]],
+    entries = np.vstack([R.entries[:, [column[l] - ne for l in puncture_leaves]].T,
+                         mor.edge_slopes[[column[e] for e in a_edges]],
                          _twist_sums(twists, mor, b_loops) / TWO_PI]).astype(complex)
-    labels = ([f"puncture:{lid}" for lid in basis.puncture_leaves] + [f"A:{eid}" for eid in basis.a_edges]
-              + [f"B:{i}" for i in range(len(basis.b_loops))])
+    labels = ([f"puncture:{lid}" for lid in puncture_leaves] + [f"A:{eid}" for eid in a_edges]
+              + [f"B:{i}" for i in range(len(b_loops))])
     return LimitPeriodMatrix(tuple(labels), entries)
 
 

@@ -6,7 +6,9 @@ from math import gcd
 
 import numpy as np
 
-from tropharm.errors import EvaluationAtPunctureError, NotALoopError, NotPathOrLoopError
+from tropharm.errors import (DisconnectedError, EvaluationAtPunctureError, NotALoopError, NotCubicError,
+                             NotPathOrLoopError)
+from tropharm.graph import GraphPath, OrientedEdge
 
 
 def energy_min_flow(mg, residue_row):
@@ -106,6 +108,106 @@ def spanning_tree_reference(g, root=None):
                 parent[w] = (v, eid)
                 queue.append(w)
     return tree, parent
+
+
+def cubic_index_reference(vertices, edges, leaves):
+    """The graph index built with numpy, as ``CubicGraph`` built it before it
+    grouped the column ends in lists: valences by ``np.bincount`` of the
+    column ends (edge tails, edge heads, leaves), the star table by their
+    stable ``np.argsort`` and its signs by ``np.where``; then Kruskal on the
+    sorted edge ids and the breadth-first walk from vertex 0.  ``vertices``,
+    ``edges`` and ``leaves`` are as ``CubicGraph`` takes them, their ids
+    valid.  Raises what ``CubicGraph`` raises on valence, emptiness and
+    connectivity, in the same order; returns the index by attribute name."""
+    vertices = tuple(sorted(vertices))
+    edges = tuple(sorted(edges, key=lambda e: e.id))
+    vidx = {v: i for i, v in enumerate(vertices)}
+    nv, ne = len(vertices), len(edges)
+    ends = np.array([vidx[e.ends[0]] for e in edges] + [vidx[e.ends[1]] for e in edges]
+                    + [vidx[l.vertex] for l in leaves], dtype=np.intp)
+    valence = np.bincount(ends, minlength=nv)
+    bad = np.flatnonzero(valence != 3)
+    if bad.size:
+        raise NotCubicError(f"vertex {vertices[bad[0]]} has valence {valence[bad[0]]}, not 3")
+    if not vertices:
+        raise NotCubicError("graph has no vertices")
+    order = np.argsort(ends, kind="stable")
+    tail = order < ne
+    tails, heads = ends[:ne].tolist(), ends[ne:2 * ne].tolist()
+    root = list(range(nv))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    adjacent = [[] for _ in vertices]
+    for k, (u, w) in enumerate(zip(tails, heads)):
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            root[ru] = rw
+            adjacent[u].append((w, k, -1))
+            adjacent[w].append((u, k, 1))
+    tree_adj = tuple(tuple(sorted(adj)) for adj in adjacent)
+    walk, seen, queue = [], {0}, [0]
+    for v in queue:
+        for w, k, sign in tree_adj[v]:
+            if w not in seen:
+                seen.add(w)
+                walk.append((w, v, k, sign))
+                queue.append(w)
+    if len(walk) != nv - 1:
+        raise DisconnectedError("graph is not connected")
+    return {"_tails": ends[:ne], "_heads": ends[ne:2 * ne], "_leaf_vertices": ends[2 * ne:],
+            "_star": np.where(tail, order, order - ne).reshape(-1, 3),
+            "_star_sign": np.where(tail, 1.0, -1.0).reshape(-1, 3),
+            "_ends": (tuple(tails + [-1] * len(leaves)), tuple(heads + ends[2 * ne:].tolist())),
+            "_tree_adj": tree_adj, "_walk": tuple(walk)}
+
+
+def _tree_path_objects(g):
+    """The function giving the oriented edges of the tree path between vertex
+    indices u -> v: both climbs of the walk to vertex 0, less the steps they
+    share."""
+    up = {child: (parent, k, sign) for child, parent, k, sign in g._walk}
+    ids = g.edge_ids
+
+    def climb(x):
+        steps = []
+        while x in up:
+            x, k, sign = up[x]
+            steps.append((k, sign))
+        return steps
+
+    def path(u, v):
+        a, b = climb(u), climb(v)
+        while a and b and a[-1] == b[-1]:
+            a.pop()
+            b.pop()
+        return ([OrientedEdge(ids[k], sign > 0) for k, sign in a]
+                + [OrientedEdge(ids[k], sign < 0) for k, sign in reversed(b)])
+
+    return path
+
+
+def cycle_basis_reference(mg):
+    """The fundamental cycles built as objects: for each co-tree edge in edge
+    order, the edge forward, then the tree path from its head to its tail."""
+    g = mg.graph
+    path, (tails, heads) = _tree_path_objects(g), g._ends
+    tree = {k for _, _, k, _ in g._walk}
+    return tuple(GraphPath((OrientedEdge(g.edge_ids[k], True), *path(heads[k], tails[k])), is_loop=True)
+                 for k in range(len(g.edges)) if k not in tree)
+
+
+def leaf_paths_reference(mg, base_leaf):
+    """The paths from ``base_leaf`` to every other leaf built as objects, in
+    leaf order: the base leaf inward, the tree path, the other leaf outward."""
+    g = mg.graph
+    path, ends = _tree_path_objects(g), dict(zip(g.leaf_ids, g._leaf_vertices.tolist()))
+    return tuple(GraphPath((OrientedEdge(base_leaf, True), *path(ends[base_leaf], v),
+                            OrientedEdge(lid, False)), is_loop=False)
+                 for lid, v in ends.items() if lid != base_leaf)
 
 
 def dense_incidence(g):

@@ -259,22 +259,21 @@ def test_form_space_dims_agrees_with_three_ranks(seed, genus, leaves):
 
 @pytest.mark.parametrize("flip", ["leaf path edge", "leaf path leaf", "loop"])
 def test_form_space_dims_refuses_a_wrong_sign(monkeypatch, flip):
-    # one reversed item breaks balancing (or the -I pivot on the leaves), so
-    # the certificate is not vacuous
+    # one flipped sign in the loop or leaf-path columns that the certificate
+    # reads breaks balancing (or the -I pivot on the leaves), so the
+    # certificate is not vacuous
     mg = random_cubic(np.random.default_rng(3), 2, 4)
 
-    def reverse(path, k):
-        items = list(path.items)
-        items[k] = items[k].reverse()
-        return GraphPath(tuple(items), path.is_loop)
+    def flipped(paths, k):
+        (cols, signs), *rest = paths
+        return ((cols, [-s if i == k % len(signs) else s for i, s in enumerate(signs)]), *rest)
 
     if flip == "loop":
-        object.__setattr__(mg, "loops", (reverse(mg.loops[0], 1),) + mg.loops[1:])  # a local graph
+        object.__setattr__(mg, "_loops", flipped(mg._loops, 1))  # a local graph
     else:
         k = 1 if flip == "leaf path edge" else -1
-        real = forms.leaf_paths
-        monkeypatch.setattr(forms, "leaf_paths", lambda mg, base: (reverse(real(mg, base)[0], k),)
-                            + real(mg, base)[1:])
+        real = forms._leaf_columns
+        monkeypatch.setattr(forms, "_leaf_columns", lambda g, base: flipped(real(g, base), k))
     with pytest.raises(RuntimeError, match="basis certificate"):
         form_space_dims(mg)
 

@@ -22,14 +22,18 @@ from tropharm.graph import (
     MetricGraph,
     OrientedEdge,
     _cotree,
+    _leaf_columns,
+    _path_columns,
     _tree_walk,
     check_path,
     cycle_basis,
     leaf_paths,
+    loop_matrix,
 )
 
 from conftest import caterpillar_graph, dumbbell_graph, genus2_graph, theta_graph, tripod_graph
-from oracles import check_path_reference, spanning_tree_reference
+from oracles import (check_path_reference, cubic_index_reference, cycle_basis_reference, leaf_paths_reference,
+                     spanning_tree_reference)
 from _generators import random_cubic, random_valid_cubic
 
 
@@ -286,6 +290,86 @@ def test_incidence_and_spanning_tree_match_the_id_oracle(seed, genus, leaves):
 def test_incidence_and_spanning_tree_of_the_fixtures(make):
     mg = make()
     _check_incidence_and_tree(mg, mg.graph.vertices[-1])
+
+
+def _check_index_against_the_oracle(vertices, edges, leaves):
+    # the same refusal (class and message), or the same index: arrays of
+    # the same dtype and shape, read-only, and equal tuples
+    try:
+        want = cubic_index_reference(vertices, edges, leaves)
+    except TropharmError as exc:
+        with pytest.raises(TropharmError) as got:
+            CubicGraph(tuple(vertices), tuple(edges), tuple(leaves))
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    g = CubicGraph(tuple(vertices), tuple(edges), tuple(leaves))
+    for name, value in want.items():
+        have = getattr(g, name)
+        if isinstance(value, np.ndarray):
+            assert (have.dtype, have.shape) == (value.dtype, value.shape) and np.array_equal(have, value)
+            assert not have.flags.writeable
+        else:
+            assert have == value
+
+
+@given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 4), leaves=st.integers(1, 8),
+       defect=st.sampled_from([None, "edge dropped", "edge added", "leaf moved", "second component"]))
+def test_index_matches_the_numpy_oracle(seed, genus, leaves, defect):
+    # the star table, its signs, the column ends and the spanning tree grouped
+    # in lists against the numpy construction, on relabelled random graphs
+    # with at most one defect; a valence refusal names the first bad vertex
+    # in sorted id order, which the relabelling makes differ from the order
+    # in which the vertices are given
+    assume(2 * genus - 2 + leaves >= 1)
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, genus, leaves)
+    assume(mg is not None)
+    g = _relabelled(rng, mg).graph
+    vs, es, ls = list(g.vertices), list(g.edges), list(g.leaves)
+    rng.shuffle(vs)
+    if defect == "edge dropped" and es:
+        es.pop(rng.integers(len(es)))
+    elif defect == "edge added" and len(vs) > 1:
+        a, b = rng.choice(len(vs), size=2, replace=False)
+        es.append(Edge("extra", (vs[a], vs[b])))
+    elif defect == "leaf moved":
+        j = rng.integers(len(ls))
+        ls[j] = Leaf(ls[j].id, vs[rng.integers(len(vs))])
+    elif defect == "second component":  # a theta graph: trivalent, but apart
+        vs += ["w0", "w1"]
+        es += [Edge(f"f{k}", ("w0", "w1")) for k in range(3)]
+    _check_index_against_the_oracle(vs, es, ls)
+
+
+@pytest.mark.parametrize("make", [tripod_graph, dumbbell_graph, caterpillar_graph, genus2_graph, theta_graph, None])
+def test_index_of_the_fixtures_matches_the_numpy_oracle(make):
+    if make is None:  # no vertices at all
+        _check_index_against_the_oracle((), (), ())
+    else:
+        g = make().graph
+        _check_index_against_the_oracle(g.vertices, g.edges, g.leaves)
+
+
+@given(seed=st.integers(0, 2**32 - 1), genus=st.integers(0, 5), leaves=st.integers(1, 8))
+def test_loop_and_leaf_columns_match_the_object_oracle(seed, genus, leaves):
+    # one climb gives the loop and the leaf-path columns; the path objects
+    # built from them on demand equal those of the object-building climb
+    assume(2 * genus - 2 + leaves >= 1)
+    rng = np.random.default_rng(seed)
+    mg = random_cubic(rng, genus, leaves)
+    assume(mg is not None)
+    mg = _relabelled(rng, mg)
+    g = mg.graph
+    loops = cycle_basis_reference(mg)
+    columns = [_path_columns(g, loop) for loop in loops]
+    assert list(mg._loops) == columns
+    assert mg.cycles.tobytes() == loop_matrix(g, columns)[:, :len(g.edges)].tobytes()
+    assert mg.loops == cycle_basis(mg) == loops
+    assert mg.loops is mg.loops  # built once
+    for leaf in g.leaf_ids:
+        paths = leaf_paths_reference(mg, leaf)
+        assert _leaf_columns(g, leaf) == [_path_columns(g, p) for p in paths]
+        assert leaf_paths(mg, leaf) == paths
 
 
 def _mutants(rng, path, known):
